@@ -36,10 +36,21 @@
 //! [`SolveCacheStats::coalesced`]). The pending mark is cleared by a
 //! drop guard, so even a (bug-only) panicking solver wakes the waiters
 //! and the next one takes over — never a stuck key.
+//!
+//! Only a thread that nothing else can be waiting on parks: one that
+//! owns no pending key and runs no pool task. A solve fans its
+//! partition sweep out over the pool, and the solving thread helps the
+//! pool while the sweep runs, so it may pick up another build's task
+//! that asks for the very key it is solving further down its own
+//! stack; a pool worker may likewise hold, under the request, a task
+//! the owner's solve is waiting for. Parking there would wait forever,
+//! so such a requester solves a private copy instead (a miss, not
+//! stored: the owner stores the same bits).
 
 use crate::solve::{ArrayError, SolvedArray};
 use crate::spec::{ArrayKind, ArraySpec, OptTarget};
 use mcpat_tech::TechParams;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -258,6 +269,17 @@ fn lock(shard: &Shard) -> MutexGuard<'_, ShardState> {
     shard.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+thread_local! {
+    /// Pending keys this thread is solving right now.
+    static OWNED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Whether this thread may park on another thread's in-flight solve:
+/// only if no other thread can be waiting on it (see the module docs).
+fn may_park() -> bool {
+    OWNED.with(Cell::get) == 0 && !mcpat_par::pool::in_pool_task()
+}
+
 /// Clears a key's pending mark (and wakes waiters) on all exit paths
 /// of the solving thread, including a hypothetical panic unwinding
 /// through `solve_fn` — waiters then re-check and one takes over.
@@ -266,8 +288,17 @@ struct PendingGuard<'a> {
     key: Key,
 }
 
+impl<'a> PendingGuard<'a> {
+    /// Takes ownership of `key`, whose pending mark the caller just set.
+    fn claim(shard: &'a Shard, key: Key) -> PendingGuard<'a> {
+        OWNED.with(|n| n.set(n.get() + 1));
+        PendingGuard { shard, key }
+    }
+}
+
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
+        OWNED.with(|n| n.set(n.get().saturating_sub(1)));
         lock(self.shard).pending.remove(&self.key);
         self.shard.cv.notify_all();
     }
@@ -459,7 +490,7 @@ pub fn lookup_or_solve(
 
     // Hit, coalesce onto an in-flight solve, or claim the key.
     let mut waited = false;
-    {
+    let claimed = {
         let mut st = lock(shard);
         loop {
             if let Some(entry) = st.map.get_mut(&key) {
@@ -473,25 +504,32 @@ pub fn lookup_or_solve(
                 mcpat_obs::record_solve(true, waited);
                 return relabel(cached, &spec.name);
             }
-            if st.pending.contains(&key) {
-                waited = true;
-                let (guard, _) = shard
-                    .cv
-                    .wait_timeout(st, PENDING_POLL)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-                continue;
+            if !st.pending.contains(&key) {
+                st.pending.insert(key.clone());
+                break true;
             }
-            st.pending.insert(key.clone());
-            break;
+            if !may_park() {
+                break false;
+            }
+            waited = true;
+            let (guard, _) = shard
+                .cv
+                .wait_timeout(st, PENDING_POLL)
+                .unwrap_or_else(PoisonError::into_inner);
+            st = guard;
         }
+    };
+    MISSES.fetch_add(1, Ordering::SeqCst);
+    mcpat_obs::record_solve(false, false);
+    if !claimed {
+        // In flight elsewhere, but parking could deadlock: solve a
+        // private copy and leave storing to the owner.
+        return solve_fn(tech, spec, target);
     }
 
     // This thread owns the solve; the guard clears the pending mark
     // (and wakes waiters) on every exit path.
-    let guard = PendingGuard { shard, key };
-    MISSES.fetch_add(1, Ordering::SeqCst);
-    mcpat_obs::record_solve(false, false);
+    let guard = PendingGuard::claim(shard, key);
     let res = solve_fn(tech, spec, target);
     if is_cacheable(&res) {
         let bytes = approx_entry_bytes(&res);

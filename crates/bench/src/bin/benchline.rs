@@ -46,7 +46,7 @@
 //! agrees.
 
 use mcpat::{
-    explore, explore_batch, max_clock_under_power_budget, register_alloc_probe, AxisGrid, Budgets,
+    explore_batch, max_clock_under_power_budget, register_alloc_probe, AxisGrid, Budgets,
     DseEvaluator, DseOptions, DsePerf, FrontierPoint, MetricSet, ParetoFrontier, Processor,
     ProcessorConfig, WorkloadModel,
 };
@@ -739,15 +739,6 @@ fn main() {
 
     let cands = explore_candidates();
     let explore_reps = if quick { 1 } else { 3 };
-    rows.push(bench("explore_16_candidates", explore_reps, || {
-        let r = explore(&cands, Budgets::default(), |c| {
-            MetricSet::from_power(10.0, 1.0, c.die_area())
-        });
-        if let Err(e) = r {
-            die(&format!("exploration failed: {e}"));
-        }
-    }));
-
     rows.push(bench("explore_batch_16_candidates", explore_reps, || {
         let r = explore_batch(&cands, Budgets::default(), |c| {
             MetricSet::from_power(10.0, 1.0, c.die_area())
@@ -871,14 +862,12 @@ fn main() {
             .unwrap_or_else(|| die("missing benchmark row"))
     };
     let chip = find("chip_build_niagara2");
-    let expl = find("explore_16_candidates");
     let batch = find("explore_batch_16_candidates");
     let bisect_full = find("clock_bisection_full");
     let bisect_incr = find("clock_bisection_incremental");
     let chip_parallel_speedup = ratio(chip.serial_ms, chip.parallel_ms);
-    let explore_parallel_speedup = ratio(expl.serial_ms, expl.parallel_ms);
+    let explore_parallel_speedup = ratio(batch.serial_ms, batch.parallel_ms);
     let chip_warm_speedup = ratio(chip.serial_ms, chip.warm_cache_ms);
-    let batch_vs_explore_speedup = ratio(expl.serial_ms, batch.serial_ms);
     let bisection_speedup = ratio(bisect_full.serial_ms, bisect_incr.serial_ms);
 
     // DSE throughput, compared within this run in the same mode
@@ -906,7 +895,7 @@ fn main() {
     let explore_pool_submissions = {
         mcpat_par::set_thread_override(0);
         let before = mcpat_par::pool::stats().submitted;
-        let r = explore(&cands, Budgets::default(), |c| {
+        let r = explore_batch(&cands, Budgets::default(), |c| {
             MetricSet::from_power(10.0, 1.0, c.die_area())
         });
         if let Err(e) = r {
@@ -1066,10 +1055,6 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"chip_build_warm_cache_vs_cold\": {chip_warm_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"explore_batch_vs_explore_serial\": {batch_vs_explore_speedup:.3},"
     );
     let _ = writeln!(
         json,

@@ -1,9 +1,8 @@
 //! Streaming design-space exploration over a declarative axis grid.
 //!
-//! [`crate::explore`] is the paper's case-study workflow for tens of
-//! materialized candidates; this module is the same workflow scaled to
-//! the 10^5–10^6-candidate sweeps ROADMAP item 3 calls for. Three ideas
-//! keep it cheap:
+//! [`crate::explore::explore_batch`] is the paper's case-study workflow
+//! for tens of materialized candidates; this module is the same workflow
+//! scaled to 10^5–10^6-candidate sweeps. Three ideas keep it cheap:
 //!
 //! 1. **Lazy enumeration** — an [`AxisGrid`] describes the candidate
 //!    set ({tech node × device flavor × core count × L2 size × clock})
@@ -18,9 +17,9 @@
 //!    build never runs (see [`ParetoFrontier::would_prune`] for the
 //!    soundness argument).
 //!
-//! Work streams through the persistent pool in bounded chunks routed
-//! into [`crate::explore`]'s dedupe, so peak candidate storage is
-//! O(frontier + chunk). The frontier plus the generator cursor
+//! Work streams through the persistent pool in bounded chunks deduped
+//! with [`crate::explore::explore_batch`]'s key, so peak candidate
+//! storage is O(frontier + chunk). The frontier plus the generator cursor
 //! serialize to JSON ([`DseCheckpoint`]) at chunk boundaries, so a
 //! sweep killed by the `mcpat-guard` deadline/cancel machinery resumes
 //! where it stopped with a bit-identical final frontier.
@@ -30,7 +29,7 @@ use crate::error::McpatError;
 use crate::explore::{assign_duplicates, Budgets};
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
-use crate::processor::{checkpoint, Delta, Processor};
+use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Delta, Processor};
 use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
@@ -218,7 +217,7 @@ pub struct DsePerf {
     /// forced through the fallback by `core.enforce_timing`).
     pub full_builds: u64,
     /// Candidates served by another chunk member's identical build
-    /// (routed through [`crate::explore`]'s dedupe).
+    /// (deduped with [`crate::explore::explore_batch`]'s key).
     pub deduped: u64,
 }
 
@@ -247,8 +246,8 @@ impl DseResult {
 /// and checkpoint/resume bit-identity both rely on `evaluate` producing
 /// the same bits for the same chip.
 pub trait DseEvaluator {
-    /// Workload metrics of a built chip (the analog of [`crate::explore`]'s
-    /// evaluator closure).
+    /// Workload metrics of a built chip (the analog of
+    /// [`crate::explore::explore_batch`]'s evaluator closure).
     fn evaluate(&mut self, chip: &Processor) -> MetricSet;
 
     /// A certified lower bound on the metrics of the (unbuilt)
@@ -433,7 +432,8 @@ impl DseCheckpoint {
     ///
     /// # Errors
     ///
-    /// [`McpatError::Invalid`] on malformed JSON or a schema mismatch.
+    /// [`McpatError::Invalid`] on malformed JSON, a schema mismatch, or
+    /// a `winners` array without exactly one slot per [`Metric`].
     pub fn from_json(text: &str) -> Result<DseCheckpoint, McpatError> {
         let cp: DseCheckpoint = serde_json::from_str(text)
             .map_err(|e| McpatError::config("dse.checkpoint", format!("parse: {e}")))?;
@@ -441,6 +441,16 @@ impl DseCheckpoint {
             return Err(McpatError::config(
                 "dse.checkpoint.schema",
                 format!("expected {CHECKPOINT_SCHEMA}, got {}", cp.schema),
+            ));
+        }
+        if cp.winners.len() != Metric::ALL.len() {
+            return Err(McpatError::config(
+                "dse.checkpoint.winners",
+                format!(
+                    "expected one winner slot per metric ({}), got {}",
+                    Metric::ALL.len(),
+                    cp.winners.len()
+                ),
             ));
         }
         Ok(cp)
@@ -626,18 +636,10 @@ fn run_chunk<E: DseEvaluator>(
         }
         r
     })
-    .map_err(|e| {
-        McpatError::Array(mcpat_diag::AtPath::new(
-            "dse",
-            mcpat_array::ArrayError::Worker {
-                name: String::from("dse"),
-                detail: e.to_string(),
-            },
-        ))
-    })?;
+    .map_err(worker_failure("dse"))?;
     let mut chips = Vec::with_capacity(probes.len());
     for (built, p) in probes.into_iter().zip(reps.iter()) {
-        if p.cfg.core.enforce_timing {
+        if clock_delta_rebuilds_fully(&p.cfg) {
             perf.full_builds += 1;
             mcpat_obs::record_dse_full_builds(1);
         } else {
@@ -708,6 +710,7 @@ fn advance_base(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -724,7 +727,8 @@ mod tests {
     #[test]
     fn cursor_enumeration_is_a_clock_innermost_cross_product() {
         let grid = tiny_grid();
-        assert_eq!(grid.total(), 2 * 1 * 2 * 2 * 3);
+        // nodes × cores × L2 sizes × clocks (one device flavor)
+        assert_eq!(grid.total(), 2 * 2 * 2 * 3);
         let first = grid.config_at(0).expect("cursor 0");
         assert_eq!(first.name, "dse-0");
         assert_eq!(first.node, TechNode::N45);
@@ -926,6 +930,17 @@ mod tests {
         assert!(DseCheckpoint::from_json("{").is_err());
         let wrong = cp.to_json().expect("json").replace(CHECKPOINT_SCHEMA, "v0");
         assert!(DseCheckpoint::from_json(&wrong).is_err());
+        // Winner guard: one slot per metric, no more and no fewer.
+        for len in [0, Metric::ALL.len() - 1, Metric::ALL.len() + 1] {
+            let mut bad = cp.clone();
+            bad.winners.resize(len, None);
+            let err = DseCheckpoint::from_json(&bad.to_json().expect("json"))
+                .expect_err("a malformed winners array must be rejected");
+            let at_winners = err
+                .diagnostics()
+                .is_some_and(|d| d.iter().any(|f| f.path == "dse.checkpoint.winners"));
+            assert!(at_winners, "{err}");
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //!
 //! This is the workflow the McPAT paper's case study performs by hand —
 //! build many chips, evaluate each under the metrics, and compare —
-//! packaged as a reusable utility. Performance evaluation is injected as
-//! a closure so the explorer does not depend on any particular
-//! performance simulator.
+//! packaged as a reusable utility: [`explore_batch`] over a materialized
+//! candidate list, with the streaming [`crate::dse`] engine for grids too
+//! large to hold. Performance evaluation is injected as a closure so the
+//! explorer does not depend on any particular performance simulator.
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
 use crate::metrics::{best_index_of, Metric, MetricSet};
-use crate::processor::Processor;
+use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Delta, Processor};
 
 // The allocation-count probe now lives in `mcpat-obs` (allocations are
 // billed to scoped collectors, not differenced globally); the
@@ -99,6 +100,12 @@ fn dominates(a: &MetricSet, b: &MetricSet) -> bool {
 }
 
 /// Indices (into `feasible`) of the non-dominated points.
+///
+/// Dominance here is over the raw (energy, delay, area) axes, unlike
+/// [`crate::frontier::ParetoFrontier`], which compares the four
+/// composites (EDP, ED²P, EDAP, EDA²P). The fronts differ: (E 1, D 2,
+/// A 1) and (E 2, D 1, A 1) are both raw-axis optimal, but the second
+/// dominates the first on the composites (ED²P 2 < 4, the rest tie).
 fn pareto_front(feasible: &[Candidate]) -> Vec<usize> {
     feasible
         .iter()
@@ -111,77 +118,6 @@ fn pareto_front(feasible: &[Candidate]) -> Vec<usize> {
         })
         .map(|(i, _)| i)
         .collect()
-}
-
-/// Builds and evaluates every candidate, filters by budgets, and
-/// computes the Pareto front over (energy, delay, area).
-///
-/// `evaluate` receives the built chip and must return the workload
-/// metrics (typically from `mcpat-sim`).
-///
-/// # Errors
-///
-/// Propagates the first build failure ([`McpatError`]) in candidate
-/// order, whatever order the parallel builds finish in; candidates that
-/// merely exceed the budgets are reported in `rejected`, not errors.
-pub fn explore<F>(
-    candidates: &[ProcessorConfig],
-    budgets: Budgets,
-    mut evaluate: F,
-) -> Result<Exploration, McpatError>
-where
-    F: FnMut(&Processor) -> MetricSet,
-{
-    let _span = mcpat_obs::span("explore");
-    // Candidate chips are independent: build them all concurrently,
-    // then walk the results serially so budget filtering, the injected
-    // (FnMut) evaluator, and error propagation all see input order.
-    let builds = mcpat_par::par_map(candidates, 2, |_, cfg| {
-        // One budget checkpoint per candidate, before its build starts.
-        crate::processor::checkpoint("explore")?;
-        let r = Processor::build(cfg);
-        if r.is_ok() {
-            mcpat_guard::note_candidate();
-        }
-        r
-    })
-    .map_err(|e| {
-        McpatError::Array(mcpat_diag::AtPath::new(
-            "explore",
-            mcpat_array::ArrayError::Worker {
-                name: String::from("explore"),
-                detail: e.to_string(),
-            },
-        ))
-    })?;
-
-    let mut feasible = Vec::new();
-    let mut rejected = Vec::new();
-    for built in builds {
-        // The built chip echoes its config, so its name can be moved
-        // out instead of cloned from the input slice.
-        let chip = built?;
-        let area = chip.die_area();
-        let peak = chip.peak_power().total();
-        if area > budgets.max_area || peak > budgets.max_peak_power {
-            rejected.push(chip.config.name);
-            continue;
-        }
-        let metrics = evaluate(&chip);
-        feasible.push(Candidate {
-            name: chip.config.name,
-            area,
-            peak_power: peak,
-            metrics,
-        });
-    }
-
-    let pareto = pareto_front(&feasible);
-    Ok(Exploration {
-        feasible,
-        rejected,
-        pareto,
-    })
 }
 
 /// How a [`explore_batch`] call performed: where its builds went and
@@ -289,24 +225,26 @@ pub(crate) fn assign_duplicates(
     reps
 }
 
-/// [`explore`], batched: identical candidate configurations (up to the
-/// name) are built once and shared, pre-warming nothing and skipping
-/// the redundant builds outright instead of rediscovering them solve by
-/// solve in the array cache.
+/// Builds and evaluates every candidate, filters by budgets, and
+/// computes the Pareto front over (energy, delay, area).
 ///
-/// Results stream in input order and are field-for-field identical to
-/// calling [`explore`] on the same slice: budget filtering, the
-/// injected evaluator, and error propagation all observe the same
-/// chips in the same order (duplicates are re-labeled with their own
-/// candidate's name before the evaluator sees them).
+/// `evaluate` receives the built chip and must return the workload
+/// metrics (typically from `mcpat-sim`). Identical candidate
+/// configurations (up to the name) are built once and shared: a
+/// duplicate is re-labeled with its own candidate's name before the
+/// evaluator sees it, so every result row is exactly what a
+/// per-candidate [`Processor::build`] would give. Budget filtering, the
+/// injected evaluator and error propagation all observe the candidates
+/// in input order, whatever order the parallel builds finish in.
 ///
 /// The second return value reports how the batch performed; see
 /// [`ExplorePerf`].
 ///
 /// # Errors
 ///
-/// Propagates the first build failure in candidate order, exactly like
-/// [`explore`].
+/// Propagates the first build failure ([`McpatError`]) in candidate
+/// order; candidates that merely exceed the budgets are reported in
+/// `rejected`, not errors.
 pub fn explore_batch<F>(
     candidates: &[ProcessorConfig],
     budgets: Budgets,
@@ -364,26 +302,17 @@ where
 
         let builds = mcpat_par::par_map(&unique, 2, |_, cfg| {
             // One budget checkpoint per representative candidate.
-            crate::processor::checkpoint("explore")?;
+            checkpoint("explore")?;
             let r = Processor::build(cfg);
             if r.is_ok() {
                 mcpat_guard::note_candidate();
             }
             r
         })
-        .map_err(|e| {
-            McpatError::Array(mcpat_diag::AtPath::new(
-                "explore",
-                mcpat_array::ArrayError::Worker {
-                    name: String::from("explore"),
-                    detail: e.to_string(),
-                },
-            ))
-        })?;
-        // Error priority matches `explore`: representatives are in
-        // first-occurrence order, and duplicates of a failing config
-        // fail identically, so the first failing representative is the
-        // first failing candidate.
+        .map_err(worker_failure("explore"))?;
+        // Representatives are in first-occurrence order, and duplicates
+        // of a failing config fail identically, so the first failing
+        // representative is the first failing candidate.
         let mut chips = Vec::with_capacity(builds.len());
         for built in builds {
             chips.push(built?);
@@ -395,8 +324,8 @@ where
             // Every slot indexes a built representative by construction.
             let Some(rep) = chips.get(slot) else { continue };
             // Duplicates get a re-labeled copy so the evaluator and the
-            // result rows observe exactly the chip `explore` would hand
-            // them — same values, this candidate's name.
+            // result rows observe exactly the chip a per-candidate build
+            // would give — same values, this candidate's name.
             let relabeled;
             let chip: &Processor = if rep.config.name == cfg.name {
                 rep
@@ -440,7 +369,7 @@ pub struct BisectionPerf {
     /// per probe when `core.enforce_timing` forces the fallback.
     pub full_builds: u64,
     /// Probes served by the incremental clock-only rebuild
-    /// ([`Processor::rebuild_with_clock`]).
+    /// ([`Processor::rebuild_with`] with [`Delta::Clock`]).
     pub incremental_probes: u64,
 }
 
@@ -452,8 +381,7 @@ pub struct BisectionPerf {
 /// instead of "what does this clock cost", "what clock does this budget
 /// buy". One full build anchors the clock-invariant array geometry;
 /// every probe — `lo`, `hi`, and all midpoints — then re-evaluates
-/// through [`Processor::rebuild_with_clock`] instead of re-solving the
-/// chip.
+/// through a [`Delta::Clock`] rebuild instead of re-solving the chip.
 ///
 /// # Errors
 ///
@@ -487,13 +415,13 @@ pub fn max_clock_under_power_budget_with_perf(
     };
     let mut power_at = |clock: f64| -> Result<f64, McpatError> {
         // One budget checkpoint per bisection probe.
-        crate::processor::checkpoint("clock_bisection")?;
-        if config.core.enforce_timing {
+        checkpoint("clock_bisection")?;
+        if clock_delta_rebuilds_fully(config) {
             perf.full_builds += 1;
         } else {
             perf.incremental_probes += 1;
         }
-        Ok(base.rebuild_with_clock(clock)?.peak_power().total())
+        Ok(base.rebuild_with(Delta::Clock(clock))?.peak_power().total())
     };
     if power_at(lo_hz)? > budget_w {
         return Ok((None, perf));
@@ -550,7 +478,7 @@ mod tests {
             max_area: 40e-6, // 40 mm²
             max_peak_power: f64::INFINITY,
         };
-        let ex = explore(&cands, tight, fake_eval).unwrap();
+        let (ex, _) = explore_batch(&cands, tight, fake_eval).unwrap();
         assert!(!ex.rejected.is_empty());
         assert!(ex.feasible.len() < cands.len());
     }
@@ -558,7 +486,7 @@ mod tests {
     #[test]
     fn pareto_front_is_nonempty_and_contains_winners() {
         let cands = candidates();
-        let ex = explore(&cands, Budgets::default(), fake_eval).unwrap();
+        let (ex, _) = explore_batch(&cands, Budgets::default(), fake_eval).unwrap();
         assert!(!ex.pareto.is_empty());
         assert!(ex.winners_are_pareto());
     }
@@ -578,6 +506,29 @@ mod tests {
         assert!(dominates(&a, &b));
         assert!(!dominates(&b, &a));
         assert!(!dominates(&a, &a));
+    }
+
+    #[test]
+    fn raw_axis_front_keeps_points_the_composite_frontier_drops() {
+        let point = |energy: f64, delay: f64| MetricSet {
+            energy,
+            delay,
+            area: 1.0,
+        };
+        let (a, b) = (point(1.0, 2.0), point(2.0, 1.0));
+        assert!(!dominates(&a, &b) && !dominates(&b, &a));
+        assert!(b.ed2p() < a.ed2p());
+        let mut composite = crate::frontier::ParetoFrontier::new();
+        for (cursor, metrics) in [(0, a), (1, b)] {
+            composite.offer(crate::frontier::FrontierPoint {
+                name: format!("p{cursor}"),
+                cursor,
+                area: 1.0,
+                peak_power: 1.0,
+                metrics,
+            });
+        }
+        assert_eq!(composite.len(), 1, "b dominates a on the composites");
     }
 
     #[test]
@@ -607,13 +558,36 @@ mod tests {
         assert!(p_over > budget, "budget not saturated: {p_over}");
     }
 
+    /// The reference `explore_batch` must reproduce: every candidate
+    /// built on its own, in input order, with no dedupe and no fan-out.
+    fn per_candidate_reference(cands: &[ProcessorConfig]) -> Exploration {
+        let feasible: Vec<Candidate> = cands
+            .iter()
+            .map(|cfg| {
+                let chip = Processor::build(cfg).unwrap();
+                Candidate {
+                    name: cfg.name.clone(),
+                    area: chip.die_area(),
+                    peak_power: chip.peak_power().total(),
+                    metrics: fake_eval(&chip),
+                }
+            })
+            .collect();
+        let pareto = pareto_front(&feasible);
+        Exploration {
+            feasible,
+            rejected: Vec::new(),
+            pareto,
+        }
+    }
+
     #[test]
-    fn explore_batch_matches_explore_field_for_field() {
+    fn explore_batch_matches_per_candidate_builds_field_for_field() {
         let mut cands = candidates();
         let mut dup = cands[1].clone();
         dup.name = String::from("m4-copy");
         cands.push(dup);
-        let serial = explore(&cands, Budgets::default(), fake_eval).unwrap();
+        let serial = per_candidate_reference(&cands);
         let (batched, perf) = explore_batch(&cands, Budgets::default(), fake_eval).unwrap();
         assert_eq!(perf.candidates, 4);
         assert_eq!(perf.unique_builds, 3);
@@ -685,7 +659,7 @@ mod tests {
     #[test]
     fn best_metric_lookup_works() {
         let cands = candidates();
-        let ex = explore(&cands, Budgets::default(), fake_eval).unwrap();
+        let (ex, _) = explore_batch(&cands, Budgets::default(), fake_eval).unwrap();
         // Delay-optimal = the biggest chip; energy-optimal = the smallest.
         assert_eq!(ex.best(Metric::Delay).unwrap().name, "m8");
         assert_eq!(ex.best(Metric::Energy).unwrap().name, "m2");

@@ -1,12 +1,14 @@
 //! Incremental Pareto frontier over the paper's four composite metrics.
 //!
-//! [`crate::explore`] materializes every feasible candidate and filters
-//! afterwards; that is fine for tens of points and hopeless for the
-//! 10^5–10^6-candidate sweeps [`crate::dse`] streams. This module keeps
-//! only the *non-dominated* points — dominance taken over the paper's
-//! four composite figures of merit (EDP, ED²P, EDAP, EDA²P) — plus one
-//! tracked winner per [`Metric`], so memory is O(frontier), not
-//! O(candidates).
+//! [`crate::explore::explore_batch`] materializes every feasible
+//! candidate and filters afterwards; that is fine for tens of points and
+//! hopeless for the 10^5–10^6-candidate sweeps [`crate::dse`] streams.
+//! This module keeps only the *non-dominated* points — dominance taken
+//! over the paper's four composite figures of merit (EDP, ED²P, EDAP,
+//! EDA²P) — plus one tracked winner per [`Metric`], so memory is
+//! O(frontier), not O(candidates). That is a different front from
+//! [`crate::explore::Exploration::pareto`], which compares the raw
+//! (energy, delay, area) axes; DESIGN.md §8.2 gives an example.
 //!
 //! The frontier also answers the pruning question the streaming engine
 //! asks before paying for a build: given a certified *lower bound* on a

@@ -58,7 +58,7 @@ pub use dse::{
 pub use dvfs::DvfsPoint;
 pub use error::McpatError;
 pub use explore::{
-    explore, explore_batch, max_clock_under_power_budget, max_clock_under_power_budget_with_perf,
+    explore_batch, max_clock_under_power_budget, max_clock_under_power_budget_with_perf,
     register_alloc_probe, BisectionPerf, Budgets, Candidate, Exploration, ExplorePerf,
 };
 pub use floorplan::{Floorplan, Tile};

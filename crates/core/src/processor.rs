@@ -10,6 +10,7 @@ use mcpat_diag::{AtPath, Diagnostics, ResultExt};
 use mcpat_interconnect::noc::{NocConfig, NocModel};
 use mcpat_mcore::core::{CoreBuildError, CoreModel};
 use mcpat_mcore::exu::{FuKind, FunctionalUnit};
+use mcpat_par::ParError;
 use mcpat_tech::TechParams;
 use mcpat_uncore::clock::ClockNetwork;
 use mcpat_uncore::io::OffChipIo;
@@ -90,6 +91,30 @@ pub struct BuildPerf {
 /// located at `stage`. Free when no budget is in scope.
 pub(crate) fn checkpoint(stage: &str) -> Result<(), McpatError> {
     mcpat_guard::check().map_err(|e| McpatError::Budget(AtPath::new(stage, e)))
+}
+
+/// Locates a fan-out failure (a panicked pool task) at `stage`: the
+/// `map_err` for every [`mcpat_par::par_map`] / [`mcpat_par::join4`]
+/// in the crate.
+pub(crate) fn worker_failure(stage: &'static str) -> impl FnOnce(ParError) -> McpatError {
+    move |e| {
+        McpatError::Array(AtPath::new(
+            stage,
+            ArrayError::Worker {
+                name: stage.to_owned(),
+                detail: e.to_string(),
+            },
+        ))
+    }
+}
+
+/// True if a [`Delta::Clock`] rebuild of a chip configured as `config`
+/// runs as a full build: under `core.enforce_timing` the solver sizes
+/// arrays to the target cycle time, so no solved geometry survives a
+/// clock change. Probe counters consult this to bill the work they
+/// asked for.
+pub(crate) fn clock_delta_rebuilds_fully(config: &ProcessorConfig) -> bool {
+    config.core.enforce_timing
 }
 
 /// A single-axis change applied to an already-built chip by
@@ -176,18 +201,32 @@ impl Processor {
     /// (with the complete findings), or [`McpatError::Array`] naming the
     /// component whose storage array could not be solved.
     pub fn build(config: &ProcessorConfig) -> Result<Processor, McpatError> {
-        // The collector scope makes every solve-cache lookup, pool
-        // event and (probed) allocation of this build — including work
-        // stolen by other pool workers — bill to this build alone.
+        // One arena mark per solving build: every solver scratch
+        // allocation made inline on this thread rolls back when the
+        // build finishes, so back-to-back builds (warm sweeps,
+        // exploration) reuse one retained chunk.
+        Self::scoped("build", || {
+            mcpat_arena::scratch(|_scratch| Self::build_inner(config))
+        })
+    }
+
+    /// Runs one build body — a full build or a delta rebuild — inside
+    /// its own collector scope and trace span, then stamps the
+    /// collector's counters (and, while tracing, its trace) on the
+    /// resulting chip.
+    ///
+    /// The collector scope makes every solve-cache lookup, pool event
+    /// and (probed) allocation of the body — including work stolen by
+    /// other pool workers — bill to this build alone.
+    fn scoped(
+        span: &str,
+        body: impl FnOnce() -> Result<Processor, McpatError>,
+    ) -> Result<Processor, McpatError> {
         let collector = mcpat_obs::Collector::new();
         let result = {
             let _scope = collector.enter();
-            let _span = mcpat_obs::span("build");
-            // One arena mark per chip build: every solver scratch
-            // allocation made inline on this thread rolls back here
-            // when the build finishes, so back-to-back builds (warm
-            // sweeps, exploration) reuse one retained chunk.
-            mcpat_arena::scratch(|_scratch| Self::build_inner(config))
+            let _span = mcpat_obs::span(span);
+            body()
         };
         let snap = collector.snapshot();
         let mut chip = result?;
@@ -197,9 +236,7 @@ impl Processor {
             solve_cache_misses: snap.solve_cache_misses,
             solve_cache_evictions: snap.solve_cache_evictions,
         };
-        if mcpat_obs::tracing_enabled() {
-            chip.trace = Some(collector.trace());
-        }
+        chip.trace = mcpat_obs::tracing_enabled().then(|| collector.trace());
         Ok(chip)
     }
 
@@ -293,63 +330,25 @@ impl Processor {
                 r
             },
         )
-        .map_err(|e| {
-            McpatError::Array(AtPath::new(
-                "chip",
-                ArrayError::Worker {
-                    name: String::from("chip"),
-                    detail: e.to_string(),
-                },
-            ))
-        })?;
+        .map_err(worker_failure("chip"))?;
         let (core, l2, l3, mc) = (core?, l2?, l3?, mc?);
         let io = OffChipIo::new(&tech, config.io_bandwidth);
         let shared_fpu = FunctionalUnit::new(&tech, FuKind::Fpu);
+        let noc = build_fabric(config, &tech, &core, l2.as_ref())?;
+        merge_relaxations(
+            &mut warnings,
+            &core,
+            l2.as_ref(),
+            l3.as_ref(),
+            mc.as_ref(),
+            &noc,
+        );
 
-        // Fabric link length ≈ the pitch of one cluster tile.
-        let cluster_area = core.area() * f64::from(config.cores_per_cluster())
-            + l2.as_ref().map_or(0.0, SharedCache::area);
-        let link_length = cluster_area.max(1e-12).sqrt();
-        checkpoint("build.fabric")?;
-        let fabric_span = mcpat_obs::span("build.fabric");
-        let noc = NocConfig {
-            topology: config.fabric.topology,
-            flit_bits: config.fabric.flit_bits,
-            vcs_per_port: config.fabric.vcs_per_port,
-            buffers_per_vc: config.fabric.buffers_per_vc,
-            link_length,
-            clock_hz: config.clock_hz,
-        }
-        .build(&tech)
-        .at("fabric")?;
-        drop(fabric_span);
-        mcpat_guard::note_span();
-
-        // Any array the solver could only place by degrading becomes a
-        // warning on the chip, rooted at the owning component.
-        warnings.merge_under("core", core.relaxation_warnings());
-        if let Some(l2) = &l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
-        }
-        if let Some(l3) = &l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
-        }
-        if let Some(mc) = &mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
-        }
-        if let Some(w) = noc
-            .router
-            .as_ref()
-            .and_then(|r| r.input_buffer.relaxation_warning())
-        {
-            warnings.push(w.under("fabric"));
-        }
-
-        // Die area and the clock network over it.
         checkpoint("build.clock")?;
         let clock_span = mcpat_obs::span("build.clock");
-        let component_area = Self::component_area_sum(
+        let clock = clock_network(
             config,
+            &tech,
             &core,
             l2.as_ref(),
             l3.as_ref(),
@@ -358,19 +357,8 @@ impl Processor {
             &io,
             &shared_fpu,
         );
-        let die_area = component_area * DIE_AREA_OVERHEAD;
-        let die_edge = die_area.sqrt();
-
-        let vdd = tech.device.vdd;
-        let core_sink_cap =
-            f64::from(config.num_cores) * 2.0 * core.pipeline.clock_energy_per_cycle / (vdd * vdd);
-        let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
-        let clock = ClockNetwork::new(&tech, die_edge, die_edge, config.clock_hz, sink_cap);
         drop(clock_span);
         mcpat_guard::note_span();
-
-        // `build` overwrites `perf` (and `trace`) from its collector.
-        let perf = BuildPerf::default();
 
         Ok(Processor {
             config: config.clone(),
@@ -384,109 +372,10 @@ impl Processor {
             shared_fpu,
             clock,
             warnings,
-            perf,
+            // `scoped` stamps `perf` (and `trace`) from its collector.
+            perf: BuildPerf::default(),
             trace: None,
         })
-    }
-
-    /// Re-evaluates this chip at a different clock without re-solving
-    /// any storage array.
-    ///
-    /// When no component enforces a cycle-time constraint
-    /// (`core.enforce_timing == false`, the default everywhere), the
-    /// solved array geometry of every component is independent of the
-    /// target clock: the clock enters only query-time power math and
-    /// the closed-form clock-distribution network. This method clones
-    /// the built chip, patches the clock into every config echo,
-    /// re-validates, and re-sizes only the clock network — the result
-    /// is indistinguishable from a full [`Processor::build`] of the
-    /// patched configuration at a small fraction of the cost, which is
-    /// what makes [`crate::explore::max_clock_under_power_budget`]'s
-    /// ~14 bisection probes cheap.
-    ///
-    /// When `core.enforce_timing` is set the array geometry *does*
-    /// depend on the clock, so this transparently falls back to a full
-    /// rebuild.
-    ///
-    /// # Errors
-    ///
-    /// [`McpatError::Invalid`] if the patched configuration fails
-    /// validation, or any build error from the full-rebuild fallback.
-    pub fn rebuild_with_clock(&self, clock_hz: f64) -> Result<Processor, McpatError> {
-        let mut config = self.config.clone();
-        config.clock_hz = clock_hz;
-        config.core.clock_hz = clock_hz;
-        if config.core.enforce_timing {
-            return Processor::build(&config);
-        }
-        let collector = mcpat_obs::Collector::new();
-        let result = {
-            let _scope = collector.enter();
-            let _span = mcpat_obs::span("rebuild_with_clock");
-            self.rebuild_incremental(config, clock_hz)
-        };
-        let snap = collector.snapshot();
-        let mut next = result?;
-        next.perf = BuildPerf {
-            threads: mcpat_par::threads(),
-            solve_cache_hits: snap.solve_cache_hits,
-            solve_cache_misses: snap.solve_cache_misses,
-            solve_cache_evictions: snap.solve_cache_evictions,
-        };
-        next.trace = if mcpat_obs::tracing_enabled() {
-            Some(collector.trace())
-        } else {
-            None
-        };
-        Ok(next)
-    }
-
-    /// The incremental body of [`Processor::rebuild_with_clock`]: no
-    /// array re-solves, clock-dependent state only.
-    fn rebuild_incremental(
-        &self,
-        config: ProcessorConfig,
-        clock_hz: f64,
-    ) -> Result<Processor, McpatError> {
-        checkpoint("rebuild_with_clock")?;
-        // Validation warnings can depend on the clock (e.g. the
-        // "aggressive clock" advisory); recompute them exactly the way
-        // `build` does so the incremental result carries the same
-        // diagnostics a full rebuild would.
-        let mut warnings = config
-            .validate()
-            .into_result()
-            .map_err(McpatError::Invalid)?;
-        warnings.merge_under("core", self.core.relaxation_warnings());
-        if let Some(l2) = &self.l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
-        }
-        if let Some(l3) = &self.l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
-        }
-        if let Some(mc) = &self.mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
-        }
-        if let Some(w) = self
-            .noc
-            .router
-            .as_ref()
-            .and_then(|r| r.input_buffer.relaxation_warning())
-        {
-            warnings.push(w.under("fabric"));
-        }
-
-        let mut next = self.clone();
-        next.core.config.clock_hz = clock_hz;
-        next.noc.config.clock_hz = clock_hz;
-        next.config = config;
-        next.warnings = warnings;
-
-        // Die geometry is clock-invariant; the clock network's load and
-        // frequency are not. Recompute with the same formulas `build`
-        // uses so the result is bit-identical.
-        Self::refresh_die_and_clock(&mut next);
-        Ok(next)
     }
 
     /// Re-evaluates this chip under a single-axis change, reusing every
@@ -494,8 +383,18 @@ impl Processor {
     ///
     /// The reuse matrix (DESIGN.md §12 argues each row):
     ///
-    /// * [`Delta::Clock`] — no array re-solves; delegates to
-    ///   [`Processor::rebuild_with_clock`].
+    /// * [`Delta::Clock`] — no array re-solves. Without a cycle-time
+    ///   constraint (`core.enforce_timing == false`, the default
+    ///   everywhere) the solved geometry of every array is independent
+    ///   of the target clock: the clock enters only query-time power
+    ///   math and the closed-form clock-distribution network. The chip
+    ///   is cloned, the clock patched into every config echo, the
+    ///   configuration re-validated and only the clock network re-sized
+    ///   — which is what makes a DSE probe or one of
+    ///   [`crate::explore::max_clock_under_power_budget`]'s ~14
+    ///   bisection probes cheap. Under `core.enforce_timing` the
+    ///   geometry does depend on the clock, so this falls back to a full
+    ///   build.
     /// * [`Delta::CacheSize`] — re-solves only the L2 (its geometry is
     ///   the input that changed) and the fabric (whose link length
     ///   follows the cluster footprint); the core, L3, memory
@@ -513,44 +412,47 @@ impl Processor {
     /// [`McpatError::Invalid`] if the patched configuration fails
     /// validation, or any build error from the re-solved components.
     pub fn rebuild_with(&self, delta: Delta) -> Result<Processor, McpatError> {
+        let config = delta.apply(&self.config);
         match delta {
-            Delta::Clock(hz) => self.rebuild_with_clock(hz),
-            Delta::Vdd(_) | Delta::Temperature(_) => Processor::build(&delta.apply(&self.config)),
-            Delta::CacheSize(_) => {
-                let config = delta.apply(&self.config);
-                if self.config.l2.is_none() {
-                    // No L2 to resize: the patch is a no-op.
-                    return Processor::build(&config);
-                }
-                let collector = mcpat_obs::Collector::new();
-                let result = {
-                    let _scope = collector.enter();
-                    let _span = mcpat_obs::span("rebuild_with.cache");
-                    mcpat_arena::scratch(|_scratch| self.rebuild_with_cache(config))
-                };
-                let snap = collector.snapshot();
-                let mut next = result?;
-                next.perf = BuildPerf {
-                    threads: mcpat_par::threads(),
-                    solve_cache_hits: snap.solve_cache_hits,
-                    solve_cache_misses: snap.solve_cache_misses,
-                    solve_cache_evictions: snap.solve_cache_evictions,
-                };
-                next.trace = if mcpat_obs::tracing_enabled() {
-                    Some(collector.trace())
-                } else {
-                    None
-                };
-                Ok(next)
+            // A clock probe solves no arrays, so it takes no arena mark;
+            // on this hot path even the extra by-value return of the
+            // ~10 KB chip through the mark's closure is measurable.
+            Delta::Clock(_) if !clock_delta_rebuilds_fully(&config) => {
+                Self::scoped("rebuild_with.clock", || self.rebuild_clock(config))
             }
+            // Without an L2 the resize is a no-op patch.
+            Delta::CacheSize(_) if self.config.l2.is_some() => {
+                Self::scoped("rebuild_with.cache", || {
+                    mcpat_arena::scratch(|_scratch| self.rebuild_cache(config))
+                })
+            }
+            _ => Processor::build(&config),
         }
+    }
+
+    /// The incremental body of the [`Delta::Clock`] path: no array
+    /// re-solves, clock-dependent state only.
+    fn rebuild_clock(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
+        checkpoint("rebuild_with.clock")?;
+        // Validation warnings can depend on the clock (e.g. the
+        // "aggressive clock" advisory), so they are recomputed.
+        let validation = config
+            .validate()
+            .into_result()
+            .map_err(McpatError::Invalid)?;
+        let mut next = self.clone();
+        next.core.config.clock_hz = config.clock_hz;
+        next.noc.config.clock_hz = config.clock_hz;
+        next.config = config;
+        next.finish_delta(validation);
+        Ok(next)
     }
 
     /// The incremental body of the [`Delta::CacheSize`] path: re-solve
     /// the L2 and the fabric, reuse everything else.
-    fn rebuild_with_cache(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
+    fn rebuild_cache(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
         checkpoint("rebuild_with.cache")?;
-        let mut warnings = config
+        let validation = config
             .validate()
             .into_result()
             .map_err(McpatError::Invalid)?;
@@ -560,101 +462,43 @@ impl Processor {
             .map(|c| c.build(&self.tech).at("l2").map_err(McpatError::from))
             .transpose()?;
         mcpat_guard::note_span();
-
         // The fabric link spans one cluster tile, whose footprint just
-        // changed with the L2; rebuild it with `build`'s exact formula.
-        let cluster_area = self.core.area() * f64::from(config.cores_per_cluster())
-            + l2.as_ref().map_or(0.0, SharedCache::area);
-        let link_length = cluster_area.max(1e-12).sqrt();
-        checkpoint("rebuild_with.fabric")?;
-        let noc = NocConfig {
-            topology: config.fabric.topology,
-            flit_bits: config.fabric.flit_bits,
-            vcs_per_port: config.fabric.vcs_per_port,
-            buffers_per_vc: config.fabric.buffers_per_vc,
-            link_length,
-            clock_hz: config.clock_hz,
-        }
-        .build(&self.tech)
-        .at("fabric")?;
-        mcpat_guard::note_span();
-
-        warnings.merge_under("core", self.core.relaxation_warnings());
-        if let Some(l2) = &l2 {
-            warnings.merge_under("l2", l2.relaxation_warnings());
-        }
-        if let Some(l3) = &self.l3 {
-            warnings.merge_under("l3", l3.relaxation_warnings());
-        }
-        if let Some(mc) = &self.mc {
-            warnings.merge_under("mc", mc.relaxation_warnings());
-        }
-        if let Some(w) = noc
-            .router
-            .as_ref()
-            .and_then(|r| r.input_buffer.relaxation_warning())
-        {
-            warnings.push(w.under("fabric"));
-        }
+        // changed with the L2.
+        let noc = build_fabric(&config, &self.tech, &self.core, l2.as_ref())?;
 
         let mut next = self.clone();
         next.l2 = l2;
         next.noc = noc;
         next.config = config;
-        next.warnings = warnings;
-        Self::refresh_die_and_clock(&mut next);
+        next.finish_delta(validation);
         Ok(next)
     }
 
-    /// Recomputes the die geometry and clock network from the chip's
-    /// current components with exactly the formulas `build` uses, so
-    /// every incremental rebuild path stays bit-identical to a full
-    /// build of the same configuration.
-    fn refresh_die_and_clock(next: &mut Processor) {
-        let component_area = Self::component_area_sum(
-            &next.config,
-            &next.core,
-            next.l2.as_ref(),
-            next.l3.as_ref(),
-            &next.noc,
-            next.mc.as_ref(),
-            &next.io,
-            &next.shared_fpu,
+    /// Completes a delta rebuild whose components are already in place:
+    /// roots their relaxations under the `validation` findings and
+    /// re-sizes the clock network with the functions `build` uses, so
+    /// the result is bit-identical to a full build of `self.config`.
+    fn finish_delta(&mut self, validation: Diagnostics) {
+        self.warnings = validation;
+        merge_relaxations(
+            &mut self.warnings,
+            &self.core,
+            self.l2.as_ref(),
+            self.l3.as_ref(),
+            self.mc.as_ref(),
+            &self.noc,
         );
-        let die_area = component_area * DIE_AREA_OVERHEAD;
-        let die_edge = die_area.sqrt();
-        let vdd = next.tech.device.vdd;
-        let core_sink_cap =
-            f64::from(next.config.num_cores) * 2.0 * next.core.pipeline.clock_energy_per_cycle
-                / (vdd * vdd);
-        let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
-        next.clock = ClockNetwork::new(
-            &next.tech,
-            die_edge,
-            die_edge,
-            next.config.clock_hz,
-            sink_cap,
+        self.clock = clock_network(
+            &self.config,
+            &self.tech,
+            &self.core,
+            self.l2.as_ref(),
+            self.l3.as_ref(),
+            &self.noc,
+            self.mc.as_ref(),
+            &self.io,
+            &self.shared_fpu,
         );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn component_area_sum(
-        config: &ProcessorConfig,
-        core: &CoreModel,
-        l2: Option<&SharedCache>,
-        l3: Option<&SharedCache>,
-        noc: &NocModel,
-        mc: Option<&MemCtrl>,
-        io: &OffChipIo,
-        shared_fpu: &FunctionalUnit,
-    ) -> f64 {
-        core.area() * f64::from(config.num_cores)
-            + l2.map_or(0.0, SharedCache::area) * f64::from(config.num_l2s)
-            + l3.map_or(0.0, SharedCache::area)
-            + noc.area()
-            + mc.map_or(0.0, MemCtrl::area)
-            + io.area
-            + shared_fpu.area * f64::from(config.num_shared_fpus)
     }
 
     /// Floorplan summary: per-component areas (component sums, without
@@ -881,6 +725,93 @@ impl Processor {
     }
 }
 
+/// The on-chip fabric; its link length ≈ the pitch of one cluster tile.
+fn build_fabric(
+    config: &ProcessorConfig,
+    tech: &TechParams,
+    core: &CoreModel,
+    l2: Option<&SharedCache>,
+) -> Result<NocModel, McpatError> {
+    let cluster_area =
+        core.area() * f64::from(config.cores_per_cluster()) + l2.map_or(0.0, SharedCache::area);
+    let link_length = cluster_area.max(1e-12).sqrt();
+    checkpoint("build.fabric")?;
+    let span = mcpat_obs::span("build.fabric");
+    let noc = NocConfig {
+        topology: config.fabric.topology,
+        flit_bits: config.fabric.flit_bits,
+        vcs_per_port: config.fabric.vcs_per_port,
+        buffers_per_vc: config.fabric.buffers_per_vc,
+        link_length,
+        clock_hz: config.clock_hz,
+    }
+    .build(tech)
+    .at("fabric")?;
+    drop(span);
+    mcpat_guard::note_span();
+    Ok(noc)
+}
+
+/// Appends every array the solver could only place by degrading to
+/// `warnings`, rooted at the owning component.
+fn merge_relaxations(
+    warnings: &mut Diagnostics,
+    core: &CoreModel,
+    l2: Option<&SharedCache>,
+    l3: Option<&SharedCache>,
+    mc: Option<&MemCtrl>,
+    noc: &NocModel,
+) {
+    warnings.merge_under("core", core.relaxation_warnings());
+    if let Some(l2) = l2 {
+        warnings.merge_under("l2", l2.relaxation_warnings());
+    }
+    if let Some(l3) = l3 {
+        warnings.merge_under("l3", l3.relaxation_warnings());
+    }
+    if let Some(mc) = mc {
+        warnings.merge_under("mc", mc.relaxation_warnings());
+    }
+    if let Some(w) = noc
+        .router
+        .as_ref()
+        .and_then(|r| r.input_buffer.relaxation_warning())
+    {
+        warnings.push(w.under("fabric"));
+    }
+}
+
+/// The clock network over the die the components occupy: die area from
+/// the component sum plus layout overhead, load from the cores' clocked
+/// pipeline plus the periphery's sinks.
+#[allow(clippy::too_many_arguments)]
+fn clock_network(
+    config: &ProcessorConfig,
+    tech: &TechParams,
+    core: &CoreModel,
+    l2: Option<&SharedCache>,
+    l3: Option<&SharedCache>,
+    noc: &NocModel,
+    mc: Option<&MemCtrl>,
+    io: &OffChipIo,
+    shared_fpu: &FunctionalUnit,
+) -> ClockNetwork {
+    let component_area = core.area() * f64::from(config.num_cores)
+        + l2.map_or(0.0, SharedCache::area) * f64::from(config.num_l2s)
+        + l3.map_or(0.0, SharedCache::area)
+        + noc.area()
+        + mc.map_or(0.0, MemCtrl::area)
+        + io.area
+        + shared_fpu.area * f64::from(config.num_shared_fpus);
+    let die_area = component_area * DIE_AREA_OVERHEAD;
+    let die_edge = die_area.sqrt();
+    let vdd = tech.device.vdd;
+    let core_sink_cap =
+        f64::from(config.num_cores) * 2.0 * core.pipeline.clock_energy_per_cycle / (vdd * vdd);
+    let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
+    ClockNetwork::new(tech, die_edge, die_edge, config.clock_hz, sink_cap)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -1014,10 +945,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_with_clock_matches_full_build_bit_for_bit() {
+    fn rebuild_with_clock_delta_matches_full_build_bit_for_bit() {
         let base = Processor::build(&ProcessorConfig::niagara2()).unwrap();
         for clock in [0.9e9, 1.4e9, 2.7e9, 12.0e9] {
-            let fast = base.rebuild_with_clock(clock).unwrap();
+            let fast = base.rebuild_with(Delta::Clock(clock)).unwrap();
             let mut cfg = ProcessorConfig::niagara2();
             cfg.clock_hz = clock;
             cfg.core.clock_hz = clock;
@@ -1072,22 +1003,20 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_with_clock_delta_routes_through_incremental_path() {
+    fn rebuild_with_clock_delta_solves_no_arrays() {
         let base = Processor::build(&ProcessorConfig::niagara2()).unwrap();
-        let via_delta = base.rebuild_with(Delta::Clock(2.1e9)).unwrap();
-        let via_clock = base.rebuild_with_clock(2.1e9).unwrap();
-        assert_eq!(
-            via_delta.peak_power().total().to_bits(),
-            via_clock.peak_power().total().to_bits()
-        );
+        let fast = base.rebuild_with(Delta::Clock(2.1e9)).unwrap();
+        assert_eq!(fast.perf.solve_cache_hits + fast.perf.solve_cache_misses, 0);
+        assert!(!clock_delta_rebuilds_fully(&base.config));
     }
 
     #[test]
-    fn rebuild_with_clock_falls_back_under_enforced_timing() {
+    fn rebuild_with_clock_delta_falls_back_under_enforced_timing() {
         let mut cfg = ProcessorConfig::niagara();
         cfg.core.enforce_timing = true;
+        assert!(clock_delta_rebuilds_fully(&cfg));
         let base = Processor::build(&cfg).unwrap();
-        let fast = base.rebuild_with_clock(2.4e9).unwrap();
+        let fast = base.rebuild_with(Delta::Clock(2.4e9)).unwrap();
         let mut at = cfg.clone();
         at.clock_hz = 2.4e9;
         at.core.clock_hz = 2.4e9;

@@ -2,7 +2,7 @@
 //! Property-based tests for the whole-chip assembly.
 
 use mcpat::{
-    explore, explore_batch, Budgets, ChipStats, Delta, DvfsPoint, MetricSet, Processor,
+    explore_batch, Budgets, Candidate, ChipStats, Delta, DvfsPoint, MetricSet, Processor,
     ProcessorConfig,
 };
 use mcpat_mcore::config::CoreConfig;
@@ -12,6 +12,38 @@ use proptest::prelude::*;
 fn batch_eval(chip: &Processor) -> MetricSet {
     let n = f64::from(chip.config.num_cores.max(1));
     MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
+}
+
+/// The reference `explore_batch` must reproduce: every candidate built
+/// on its own, in input order, with the raw (energy, delay, area)
+/// Pareto front found by brute force.
+fn per_candidate_reference(cands: &[ProcessorConfig]) -> (Vec<Candidate>, Vec<usize>) {
+    let feasible: Vec<Candidate> = cands
+        .iter()
+        .map(|cfg| {
+            let chip = Processor::build(cfg).unwrap();
+            Candidate {
+                name: cfg.name.clone(),
+                area: chip.die_area(),
+                peak_power: chip.peak_power().total(),
+                metrics: batch_eval(&chip),
+            }
+        })
+        .collect();
+    let axes = |c: &Candidate| [c.metrics.energy, c.metrics.delay, c.metrics.area];
+    let dominated = |c: &Candidate| {
+        feasible.iter().any(|o| {
+            let (o, c) = (axes(o), axes(c));
+            o.iter().zip(&c).all(|(x, y)| x <= y) && o.iter().zip(&c).any(|(x, y)| x < y)
+        })
+    };
+    let pareto = feasible
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !dominated(c))
+        .map(|(i, _)| i)
+        .collect();
+    (feasible, pareto)
 }
 
 fn any_node() -> impl Strategy<Value = TechNode> {
@@ -107,7 +139,7 @@ proptest! {
     }
 
     #[test]
-    fn explore_batch_equals_per_candidate_explore(
+    fn explore_batch_equals_per_candidate_builds(
         a in any_manycore(),
         b in any_manycore(),
         take_second in prop::bool::ANY,
@@ -126,17 +158,17 @@ proptest! {
                 cands.push(d);
             }
         }
-        let serial = explore(&cands, Budgets::default(), batch_eval).unwrap();
+        let (feasible, pareto) = per_candidate_reference(&cands);
         let (batched, perf) = explore_batch(&cands, Budgets::default(), batch_eval).unwrap();
         prop_assert_eq!(perf.candidates, cands.len());
         prop_assert!(perf.unique_builds + perf.deduped == cands.len());
         if dup_first {
             prop_assert!(perf.deduped >= 1);
         }
-        prop_assert_eq!(&serial.rejected, &batched.rejected);
-        prop_assert_eq!(&serial.pareto, &batched.pareto);
-        prop_assert_eq!(serial.feasible.len(), batched.feasible.len());
-        for (a, b) in serial.feasible.iter().zip(&batched.feasible) {
+        prop_assert!(batched.rejected.is_empty());
+        prop_assert_eq!(&pareto, &batched.pareto);
+        prop_assert_eq!(feasible.len(), batched.feasible.len());
+        for (a, b) in feasible.iter().zip(&batched.feasible) {
             prop_assert_eq!(&a.name, &b.name);
             prop_assert_eq!(a.area.to_bits(), b.area.to_bits());
             prop_assert_eq!(a.peak_power.to_bits(), b.peak_power.to_bits());
@@ -150,7 +182,7 @@ proptest! {
     fn rebuild_with_clock_equals_full_build(cfg in any_manycore(), scale in 0.5..2.0f64) {
         let base = Processor::build(&cfg).unwrap();
         let clock = cfg.clock_hz * scale;
-        let fast = base.rebuild_with_clock(clock).unwrap();
+        let fast = base.rebuild_with(Delta::Clock(clock)).unwrap();
         let mut patched = cfg.clone();
         patched.clock_hz = clock;
         patched.core.clock_hz = clock;
@@ -163,10 +195,10 @@ proptest! {
         prop_assert_eq!(fast.warnings.len(), full.warnings.len());
     }
 
-    /// Mirrors `rebuild_with_clock_equals_full_build` for the other
-    /// delta axes: a `rebuild_with` result must be indistinguishable —
-    /// report bits, warning set and all — from a from-scratch build of
-    /// the delta-patched configuration, on every shipped preset.
+    /// A `rebuild_with` result must be indistinguishable — report bits,
+    /// warning set and all — from a from-scratch build of the
+    /// delta-patched configuration, on every delta axis and every
+    /// shipped preset.
     #[test]
     fn rebuild_with_delta_equals_full_build(
         preset in prop::sample::select(vec![
@@ -175,14 +207,16 @@ proptest! {
             ProcessorConfig::alpha21364(),
             ProcessorConfig::tulsa(),
         ]),
-        which in 0..3usize,
+        which in 0..4usize,
         vdd_scale in 0.7..1.2f64,
         kelvin in 320.0..380.0f64,
         l2_shift in 1u32..4,
+        clock_scale in 0.5..2.0f64,
     ) {
         let delta = match which {
             0 => Delta::Vdd(vdd_scale),
             1 => Delta::Temperature(kelvin),
+            2 => Delta::Clock(preset.clock_hz * clock_scale),
             // Scale the preset's own L2 capacity by a power of two so
             // non-power-of-two way counts (niagara is 12-way) keep a
             // whole number of sets.

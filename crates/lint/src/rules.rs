@@ -654,8 +654,6 @@ const BUDGETED_CALLS: &[&str] = &[
     "lookup_or_solve",
     "evaluate_raw",
     "sweep_cell",
-    "rebuild_with_clock",
-    "rebuild_incremental",
     "rebuild_with",
     "config_at",
     "build",

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example pareto`
 
-use mcpat::explore::{explore, Budgets};
+use mcpat::explore::{explore_batch, Budgets};
 use mcpat::metrics::{Metric, MetricSet};
 use mcpat::ProcessorConfig;
 use mcpat_mcore::config::CoreConfig;
@@ -45,12 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_area: 150e-6,     // 150 mm²
         max_peak_power: 90.0, // 90 W
     };
-    let exploration = explore(&candidates, budgets, |chip| {
+    let exploration = explore_batch(&candidates, budgets, |chip| {
         let run = SystemModel::new(&chip.config)
             .simulate(&workload, total_insts / u64::from(chip.config.num_cores));
         let power = chip.runtime_power(&run.stats);
         MetricSet::from_power(power.total(), run.seconds, chip.die_area())
-    })?;
+    })?
+    .0;
 
     println!(
         "{} candidates, {} feasible, {} rejected by budgets ({:?})",

@@ -13,7 +13,7 @@
 
 use mcpat::array::memo;
 use mcpat::{
-    explore, explore_batch, max_clock_under_power_budget, Budgets, Exploration, MetricSet,
+    explore_batch, max_clock_under_power_budget, Budgets, Candidate, Exploration, MetricSet,
     Processor, ProcessorConfig,
 };
 use mcpat_mcore::config::CoreConfig;
@@ -153,6 +153,43 @@ fn sweep_eval(chip: &Processor) -> MetricSet {
     MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
 }
 
+/// The serial reference every `explore_batch` result must reproduce:
+/// each candidate built on its own with `Processor::build`, in input
+/// order, with the raw (energy, delay, area) Pareto front found by
+/// brute force. Every sweep here fits the default (unbounded) budgets.
+fn serial_explore(cands: &[ProcessorConfig]) -> Exploration {
+    let feasible: Vec<Candidate> = cands
+        .iter()
+        .map(|cfg| {
+            let chip = Processor::build(cfg).unwrap();
+            Candidate {
+                name: cfg.name.clone(),
+                area: chip.die_area(),
+                peak_power: chip.peak_power().total(),
+                metrics: sweep_eval(&chip),
+            }
+        })
+        .collect();
+    let axes = |c: &Candidate| [c.metrics.energy, c.metrics.delay, c.metrics.area];
+    let dominated = |c: &Candidate| {
+        feasible.iter().any(|o| {
+            let (o, c) = (axes(o), axes(c));
+            o.iter().zip(&c).all(|(x, y)| x <= y) && o.iter().zip(&c).any(|(x, y)| x < y)
+        })
+    };
+    let pareto = feasible
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !dominated(c))
+        .map(|(i, _)| i)
+        .collect();
+    Exploration {
+        feasible,
+        rejected: Vec::new(),
+        pareto,
+    }
+}
+
 /// Every f64 of an exploration result as exact bit patterns, keyed by
 /// candidate name.
 fn exploration_fingerprint(ex: &Exploration) -> Vec<(String, u64)> {
@@ -253,12 +290,12 @@ fn explore_is_bit_identical_across_pool_thread_counts() {
     memo::set_enabled(false);
     let cands = sweep_candidates();
     mcpat::par::set_thread_override(1);
-    let reference = explore(&cands, Budgets::default(), sweep_eval).unwrap();
+    let reference = serial_explore(&cands);
     let ref_fp = exploration_fingerprint(&reference);
-    for threads in [2, 3, 8, 16] {
+    for threads in [1, 2, 3, 8, 16] {
         mcpat::par::set_thread_override(threads);
-        let ex = explore(&cands, Budgets::default(), sweep_eval).unwrap();
-        let what = format!("explore at {threads} pool threads");
+        let (ex, _) = explore_batch(&cands, Budgets::default(), sweep_eval).unwrap();
+        let what = format!("explore_batch at {threads} pool threads");
         assert_eq!(reference.rejected, ex.rejected, "{what}: rejected set");
         assert_eq!(reference.pareto, ex.pareto, "{what}: pareto front");
         assert_identical(&ref_fp, &exploration_fingerprint(&ex), &what);
@@ -278,7 +315,7 @@ fn explore_batch_is_bit_identical_to_serial_explore() {
     cands.push(dup);
 
     mcpat::par::set_thread_override(1);
-    let reference = explore(&cands, Budgets::default(), sweep_eval).unwrap();
+    let reference = serial_explore(&cands);
     let ref_fp = exploration_fingerprint(&reference);
     for threads in [1, 4] {
         mcpat::par::set_thread_override(threads);
