@@ -308,6 +308,7 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static COALESCED: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static DUPLICATES: AtomicU64 = AtomicU64::new(0);
 
 /// In-process entry-cap override; `usize::MAX` means "not set" (fall
 /// back to the `MCPAT_SOLVE_CACHE_CAP` knob).
@@ -380,6 +381,7 @@ pub fn clear() {
     MISSES.store(0, Ordering::SeqCst);
     COALESCED.store(0, Ordering::SeqCst);
     EVICTIONS.store(0, Ordering::SeqCst);
+    DUPLICATES.store(0, Ordering::SeqCst);
 }
 
 /// A snapshot of the solve cache's effectiveness.
@@ -392,6 +394,10 @@ pub struct SolveCacheStats {
     /// Subset of `hits` that parked on another thread's in-flight
     /// solve of the same key instead of duplicating it.
     pub coalesced: u64,
+    /// Subset of `misses` that found the key in flight elsewhere but
+    /// could not park on it (the requester owns a pending key or runs
+    /// a pool task; see the module docs), so solved a private copy.
+    pub duplicate: u64,
     /// Distinct (tech, spec, target) keys currently stored.
     pub entries: u64,
     /// Entries evicted by the CLOCK cap since the last [`clear`] —
@@ -436,6 +442,7 @@ pub fn stats() -> SolveCacheStats {
         hits: HITS.load(Ordering::SeqCst),
         misses: MISSES.load(Ordering::SeqCst),
         coalesced: COALESCED.load(Ordering::SeqCst),
+        duplicate: DUPLICATES.load(Ordering::SeqCst),
         entries,
         evictions: EVICTIONS.load(Ordering::SeqCst),
         bytes,
@@ -524,6 +531,8 @@ pub fn lookup_or_solve(
     if !claimed {
         // In flight elsewhere, but parking could deadlock: solve a
         // private copy and leave storing to the owner.
+        DUPLICATES.fetch_add(1, Ordering::SeqCst);
+        mcpat_obs::record_solve_duplicate();
         return solve_fn(tech, spec, target);
     }
 
@@ -749,6 +758,46 @@ mod tests {
             1,
             "racing identical solves must coalesce onto one solver"
         );
+    }
+
+    #[test]
+    fn a_requester_that_may_not_park_solves_a_billed_duplicate() {
+        let _mode = MODE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        set_enabled(true);
+        let t = tech();
+        // Unique geometry so this test owns its key process-wide.
+        let spec = ArraySpec::table(419, 23);
+        let before = stats().duplicate;
+        let collector = mcpat_obs::Collector::new();
+        {
+            let _scope = collector.enter();
+            lookup_or_solve(
+                &t,
+                &spec.clone().named("outer"),
+                OptTarget::Delay,
+                |t, s, tg| {
+                    // The owner asks for its own pending key, as a pool task
+                    // picked up mid-solve can: parking would wait on itself.
+                    let inner = lookup_or_solve(
+                        t,
+                        &s.clone().named("inner"),
+                        tg,
+                        crate::solve::solve_uncached,
+                    )
+                    .unwrap();
+                    assert_eq!(inner.name, "inner");
+                    crate::solve::solve_uncached(t, s, tg)
+                },
+            )
+            .unwrap();
+        }
+        set_auto();
+        let snap = collector.snapshot();
+        assert_eq!(snap.solve_cache_misses, 2);
+        assert_eq!(snap.solve_cache_duplicates, 1);
+        assert!(stats().duplicate > before);
     }
 
     #[test]

@@ -470,6 +470,13 @@ fn cold_build_speedup_vs_baseline(
 /// same execution mode (so the ratio holds on any host).
 const MIN_DSE_STREAMING_SPEEDUP: f64 = 5.0;
 
+/// Ceiling on heap allocations per candidate of the streaming DSE
+/// sweep (`dse_10k_candidates`, every mode). Clock probes retarget one
+/// scratch chip per row in place, so what remains is per-row work (row
+/// bases, scratch copies) and one name per frontier offer. A count, so
+/// it holds on any host.
+const MAX_DSE_ALLOCS_PER_CANDIDATE: f64 = 5.0;
+
 /// Floor on the serve daemon's warm-request advantage: a request whose
 /// solves are all resident in the shared cache must complete at least
 /// this much faster than the same request against a cleared cache.
@@ -554,6 +561,7 @@ fn gate_failures(
     trace_overhead_ratio: f64,
     guard_overhead_ratio: f64,
     dse_streaming_vs_naive: f64,
+    dse_allocs_per_candidate: f64,
     serve_warm_vs_cold: f64,
     explore_pool_submissions: u64,
     host_threads: usize,
@@ -596,6 +604,12 @@ fn gate_failures(
             "dse streaming_vs_naive_speedup is {dse_streaming_vs_naive:.2} \
              (< {MIN_DSE_STREAMING_SPEEDUP}): the streaming engine must beat the naive \
              per-candidate full-build sweep by 5x"
+        ));
+    }
+    if dse_allocs_per_candidate > MAX_DSE_ALLOCS_PER_CANDIDATE {
+        failures.push(format!(
+            "dse_10k_candidates makes {dse_allocs_per_candidate:.2} allocations per candidate \
+             (> {MAX_DSE_ALLOCS_PER_CANDIDATE}): clock probes must not allocate"
         ));
     }
     // Host-independent: both request latencies go over this run's own
@@ -881,10 +895,20 @@ fn main() {
     let dse_streaming_vs_naive = ratio(dse_cands_per_sec, naive_cands_per_sec);
     let dse_prune_rate = ratio(dse_perf.pruned as f64, dse_perf.candidates as f64);
     let dse_probe_vs_full = ratio(dse_perf.probes as f64, dse_perf.full_builds.max(1) as f64);
+    // The worst of the three modes: memo-off runs re-solve every row
+    // base, warm runs do not.
+    let dse_allocs_per_candidate = ratio(
+        dse_row
+            .allocs_serial
+            .max(dse_row.allocs_parallel)
+            .max(dse_row.allocs_warm) as f64,
+        dse_grid.total() as f64,
+    );
     eprintln!(
         "benchline: dse streaming {dse_cands_per_sec:.0} candidates/s vs naive \
          {naive_cands_per_sec:.0} ({dse_streaming_vs_naive:.1}x); prune rate \
-         {dse_prune_rate:.3}, {dse_probe_vs_full:.0} probes per full build"
+         {dse_prune_rate:.3}, {dse_probe_vs_full:.0} probes per full build, \
+         {dse_allocs_per_candidate:.2} allocations per candidate"
     );
 
     // One parallel-mode exploration with the pool's submission counter
@@ -1022,6 +1046,8 @@ fn main() {
         "  \"dse\": {{ \"candidates\": {}, \"prune_rate\": {dse_prune_rate:.4}, \
          \"probes\": {}, \"cache_rebuilds\": {}, \"full_builds\": {}, \
          \"probe_vs_full_build_ratio\": {dse_probe_vs_full:.2}, \
+         \"allocs_per_candidate\": {dse_allocs_per_candidate:.2}, \
+         \"max_allowed_allocs_per_candidate\": {MAX_DSE_ALLOCS_PER_CANDIDATE}, \
          \"candidates_per_sec_serial\": {dse_cands_per_sec:.0}, \
          \"naive_candidates_per_sec_serial\": {naive_cands_per_sec:.0}, \
          \"streaming_vs_naive_speedup\": {dse_streaming_vs_naive:.2}, \
@@ -1081,6 +1107,7 @@ fn main() {
             trace_overhead_ratio,
             guard_overhead_ratio,
             dse_streaming_vs_naive,
+            dse_allocs_per_candidate,
             serve_warm_vs_cold,
             explore_pool_submissions,
             host_threads,

@@ -7,33 +7,38 @@
 //! 1. **Lazy enumeration** — an [`AxisGrid`] describes the candidate
 //!    set ({tech node × device flavor × core count × L2 size × clock})
 //!    and candidates are generated from a cursor, never materialized.
-//! 2. **Delta rebuilds** — the clock axis is innermost and the L2 axis
-//!    second-innermost, so consecutive candidates differ by a
-//!    [`Delta::Clock`] (or, at row boundaries, [`Delta::CacheSize`])
-//!    from a per-row base chip and cost probes, not full builds.
+//! 2. **In-place probes** — the clock axis is innermost and the L2 axis
+//!    second-innermost, so the candidates of a row differ from its base
+//!    chip only in the clock: one scratch copy of the base is
+//!    retargeted in place per candidate ([`Processor::retarget_clock`],
+//!    no clone, no allocation), and consecutive rows advance the base
+//!    by a [`Delta::CacheSize`] rebuild instead of a full build.
 //! 3. **Lower-bound pruning** — before a candidate is built, the
 //!    evaluator produces a certified lower bound on its metrics; if the
 //!    incremental [`ParetoFrontier`] already dominates the bound, the
 //!    build never runs (see [`ParetoFrontier::would_prune`] for the
 //!    soundness argument).
 //!
-//! Work streams through the persistent pool in bounded chunks deduped
-//! with [`crate::explore::explore_batch`]'s key, so peak candidate
-//! storage is O(frontier + chunk). The frontier plus the generator cursor
+//! Work streams in bounded chunks deduped with
+//! [`crate::explore::explore_batch`]'s identity, so peak candidate
+//! storage is O(frontier + chunk). Probes run serially: each costs
+//! about what a pool task would, so fanning them out lost to walking
+//! the row in place (DESIGN.md §12 has the measurements). The frontier plus the generator cursor
 //! serialize to JSON ([`DseCheckpoint`]) at chunk boundaries, so a
 //! sweep killed by the `mcpat-guard` deadline/cancel machinery resumes
 //! where it stopped with a bit-identical final frontier.
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::explore::{assign_duplicates, Budgets};
+use crate::explore::{eq_ignoring_name, Budgets};
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
-use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Delta, Processor};
+use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Delta, Processor};
 use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// A declarative candidate grid: the cross product of five axes around
 /// a shared core template. Candidates are enumerated lazily from a
@@ -207,8 +212,8 @@ pub struct DsePerf {
     /// build when the exact clock-invariant area already exceeds the
     /// area budget, after it otherwise).
     pub rejected: u64,
-    /// Candidates served by an incremental clock probe
-    /// ([`Delta::Clock`]) off a row base.
+    /// Candidates served by an in-place clock probe
+    /// ([`Processor::retarget_clock`]) off a row base.
     pub probes: u64,
     /// Row bases advanced with an L2 resize ([`Delta::CacheSize`])
     /// instead of a full build.
@@ -216,8 +221,11 @@ pub struct DsePerf {
     /// Full [`Processor::build`] runs (row-base anchors, plus probes
     /// forced through the fallback by `core.enforce_timing`).
     pub full_builds: u64,
-    /// Candidates served by another chunk member's identical build
-    /// (deduped with [`crate::explore::explore_batch`]'s key).
+    /// Candidates whose configuration (up to the name) an earlier
+    /// candidate of the same chunk already probed: the same clock in a
+    /// row whose base equals that candidate's row base. Counted here
+    /// instead of in `probes`/`full_builds`, as
+    /// [`crate::explore::explore_batch`] counts shared builds.
     pub deduped: u64,
 }
 
@@ -248,6 +256,15 @@ impl DseResult {
 pub trait DseEvaluator {
     /// Workload metrics of a built chip (the analog of
     /// [`crate::explore::explore_batch`]'s evaluator closure).
+    ///
+    /// The engine hands over a scratch copy of the row base retargeted
+    /// in place ([`Processor::retarget_clock`]): its configuration
+    /// (name included), components, warnings and every modeled number
+    /// are those of a full build of the candidate, but its
+    /// [`Processor::perf`] and [`Processor::trace`] describe the build
+    /// of the row base. Prefer the allocation-free totals
+    /// ([`Processor::peak_power_total`], [`Processor::die_area`]) on
+    /// this per-candidate path.
     fn evaluate(&mut self, chip: &Processor) -> MetricSet;
 
     /// A certified lower bound on the metrics of the (unbuilt)
@@ -276,7 +293,7 @@ impl DseEvaluator for WorkloadModel {
     fn evaluate(&mut self, chip: &Processor) -> MetricSet {
         let n = f64::from(chip.config.num_cores).max(1.0);
         let delay = self.work / (n * chip.config.clock_hz);
-        MetricSet::from_power(chip.peak_power().total(), delay, chip.die_area())
+        MetricSet::from_power(chip.peak_power_total(), delay, chip.die_area())
     }
 
     fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
@@ -475,14 +492,35 @@ pub fn dse<E: DseEvaluator>(
 /// probe.
 struct Pending {
     cursor: u64,
-    cfg: ProcessorConfig,
-    /// Index into the chunk's row-base table.
-    base_slot: usize,
+    clock_hz: f64,
+    /// Index into the chunk's row table.
+    row_slot: usize,
+}
+
+/// The base chip of one row of a chunk, with what every candidate of
+/// the row shares.
+struct RowBase {
+    row: u64,
+    chip: Processor,
+    /// The base's die area: exact for every candidate of the row, since
+    /// die area is clock-invariant.
+    area: f64,
+    /// Slot of the chunk's first row whose base configuration equals
+    /// this one up to the name; candidates of rows in one class with
+    /// the same clock are duplicates.
+    class: usize,
+}
+
+/// Writes the name [`AxisGrid::config_at`] gives `cursor` into `name`,
+/// reusing its buffer.
+fn write_candidate_name(name: &mut String, cursor: u64) {
+    name.clear();
+    let _ = write!(name, "dse-{cursor}");
 }
 
 /// The streaming engine: enumerates `grid` from the resume cursor (or
-/// 0), streams candidates through the pool in `opts.chunk`-sized
-/// batches, offers survivors to the incremental frontier, and emits a
+/// 0) in `opts.chunk`-sized chunks, probes the candidates that survive
+/// pruning, offers them to the incremental frontier, and emits a
 /// [`DseCheckpoint`] to `on_checkpoint` at the configured cadence
 /// (chunk-aligned, so a resumed sweep replays no partial chunk and its
 /// final frontier is bit-identical to an uninterrupted run's).
@@ -552,8 +590,11 @@ where
     Ok(DseResult { frontier, perf })
 }
 
-/// Streams one chunk: enumerate, prune, dedupe, probe in parallel,
-/// offer in cursor order.
+/// Streams one chunk in two passes. The first enumerates and prunes
+/// every candidate against the frontier as it stood when the chunk
+/// began; the second probes the survivors in cursor order by
+/// retargeting one scratch copy of their row base in place, and offers
+/// each to the frontier.
 fn run_chunk<E: DseEvaluator>(
     grid: &AxisGrid,
     opts: &DseOptions,
@@ -565,38 +606,71 @@ fn run_chunk<E: DseEvaluator>(
 ) -> Result<(), McpatError> {
     let clocks_len = grid.clocks_len();
     let l2_len = grid.l2_bytes.len() as u64;
-    let mut bases: Vec<Processor> = Vec::new();
-    let mut base_slots: Vec<u64> = Vec::new(); // row of each base slot
+    let mut rows: Vec<RowBase> = Vec::new();
+    let mut carried = last_base.take();
     let mut pending: Vec<Pending> = Vec::new();
+    // The candidate configuration handed to `lower_bound`: the row
+    // template with each candidate's clock and name patched in.
+    let mut cfg: Option<(u64, ProcessorConfig)> = None;
 
     for cursor in range {
         checkpoint("dse.enumerate")?;
         perf.candidates += 1;
-        let Some(cfg) = grid.config_at(cursor) else {
+        let Some(&clock_hz) = grid.clocks_hz.get((cursor % clocks_len) as usize) else {
             continue;
         };
         let row = cursor / clocks_len;
-        let base_slot = match base_slots.iter().position(|&r| r == row) {
+        let row_slot = match rows.iter().position(|r| r.row == row) {
             Some(slot) => slot,
             None => {
-                let chip = advance_base(grid, row, clocks_len, l2_len, last_base, perf)?;
-                bases.push(chip.clone());
-                base_slots.push(row);
-                *last_base = Some((row, chip));
-                bases.len() - 1
+                let chip = match carried.take() {
+                    // A row that spans a chunk boundary carries its
+                    // base over for free.
+                    Some((prev_row, chip)) if prev_row == row => chip,
+                    carried => {
+                        let prev = rows
+                            .last()
+                            .map(|r| (r.row, &r.chip))
+                            .or(carried.as_ref().map(|(r, chip)| (*r, chip)));
+                        advance_base(grid, row, clocks_len, l2_len, prev, perf)?
+                    }
+                };
+                let class = rows
+                    .iter()
+                    .find(|r| eq_ignoring_name(&r.chip.config, &chip.config))
+                    .map_or(rows.len(), |r| r.class);
+                rows.push(RowBase {
+                    row,
+                    area: chip.die_area(),
+                    chip,
+                    class,
+                });
+                rows.len() - 1
             }
         };
-        let Some(base) = bases.get(base_slot) else {
+        let Some(base) = rows.get(row_slot) else {
             continue;
         };
         // Exact early budget rejection: die area is clock-invariant, so
         // the base's area IS this candidate's area.
-        if base.die_area() > opts.budgets.max_area {
+        if base.area > opts.budgets.max_area {
             perf.rejected += 1;
             continue;
         }
         if opts.prune {
-            if let Some(lb) = evaluator.lower_bound(base, &cfg) {
+            let cfg = match &mut cfg {
+                Some((r, c)) if *r == row => c,
+                _ => {
+                    let template = grid.config_at(cursor).ok_or_else(|| {
+                        McpatError::config("dse.enumerate", "cursor is outside the grid")
+                    })?;
+                    &mut cfg.insert((row, template)).1
+                }
+            };
+            write_candidate_name(&mut cfg.name, cursor);
+            cfg.clock_hz = clock_hz;
+            cfg.core.clock_hz = clock_hz;
+            if let Some(lb) = evaluator.lower_bound(&base.chip, cfg) {
                 if frontier.would_prune(&lb) {
                     perf.pruned += 1;
                     mcpat_obs::record_dse_pruned(1);
@@ -606,95 +680,88 @@ fn run_chunk<E: DseEvaluator>(
         }
         pending.push(Pending {
             cursor,
-            cfg,
-            base_slot,
+            clock_hz,
+            row_slot,
         });
     }
-    if pending.is_empty() {
-        return Ok(());
-    }
 
-    // Route the chunk through the same dedupe key explore_batch uses:
-    // identical configurations (up to the name) probe once and share.
-    let cfgs: Vec<ProcessorConfig> = pending.iter().map(|p| p.cfg.clone()).collect();
-    let mut assignment = vec![0usize; cfgs.len()];
-    let rep_ids = assign_duplicates(&cfgs, &mut assignment);
-    perf.deduped += (pending.len() - rep_ids.len()) as u64;
-    let reps: Vec<&Pending> = rep_ids.iter().filter_map(|&i| pending.get(i)).collect();
-
-    // Probe the representatives concurrently through the pool. Each
-    // probe is a clock delta off its row base (bit-identical to a full
-    // build of the candidate's configuration).
-    let probes = mcpat_par::par_map(&reps, 2, |_, p| {
+    // Dedupe with explore_batch's identity: configurations that match
+    // up to the name are the same clock in rows of one class. The first
+    // of them counts as a probe, the rest as deduped; each is still
+    // retargeted, which costs no more than looking up a shared result.
+    let mut probed: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
+    let mut scratch: Option<(usize, Processor)> = None;
+    // Offer in cursor order so the frontier (ties, winners, counters)
+    // is deterministic.
+    for p in &pending {
         checkpoint("dse.probe")?;
-        let base = bases.get(p.base_slot).ok_or_else(|| {
+        let row = rows.get(p.row_slot).ok_or_else(|| {
             McpatError::config("dse.probe", "candidate references a missing row base")
         })?;
-        let r = base.rebuild_with(Delta::Clock(p.cfg.clock_hz));
-        if r.is_ok() {
-            mcpat_guard::note_candidate();
-        }
-        r
-    })
-    .map_err(worker_failure("dse"))?;
-    let mut chips = Vec::with_capacity(probes.len());
-    for (built, p) in probes.into_iter().zip(reps.iter()) {
-        if clock_delta_rebuilds_fully(&p.cfg) {
-            perf.full_builds += 1;
-            mcpat_obs::record_dse_full_builds(1);
+        let key = (row.class, p.clock_hz.to_bits());
+        let duplicate = probed.contains(&key);
+        if duplicate {
+            perf.deduped += 1;
         } else {
-            perf.probes += 1;
-            mcpat_obs::record_dse_probes(1);
+            probed.push(key);
+            if clock_delta_rebuilds_fully(&row.chip.config) {
+                perf.full_builds += 1;
+                mcpat_obs::record_dse_full_builds(1);
+            } else {
+                perf.probes += 1;
+                mcpat_obs::record_dse_probes(1);
+            }
         }
-        chips.push(built?);
-    }
-
-    // Offer in cursor order so the frontier (ties, winners, counters)
-    // is deterministic. Duplicates observe their representative's chip
-    // relabeled in place — same values, their own name.
-    for (p, &slot) in pending.iter().zip(assignment.iter()) {
-        let Some(chip) = chips.get_mut(slot) else {
+        if scratch.as_ref().map(|(slot, _)| *slot) != Some(p.row_slot) {
+            scratch = Some((p.row_slot, row.chip.clone()));
+        }
+        let Some((_, chip)) = &mut scratch else {
             continue;
         };
-        chip.config.name.clone_from(&p.cfg.name);
-        let area = chip.die_area();
-        let peak = chip.peak_power().total();
+        // The candidate's own name, then its clock: the scratch chip is
+        // now bit-identical to a full build of the candidate.
+        write_candidate_name(&mut chip.config.name, p.cursor);
+        if chip.config.clock_hz.to_bits() != p.clock_hz.to_bits() {
+            chip.retarget_clock(p.clock_hz)?;
+        }
+        if !duplicate {
+            mcpat_guard::note_candidate();
+        }
+        let area = row.area;
+        let peak = chip.peak_power_total();
         if area > opts.budgets.max_area || peak > opts.budgets.max_peak_power {
             perf.rejected += 1;
             continue;
         }
         let metrics = evaluator.evaluate(chip);
         frontier.offer(FrontierPoint {
-            name: p.cfg.name.clone(),
+            name: chip.config.name.clone(),
             cursor: p.cursor,
             area,
             peak_power: peak,
             metrics,
         });
     }
+    *last_base = rows.pop().map(|r| (r.row, r.chip)).or(carried);
     Ok(())
 }
 
 /// Produces the base chip for `row` (the row's configuration at its
-/// first clock point): a [`Delta::CacheSize`] rebuild of the previous
-/// base when only the L2 axis moved, a full build otherwise.
+/// first clock point) from `prev`, the base of an earlier row: a
+/// [`Delta::CacheSize`] rebuild of it when only the L2 axis moved, a
+/// full build otherwise.
 fn advance_base(
     grid: &AxisGrid,
     row: u64,
     clocks_len: u64,
     l2_len: u64,
-    last_base: &Option<(u64, Processor)>,
+    prev: Option<(u64, &Processor)>,
     perf: &mut DsePerf,
 ) -> Result<Processor, McpatError> {
     let base_cfg = grid
         .config_at(row * clocks_len)
         .ok_or_else(|| McpatError::config("dse.base", format!("row {row} is outside the grid")))?;
-    if let Some((prev_row, chip)) = last_base {
-        // A row that spans a chunk boundary carries its base over for
-        // free.
-        if *prev_row == row {
-            return Ok(chip.clone());
-        }
+    if let Some((prev_row, chip)) = prev {
         let same_group = l2_len > 0 && prev_row / l2_len == row / l2_len;
         if same_group && !base_cfg.core.enforce_timing {
             if let Some(l2) = &base_cfg.l2 {
@@ -959,6 +1026,51 @@ mod tests {
         // The exact clock-invariant area bound rejects whole rows before
         // any probe runs: only the row bases were ever built.
         assert_eq!(result.perf.probes, 0);
+    }
+
+    #[test]
+    fn duplicated_l2_rows_dedupe_across_rows() {
+        let mut grid = tiny_grid();
+        // Both L2 rows of every (node, cores) group describe the same
+        // chip, so the second row's candidates duplicate the first's.
+        grid.l2_bytes = vec![1 << 20, 1 << 20];
+        let result =
+            dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).expect("sweep");
+        // One 256-candidate chunk, pruned against the empty frontier it
+        // started with: nothing is pruned, and the 12 candidates of the
+        // four duplicate rows are served by the first rows' probes.
+        assert_eq!(
+            result.perf,
+            DsePerf {
+                candidates: 24,
+                pruned: 0,
+                rejected: 0,
+                probes: 12,
+                cache_rebuilds: 4,
+                full_builds: 4,
+                deduped: 12,
+            }
+        );
+        assert_frontiers_bit_identical(
+            &result.frontier,
+            &naive_frontier(&grid, &mut WorkloadModel::default()),
+        );
+    }
+
+    #[test]
+    fn patched_row_templates_equal_config_at() {
+        let grid = tiny_grid();
+        let clocks = grid.clocks_len();
+        for cursor in 0..grid.total() {
+            let mut cfg = grid
+                .config_at(cursor - cursor % clocks)
+                .expect("row template");
+            let clock = grid.clocks_hz[(cursor % clocks) as usize];
+            write_candidate_name(&mut cfg.name, cursor);
+            cfg.clock_hz = clock;
+            cfg.core.clock_hz = clock;
+            assert_eq!(Some(cfg), grid.config_at(cursor), "cursor {cursor}");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn scale_power(power: &ChipPower, point: DvfsPoint) -> Option<ChipPower> {
         .items
         .iter()
         .map(|i| ChipPowerItem {
-            name: i.name.clone(),
+            name: i.name,
             dynamic: i.dynamic * dyn_k,
             leakage: i.leakage.scaled(leak_k),
         })
@@ -103,7 +103,7 @@ pub fn scale_power(power: &ChipPower, point: DvfsPoint) -> Option<ChipPower> {
             .items
             .iter()
             .map(|i| mcpat_mcore::core::PowerItem {
-                name: i.name.clone(),
+                name: i.name,
                 dynamic: i.dynamic * dyn_k,
                 leakage: i.leakage.scaled(leak_k),
             })

@@ -11,7 +11,7 @@
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
 use crate::metrics::{best_index_of, Metric, MetricSet};
-use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Delta, Processor};
+use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Processor};
 
 // The allocation-count probe now lives in `mcpat-obs` (allocations are
 // billed to scoped collectors, not differenced globally); the
@@ -153,7 +153,7 @@ pub struct ExplorePerf {
 
 /// True if two configurations describe the same chip, ignoring the
 /// report name.
-fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
+pub(crate) fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
     // Exhaustive destructure: adding a field to `ProcessorConfig`
     // breaks this compile, forcing the dedup key to be revisited — a
     // silently stale key would merge genuinely different candidates.
@@ -202,8 +202,8 @@ fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
 /// Groups candidates by configuration identity (up to the name):
 /// writes each candidate's representative slot into `assignment` and
 /// returns the representatives' candidate indices in first-occurrence
-/// order. Shared by [`explore_batch`] and the streaming DSE engine
-/// ([`crate::dse`]) so both dedupe with the same key.
+/// order. The streaming DSE engine ([`crate::dse`]) dedupes with the
+/// same [`eq_ignoring_name`] identity, applied once per row.
 pub(crate) fn assign_duplicates(
     candidates: &[ProcessorConfig],
     assignment: &mut [usize],
@@ -369,7 +369,8 @@ pub struct BisectionPerf {
     /// per probe when `core.enforce_timing` forces the fallback.
     pub full_builds: u64,
     /// Probes served by the incremental clock-only rebuild
-    /// ([`Processor::rebuild_with`] with [`Delta::Clock`]).
+    /// ([`Processor::retarget_clock`], the body of a
+    /// [`crate::Delta::Clock`] rebuild).
     pub incremental_probes: u64,
 }
 
@@ -380,8 +381,9 @@ pub struct BisectionPerf {
 /// This is the inverse question McPAT's integrated model makes cheap:
 /// instead of "what does this clock cost", "what clock does this budget
 /// buy". One full build anchors the clock-invariant array geometry;
-/// every probe — `lo`, `hi`, and all midpoints — then re-evaluates
-/// through a [`Delta::Clock`] rebuild instead of re-solving the chip.
+/// every probe — `lo`, `hi`, and all midpoints — then retargets that
+/// chip in place ([`Processor::retarget_clock`], the primitive behind
+/// [`crate::Delta::Clock`]) instead of re-solving it.
 ///
 /// # Errors
 ///
@@ -408,7 +410,8 @@ pub fn max_clock_under_power_budget_with_perf(
     hi_hz: f64,
 ) -> Result<(Option<f64>, BisectionPerf), McpatError> {
     let _span = mcpat_obs::span("clock_bisection");
-    let base = Processor::build(config)?;
+    // One scratch chip, retargeted in place by every probe.
+    let mut chip = Processor::build(config)?;
     let mut perf = BisectionPerf {
         full_builds: 1,
         incremental_probes: 0,
@@ -421,7 +424,8 @@ pub fn max_clock_under_power_budget_with_perf(
         } else {
             perf.incremental_probes += 1;
         }
-        Ok(base.rebuild_with(Delta::Clock(clock))?.peak_power().total())
+        chip.retarget_clock(clock)?;
+        Ok(chip.peak_power_total())
     };
     if power_at(lo_hz)? > budget_w {
         return Ok((None, perf));

@@ -4,11 +4,11 @@ use mcpat_circuit::metrics::StaticPower;
 use mcpat_mcore::core::CorePower;
 
 /// One top-level component of the chip power breakdown.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPowerItem {
     /// Component name (`cores`, `l2`, `l3`, `noc`, `mc`, `io`, `clock`,
     /// `shared-fpu`).
-    pub name: String,
+    pub name: &'static str,
     /// Dynamic power, W.
     pub dynamic: f64,
     /// Static power, W.
@@ -32,23 +32,40 @@ pub struct ChipPower {
     pub core_detail: CorePower,
 }
 
+/// Total dynamic power of `items`, W: the one fold behind
+/// [`ChipPower::dynamic`] and the allocation-free roll-ups
+/// (`Processor::peak_power_total`), so the two forms agree to the bit.
+pub(crate) fn dynamic_of<'a>(items: impl Iterator<Item = &'a ChipPowerItem>) -> f64 {
+    items.map(|i| i.dynamic).sum()
+}
+
+/// Total leakage of `items`, W; see [`dynamic_of`].
+pub(crate) fn leakage_of<'a>(items: impl Iterator<Item = &'a ChipPowerItem>) -> StaticPower {
+    items.map(|i| i.leakage).sum()
+}
+
+/// Total power of `items`, W; see [`dynamic_of`].
+pub(crate) fn total_of<'a>(items: impl Iterator<Item = &'a ChipPowerItem> + Clone) -> f64 {
+    dynamic_of(items.clone()) + leakage_of(items).total()
+}
+
 impl ChipPower {
     /// Total dynamic power, W.
     #[must_use]
     pub fn dynamic(&self) -> f64 {
-        self.items.iter().map(|i| i.dynamic).sum()
+        dynamic_of(self.items.iter())
     }
 
     /// Total leakage, W.
     #[must_use]
     pub fn leakage(&self) -> StaticPower {
-        self.items.iter().map(|i| i.leakage).sum()
+        leakage_of(self.items.iter())
     }
 
     /// Total chip power, W.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.dynamic() + self.leakage().total()
+        total_of(self.items.iter())
     }
 
     /// Looks up a top-level item by name.
@@ -72,9 +89,9 @@ impl ChipPower {
 mod tests {
     use super::*;
 
-    fn item(name: &str, d: f64, l: f64) -> ChipPowerItem {
+    fn item(name: &'static str, d: f64, l: f64) -> ChipPowerItem {
         ChipPowerItem {
-            name: name.into(),
+            name,
             dynamic: d,
             leakage: StaticPower::new(l, 0.0),
         }

@@ -2,14 +2,15 @@
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::power::{ChipPower, ChipPowerItem};
+use crate::power::{leakage_of, total_of, ChipPower, ChipPowerItem};
 use crate::stats::ChipStats;
 use mcpat_array::ArrayError;
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_diag::{AtPath, Diagnostics, ResultExt};
 use mcpat_interconnect::noc::{NocConfig, NocModel};
-use mcpat_mcore::core::{CoreBuildError, CoreModel};
+use mcpat_mcore::core::{CoreBuildError, CoreModel, CorePower, CorePowerItems};
 use mcpat_mcore::exu::{FuKind, FunctionalUnit};
+use mcpat_mcore::stats::CoreStats;
 use mcpat_par::ParError;
 use mcpat_tech::TechParams;
 use mcpat_uncore::clock::ClockNetwork;
@@ -34,12 +35,56 @@ const CLOCK_SINK_CAP_PER_M2: f64 = 4e-12 / 1e-6;
 const WAKEUP_ENERGY_PER_M2: f64 = 2e-3;
 
 /// One named area entry of the floorplan summary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaItem {
     /// Component name.
-    pub name: String,
+    pub name: &'static str,
     /// Area, m².
     pub area: f64,
+}
+
+/// Upper bound on the top-level items of a chip's power or area
+/// breakdown (`cores`, `l2`, `l3`, `noc`, `mc`, `io`, `shared-fpu`,
+/// `clock`).
+const CHIP_ITEMS: usize = 8;
+
+/// Writes items into consecutive fixed slots: the allocation-free
+/// stand-in for `Vec::push` behind the power and area roll-ups.
+fn slot_writer<T>(slots: &mut [Option<T>]) -> impl FnMut(T) + '_ {
+    let mut slots = slots.iter_mut();
+    move |item| {
+        if let Some(slot) = slots.next() {
+            *slot = Some(item);
+        }
+    }
+}
+
+/// The allocation-free form of a [`ChipPower`]: the same items in the
+/// same order, in fixed slots (`None` for absent components). Both
+/// forms total through the same folds ([`total_of`]), so
+/// [`Processor::peak_power_total`] and `peak_power().total()` agree to
+/// the bit.
+struct PowerItems {
+    items: [Option<ChipPowerItem>; CHIP_ITEMS],
+    /// The unit breakdown of the first core group, if any.
+    core_detail: Option<CorePowerItems>,
+}
+
+impl PowerItems {
+    fn iter(&self) -> impl Iterator<Item = &ChipPowerItem> + Clone {
+        self.items.iter().flatten()
+    }
+
+    fn into_chip_power(self) -> ChipPower {
+        ChipPower {
+            items: self.iter().copied().collect(),
+            core_detail: CorePower {
+                items: self
+                    .core_detail
+                    .map_or_else(Vec::new, |d| d.into_iter().flatten().collect()),
+            },
+        }
+    }
 }
 
 /// Timing roll-up: the cycle-time limiters of the chip.
@@ -80,6 +125,10 @@ pub struct BuildPerf {
     pub solve_cache_hits: u64,
     /// Array solves that ran the optimizer.
     pub solve_cache_misses: u64,
+    /// Subset of `solve_cache_misses` that found the array in flight on
+    /// another thread but could not wait for it (see
+    /// [`mcpat_array::memo`]), so solved a private copy.
+    pub solve_cache_duplicates: u64,
     /// Cache entries evicted during this build by the bounded solve
     /// cache (see `MCPAT_SOLVE_CACHE_CAP`). Non-zero values mean the
     /// cache is under pressure and warm rebuilds may re-solve arrays.
@@ -234,6 +283,7 @@ impl Processor {
             threads: mcpat_par::threads(),
             solve_cache_hits: snap.solve_cache_hits,
             solve_cache_misses: snap.solve_cache_misses,
+            solve_cache_duplicates: snap.solve_cache_duplicates,
             solve_cache_evictions: snap.solve_cache_evictions,
         };
         chip.trace = mcpat_obs::tracing_enabled().then(|| collector.trace());
@@ -383,18 +433,10 @@ impl Processor {
     ///
     /// The reuse matrix (DESIGN.md §12 argues each row):
     ///
-    /// * [`Delta::Clock`] — no array re-solves. Without a cycle-time
-    ///   constraint (`core.enforce_timing == false`, the default
-    ///   everywhere) the solved geometry of every array is independent
-    ///   of the target clock: the clock enters only query-time power
-    ///   math and the closed-form clock-distribution network. The chip
-    ///   is cloned, the clock patched into every config echo, the
-    ///   configuration re-validated and only the clock network re-sized
-    ///   — which is what makes a DSE probe or one of
-    ///   [`crate::explore::max_clock_under_power_budget`]'s ~14
-    ///   bisection probes cheap. Under `core.enforce_timing` the
-    ///   geometry does depend on the clock, so this falls back to a full
-    ///   build.
+    /// * [`Delta::Clock`] — a clone of this chip, retargeted in place
+    ///   by [`Processor::retarget_clock`]: no array re-solves and no
+    ///   re-sizing. Under `core.enforce_timing` the solved geometry
+    ///   depends on the clock, so this falls back to a full build.
     /// * [`Delta::CacheSize`] — re-solves only the L2 (its geometry is
     ///   the input that changed) and the fabric (whose link length
     ///   follows the cluster footprint); the core, L3, memory
@@ -412,47 +454,98 @@ impl Processor {
     /// [`McpatError::Invalid`] if the patched configuration fails
     /// validation, or any build error from the re-solved components.
     pub fn rebuild_with(&self, delta: Delta) -> Result<Processor, McpatError> {
-        let config = delta.apply(&self.config);
         match delta {
             // A clock probe solves no arrays, so it takes no arena mark;
             // on this hot path even the extra by-value return of the
             // ~10 KB chip through the mark's closure is measurable.
-            Delta::Clock(_) if !clock_delta_rebuilds_fully(&config) => {
-                Self::scoped("rebuild_with.clock", || self.rebuild_clock(config))
+            Delta::Clock(hz) if !clock_delta_rebuilds_fully(&self.config) => {
+                Self::scoped("rebuild_with.clock", || {
+                    let mut next = self.clone();
+                    next.retarget_clock(hz)?;
+                    Ok(next)
+                })
             }
             // Without an L2 the resize is a no-op patch.
             Delta::CacheSize(_) if self.config.l2.is_some() => {
                 Self::scoped("rebuild_with.cache", || {
-                    mcpat_arena::scratch(|_scratch| self.rebuild_cache(config))
+                    mcpat_arena::scratch(|_scratch| self.rebuild_cache(delta.apply(&self.config)))
                 })
             }
-            _ => Processor::build(&config),
+            _ => Processor::build(&delta.apply(&self.config)),
         }
     }
 
-    /// The incremental body of the [`Delta::Clock`] path: no array
-    /// re-solves, clock-dependent state only.
-    fn rebuild_clock(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
-        checkpoint("rebuild_with.clock")?;
-        // Validation warnings can depend on the clock (e.g. the
-        // "aggressive clock" advisory), so they are recomputed.
-        let validation = config
-            .validate()
-            .into_result()
-            .map_err(McpatError::Invalid)?;
-        let mut next = self.clone();
-        next.core.config.clock_hz = config.clock_hz;
-        next.noc.config.clock_hz = config.clock_hz;
-        next.config = config;
-        next.finish_delta(validation);
-        Ok(next)
+    /// Moves this chip to `hz` in place: the primitive behind every
+    /// clock probe ([`Delta::Clock`] rebuilds, DSE candidates, and
+    /// [`crate::explore::max_clock_under_power_budget`]'s bisection).
+    ///
+    /// Without a cycle-time constraint (`core.enforce_timing == false`,
+    /// the default everywhere) the solved geometry of every array is
+    /// independent of the target clock: the clock enters only
+    /// query-time power math. The clock network's geometry, drivers,
+    /// area and leakage follow from the floorplan and the sink load,
+    /// not from the frequency, so only its `clock_hz` moves. This
+    /// patches the five clock fields (chip and core config, the core
+    /// model's and the fabric's config echoes, the clock network),
+    /// re-validates the configuration — advisories such as the
+    /// aggressive-clock warning depend on the clock — and re-merges the
+    /// unchanged solver relaxations under the new findings. Nothing is
+    /// cloned and nothing is re-sized. Under `core.enforce_timing` the
+    /// geometry does depend on the clock, so the chip is replaced by a
+    /// full build of the patched configuration.
+    ///
+    /// Afterwards the chip is bit-identical to a full build of its
+    /// configuration with the clock patched (property-tested per
+    /// preset), except for [`Processor::perf`] and
+    /// [`Processor::trace`], which still describe the build that
+    /// produced the chip.
+    ///
+    /// # Errors
+    ///
+    /// [`McpatError::Invalid`] if the retargeted configuration fails
+    /// validation, [`McpatError::Budget`] when the active budget trips,
+    /// or any build error of the enforce-timing fallback. On error the
+    /// chip is left unchanged.
+    pub fn retarget_clock(&mut self, hz: f64) -> Result<(), McpatError> {
+        checkpoint("retarget_clock")?;
+        let prev = (self.config.clock_hz, self.config.core.clock_hz);
+        self.config.clock_hz = hz;
+        self.config.core.clock_hz = hz;
+        let result = if clock_delta_rebuilds_fully(&self.config) {
+            Processor::build(&self.config).map(|chip| *self = chip)
+        } else {
+            self.config
+                .validate()
+                .into_result()
+                .map_err(McpatError::Invalid)
+                .map(|validation| {
+                    self.core.config.clock_hz = hz;
+                    self.noc.config.clock_hz = hz;
+                    self.clock.clock_hz = hz;
+                    self.warnings = validation;
+                    merge_relaxations(
+                        &mut self.warnings,
+                        &self.core,
+                        self.l2.as_ref(),
+                        self.l3.as_ref(),
+                        self.mc.as_ref(),
+                        &self.noc,
+                    );
+                })
+        };
+        if result.is_err() {
+            (self.config.clock_hz, self.config.core.clock_hz) = prev;
+        }
+        result
     }
 
     /// The incremental body of the [`Delta::CacheSize`] path: re-solve
-    /// the L2 and the fabric, reuse everything else.
+    /// the L2 and the fabric, reuse everything else, and re-size the
+    /// clock network with the functions `build` uses, so the result is
+    /// bit-identical to a full build of `config`.
     fn rebuild_cache(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
         checkpoint("rebuild_with.cache")?;
-        let validation = config
+        let mut warnings = config
             .validate()
             .into_result()
             .map_err(McpatError::Invalid)?;
@@ -465,95 +558,99 @@ impl Processor {
         // The fabric link spans one cluster tile, whose footprint just
         // changed with the L2.
         let noc = build_fabric(&config, &self.tech, &self.core, l2.as_ref())?;
-
-        let mut next = self.clone();
-        next.l2 = l2;
-        next.noc = noc;
-        next.config = config;
-        next.finish_delta(validation);
-        Ok(next)
-    }
-
-    /// Completes a delta rebuild whose components are already in place:
-    /// roots their relaxations under the `validation` findings and
-    /// re-sizes the clock network with the functions `build` uses, so
-    /// the result is bit-identical to a full build of `self.config`.
-    fn finish_delta(&mut self, validation: Diagnostics) {
-        self.warnings = validation;
         merge_relaxations(
-            &mut self.warnings,
+            &mut warnings,
             &self.core,
-            self.l2.as_ref(),
+            l2.as_ref(),
             self.l3.as_ref(),
             self.mc.as_ref(),
-            &self.noc,
+            &noc,
         );
-        self.clock = clock_network(
-            &self.config,
+        let clock = clock_network(
+            &config,
             &self.tech,
             &self.core,
-            self.l2.as_ref(),
+            l2.as_ref(),
             self.l3.as_ref(),
-            &self.noc,
+            &noc,
             self.mc.as_ref(),
             &self.io,
             &self.shared_fpu,
         );
+        Ok(Processor {
+            config,
+            l2,
+            noc,
+            clock,
+            warnings,
+            ..self.clone()
+        })
+    }
+
+    /// The area items of the floorplan summary in fixed slots: the one
+    /// walk behind [`Processor::area_breakdown`] and
+    /// [`Processor::die_area`].
+    fn area_items(&self) -> [Option<AreaItem>; CHIP_ITEMS] {
+        let c = &self.config;
+        let gating_overhead = if c.power_gating { 1.04 } else { 1.0 };
+        let mut items = [None; CHIP_ITEMS];
+        let mut push = slot_writer(&mut items);
+        push(AreaItem {
+            name: "cores",
+            area: self.core.area() * f64::from(c.num_cores) * gating_overhead,
+        });
+        if let Some(l2) = &self.l2 {
+            push(AreaItem {
+                name: "l2",
+                area: l2.area() * f64::from(c.num_l2s),
+            });
+        }
+        if let Some(l3) = &self.l3 {
+            push(AreaItem {
+                name: "l3",
+                area: l3.area(),
+            });
+        }
+        push(AreaItem {
+            name: "noc",
+            area: self.noc.area(),
+        });
+        if let Some(mc) = &self.mc {
+            push(AreaItem {
+                name: "mc",
+                area: mc.area(),
+            });
+        }
+        push(AreaItem {
+            name: "io",
+            area: self.io.area,
+        });
+        if c.num_shared_fpus > 0 {
+            push(AreaItem {
+                name: "shared-fpu",
+                area: self.shared_fpu.area * f64::from(c.num_shared_fpus),
+            });
+        }
+        push(AreaItem {
+            name: "clock",
+            area: self.clock.area(),
+        });
+        drop(push);
+        items
     }
 
     /// Floorplan summary: per-component areas (component sums, without
     /// the whitespace overhead).
     #[must_use]
     pub fn area_breakdown(&self) -> Vec<AreaItem> {
-        let c = &self.config;
-        let gating_overhead = if c.power_gating { 1.04 } else { 1.0 };
-        let mut items = vec![AreaItem {
-            name: "cores".into(),
-            area: self.core.area() * f64::from(c.num_cores) * gating_overhead,
-        }];
-        if let Some(l2) = &self.l2 {
-            items.push(AreaItem {
-                name: "l2".into(),
-                area: l2.area() * f64::from(c.num_l2s),
-            });
-        }
-        if let Some(l3) = &self.l3 {
-            items.push(AreaItem {
-                name: "l3".into(),
-                area: l3.area(),
-            });
-        }
-        items.push(AreaItem {
-            name: "noc".into(),
-            area: self.noc.area(),
-        });
-        if let Some(mc) = &self.mc {
-            items.push(AreaItem {
-                name: "mc".into(),
-                area: mc.area(),
-            });
-        }
-        items.push(AreaItem {
-            name: "io".into(),
-            area: self.io.area,
-        });
-        if c.num_shared_fpus > 0 {
-            items.push(AreaItem {
-                name: "shared-fpu".into(),
-                area: self.shared_fpu.area * f64::from(c.num_shared_fpus),
-            });
-        }
-        items.push(AreaItem {
-            name: "clock".into(),
-            area: self.clock.area(),
-        });
-        items
+        self.area_items().into_iter().flatten().collect()
     }
 
-    /// Die area including layout overhead and the pad ring, m².
+    /// Die area including layout overhead and the pad ring, m². Does
+    /// not allocate.
     #[must_use]
     pub fn die_area(&self) -> f64 {
-        let components: f64 = self.area_breakdown().iter().map(|i| i.area).sum();
+        let components: f64 = self.area_items().iter().flatten().map(|i| i.area).sum();
         let active = components * DIE_AREA_OVERHEAD;
         let edge = active.sqrt() + 2.0 * PAD_RING_WIDTH;
         edge * edge
@@ -579,44 +676,49 @@ impl Processor {
     /// Runtime power from simulator statistics.
     #[must_use]
     pub fn runtime_power(&self, stats: &ChipStats) -> ChipPower {
+        self.power_items(stats, &stats.cores).into_chip_power()
+    }
+
+    /// The power walk behind every roll-up: the chip's components under
+    /// `stats`, with `cores` standing in for `stats.cores` (entry i
+    /// serves core i, the last entry every core beyond the list). Does
+    /// not allocate.
+    fn power_items(&self, stats: &ChipStats, cores: &[CoreStats]) -> PowerItems {
         let c = &self.config;
-        let mut items = Vec::with_capacity(8);
+        let mut items = [None; CHIP_ITEMS];
+        let mut push = slot_writer(&mut items);
 
         // Cores: evaluate each core's stats (broadcast-aware) and sum.
         // With power gating, an idle core drops to a retention state that
         // keeps ~10% of its leakage.
-        let mut cores_dynamic = 0.0;
-        let mut cores_leakage_scale = 0.0;
-        let mut core_detail = None;
         // Group cores by their (broadcast-aware) stats entry so the cost
         // is bounded by the number of distinct entries, not `num_cores`:
         // entry i serves core i and the last entry serves every core
         // beyond the provided list.
         let n_cores = c.num_cores as usize;
-        let core_groups: Vec<(mcpat_mcore::CoreStats, f64)> = if n_cores == 0 {
-            Vec::new()
-        } else if stats.cores.len() <= 1 {
-            vec![(stats.core(0), f64::from(c.num_cores))]
+        let groups_len = if n_cores == 0 {
+            0
         } else {
-            let len = stats.cores.len().min(n_cores);
-            stats
-                .cores
-                .iter()
-                .take(len)
-                .enumerate()
-                .map(|(i, cs)| {
-                    let weight = if i == len - 1 {
-                        (n_cores - len + 1) as f64
-                    } else {
-                        1.0
-                    };
-                    (*cs, weight)
-                })
-                .collect()
+            cores.len().max(1).min(n_cores)
         };
-        for (cs, weight) in &core_groups {
-            let p = self.core.runtime_power(cs);
-            cores_dynamic += p.dynamic() * weight;
+        let last = cores.len().saturating_sub(1);
+        let core_groups = || {
+            (0..groups_len).map(move |i| {
+                let cs = cores.get(i.min(last)).copied().unwrap_or_default();
+                let weight = if i + 1 == groups_len {
+                    (n_cores - groups_len + 1) as f64
+                } else {
+                    1.0
+                };
+                (cs, weight)
+            })
+        };
+        let mut cores_dynamic = 0.0;
+        let mut cores_leakage_scale = 0.0;
+        let mut core_detail = None;
+        for (cs, weight) in core_groups() {
+            let p = self.core.power_items(&cs);
+            cores_dynamic += mcpat_mcore::core::dynamic_of(p.iter().flatten()) * weight;
             let duty = cs.duty();
             cores_leakage_scale += weight
                 * if c.power_gating {
@@ -628,53 +730,52 @@ impl Processor {
                 core_detail = Some(p);
             }
         }
-        let core_detail = core_detail.unwrap_or(mcpat_mcore::core::CorePower { items: vec![] });
         // Wakeup transitions recharge the gated rail.
         if c.power_gating && stats.core_wakeups > 0 {
             let e_wake = WAKEUP_ENERGY_PER_M2 * self.core.area();
             cores_dynamic += stats.core_wakeups as f64 * e_wake / stats.duration_s.max(1e-12);
         }
-        items.push(ChipPowerItem {
-            name: "cores".into(),
+        push(ChipPowerItem {
+            name: "cores",
             dynamic: cores_dynamic,
             leakage: self.core.leakage().scaled(cores_leakage_scale),
         });
 
         if let Some(l2) = &self.l2 {
-            items.push(ChipPowerItem {
-                name: "l2".into(),
+            push(ChipPowerItem {
+                name: "l2",
                 dynamic: l2.dynamic_power(&stats.l2),
                 leakage: l2.leakage().scaled(f64::from(c.num_l2s)),
             });
         }
         if let Some(l3) = &self.l3 {
-            items.push(ChipPowerItem {
-                name: "l3".into(),
+            push(ChipPowerItem {
+                name: "l3",
                 dynamic: l3.dynamic_power(&stats.l3),
                 leakage: l3.leakage(),
             });
         }
-        items.push(ChipPowerItem {
-            name: "noc".into(),
+        push(ChipPowerItem {
+            name: "noc",
             dynamic: self.noc.dynamic_power(&stats.noc),
             leakage: self.noc.leakage(),
         });
         if let Some(mc) = &self.mc {
-            items.push(ChipPowerItem {
-                name: "mc".into(),
+            push(ChipPowerItem {
+                name: "mc",
                 dynamic: mc.dynamic_power(&stats.mc),
                 leakage: mc.leakage(),
             });
         }
-        items.push(ChipPowerItem {
-            name: "io".into(),
+        push(ChipPowerItem {
+            name: "io",
             dynamic: self.io.power_at_utilization(stats.io_utilization) - self.io.standby_power,
             leakage: self.io.leakage(),
         });
         if c.num_shared_fpus > 0 {
             let interval = stats.duration_s.max(1e-12);
-            items.push(ChipPowerItem {
-                name: "shared-fpu".into(),
+            push(ChipPowerItem {
+                name: "shared-fpu",
                 dynamic: stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op / interval,
                 leakage: self.shared_fpu.leakage.scaled(f64::from(c.num_shared_fpus)),
             });
@@ -683,8 +784,7 @@ impl Processor {
         // Clock: gate the grid by the cores' average idleness when the
         // core supports clock gating.
         let avg_duty = if c.num_cores > 0 {
-            core_groups
-                .iter()
+            core_groups()
                 .map(|(cs, weight)| cs.duty() * weight)
                 .sum::<f64>()
                 / f64::from(c.num_cores)
@@ -696,32 +796,45 @@ impl Processor {
         } else {
             0.0
         };
-        items.push(ChipPowerItem {
-            name: "clock".into(),
+        push(ChipPowerItem {
+            name: "clock",
             dynamic: self.clock.dynamic_power_gated(gated_fraction),
             leakage: self.clock.leakage(),
         });
-
-        ChipPower { items, core_detail }
+        drop(push);
+        PowerItems { items, core_detail }
     }
 
-    /// TDP-style peak power: sustained worst-case activity, W.
-    #[must_use]
-    pub fn peak_power(&self) -> ChipPower {
-        let stats = ChipStats::peak(
+    /// The power walk under TDP-style peak statistics, allocation-free.
+    fn peak_items(&self) -> PowerItems {
+        let (stats, core) = ChipStats::peak_parts(
             1e-3,
             self.config.num_cores,
             self.config.clock_hz,
             self.config.core.issue_width,
             self.config.core.fp_issue_width,
         );
-        self.runtime_power(&stats)
+        self.power_items(&stats, std::slice::from_ref(&core))
     }
 
-    /// Total chip leakage, W.
+    /// TDP-style peak power: sustained worst-case activity, W.
+    #[must_use]
+    pub fn peak_power(&self) -> ChipPower {
+        self.peak_items().into_chip_power()
+    }
+
+    /// `peak_power().total()` without building the breakdown: the same
+    /// bits, no allocation.
+    #[must_use]
+    pub fn peak_power_total(&self) -> f64 {
+        total_of(self.peak_items().iter())
+    }
+
+    /// Total chip leakage, W: `peak_power().leakage()` without building
+    /// the breakdown. Does not allocate.
     #[must_use]
     pub fn total_leakage(&self) -> StaticPower {
-        self.peak_power().leakage()
+        leakage_of(self.peak_items().iter())
     }
 }
 
@@ -1026,6 +1139,34 @@ mod tests {
             full.peak_power().total().to_bits()
         );
         assert_eq!(fast.warnings.len(), full.warnings.len());
+    }
+
+    #[test]
+    fn retarget_clock_falls_back_to_a_full_build_under_enforced_timing() {
+        let mut cfg = ProcessorConfig::niagara();
+        cfg.core.enforce_timing = true;
+        let mut chip = Processor::build(&cfg).unwrap();
+        chip.retarget_clock(2.4e9).unwrap();
+        let full = Processor::build(&Delta::Clock(2.4e9).apply(&cfg)).unwrap();
+        assert_eq!(
+            chip.peak_power_total().to_bits(),
+            full.peak_power_total().to_bits()
+        );
+        assert_eq!(chip.die_area().to_bits(), full.die_area().to_bits());
+        assert_eq!(chip.warnings.len(), full.warnings.len());
+    }
+
+    #[test]
+    fn a_rejected_retarget_leaves_the_chip_unchanged() {
+        let mut chip = Processor::build(&ProcessorConfig::niagara2()).unwrap();
+        let (clock, power) = (chip.config.clock_hz, chip.peak_power_total());
+        for bad in [-1.0, f64::NAN] {
+            let err = chip.retarget_clock(bad).expect_err("invalid clock");
+            assert!(matches!(err, McpatError::Invalid(_)), "{err}");
+            assert_eq!(chip.config.clock_hz.to_bits(), clock.to_bits());
+            assert_eq!(chip.config.core.clock_hz.to_bits(), clock.to_bits());
+            assert_eq!(chip.peak_power_total().to_bits(), power.to_bits());
+        }
     }
 
     #[test]

@@ -86,10 +86,11 @@ impl Processor {
 
         let _ = writeln!(
             out,
-            "  Build: {} thread(s), solve cache {} hit(s) / {} miss(es) / {} eviction(s)",
+            "  Build: {} thread(s), solve cache {} hit(s) / {} miss(es) / {} duplicate(s) / {} eviction(s)",
             self.perf.threads,
             self.perf.solve_cache_hits,
             self.perf.solve_cache_misses,
+            self.perf.solve_cache_duplicates,
             self.perf.solve_cache_evictions
         );
 

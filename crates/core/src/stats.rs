@@ -48,6 +48,21 @@ impl ChipStats {
     /// with `num_cores` cores at `clock_hz`, issue width `w`.
     #[must_use]
     pub fn peak(duration_s: f64, num_cores: u32, clock_hz: f64, w: u32, fp_w: u32) -> ChipStats {
+        let (mut stats, core) = ChipStats::peak_parts(duration_s, num_cores, clock_hz, w, fp_w);
+        stats.cores = vec![core];
+        stats
+    }
+
+    /// [`ChipStats::peak`] without allocating: the chip-level counters
+    /// with an empty `cores` list, plus the one core entry every core
+    /// broadcasts.
+    pub(crate) fn peak_parts(
+        duration_s: f64,
+        num_cores: u32,
+        clock_hz: f64,
+        w: u32,
+        fp_w: u32,
+    ) -> (ChipStats, CoreStats) {
         let cycles = (duration_s * clock_hz) as u64;
         let core = CoreStats::peak(cycles, w, fp_w);
         // Miss traffic spills into the L2 and memory at peak rates; TDP
@@ -61,9 +76,9 @@ impl ChipStats {
         // clock/width inputs degrade instead of overflowing.
         let chip = l2_accesses.saturating_mul(u64::from(num_cores));
         let (l2_reads, l2_writes) = split_rw(chip);
-        ChipStats {
+        let stats = ChipStats {
             duration_s,
-            cores: vec![core],
+            cores: Vec::new(),
             l2: SharedCacheStats {
                 interval_s: duration_s,
                 reads: l2_reads,
@@ -94,7 +109,8 @@ impl ChipStats {
             io_utilization: 1.0,
             shared_fpu_ops: cycles / 2,
             core_wakeups: 0,
-        }
+        };
+        (stats, core)
     }
 
     /// The statistics of core `i` (broadcasting if only one entry).

@@ -1,49 +1,75 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Property-based tests for the whole-chip assembly.
 
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+
 use mcpat::{
-    explore_batch, Budgets, Candidate, ChipStats, Delta, DvfsPoint, MetricSet, Processor,
-    ProcessorConfig,
+    explore_batch, Budgets, ChipStats, Delta, DvfsPoint, MetricSet, Processor, ProcessorConfig,
 };
+use mcpat_circuit::metrics::StaticPower;
 use mcpat_mcore::config::CoreConfig;
-use mcpat_tech::TechNode;
+use mcpat_tech::{DeviceType, TechNode};
 use proptest::prelude::*;
+use support::{differs_from_full_build, per_candidate_reference};
+
+fn presets() -> Vec<ProcessorConfig> {
+    vec![
+        ProcessorConfig::niagara(),
+        ProcessorConfig::niagara2(),
+        ProcessorConfig::alpha21364(),
+        ProcessorConfig::tulsa(),
+    ]
+}
+
+/// The allocation-free roll-ups against sums taken item by item over
+/// the itemized breakdowns.
+fn assert_fast_totals_match_itemized(chip: &Processor) {
+    let peak = chip.peak_power();
+    let dynamic: f64 = peak.items.iter().map(|i| i.dynamic).sum();
+    let leakage: StaticPower = peak.items.iter().map(|i| i.leakage).sum();
+    let name = &chip.config.name;
+    assert_eq!(
+        chip.peak_power_total().to_bits(),
+        (dynamic + leakage.total()).to_bits(),
+        "{name}: peak power"
+    );
+    assert_eq!(
+        chip.peak_power_total().to_bits(),
+        peak.total().to_bits(),
+        "{name}: peak power"
+    );
+    let fast = chip.total_leakage();
+    assert_eq!(
+        fast.subthreshold.to_bits(),
+        leakage.subthreshold.to_bits(),
+        "{name}"
+    );
+    assert_eq!(fast.gate.to_bits(), leakage.gate.to_bits(), "{name}");
+    // Die area: the component sum, times the 1.25 layout overhead,
+    // plus a 0.6 mm pad ring on each side.
+    let components: f64 = chip.area_breakdown().iter().map(|i| i.area).sum();
+    let edge = (components * 1.25).sqrt() + 2.0 * 0.6e-3;
+    assert_eq!(
+        chip.die_area().to_bits(),
+        (edge * edge).to_bits(),
+        "{name}: die area"
+    );
+}
+
+#[test]
+fn fast_totals_equal_itemized_sums_on_every_preset() {
+    for mut cfg in presets() {
+        assert_fast_totals_match_itemized(&Processor::build(&cfg).unwrap());
+        // Power gating scales core leakage by duty: a separate path.
+        cfg.power_gating = true;
+        assert_fast_totals_match_itemized(&Processor::build(&cfg).unwrap());
+    }
+}
 
 fn batch_eval(chip: &Processor) -> MetricSet {
     let n = f64::from(chip.config.num_cores.max(1));
     MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
-}
-
-/// The reference `explore_batch` must reproduce: every candidate built
-/// on its own, in input order, with the raw (energy, delay, area)
-/// Pareto front found by brute force.
-fn per_candidate_reference(cands: &[ProcessorConfig]) -> (Vec<Candidate>, Vec<usize>) {
-    let feasible: Vec<Candidate> = cands
-        .iter()
-        .map(|cfg| {
-            let chip = Processor::build(cfg).unwrap();
-            Candidate {
-                name: cfg.name.clone(),
-                area: chip.die_area(),
-                peak_power: chip.peak_power().total(),
-                metrics: batch_eval(&chip),
-            }
-        })
-        .collect();
-    let axes = |c: &Candidate| [c.metrics.energy, c.metrics.delay, c.metrics.area];
-    let dominated = |c: &Candidate| {
-        feasible.iter().any(|o| {
-            let (o, c) = (axes(o), axes(c));
-            o.iter().zip(&c).all(|(x, y)| x <= y) && o.iter().zip(&c).any(|(x, y)| x < y)
-        })
-    };
-    let pareto = feasible
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !dominated(c))
-        .map(|(i, _)| i)
-        .collect();
-    (feasible, pareto)
 }
 
 fn any_node() -> impl Strategy<Value = TechNode> {
@@ -158,7 +184,7 @@ proptest! {
                 cands.push(d);
             }
         }
-        let (feasible, pareto) = per_candidate_reference(&cands);
+        let (feasible, pareto) = per_candidate_reference(&cands, batch_eval);
         let (batched, perf) = explore_batch(&cands, Budgets::default(), batch_eval).unwrap();
         prop_assert_eq!(perf.candidates, cands.len());
         prop_assert!(perf.unique_builds + perf.deduped == cands.len());
@@ -251,6 +277,43 @@ proptest! {
         for (a, b) in fast.warnings.iter().zip(full.warnings.iter()) {
             prop_assert_eq!(&a.path, &b.path);
             prop_assert_eq!(&a.message, &b.message);
+        }
+    }
+
+    #[test]
+    fn fast_totals_equal_itemized_sums(cfg in any_manycore(), gating in prop::bool::ANY) {
+        let mut cfg = cfg;
+        cfg.power_gating = gating;
+        assert_fast_totals_match_itemized(&Processor::build(&cfg).unwrap());
+    }
+
+    /// One scratch chip retargeted in place through a clock walk — up,
+    /// down, repeats, an LSTP clock above 1.5 GHz and a core clock
+    /// above 10 GHz, so both clock advisories fire — equals a
+    /// from-scratch build of its patched configuration after every
+    /// step.
+    #[test]
+    fn retargeting_one_chip_equals_full_builds(
+        preset in prop::sample::select(presets()),
+        lstp in prop::bool::ANY,
+        a in 0.4..2.5f64,
+        b in 0.4..2.5f64,
+    ) {
+        let mut cfg = preset;
+        if lstp {
+            cfg.device_type = DeviceType::Lstp;
+        }
+        let mut chip = Processor::build(&cfg).unwrap();
+        let f = cfg.clock_hz;
+        for hz in [f * a, f * b, f * a, 1.8e9, 12.0e9, 12.0e9, f * b, f] {
+            chip.retarget_clock(hz).unwrap();
+            prop_assert_eq!(chip.config.clock_hz.to_bits(), hz.to_bits());
+            prop_assert_eq!(chip.config.core.clock_hz.to_bits(), hz.to_bits());
+            let diff = differs_from_full_build(&chip);
+            prop_assert!(diff.is_none(), "{} at {:e} Hz: {:?}", cfg.name, hz, diff);
+            let advised = |path: &str| chip.warnings.iter().any(|w| w.path == path);
+            prop_assert_eq!(advised("core.clock_hz"), hz > 1.0e10);
+            prop_assert_eq!(advised("device_type"), lstp && hz > 1.5e9);
         }
     }
 

@@ -54,10 +54,10 @@ impl From<AtPath<ArrayError>> for CoreBuildError {
 }
 
 /// Dynamic + static power of one named component, W.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerItem {
     /// Component name.
-    pub name: String,
+    pub name: &'static str,
     /// Dynamic power over the evaluated interval, W.
     pub dynamic: f64,
     /// Static power, W.
@@ -79,11 +79,25 @@ pub struct CorePower {
     pub items: Vec<PowerItem>,
 }
 
+/// Upper bound on the number of units in one core's power breakdown.
+pub const CORE_POWER_UNITS: usize = 9;
+
+/// The allocation-free form of a [`CorePower`]: the same items in the
+/// same order, in fixed slots (`None` for units the core lacks).
+pub type CorePowerItems = [Option<PowerItem>; CORE_POWER_UNITS];
+
+/// Sum of the items' dynamic power, W: the one fold behind
+/// [`CorePower::dynamic`] and the chip's allocation-free roll-ups, so
+/// the two forms agree to the bit.
+pub fn dynamic_of<'a>(items: impl Iterator<Item = &'a PowerItem>) -> f64 {
+    items.map(|i| i.dynamic).sum()
+}
+
 impl CorePower {
     /// Sum of dynamic power, W.
     #[must_use]
     pub fn dynamic(&self) -> f64 {
-        self.items.iter().map(|i| i.dynamic).sum()
+        dynamic_of(self.items.iter())
     }
 
     /// Sum of leakage, W.
@@ -197,7 +211,7 @@ impl CoreModel {
     #[must_use]
     pub fn relaxation_warnings(&self) -> Diagnostics {
         let ifu = &self.ifu;
-        let mut arrays: Vec<&SolvedArray> = vec![
+        let always = [
             &ifu.icache.data,
             &ifu.icache.tag,
             &ifu.instruction_buffer,
@@ -210,28 +224,32 @@ impl CoreModel {
             &self.mmu.itlb,
             &self.mmu.dtlb,
         ];
-        arrays.extend(
-            [
-                &ifu.btb,
-                &ifu.global_predictor,
-                &ifu.local_l1,
-                &ifu.local_l2,
-                &ifu.chooser,
-                &ifu.ras,
-            ]
-            .into_iter()
-            .flatten(),
-        );
-        if let Some(r) = &self.rename {
-            arrays.extend([&r.int_rat, &r.fp_rat, &r.int_free_list, &r.fp_free_list]);
-        }
-        if let Some(w) = &self.window {
-            arrays.extend([&w.int_window, &w.rob]);
-            arrays.extend(&w.fp_window);
-        }
-        arrays
+        let predictors = [
+            &ifu.btb,
+            &ifu.global_predictor,
+            &ifu.local_l1,
+            &ifu.local_l2,
+            &ifu.chooser,
+            &ifu.ras,
+        ]
+        .into_iter()
+        .flatten();
+        let rename = self
+            .rename
             .iter()
-            .filter_map(|a| a.relaxation_warning())
+            .flat_map(|r| [&r.int_rat, &r.fp_rat, &r.int_free_list, &r.fp_free_list]);
+        let window = self
+            .window
+            .iter()
+            .flat_map(|w| [&w.int_window, &w.rob].into_iter().chain(&w.fp_window));
+        // Chained, not collected: a chip with no relaxed array (the
+        // common case) then allocates nothing here.
+        always
+            .into_iter()
+            .chain(predictors)
+            .chain(rename)
+            .chain(window)
+            .filter_map(SolvedArray::relaxation_warning)
             .collect()
     }
 
@@ -290,12 +308,27 @@ impl CoreModel {
     /// energies are divided by it to obtain average power.
     #[must_use]
     pub fn runtime_power(&self, stats: &CoreStats) -> CorePower {
+        CorePower {
+            items: self.power_items(stats).into_iter().flatten().collect(),
+        }
+    }
+
+    /// [`CoreModel::runtime_power`] without allocating: the same items
+    /// in the same order, in fixed slots.
+    #[must_use]
+    pub fn power_items(&self, stats: &CoreStats) -> CorePowerItems {
         let cycles = stats.cycles.max(1) as f64;
         let interval = cycles / self.config.clock_hz;
         let per = |energy: f64| energy / interval;
         let n = |count: u64| count as f64;
 
-        let mut items = Vec::with_capacity(9);
+        let mut items: CorePowerItems = [None; CORE_POWER_UNITS];
+        let mut slots = items.iter_mut();
+        let mut push = |item: PowerItem| {
+            if let Some(slot) = slots.next() {
+                *slot = Some(item);
+            }
+        };
 
         // --- IFU ---------------------------------------------------------
         let icache_e = n(stats.icache_accesses) * self.ifu.icache.read_hit_energy
@@ -306,8 +339,8 @@ impl CoreModel {
             + n(stats.branch_mispredicts) * self.ifu.predictor_update_energy();
         let ib_e = n(stats.decodes) * self.ifu.buffer_energy_per_inst();
         let dec_e = n(stats.decodes) * self.ifu.decode_energy_per_inst;
-        items.push(PowerItem {
-            name: "ifu".into(),
+        push(PowerItem {
+            name: "ifu",
             dynamic: per(icache_e + bpred_e + ib_e + dec_e),
             leakage: self.ifu.leakage(),
         });
@@ -322,8 +355,8 @@ impl CoreModel {
             let e = n(stats.renames)
                 * ((1.0 - fp_frac) * r.rename_energy_per_inst(false)
                     + fp_frac * r.rename_energy_per_inst(true));
-            items.push(PowerItem {
-                name: "rename".into(),
+            push(PowerItem {
+                name: "rename",
                 dynamic: per(e),
                 leakage: r.leakage(),
             });
@@ -333,8 +366,8 @@ impl CoreModel {
         if let Some(w) = &self.window {
             let e = n(stats.window_accesses) * w.window_energy_per_access(false)
                 + n(stats.rob_accesses) * w.rob_energy_per_access();
-            items.push(PowerItem {
-                name: "window".into(),
+            push(PowerItem {
+                name: "window",
                 dynamic: per(e),
                 leakage: w.leakage(),
             });
@@ -345,8 +378,8 @@ impl CoreModel {
             + n(stats.int_regfile_writes) * self.regs.int_rf.write_energy
             + n(stats.fp_regfile_reads) * self.regs.fp_rf.read_energy
             + n(stats.fp_regfile_writes) * self.regs.fp_rf.write_energy;
-        items.push(PowerItem {
-            name: "regfile".into(),
+        push(PowerItem {
+            name: "regfile",
             dynamic: per(rf_e),
             leakage: self.regs.leakage(),
         });
@@ -360,8 +393,8 @@ impl CoreModel {
                 .saturating_add(stats.fp_ops)
                 .saturating_add(stats.mul_ops))
                 * self.exu.bypass_energy_per_transfer;
-        items.push(PowerItem {
-            name: "exu".into(),
+        push(PowerItem {
+            name: "exu",
             dynamic: per(exu_e),
             leakage: self.exu.leakage(),
         });
@@ -370,8 +403,8 @@ impl CoreModel {
         let lsu_e = n(stats.loads) * self.lsu.load_energy()
             + n(stats.stores) * self.lsu.store_energy()
             + n(stats.dcache_misses) * (self.lsu.dcache.miss_energy + self.lsu.dcache.fill_energy);
-        items.push(PowerItem {
-            name: "lsu".into(),
+        push(PowerItem {
+            name: "lsu",
             dynamic: per(lsu_e),
             leakage: self.lsu.leakage(),
         });
@@ -379,8 +412,8 @@ impl CoreModel {
         // --- MMU -----------------------------------------------------------------
         let mmu_e = n(stats.itlb_accesses) * self.mmu.itlb_energy()
             + n(stats.dtlb_accesses) * self.mmu.dtlb_energy();
-        items.push(PowerItem {
-            name: "mmu".into(),
+        push(PowerItem {
+            name: "mmu",
             dynamic: per(mmu_e),
             leakage: self.mmu.leakage(),
         });
@@ -392,21 +425,21 @@ impl CoreModel {
         let pipe_e = cycles
             * (self.pipeline.data_energy_per_cycle * duty
                 + self.pipeline.clock_energy_per_cycle * clock_scale);
-        items.push(PowerItem {
-            name: "pipeline+clock".into(),
+        push(PowerItem {
+            name: "pipeline+clock",
             dynamic: per(pipe_e),
             leakage: self.pipeline.leakage,
         });
 
         // --- Random control logic ---------------------------------------------------
         let misc_e = cycles * duty * self.misc.energy_per_cycle;
-        items.push(PowerItem {
-            name: "misc-logic".into(),
+        push(PowerItem {
+            name: "misc-logic",
             dynamic: per(misc_e),
             leakage: self.misc.leakage,
         });
 
-        CorePower { items }
+        items
     }
 
     /// TDP-style peak power: one second of maximum sustained activity, W.

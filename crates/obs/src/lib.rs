@@ -54,6 +54,9 @@ pub struct Snapshot {
     pub solve_cache_misses: u64,
     /// Hits that waited for an in-flight identical solve.
     pub solve_cache_coalesced: u64,
+    /// Misses that found the key in flight elsewhere but could not park
+    /// on it, so solved a private copy.
+    pub solve_cache_duplicates: u64,
     /// Solve-cache entries evicted (CLOCK cap) while this scope was
     /// active — nonzero means the working set exceeds the cache cap.
     pub solve_cache_evictions: u64,
@@ -99,6 +102,7 @@ struct Inner {
     solve_cache_hits: AtomicU64,
     solve_cache_misses: AtomicU64,
     solve_cache_coalesced: AtomicU64,
+    solve_cache_duplicates: AtomicU64,
     solve_cache_evictions: AtomicU64,
     pool_submitted: AtomicU64,
     pool_steals: AtomicU64,
@@ -158,6 +162,7 @@ impl Collector {
             solve_cache_hits: i.solve_cache_hits.load(Ordering::Relaxed),
             solve_cache_misses: i.solve_cache_misses.load(Ordering::Relaxed),
             solve_cache_coalesced: i.solve_cache_coalesced.load(Ordering::Relaxed),
+            solve_cache_duplicates: i.solve_cache_duplicates.load(Ordering::Relaxed),
             solve_cache_evictions: i.solve_cache_evictions.load(Ordering::Relaxed),
             pool_submitted: i.pool_submitted.load(Ordering::Relaxed),
             pool_steals: i.pool_steals.load(Ordering::Relaxed),
@@ -304,6 +309,14 @@ pub fn record_solve(hit: bool, coalesced: bool) {
         } else {
             i.solve_cache_misses.fetch_add(1, Ordering::Relaxed);
         }
+    });
+}
+
+/// Bills one private duplicate solve (a miss that could not park on the
+/// key's in-flight owner) to the active scope chain.
+pub fn record_solve_duplicate() {
+    bill(|i| {
+        i.solve_cache_duplicates.fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -552,13 +565,15 @@ impl Trace {
         let t = self.totals;
         out.push_str(&format!(
             "\n    \"solve_cache_hits\": {},\n    \"solve_cache_misses\": {},\n    \
-             \"solve_cache_coalesced\": {},\n    \"solve_cache_evictions\": {},\n    \
+             \"solve_cache_coalesced\": {},\n    \"solve_cache_duplicates\": {},\n    \
+             \"solve_cache_evictions\": {},\n    \
              \"pool_submitted\": {},\n    \
              \"pool_steals\": {},\n    \"pool_inline\": {},\n    \"allocs\": {},\n    \
              \"dse_pruned\": {},\n    \"dse_probes\": {},\n    \"dse_full_builds\": {}\n  }},",
             t.solve_cache_hits,
             t.solve_cache_misses,
             t.solve_cache_coalesced,
+            t.solve_cache_duplicates,
             t.solve_cache_evictions,
             t.pool_submitted,
             t.pool_steals,

@@ -214,9 +214,8 @@ fn zero_deadline_trips_a_typed_deadline_error() {
     let mut c = Client::connect(&handle);
     // A zero deadline has already elapsed at the first cooperative
     // checkpoint — deterministic even with a warm cache.
-    let line =
-        format!("{{\"type\":\"evaluate\",\"id\":3,\"preset\":\"niagara\",\"deadline_ms\":0}}");
-    let resp = c.roundtrip(&line);
+    let line = r#"{"type":"evaluate","id":3,"preset":"niagara","deadline_ms":0}"#;
+    let resp = c.roundtrip(line);
     assert_eq!(status(&resp), "error", "{resp:?}");
     assert_eq!(error_kind(&resp), "DeadlineExceeded");
     assert_eq!(resp.get("id").and_then(Value::as_u64), Some(3));

@@ -138,6 +138,30 @@ mod tests {
     }
 
     #[test]
+    fn only_clock_hz_depends_on_the_frequency() {
+        // Chip clock probes move `clock_hz` in place instead of
+        // re-sizing: everything else must not depend on it.
+        let t = TechParams::new(TechNode::N45, DeviceType::Hp, 360.0);
+        let mut moved = ClockNetwork::new(&t, 12e-3, 9e-3, 1e9, 1e-9);
+        moved.clock_hz = 3.1e9;
+        let fresh = ClockNetwork::new(&t, 12e-3, 9e-3, 3.1e9, 1e-9);
+        let bits = |c: &ClockNetwork| {
+            [
+                c.die_width,
+                c.die_h,
+                c.total_cap,
+                c.vdd,
+                c.driver_area,
+                c.driver_leakage.subthreshold,
+                c.driver_leakage.gate,
+                c.dynamic_power(),
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&moved), bits(&fresh));
+    }
+
+    #[test]
     fn bigger_dies_need_more_clock_power() {
         let t = TechParams::new(TechNode::N45, DeviceType::Hp, 360.0);
         let small = ClockNetwork::new(&t, 8e-3, 8e-3, 2e9, 1e-9);

@@ -94,11 +94,16 @@ impl MemCtrlConfig {
         if self.bus_bits == 0 {
             diags.error(at("bus_bits"), "data bus must be at least one bit wide");
         }
-        diags.require_positive(
-            at("peak_bw_per_channel"),
+        // Range checks record relative paths re-rooted on merge, so the
+        // joined path is only built for a finding (this runs on every
+        // DSE clock probe).
+        let mut bw = mcpat_diag::Diagnostics::new();
+        bw.require_positive(
+            "peak_bw_per_channel",
             "per-channel bandwidth",
             self.peak_bw_per_channel,
         );
+        diags.merge_under(path, bw);
         if self.read_queue_depth == 0 || self.write_queue_depth == 0 {
             diags.warning(
                 at("read_queue_depth"),
@@ -115,7 +120,9 @@ impl MemCtrlConfig {
             );
         }
         if let Some(w) = self.phy_standby_override_w {
-            diags.require_nonnegative(at("phy_standby_override_w"), "PHY standby power", w);
+            let mut phy = mcpat_diag::Diagnostics::new();
+            phy.require_nonnegative("phy_standby_override_w", "PHY standby power", w);
+            diags.merge_under(path, phy);
         }
     }
 }

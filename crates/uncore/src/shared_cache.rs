@@ -179,18 +179,17 @@ impl SharedCache {
     /// only place by relaxing its constraints.
     #[must_use]
     pub fn relaxation_warnings(&self) -> mcpat_diag::Diagnostics {
-        let mut arrays: Vec<&SolvedArray> = vec![
+        [
             &self.cache.data,
             &self.cache.tag,
             &self.mshr,
             &self.wb_buffer,
             &self.fill_buffer,
-        ];
-        arrays.extend(&self.directory);
-        arrays
-            .iter()
-            .filter_map(|a| a.relaxation_warning())
-            .collect()
+        ]
+        .into_iter()
+        .chain(&self.directory)
+        .filter_map(SolvedArray::relaxation_warning)
+        .collect()
     }
 
     /// Total area, m².

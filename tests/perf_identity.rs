@@ -11,10 +11,12 @@
 //! mode), so they serialize on one mutex and restore the defaults
 //! before releasing it.
 
+mod support;
+
 use mcpat::array::memo;
 use mcpat::{
-    explore_batch, max_clock_under_power_budget, Budgets, Candidate, Exploration, MetricSet,
-    Processor, ProcessorConfig,
+    explore_batch, max_clock_under_power_budget, Budgets, Exploration, MetricSet, Processor,
+    ProcessorConfig,
 };
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::TechNode;
@@ -155,34 +157,9 @@ fn sweep_eval(chip: &Processor) -> MetricSet {
 
 /// The serial reference every `explore_batch` result must reproduce:
 /// each candidate built on its own with `Processor::build`, in input
-/// order, with the raw (energy, delay, area) Pareto front found by
-/// brute force. Every sweep here fits the default (unbounded) budgets.
+/// order. Every sweep here fits the default (unbounded) budgets.
 fn serial_explore(cands: &[ProcessorConfig]) -> Exploration {
-    let feasible: Vec<Candidate> = cands
-        .iter()
-        .map(|cfg| {
-            let chip = Processor::build(cfg).unwrap();
-            Candidate {
-                name: cfg.name.clone(),
-                area: chip.die_area(),
-                peak_power: chip.peak_power().total(),
-                metrics: sweep_eval(&chip),
-            }
-        })
-        .collect();
-    let axes = |c: &Candidate| [c.metrics.energy, c.metrics.delay, c.metrics.area];
-    let dominated = |c: &Candidate| {
-        feasible.iter().any(|o| {
-            let (o, c) = (axes(o), axes(c));
-            o.iter().zip(&c).all(|(x, y)| x <= y) && o.iter().zip(&c).any(|(x, y)| x < y)
-        })
-    };
-    let pareto = feasible
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !dominated(c))
-        .map(|(i, _)| i)
-        .collect();
+    let (feasible, pareto) = support::per_candidate_reference(cands, sweep_eval);
     Exploration {
         feasible,
         rejected: Vec::new(),

@@ -125,12 +125,7 @@ fn validation_chips_meet_their_target_clocks() {
 fn per_core_unit_breakdown_is_complete_for_ooo_chips() {
     let chip = Processor::build(&ProcessorConfig::alpha21364()).unwrap();
     let p = chip.peak_power();
-    let names: Vec<&str> = p
-        .core_detail
-        .items
-        .iter()
-        .map(|i| i.name.as_str())
-        .collect();
+    let names: Vec<&str> = p.core_detail.items.iter().map(|i| i.name).collect();
     for unit in ["ifu", "rename", "window", "regfile", "exu", "lsu", "mmu"] {
         assert!(names.contains(&unit), "missing core unit {unit}");
     }
