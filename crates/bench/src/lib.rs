@@ -25,6 +25,7 @@
 
 pub mod experiments;
 pub mod reference;
+pub mod toolspeed;
 
 pub use experiments::*;
 pub use reference::published_chips;

@@ -2,7 +2,7 @@
 //!
 //! [`crate::explore::explore_batch`] is the paper's case-study workflow
 //! for tens of materialized candidates; this module is the same workflow
-//! scaled to 10^5–10^6-candidate sweeps. Three ideas keep it cheap:
+//! scaled to 10^5–10^6-candidate sweeps. Four ideas keep it cheap:
 //!
 //! 1. **Lazy enumeration** — an [`AxisGrid`] describes the candidate
 //!    set ({tech node × device flavor × core count × L2 size × clock})
@@ -18,15 +18,22 @@
 //!    incremental [`ParetoFrontier`] already dominates the bound, the
 //!    build never runs (see [`ParetoFrontier::would_prune`] for the
 //!    soundness argument).
+//! 4. **Row facts** — die area and total leakage do not depend on the
+//!    clock, so they are taken once per row from its base chip
+//!    ([`RowFacts`]) and shared by every candidate of the row: the
+//!    area budget check and [`WorkloadModel`]'s lower bound are
+//!    arithmetic on them, and each probe walks peak power exactly once,
+//!    handing the total to the evaluator ([`ChipTotals`]).
 //!
 //! Work streams in bounded chunks deduped with
 //! [`crate::explore::explore_batch`]'s identity, so peak candidate
 //! storage is O(frontier + chunk). Probes run serially: each costs
 //! about what a pool task would, so fanning them out lost to walking
-//! the row in place (DESIGN.md §12 has the measurements). The frontier plus the generator cursor
-//! serialize to JSON ([`DseCheckpoint`]) at chunk boundaries, so a
-//! sweep killed by the `mcpat-guard` deadline/cancel machinery resumes
-//! where it stopped with a bit-identical final frontier.
+//! the row in place (DESIGN.md §12 has the measurements). The frontier
+//! plus the generator cursor serialize to JSON ([`DseCheckpoint`]) at
+//! chunk boundaries, so a sweep killed by the `mcpat-guard`
+//! deadline/cancel machinery resumes where it stopped with a
+//! bit-identical final frontier.
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
@@ -38,6 +45,7 @@ use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A declarative candidate grid: the cross product of five axes around
@@ -248,11 +256,94 @@ impl DseResult {
     }
 }
 
+/// The clock-invariant facts of one row, taken once from its base chip.
+///
+/// A row's candidates differ from its base only in the clock, and the
+/// clock moves neither die area (the clock network sizes its drivers
+/// from switched capacitance, not frequency) nor leakage: a probe
+/// retargets the base's solved components in place, so both totals
+/// keep the base's bits (property-tested per preset, with and without
+/// power gating). Under [`CoreConfig::enforce_timing`] a probe is a
+/// full build instead, which may re-partition arrays for the new cycle
+/// time; there the facts are the row base's, not the candidate's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowFacts {
+    /// Die area, m² ([`Processor::die_area`]).
+    pub area: f64,
+    /// Total leakage, W ([`Processor::total_leakage`]).
+    pub leakage: f64,
+}
+
+impl RowFacts {
+    /// The facts of `base`: two walks over the chip, made once per row.
+    #[must_use]
+    pub fn of(base: &Processor) -> RowFacts {
+        RowFacts {
+            area: base.die_area(),
+            leakage: base.total_leakage().total(),
+        }
+    }
+}
+
+/// The totals the engine computed for a probed candidate before handing
+/// it to [`DseEvaluator::evaluate_probe`]; each equals, bit for bit,
+/// what the named [`Processor`] method returns on that chip.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChipTotals {
+    /// [`Processor::peak_power_total`], W: walked once per probe, for
+    /// the peak-power budget check.
+    pub peak_power: f64,
+    /// [`Processor::die_area`], m²: the row's [`RowFacts::area`] for a
+    /// retargeted probe, walked on the chip for a full build.
+    pub area: f64,
+}
+
+/// An unbuilt candidate of a row, as the prune pass sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct RowCandidate<'a> {
+    /// The row base: a built chip identical to the candidate except
+    /// for the clock and the name.
+    pub base: &'a Processor,
+    /// The row's facts.
+    pub facts: RowFacts,
+    /// The candidate's clock, Hz.
+    pub clock_hz: f64,
+    /// The candidate's grid cursor.
+    pub cursor: u64,
+}
+
+impl RowCandidate<'_> {
+    /// The candidate's configuration, equal to [`AxisGrid::config_at`]
+    /// of its cursor (name included): the row base's, renamed and
+    /// retargeted. One clone per call; [`WorkloadModel`] never asks.
+    #[must_use]
+    pub fn config(&self) -> ProcessorConfig {
+        let mut cfg = self.base.config.clone();
+        write_candidate_name(&mut cfg.name, self.cursor);
+        cfg.clock_hz = self.clock_hz;
+        cfg.core.clock_hz = self.clock_hz;
+        cfg
+    }
+}
+
 /// Workload evaluation injected into the streaming engine.
 ///
 /// Implementations must be deterministic: the frontier spot-check tests
 /// and checkpoint/resume bit-identity both rely on `evaluate` producing
 /// the same bits for the same chip.
+///
+/// An implementation writes the two `(&Processor, …)` forms. The engine
+/// calls the two row forms, whose defaults forward to them; an
+/// evaluator overrides a row form to use what the engine has already
+/// computed. Per row, the engine walks the base chip once for its
+/// [`RowFacts`] (die area and total leakage); per probe, it walks peak
+/// power once for the budget check ([`ChipTotals`]). The probe's
+/// totals are the exact bits the [`Processor`] methods return on the
+/// probed chip. The row facts are the base's exact bits, and equal
+/// the candidate's because a retarget leaves area and leakage alone;
+/// under [`CoreConfig::enforce_timing`] a probe is a full build, so
+/// [`ChipTotals::area`] is walked on it, while a bound still sees the
+/// base's facts, as [`DseEvaluator::lower_bound`] always has.
 pub trait DseEvaluator {
     /// Workload metrics of a built chip (the analog of
     /// [`crate::explore::explore_batch`]'s evaluator closure).
@@ -273,6 +364,22 @@ pub trait DseEvaluator {
     /// must be ≤ the value [`DseEvaluator::evaluate`] would produce,
     /// and positive. Return `None` to skip pruning for this candidate.
     fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet>;
+
+    /// What the engine calls for each probed candidate: the metrics of
+    /// `chip` (the same full-fidelity candidate
+    /// [`DseEvaluator::evaluate`] describes), given its `totals`. The
+    /// default ignores the totals and calls `evaluate`.
+    fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
+        let _ = totals;
+        self.evaluate(chip)
+    }
+
+    /// What the prune pass calls for each candidate: the same bound as
+    /// [`DseEvaluator::lower_bound`]. The default forwards the row base
+    /// and the candidate's configuration to it.
+    fn lower_bound_in_row(&self, candidate: &RowCandidate<'_>) -> Option<MetricSet> {
+        self.lower_bound(candidate.base, &candidate.config())
+    }
 }
 
 /// The default throughput-workload model: a fixed amount of work spread
@@ -289,26 +396,53 @@ impl Default for WorkloadModel {
     }
 }
 
+impl WorkloadModel {
+    fn delay(&self, num_cores: u32, clock_hz: f64) -> f64 {
+        self.work / (f64::from(num_cores).max(1.0) * clock_hz)
+    }
+
+    /// The metrics of a chip with these totals, core count and clock.
+    fn metrics(&self, peak_power: f64, area: f64, num_cores: u32, clock_hz: f64) -> MetricSet {
+        MetricSet::from_power(peak_power, self.delay(num_cores, clock_hz), area)
+    }
+
+    /// The lower bound for a candidate of a row with these facts. Area
+    /// is clock-invariant, so the row's area is the candidate's exact
+    /// area; leakage is clock-invariant too and bounds peak power from
+    /// below, so leakage × delay lower-bounds energy.
+    fn bound(&self, facts: &RowFacts, num_cores: u32, clock_hz: f64) -> MetricSet {
+        let delay = self.delay(num_cores, clock_hz);
+        MetricSet {
+            delay,
+            energy: facts.leakage * delay,
+            area: facts.area,
+        }
+    }
+}
+
 impl DseEvaluator for WorkloadModel {
     fn evaluate(&mut self, chip: &Processor) -> MetricSet {
-        let n = f64::from(chip.config.num_cores).max(1.0);
-        let delay = self.work / (n * chip.config.clock_hz);
-        MetricSet::from_power(chip.peak_power_total(), delay, chip.die_area())
+        let c = &chip.config;
+        self.metrics(
+            chip.peak_power_total(),
+            chip.die_area(),
+            c.num_cores,
+            c.clock_hz,
+        )
     }
 
     fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
-        let n = f64::from(cfg.num_cores).max(1.0);
-        let delay = self.work / (n * cfg.clock_hz);
-        // Die area is clock-invariant (the clock network sizes its
-        // drivers from switched capacitance, not frequency), so the row
-        // base's area is this candidate's exact area; leakage is
-        // likewise clock-invariant and bounds peak power from below, so
-        // leakage × delay lower-bounds energy.
-        Some(MetricSet {
-            delay,
-            energy: base.total_leakage().total() * delay,
-            area: base.die_area(),
-        })
+        Some(self.bound(&RowFacts::of(base), cfg.num_cores, cfg.clock_hz))
+    }
+
+    fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
+        let c = &chip.config;
+        self.metrics(totals.peak_power, totals.area, c.num_cores, c.clock_hz)
+    }
+
+    fn lower_bound_in_row(&self, candidate: &RowCandidate<'_>) -> Option<MetricSet> {
+        let num_cores = candidate.base.config.num_cores;
+        Some(self.bound(&candidate.facts, num_cores, candidate.clock_hz))
     }
 }
 
@@ -502,9 +636,7 @@ struct Pending {
 struct RowBase {
     row: u64,
     chip: Processor,
-    /// The base's die area: exact for every candidate of the row, since
-    /// die area is clock-invariant.
-    area: f64,
+    facts: RowFacts,
     /// Slot of the chunk's first row whose base configuration equals
     /// this one up to the name; candidates of rows in one class with
     /// the same clock are duplicates.
@@ -609,9 +741,6 @@ fn run_chunk<E: DseEvaluator>(
     let mut rows: Vec<RowBase> = Vec::new();
     let mut carried = last_base.take();
     let mut pending: Vec<Pending> = Vec::new();
-    // The candidate configuration handed to `lower_bound`: the row
-    // template with each candidate's clock and name patched in.
-    let mut cfg: Option<(u64, ProcessorConfig)> = None;
 
     for cursor in range {
         checkpoint("dse.enumerate")?;
@@ -641,7 +770,7 @@ fn run_chunk<E: DseEvaluator>(
                     .map_or(rows.len(), |r| r.class);
                 rows.push(RowBase {
                     row,
-                    area: chip.die_area(),
+                    facts: RowFacts::of(&chip),
                     chip,
                     class,
                 });
@@ -652,25 +781,19 @@ fn run_chunk<E: DseEvaluator>(
             continue;
         };
         // Exact early budget rejection: die area is clock-invariant, so
-        // the base's area IS this candidate's area.
-        if base.area > opts.budgets.max_area {
+        // the row's area IS this candidate's area.
+        if base.facts.area > opts.budgets.max_area {
             perf.rejected += 1;
             continue;
         }
         if opts.prune {
-            let cfg = match &mut cfg {
-                Some((r, c)) if *r == row => c,
-                _ => {
-                    let template = grid.config_at(cursor).ok_or_else(|| {
-                        McpatError::config("dse.enumerate", "cursor is outside the grid")
-                    })?;
-                    &mut cfg.insert((row, template)).1
-                }
+            let candidate = RowCandidate {
+                base: &base.chip,
+                facts: base.facts,
+                clock_hz,
+                cursor,
             };
-            write_candidate_name(&mut cfg.name, cursor);
-            cfg.clock_hz = clock_hz;
-            cfg.core.clock_hz = clock_hz;
-            if let Some(lb) = evaluator.lower_bound(&base.chip, cfg) {
+            if let Some(lb) = evaluator.lower_bound_in_row(&candidate) {
                 if frontier.would_prune(&lb) {
                     perf.pruned += 1;
                     mcpat_obs::record_dse_pruned(1);
@@ -689,7 +812,7 @@ fn run_chunk<E: DseEvaluator>(
     // up to the name are the same clock in rows of one class. The first
     // of them counts as a probe, the rest as deduped; each is still
     // retargeted, which costs no more than looking up a shared result.
-    let mut probed: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
+    let mut probed: HashSet<(usize, u64)> = HashSet::with_capacity(pending.len());
     let mut scratch: Option<(usize, Processor)> = None;
     // Offer in cursor order so the frontier (ties, winners, counters)
     // is deterministic.
@@ -698,19 +821,16 @@ fn run_chunk<E: DseEvaluator>(
         let row = rows.get(p.row_slot).ok_or_else(|| {
             McpatError::config("dse.probe", "candidate references a missing row base")
         })?;
-        let key = (row.class, p.clock_hz.to_bits());
-        let duplicate = probed.contains(&key);
+        let duplicate = !probed.insert((row.class, p.clock_hz.to_bits()));
+        let full_build = clock_delta_rebuilds_fully(&row.chip.config);
         if duplicate {
             perf.deduped += 1;
+        } else if full_build {
+            perf.full_builds += 1;
+            mcpat_obs::record_dse_full_builds(1);
         } else {
-            probed.push(key);
-            if clock_delta_rebuilds_fully(&row.chip.config) {
-                perf.full_builds += 1;
-                mcpat_obs::record_dse_full_builds(1);
-            } else {
-                perf.probes += 1;
-                mcpat_obs::record_dse_probes(1);
-            }
+            perf.probes += 1;
+            mcpat_obs::record_dse_probes(1);
         }
         if scratch.as_ref().map(|(slot, _)| *slot) != Some(p.row_slot) {
             scratch = Some((p.row_slot, row.chip.clone()));
@@ -727,18 +847,26 @@ fn run_chunk<E: DseEvaluator>(
         if !duplicate {
             mcpat_guard::note_candidate();
         }
-        let area = row.area;
-        let peak = chip.peak_power_total();
-        if area > opts.budgets.max_area || peak > opts.budgets.max_peak_power {
+        // A full build re-picks array partitions for the new cycle
+        // time, so only a retargeted chip keeps the row's area.
+        let totals = ChipTotals {
+            peak_power: chip.peak_power_total(),
+            area: if full_build {
+                chip.die_area()
+            } else {
+                row.facts.area
+            },
+        };
+        if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
             perf.rejected += 1;
             continue;
         }
-        let metrics = evaluator.evaluate(chip);
+        let metrics = evaluator.evaluate_probe(chip, &totals);
         frontier.offer(FrontierPoint {
             name: chip.config.name.clone(),
             cursor: p.cursor,
-            area,
-            peak_power: peak,
+            area: totals.area,
+            peak_power: totals.peak_power,
             metrics,
         });
     }
@@ -830,20 +958,11 @@ mod tests {
     /// and offer it to a fresh frontier. The streaming engine must land
     /// on the exact same frontier bits.
     fn naive_frontier(grid: &AxisGrid, evaluator: &mut WorkloadModel) -> ParetoFrontier {
-        let mut frontier = ParetoFrontier::new();
-        for cursor in 0..grid.total() {
-            let cfg = grid.config_at(cursor).expect("in range");
-            let chip = Processor::build(&cfg).expect("naive build");
-            let metrics = evaluator.evaluate(&chip);
-            frontier.offer(FrontierPoint {
-                name: cfg.name.clone(),
-                cursor,
-                area: chip.die_area(),
-                peak_power: chip.peak_power().total(),
-                metrics,
-            });
-        }
-        frontier
+        let opts = DseOptions {
+            prune: false,
+            ..DseOptions::default()
+        };
+        reference_sweep(grid, &opts, evaluator).frontier
     }
 
     fn assert_frontiers_bit_identical(a: &ParetoFrontier, b: &ParetoFrontier) {
@@ -1062,14 +1181,266 @@ mod tests {
         let grid = tiny_grid();
         let clocks = grid.clocks_len();
         for cursor in 0..grid.total() {
-            let mut cfg = grid
-                .config_at(cursor - cursor % clocks)
-                .expect("row template");
-            let clock = grid.clocks_hz[(cursor % clocks) as usize];
-            write_candidate_name(&mut cfg.name, cursor);
-            cfg.clock_hz = clock;
-            cfg.core.clock_hz = clock;
-            assert_eq!(Some(cfg), grid.config_at(cursor), "cursor {cursor}");
+            let base = Processor::build(&grid.config_at(cursor - cursor % clocks).unwrap())
+                .expect("row base");
+            let candidate = RowCandidate {
+                base: &base,
+                facts: RowFacts::of(&base),
+                clock_hz: grid.clocks_hz[(cursor % clocks) as usize],
+                cursor,
+            };
+            assert_eq!(
+                Some(candidate.config()),
+                grid.config_at(cursor),
+                "cursor {cursor}"
+            );
+        }
+    }
+
+    /// The engine's decisions replayed naively: every row base and
+    /// every candidate full-built from its own configuration, bounds
+    /// and metrics from the `(&Processor, …)` forms, duplicates found
+    /// by comparing configurations, chunk by chunk. The streaming
+    /// engine must reach the same frontier and the same counters.
+    fn reference_sweep<E: DseEvaluator>(
+        grid: &AxisGrid,
+        opts: &DseOptions,
+        evaluator: &mut E,
+    ) -> DseResult {
+        let (clocks, l2_len) = (grid.clocks_len(), grid.l2_bytes.len() as u64);
+        let budgets = opts.budgets;
+        let mut frontier = ParetoFrontier::new();
+        let mut perf = DsePerf::default();
+        let mut prev_row: Option<u64> = None;
+        let cursors: Vec<u64> = (0..grid.total()).collect();
+        for chunk in cursors.chunks(opts.chunk.max(1)) {
+            let mut survivors = Vec::new();
+            for &cursor in chunk {
+                perf.candidates += 1;
+                let row = cursor / clocks;
+                let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
+                if prev_row != Some(row) {
+                    let same_group = prev_row.is_some_and(|p| p / l2_len == row / l2_len);
+                    if same_group && !grid.core.enforce_timing {
+                        perf.cache_rebuilds += 1;
+                    } else {
+                        perf.full_builds += 1;
+                    }
+                    prev_row = Some(row);
+                }
+                let cfg = grid.config_at(cursor).unwrap();
+                if base.die_area() > budgets.max_area {
+                    perf.rejected += 1;
+                    continue;
+                }
+                let lb = opts
+                    .prune
+                    .then(|| evaluator.lower_bound(&base, &cfg))
+                    .flatten();
+                if lb.is_some_and(|lb| frontier.would_prune(&lb)) {
+                    perf.pruned += 1;
+                    continue;
+                }
+                survivors.push((cursor, cfg));
+            }
+            let mut probed: Vec<ProcessorConfig> = Vec::new();
+            for (cursor, cfg) in survivors {
+                if probed.iter().any(|c| eq_ignoring_name(c, &cfg)) {
+                    perf.deduped += 1;
+                } else {
+                    if cfg.core.enforce_timing {
+                        perf.full_builds += 1;
+                    } else {
+                        perf.probes += 1;
+                    }
+                    probed.push(cfg.clone());
+                }
+                let chip = Processor::build(&cfg).unwrap();
+                let (area, peak_power) = (chip.die_area(), chip.peak_power().total());
+                if area > budgets.max_area || peak_power > budgets.max_peak_power {
+                    perf.rejected += 1;
+                    continue;
+                }
+                let metrics = evaluator.evaluate(&chip);
+                frontier.offer(FrontierPoint {
+                    name: cfg.name,
+                    cursor,
+                    area,
+                    peak_power,
+                    metrics,
+                });
+            }
+        }
+        DseResult { frontier, perf }
+    }
+
+    /// Runs the engine and the naive reference with fresh evaluators
+    /// from `make` and requires the same frontier bits, winners and
+    /// counters. Returns the engine's counters and evaluator.
+    fn assert_engine_matches_reference<E: DseEvaluator>(
+        grid: &AxisGrid,
+        opts: &DseOptions,
+        make: impl Fn() -> E,
+    ) -> (DsePerf, E) {
+        let mut evaluator = make();
+        let engine = dse(grid, opts, &mut evaluator).expect("streaming sweep");
+        let reference = reference_sweep(grid, opts, &mut make());
+        assert_frontiers_bit_identical(&engine.frontier, &reference.frontier);
+        assert_eq!(engine.perf, reference.perf);
+        (engine.perf, evaluator)
+    }
+
+    /// Never bounds a candidate: nothing may be pruned.
+    struct Unbounded;
+
+    impl DseEvaluator for Unbounded {
+        fn evaluate(&mut self, chip: &Processor) -> MetricSet {
+            MetricSet::from_power(
+                chip.peak_power().total(),
+                1.0 / chip.config.clock_hz,
+                chip.die_area(),
+            )
+        }
+
+        fn lower_bound(&self, _: &Processor, _: &ProcessorConfig) -> Option<MetricSet> {
+            None
+        }
+    }
+
+    /// Scores a chip by its warnings and its name, and checks every
+    /// configuration it is asked to bound against the grid.
+    struct NameAndWarnings {
+        grid: AxisGrid,
+        wrong_configs: std::cell::Cell<u32>,
+    }
+
+    fn cursor_of(name: &str) -> u64 {
+        name.strip_prefix("dse-")
+            .and_then(|c| c.parse().ok())
+            .unwrap()
+    }
+
+    impl DseEvaluator for NameAndWarnings {
+        fn evaluate(&mut self, chip: &Processor) -> MetricSet {
+            let m = WorkloadModel::default().evaluate(chip);
+            let warned = chip.warnings.len() as f64;
+            let tag = (cursor_of(&chip.config.name) % 5) as f64;
+            MetricSet {
+                delay: m.delay * (1.0 + 1e-3 * tag),
+                energy: m.energy * (1.0 + 0.1 * warned),
+                area: m.area,
+            }
+        }
+
+        fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
+            if self.grid.config_at(cursor_of(&cfg.name)).as_ref() != Some(cfg) {
+                self.wrong_configs.set(self.wrong_configs.get() + 1);
+            }
+            WorkloadModel::default().lower_bound(base, cfg)
+        }
+    }
+
+    #[test]
+    fn custom_evaluators_see_what_a_naive_full_build_loop_sees() {
+        let mut grid = tiny_grid();
+        // LSTP above 1.5 GHz draws a device advisory, so the warnings
+        // change along a row.
+        grid.device_types = vec![DeviceType::Hp, DeviceType::Lstp];
+        // A peak-power budget that rejects about a quarter of the grid.
+        let peak_budget = {
+            let mut peaks: Vec<f64> = (0..grid.total())
+                .map(|c| {
+                    let cfg = grid.config_at(c).unwrap();
+                    Processor::build(&cfg).unwrap().peak_power().total()
+                })
+                .collect();
+            peaks.sort_by(f64::total_cmp);
+            peaks[peaks.len() * 3 / 4]
+        };
+        for chunk in [256, 5] {
+            for max_peak_power in [f64::INFINITY, peak_budget] {
+                let opts = DseOptions {
+                    chunk,
+                    budgets: Budgets {
+                        max_peak_power,
+                        ..Budgets::default()
+                    },
+                    ..DseOptions::default()
+                };
+                let (perf, _) = assert_engine_matches_reference(&grid, &opts, || Unbounded);
+                assert_eq!(perf.pruned, 0);
+                let (perf, checked) =
+                    assert_engine_matches_reference(&grid, &opts, || NameAndWarnings {
+                        grid: grid.clone(),
+                        wrong_configs: std::cell::Cell::new(0),
+                    });
+                assert_eq!(checked.wrong_configs.get(), 0);
+                // A single chunk prunes against the empty frontier it
+                // started with; smaller chunks must prune something.
+                let single_chunk = chunk as u64 >= grid.total();
+                assert!(single_chunk || perf.pruned > 0, "{perf:?}");
+            }
+        }
+        let warned = (0..grid.total())
+            .filter_map(|c| grid.config_at(c))
+            .any(|cfg| !Processor::build(&cfg).unwrap().warnings.is_empty());
+        assert!(warned, "the grid must exercise warnings");
+    }
+
+    #[test]
+    fn dedupe_counts_equal_the_naive_reference() {
+        let mut grid = tiny_grid();
+        for (enforce_timing, l2, clocks) in [
+            (false, vec![1 << 20, 1 << 20], vec![1.0e9, 1.5e9, 2.0e9]),
+            (false, vec![1 << 20, 2 << 20], vec![1.0e9, 1.0e9, 2.0e9]),
+            (false, vec![1 << 20, 1 << 20], vec![2.0e9, 1.0e9, 2.0e9]),
+            // Every probe and every row base is a full build.
+            (true, vec![1 << 20, 1 << 20], vec![2.0e9, 1.0e9, 2.0e9]),
+        ] {
+            grid.core.enforce_timing = enforce_timing;
+            grid.l2_bytes = l2;
+            grid.clocks_hz = clocks;
+            for chunk in [256, 5, 4] {
+                let opts = DseOptions {
+                    chunk,
+                    ..DseOptions::default()
+                };
+                let (perf, _) =
+                    assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+                assert!(perf.deduped > 0, "{perf:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn enforced_timing_probes_report_their_own_area() {
+        // A generic OoO core at N32 meets 20 GHz and 50 GHz only with
+        // other array partitions, so under enforced timing those
+        // probes' die area moves away from their row base's.
+        let mut grid = AxisGrid {
+            core: CoreConfig::generic_ooo(),
+            ..AxisGrid::manycore(
+                vec![TechNode::N32],
+                vec![DeviceType::Hp],
+                vec![2, 4],
+                vec![1 << 20],
+                vec![1.0e9, 20.0e9, 50.0e9, 20.0e9],
+            )
+        };
+        grid.core.enforce_timing = true;
+        let area_at = |cursor| {
+            Processor::build(&grid.config_at(cursor).unwrap())
+                .unwrap()
+                .die_area()
+        };
+        assert_ne!(area_at(0).to_bits(), area_at(1).to_bits());
+        for chunk in [256, 3] {
+            let opts = DseOptions {
+                chunk,
+                ..DseOptions::default()
+            };
+            let (perf, _) = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+            assert_eq!(perf.probes, 0, "{perf:?}");
         }
     }
 

@@ -52,8 +52,8 @@ pub mod thermal;
 
 pub use config::ProcessorConfig;
 pub use dse::{
-    dse, dse_streaming, AxisGrid, DseCheckpoint, DseEvaluator, DseOptions, DsePerf, DseResult,
-    WorkloadModel,
+    dse, dse_streaming, AxisGrid, ChipTotals, DseCheckpoint, DseEvaluator, DseOptions, DsePerf,
+    DseResult, RowCandidate, RowFacts, WorkloadModel,
 };
 pub use dvfs::DvfsPoint;
 pub use error::McpatError;

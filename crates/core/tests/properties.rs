@@ -6,6 +6,7 @@ mod support;
 
 use mcpat::{
     explore_batch, Budgets, ChipStats, Delta, DvfsPoint, MetricSet, Processor, ProcessorConfig,
+    RowFacts,
 };
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_mcore::config::CoreConfig;
@@ -65,6 +66,22 @@ fn fast_totals_equal_itemized_sums_on_every_preset() {
         cfg.power_gating = true;
         assert_fast_totals_match_itemized(&Processor::build(&cfg).unwrap());
     }
+}
+
+/// The four presets plus a 16-core LSTP manycore chip.
+fn row_fact_configs() -> Vec<ProcessorConfig> {
+    let mut lstp = ProcessorConfig::manycore(
+        "manycore-lstp",
+        TechNode::N32,
+        CoreConfig::generic_inorder(),
+        16,
+        4,
+        2 << 20,
+    );
+    lstp.device_type = DeviceType::Lstp;
+    let mut configs = presets();
+    configs.push(lstp);
+    configs
 }
 
 fn batch_eval(chip: &Processor) -> MetricSet {
@@ -314,6 +331,35 @@ proptest! {
             let advised = |path: &str| chip.warnings.iter().any(|w| w.path == path);
             prop_assert_eq!(advised("core.clock_hz"), hz > 1.0e10);
             prop_assert_eq!(advised("device_type"), lstp && hz > 1.5e9);
+        }
+    }
+
+    /// The premise behind the DSE engine's row facts: on every preset
+    /// and a manycore LSTP chip, with and without power gating, a chip
+    /// walked up and down a clock ladder in place keeps its row base's
+    /// die area and total leakage bit for bit.
+    #[test]
+    fn retargeting_keeps_row_facts_bit_identical(a in 0.4..2.5f64, b in 0.4..2.5f64) {
+        for gating in [false, true] {
+            for mut cfg in row_fact_configs() {
+                cfg.power_gating = gating;
+                let base = Processor::build(&cfg).unwrap();
+                let facts = RowFacts::of(&base);
+                let mut chip = base.clone();
+                let f = cfg.clock_hz;
+                for hz in [f * a, f * a * 2.0, f * b, f * b * 0.5, 12.0e9, f * a, f] {
+                    chip.retarget_clock(hz).unwrap();
+                    let at = RowFacts::of(&chip);
+                    let step = format!("{} (gating {gating}) at {hz:e} Hz", cfg.name);
+                    prop_assert_eq!(at.area.to_bits(), facts.area.to_bits(), "area: {}", step);
+                    prop_assert_eq!(
+                        at.leakage.to_bits(),
+                        facts.leakage.to_bits(),
+                        "leakage: {}",
+                        step
+                    );
+                }
+            }
         }
     }
 

@@ -2,9 +2,10 @@
 //! Integration test: the four whole-chip validations of the McPAT paper.
 //!
 //! The paper reports component-level errors in the 10–25% range against
-//! published data; these tests pin our models into comparable bands so
-//! regressions in any layer (tech, circuit, array, core, uncore) surface
-//! immediately.
+//! published data. Each chip's power and area are pinned to a band three
+//! points above its measured error (EXPERIMENTS.md T-V1..4), so a
+//! regression in any layer (tech, circuit, array, core, uncore) that
+//! moves a chip away from its published numbers surfaces immediately.
 
 use mcpat::{Processor, ProcessorConfig};
 
@@ -12,61 +13,77 @@ struct Target {
     cfg: ProcessorConfig,
     published_power_w: f64,
     published_area_mm2: f64,
+    /// Largest accepted |relative error| of peak power.
+    power_band: f64,
+    /// Largest accepted |relative error| of die area.
+    area_band: f64,
 }
 
+/// Measured |error| (EXPERIMENTS.md T-V1..4) plus three points, to the
+/// nearest point.
 fn targets() -> Vec<Target> {
     vec![
         Target {
             cfg: ProcessorConfig::niagara(),
             published_power_w: 63.0,
             published_area_mm2: 378.0,
+            power_band: 0.14, // measured 11.1%
+            area_band: 0.25,  // measured 22.1%
         },
         Target {
             cfg: ProcessorConfig::niagara2(),
             published_power_w: 84.0,
             published_area_mm2: 342.0,
+            power_band: 0.17, // measured 13.8%
+            area_band: 0.18,  // measured 14.5%
         },
         Target {
             cfg: ProcessorConfig::alpha21364(),
             published_power_w: 125.0,
             published_area_mm2: 397.0,
+            power_band: 0.21, // measured 18.4%
+            area_band: 0.12,  // measured 9.1%
         },
         Target {
             cfg: ProcessorConfig::tulsa(),
             published_power_w: 150.0,
             published_area_mm2: 435.0,
+            power_band: 0.14, // measured 10.8%
+            area_band: 0.07,  // measured 3.9%
         },
     ]
 }
 
 #[test]
-fn chip_power_matches_published_within_30_percent() {
+fn chip_power_matches_published_within_measured_error_bands() {
     for t in targets() {
         let chip = Processor::build(&t.cfg).unwrap();
         let power = chip.peak_power().total();
         let err = (power - t.published_power_w).abs() / t.published_power_w;
         assert!(
-            err < 0.30,
-            "{}: modeled {power:.1} W vs published {:.1} W ({:.0}% error)",
+            err < t.power_band,
+            "{}: modeled {power:.1} W vs published {:.1} W ({:.1}% error, band {:.0}%)",
             t.cfg.name,
             t.published_power_w,
-            err * 100.0
+            err * 100.0,
+            t.power_band * 100.0
         );
     }
 }
 
 #[test]
-fn chip_area_matches_published_within_30_percent() {
+fn chip_area_matches_published_within_measured_error_bands() {
     for t in targets() {
         let chip = Processor::build(&t.cfg).unwrap();
         let area = chip.die_area_mm2();
         let err = (area - t.published_area_mm2).abs() / t.published_area_mm2;
         assert!(
-            err < 0.30,
-            "{}: modeled {area:.0} mm² vs published {:.0} mm² ({:.0}% error)",
+            err < t.area_band,
+            "{}: modeled {area:.0} mm² vs published {:.0} mm² ({:.1}% error, band {:.0}%)",
             t.cfg.name,
             t.published_area_mm2,
-            err * 100.0
+            err * 100.0,
+            t.area_band * 100.0
         );
     }
 }
