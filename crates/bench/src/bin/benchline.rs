@@ -1020,30 +1020,14 @@ fn main() {
     );
     print_span_summary();
 
-    // Lint wall time: the full workspace self-lint, cold (every file
-    // re-analyzed) vs warm (every file served from the content-hash
-    // facts cache, cross-file passes still live). The warm closure
-    // reloads the cache file each rep — that is what a real
-    // `cargo lint --cache` run pays.
+    // Lint wall time: one full workspace self-lint.
     let lint_srcs = mcpat_lint::collect_workspace_sources(&mcpat_lint::default_root())
         .unwrap_or_else(|e| die(&format!("cannot enumerate lint sources: {e}")));
     let lint_cold_ms = median_ms(reps, || {
         let _ = mcpat_lint::lint_sources(&lint_srcs);
     });
-    let lint_cache_path =
-        std::env::temp_dir().join(format!("benchline-lint-cache-{revision}.json"));
-    let mut seed_cache = mcpat_lint::cache::Cache::default();
-    let _ = mcpat_lint::lint_sources_cached(&lint_srcs, &mut seed_cache);
-    if let Err(e) = seed_cache.store(&lint_cache_path) {
-        die(&format!("cannot write lint cache: {e}"));
-    }
-    let lint_warm_ms = median_ms(reps, || {
-        let mut cache = mcpat_lint::cache::Cache::load(&lint_cache_path);
-        let _ = mcpat_lint::lint_sources_cached(&lint_srcs, &mut cache);
-    });
-    let _ = std::fs::remove_file(&lint_cache_path);
     eprintln!(
-        "benchline: workspace self-lint cold {lint_cold_ms:.3} ms | warm-cache {lint_warm_ms:.3} ms ({} files)",
+        "benchline: workspace self-lint cold {lint_cold_ms:.3} ms ({} files)",
         lint_srcs.len()
     );
 
@@ -1071,7 +1055,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"lint\": {{ \"files\": {}, \"cold_ms\": {lint_cold_ms:.4}, \"warm_cache_ms\": {lint_warm_ms:.4} }},",
+        "  \"lint\": {{ \"files\": {}, \"cold_ms\": {lint_cold_ms:.4} }},",
         lint_srcs.len()
     );
     let _ = writeln!(

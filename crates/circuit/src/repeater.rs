@@ -229,7 +229,8 @@ impl RepeaterInvariants {
     /// The fast equivalent of [`RepeatedWire::build`] for one sweep entry.
     fn build(&self, length: f64, gate_idx: usize, spacing_derate: f64) -> RepeatedWire {
         let seg_len = (self.l_opt * spacing_derate).min(length.max(1e-9));
-        // lint: allow(L001, index is reduced modulo the array length so it is always in bounds)
+        // The index is reduced modulo the array length, so it is always in bounds.
+        #[allow(clippy::indexing_slicing)]
         let gate = self.gates[gate_idx % self.gates.len()];
         let num_repeaters = (length / seg_len).ceil().max(1.0) as usize;
         let seg_len = length / num_repeaters as f64;

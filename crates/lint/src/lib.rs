@@ -1,37 +1,33 @@
 //! # mcpat-lint — the workspace invariant checker
 //!
-//! PR 1 made the modeling core panic-free and PR 2 made it concurrent;
-//! this crate makes those properties *enforced* instead of
-//! conventional. It tokenizes every `crates/*/src` file with a small
-//! hand-rolled lexer ([`lexer`]) — no rustc plumbing, no network —
-//! builds a per-file structural IR ([`parse`], [`ir`]: items, impls,
-//! functions, loops, calls, `use` resolution) and a cross-crate call
-//! graph ([`callgraph`]), and checks the project invariants as named
-//! rules ([`rules`]) with `file:line` diagnostics that reuse
-//! [`mcpat_diag::Severity`].
+//! Clippy enforces the generic panic-freedom invariants (see the
+//! `[workspace.lints.clippy]` deny table); this crate enforces the
+//! project-specific ones clippy cannot express. It tokenizes every
+//! `crates/*/src` file with a small hand-rolled lexer ([`lexer`]) — no
+//! rustc plumbing, no network — builds a per-file structural IR
+//! ([`parse`], [`ir`]: items, impls, functions, loops, calls, `use`
+//! resolution) and a cross-crate call graph ([`callgraph`]), and checks
+//! the project invariants as named rules ([`rules`]) with `file:line`
+//! diagnostics that reuse [`mcpat_diag::Severity`].
 //!
 //! Run it as `cargo lint` (alias for `cargo run -p mcpat-lint`; exit
 //! code 1 on violations). `--json`/`--sarif` emit machine-readable
-//! reports; `--cache FILE` skips re-analysis of unchanged files by
-//! content hash ([`cache`]). A violation that is genuinely fine
-//! carries a `// lint: allow(L00n, reason)` annotation at the site;
-//! the reason is mandatory and unused annotations are themselves
-//! reported, so the set of exceptions stays audited.
+//! reports. A violation that is genuinely fine carries a
+//! `// lint: allow(L00n, reason)` annotation at the site; the reason is
+//! mandatory and unused annotations are themselves reported, so the set
+//! of exceptions stays audited.
 //!
-//! The pipeline has two stages. Per file (pure in the file's bytes,
-//! hence cacheable): lex → parse → single-file rules → *facts* (allow
-//! annotations, L004 struct/validate evidence, L008/L012 function
-//! summaries). Globally (always re-run, cheap): the per-crate L004
-//! pass, the call-graph build and checkpoint-reachability pass, allow
+//! The pipeline has two stages. Per file: lex → parse → single-file
+//! rules → *facts* (allow annotations, L004 struct/validate evidence,
+//! L008/L012 function summaries). Globally: the per-crate L004 pass,
+//! the call-graph build and checkpoint-reachability pass, allow
 //! application.
 //!
 //! See `DESIGN.md` § "Static analysis & invariants" for the rationale
 //! behind each rule.
 
-pub mod cache;
 pub mod callgraph;
 pub mod ir;
-mod json;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
@@ -139,6 +135,7 @@ impl Report {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -168,7 +165,7 @@ pub struct Source {
     pub text: String,
 }
 
-/// Analyzes one source through the per-file (cacheable) stage:
+/// Analyzes one source through the per-file stage:
 /// lex → parse → single-file rules → facts.
 fn analyze_one(src: &Source) -> FileAnalysis {
     let lexed = lexer::lex(&src.text);
@@ -190,27 +187,7 @@ fn analyze_one(src: &Source) -> FileAnalysis {
 /// allow suppression.
 #[must_use]
 pub fn lint_sources(sources: &[Source]) -> Report {
-    lint_sources_cached(sources, &mut cache::Cache::default())
-}
-
-/// [`lint_sources`], consulting (and filling) an incremental cache:
-/// a file whose content hash matches reuses its stored facts instead
-/// of being re-analyzed. The cross-file passes always re-run over the
-/// facts, so a change in one file still updates interprocedural
-/// findings everywhere.
-#[must_use]
-pub fn lint_sources_cached(sources: &[Source], file_cache: &mut cache::Cache) -> Report {
-    let analyses: Vec<FileAnalysis> = sources
-        .iter()
-        .map(|src| {
-            let hash = cache::content_hash(&src.text);
-            file_cache.take(&src.path, hash).unwrap_or_else(|| {
-                let analysis = analyze_one(src);
-                file_cache.put(&src.path, hash, &analysis);
-                analysis
-            })
-        })
-        .collect();
+    let analyses: Vec<FileAnalysis> = sources.iter().map(analyze_one).collect();
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows_by_file: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
@@ -347,21 +324,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(lint_sources(&collect_workspace_sources(root)?))
 }
 
-/// Lints the whole workspace with an incremental cache at
-/// `cache_path`: loaded before, stored after (best-effort — a cache
-/// that cannot be written does not fail the lint).
-///
-/// # Errors
-///
-/// An [`std::io::Error`] if sources cannot be enumerated or read.
-pub fn lint_workspace_cached(root: &Path, cache_path: &Path) -> std::io::Result<Report> {
-    let sources = collect_workspace_sources(root)?;
-    let mut file_cache = cache::Cache::load(cache_path);
-    let report = lint_sources_cached(&sources, &mut file_cache);
-    let _ = file_cache.store(cache_path);
-    Ok(report)
-}
-
 /// The workspace root this crate was compiled in — the default lint
 /// target for `cargo run -p mcpat-lint` and the self-run test.
 #[must_use]
@@ -398,12 +360,12 @@ mod tests {
 
     #[test]
     fn report_renders_and_serializes() {
-        let report = lint_source("bad.rs", "pub fn f(v: &[u32]) -> u32 { v[0] }\n");
+        let report = lint_source("bad.rs", "pub fn f(x: f64) -> bool { x == 0.0 }\n");
         assert!(report.has_errors());
         let json = report.to_json();
-        assert!(json.contains("\"rule\": \"L001\""), "{json}");
+        assert!(json.contains("\"rule\": \"L002\""), "{json}");
         assert!(json.contains("\"line\": 1"), "{json}");
         let human = report.render();
-        assert!(human.contains("error[L001]: bad.rs:1:"), "{human}");
+        assert!(human.contains("error[L002]: bad.rs:1:"), "{human}");
     }
 }

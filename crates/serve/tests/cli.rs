@@ -1,4 +1,9 @@
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 //! Integration tests for the `mcpat` command-line front-end.
 //!
 //! Exit-code contract under test: 0 success, 2 usage error, 3 invalid

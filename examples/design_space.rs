@@ -1,4 +1,9 @@
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 //! The paper's case study in miniature: sweep manycore design points —
 //! in-order vs out-of-order cores, clustering degree {1,2,4,8} cores per
 //! shared L2 — at 22 nm, simulate a parallel workload, and rank the

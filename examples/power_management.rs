@@ -1,4 +1,9 @@
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 //! Power-management features end to end: DVFS ladder, per-core power
 //! gating, clock gating, and the leakage–temperature convergence loop.
 //!
