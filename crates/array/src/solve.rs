@@ -371,8 +371,15 @@ const MAX_LANES: usize = 16;
 /// `1 + CYCLE_RELAX_FACTORS + 1 = 6`.
 const MAX_THRESHOLDS: usize = 6;
 
-/// Upper bound on `nspd` options per bounds table (the widest is 5).
-const MAX_NSPD: usize = 8;
+/// Upper bound on `nspd` options per bounds table (the widest,
+/// `WIDE_RAM`, has 5). Sizes the stack-resident geometry tables of one
+/// enumeration pass.
+const MAX_NSPD: usize = 5;
+
+/// Upper bound on outer `(nspd, ndbl)` cells per enumeration pass:
+/// `MAX_NSPD` options times the 10 powers of two up to the widest
+/// `max_ndbl` (512).
+const MAX_CELLS: usize = MAX_NSPD * 10;
 
 /// Test-only escape hatch: routes [`solve_uncached`] through the
 /// retained [`reference`] implementation so differential tests can
@@ -746,96 +753,87 @@ fn enumerate(
     let entries = spec.entries as usize;
     let bits = spec.bits_per_entry as usize;
 
-    // All enumeration scratch (the cell list and the per-nspd geometry
-    // tables) lives in the thread's bump arena: the first solve on a
-    // thread grows it, every later solve reuses the same chunks and
-    // allocates nothing.
-    mcpat_arena::scratch(|scratch| {
-        let geom_sets = scratch.alloc_fill(MAX_NSPD, GeomSet::empty());
-        let mut n_sets = 0usize;
-        let max_cells = bounds
-            .nspd_options
-            .len()
-            .saturating_mul(pow2s_up_to(bounds.max_ndbl).count());
-        let cells_buf = scratch.alloc_fill(
-            max_cells,
-            OuterCell {
-                nspd: 0,
-                ndbl: 0,
-                rows_per_mat: 0,
-                geom_idx: 0,
-            },
-        );
-        let mut n_cells = 0usize;
-        for &nspd in bounds.nspd_options {
-            budget_check(spec)?;
-            if nspd > entries {
+    // All enumeration scratch lives on the stack: the bounds tables cap
+    // it at MAX_NSPD geometry tables and MAX_CELLS outer cells, so a
+    // solve allocates nothing here. Unused geometry slots stay `None`
+    // and are never filled.
+    let mut geom_sets: [Option<GeomSet>; MAX_NSPD] = [None; MAX_NSPD];
+    let mut n_sets = 0usize;
+    let mut cells_buf = [OuterCell {
+        nspd: 0,
+        ndbl: 0,
+        rows_per_mat: 0,
+        geom_idx: 0,
+    }; MAX_CELLS];
+    let mut n_cells = 0usize;
+    for &nspd in bounds.nspd_options {
+        budget_check(spec)?;
+        if nspd > entries {
+            continue;
+        }
+        let rows_total = entries.div_ceil(nspd);
+        let cols_total = bits * nspd;
+        let Some(slot) = geom_sets.get_mut(n_sets) else {
+            break;
+        };
+        *slot = Some(GeomSet::build(inv, bounds, cols_total));
+        let geom_idx = n_sets;
+        n_sets += 1;
+        for ndbl in pow2s_up_to(bounds.max_ndbl.min(rows_total)) {
+            let rows_per_mat = rows_total.div_ceil(ndbl);
+            if rows_per_mat > bounds.max_rows_per_mat {
                 continue;
             }
-            let rows_total = entries.div_ceil(nspd);
-            let cols_total = bits * nspd;
-            let Some(slot) = geom_sets.get_mut(n_sets) else {
+            let Some(cell) = cells_buf.get_mut(n_cells) else {
                 break;
             };
-            *slot = GeomSet::build(inv, bounds, cols_total);
-            let geom_idx = n_sets;
-            n_sets += 1;
-            for ndbl in pow2s_up_to(bounds.max_ndbl.min(rows_total)) {
-                let rows_per_mat = rows_total.div_ceil(ndbl);
-                if rows_per_mat > bounds.max_rows_per_mat {
-                    continue;
-                }
-                let Some(cell) = cells_buf.get_mut(n_cells) else {
-                    break;
-                };
-                *cell = OuterCell {
-                    nspd,
-                    ndbl,
-                    rows_per_mat,
-                    geom_idx,
-                };
-                n_cells += 1;
-            }
+            *cell = OuterCell {
+                nspd,
+                ndbl,
+                rows_per_mat,
+                geom_idx,
+            };
+            n_cells += 1;
         }
-        let cells: &[OuterCell] = cells_buf.get(..n_cells).unwrap_or(&[]);
-        let geom_sets: &[GeomSet] = geom_sets;
+    }
+    let cells: &[OuterCell] = cells_buf.get(..n_cells).unwrap_or(&[]);
 
-        let min_parallel = if spec.total_bits() >= PAR_SWEEP_MIN_BITS {
-            2
-        } else {
-            usize::MAX
-        };
-        budget_check(spec)?;
-        let sweeps = mcpat_par::par_map(cells, min_parallel, |_, cell| {
-            let geoms = geom_sets
-                .get(cell.geom_idx)
-                .map(GeomSet::as_slice)
-                .unwrap_or(&[]);
-            sweep_cell(inv, spec, target, thresholds, cell, geoms)
-        })
-        .map_err(|e| ArrayError::Worker {
-            name: spec.name.clone(),
-            detail: e.to_string(),
-        })?;
-
-        let mut best = BestSet::empty();
-        let mut best_cycle_seen = f64::INFINITY;
-        // Surface per-cell budget trips in input order so the winning
-        // error is deterministic regardless of how the sweep was
-        // scheduled.
-        for sweep in sweeps {
-            let (partial, cycle) = sweep?;
-            best_cycle_seen = best_cycle_seen.min(cycle);
-            for (slot, cand) in best.slots.iter_mut().zip(partial.slots) {
-                if let Some(c) = cand {
-                    if slot.is_none_or(|b| better(&c, &b)) {
-                        *slot = Some(c);
-                    }
-                }
-            }
-        }
-        Ok((best, best_cycle_seen))
+    let min_parallel = if spec.total_bits() >= PAR_SWEEP_MIN_BITS {
+        2
+    } else {
+        usize::MAX
+    };
+    budget_check(spec)?;
+    let sweeps = mcpat_par::par_map(cells, min_parallel, |_, cell| {
+        let geoms = geom_sets
+            .get(cell.geom_idx)
+            .and_then(Option::as_ref)
+            .map(GeomSet::as_slice)
+            .unwrap_or(&[]);
+        sweep_cell(inv, spec, target, thresholds, cell, geoms)
     })
+    .map_err(|e| ArrayError::Worker {
+        name: spec.name.clone(),
+        detail: e.to_string(),
+    })?;
+
+    let mut best = BestSet::empty();
+    let mut best_cycle_seen = f64::INFINITY;
+    // Surface per-cell budget trips in input order so the winning
+    // error is deterministic regardless of how the sweep was
+    // scheduled.
+    for sweep in sweeps {
+        let (partial, cycle) = sweep?;
+        best_cycle_seen = best_cycle_seen.min(cycle);
+        for (slot, cand) in best.slots.iter_mut().zip(partial.slots) {
+            if let Some(c) = cand {
+                if slot.is_none_or(|b| better(&c, &b)) {
+                    *slot = Some(c);
+                }
+            }
+        }
+    }
+    Ok((best, best_cycle_seen))
 }
 
 /// Runs the optimizer. Prefer [`ArraySpec::solve`].
@@ -1279,6 +1277,27 @@ mod tests {
 
     fn tech() -> TechParams {
         TechParams::new(TechNode::N65, DeviceType::Hp, 360.0)
+    }
+
+    /// The enumeration scratch is fixed-size: a bounds table wider than
+    /// `MAX_NSPD` options or `MAX_CELLS` outer cells would silently cut
+    /// the sweep short and could change the chosen partition.
+    #[test]
+    fn bounds_tables_fit_the_stack_scratch() {
+        for (name, bounds) in [
+            ("NORMAL_RAM", &NORMAL_RAM),
+            ("WIDE_RAM", &WIDE_RAM),
+            ("NORMAL_CAM", &NORMAL_CAM),
+            ("WIDE_CAM", &WIDE_CAM),
+        ] {
+            let nspd = bounds.nspd_options.len();
+            let cells = nspd * pow2s_up_to(bounds.max_ndbl).count();
+            assert!(nspd <= MAX_NSPD, "{name}: {nspd} nspd options > MAX_NSPD");
+            assert!(
+                cells <= MAX_CELLS,
+                "{name}: {cells} outer cells > MAX_CELLS"
+            );
+        }
     }
 
     #[test]

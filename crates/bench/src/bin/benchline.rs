@@ -179,8 +179,8 @@ struct Row {
 /// Times one workload in the three modes. `reps` runs per mode, median
 /// reported. The solve cache is disabled for the serial and parallel
 /// columns and pre-warmed for the warm column. Each mode also reports
-/// the heap allocations of one run, so arena wins on the cold path are
-/// visible in every mode, not just serial.
+/// the heap allocations of one run, so allocation changes on the cold
+/// path are visible in every mode, not just serial.
 fn bench(name: &'static str, reps: usize, mut work: impl FnMut()) -> Row {
     // Serial: one thread, no cache.
     memo::set_enabled(false);

@@ -199,30 +199,30 @@ pub(crate) fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool
         && *vdd_scale == b.vdd_scale
 }
 
-/// Groups candidates by configuration identity (up to the name):
-/// writes each candidate's representative slot into `assignment` and
-/// returns the representatives' candidate indices in first-occurrence
-/// order. The streaming DSE engine ([`crate::dse`]) dedupes with the
-/// same [`eq_ignoring_name`] identity, applied once per row.
-pub(crate) fn assign_duplicates(
-    candidates: &[ProcessorConfig],
-    assignment: &mut [usize],
-) -> Vec<usize> {
+/// Groups candidates by configuration identity (up to the name).
+/// Returns each candidate's representative slot, and the
+/// representatives' candidate indices in first-occurrence order. The
+/// streaming DSE engine ([`crate::dse`]) dedupes with the same
+/// [`eq_ignoring_name`] identity, applied once per row.
+pub(crate) fn assign_duplicates(candidates: &[ProcessorConfig]) -> (Vec<usize>, Vec<usize>) {
     let mut reps: Vec<usize> = Vec::new();
-    for (i, (cfg, slot_out)) in candidates.iter().zip(assignment.iter_mut()).enumerate() {
-        *slot_out = reps
-            .iter()
-            .position(|&r| {
-                candidates
-                    .get(r)
-                    .is_some_and(|rep| eq_ignoring_name(rep, cfg))
-            })
-            .unwrap_or_else(|| {
-                reps.push(i);
-                reps.len() - 1
-            });
-    }
-    reps
+    let assignment = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| {
+            reps.iter()
+                .position(|&r| {
+                    candidates
+                        .get(r)
+                        .is_some_and(|rep| eq_ignoring_name(rep, cfg))
+                })
+                .unwrap_or_else(|| {
+                    reps.push(i);
+                    reps.len() - 1
+                })
+        })
+        .collect();
+    (assignment, reps)
 }
 
 /// Builds and evaluates every candidate, filters by budgets, and
@@ -289,77 +289,70 @@ where
     F: FnMut(&Processor) -> MetricSet,
 {
     // Assign every candidate to the first candidate with the same
-    // configuration; representatives build, the rest share. The
-    // assignment table is batch-scoped scratch: it lives in the
-    // thread-local arena and its memory is reused by the per-candidate
-    // build scopes of later batches.
-    mcpat_arena::scratch(|scratch| {
-        let assignment = scratch.alloc_fill(candidates.len(), 0usize);
-        let unique: Vec<&ProcessorConfig> = assign_duplicates(candidates, assignment)
-            .into_iter()
-            .filter_map(|i| candidates.get(i))
-            .collect();
+    // configuration; representatives build, the rest share.
+    let (assignment, reps) = assign_duplicates(candidates);
+    let unique: Vec<&ProcessorConfig> =
+        reps.into_iter().filter_map(|i| candidates.get(i)).collect();
 
-        let builds = mcpat_par::par_map(&unique, 2, |_, cfg| {
-            // One budget checkpoint per representative candidate.
-            checkpoint("explore")?;
-            let r = Processor::build(cfg);
-            if r.is_ok() {
-                mcpat_guard::note_candidate();
-            }
-            r
-        })
-        .map_err(worker_failure("explore"))?;
-        // Representatives are in first-occurrence order, and duplicates
-        // of a failing config fail identically, so the first failing
-        // representative is the first failing candidate.
-        let mut chips = Vec::with_capacity(builds.len());
-        for built in builds {
-            chips.push(built?);
+    let builds = mcpat_par::par_map(&unique, 2, |_, cfg| {
+        // One budget checkpoint per representative candidate.
+        checkpoint("explore")?;
+        let r = Processor::build(cfg);
+        if r.is_ok() {
+            mcpat_guard::note_candidate();
         }
-
-        let mut feasible = Vec::new();
-        let mut rejected = Vec::new();
-        for (cfg, &slot) in candidates.iter().zip(assignment.iter()) {
-            // Every slot indexes a built representative by construction.
-            let Some(rep) = chips.get(slot) else { continue };
-            // Duplicates get a re-labeled copy so the evaluator and the
-            // result rows observe exactly the chip a per-candidate build
-            // would give — same values, this candidate's name.
-            let relabeled;
-            let chip: &Processor = if rep.config.name == cfg.name {
-                rep
-            } else {
-                let mut c = rep.clone();
-                c.config.name.clone_from(&cfg.name);
-                relabeled = c;
-                &relabeled
-            };
-            let area = chip.die_area();
-            let peak = chip.peak_power().total();
-            if area > budgets.max_area || peak > budgets.max_peak_power {
-                rejected.push(cfg.name.clone());
-                continue;
-            }
-            let metrics = evaluate(chip);
-            feasible.push(Candidate {
-                name: cfg.name.clone(),
-                area,
-                peak_power: peak,
-                metrics,
-            });
-        }
-
-        let pareto = pareto_front(&feasible);
-        Ok((
-            Exploration {
-                feasible,
-                rejected,
-                pareto,
-            },
-            unique.len(),
-        ))
+        r
     })
+    .map_err(worker_failure("explore"))?;
+    // Representatives are in first-occurrence order, and duplicates
+    // of a failing config fail identically, so the first failing
+    // representative is the first failing candidate.
+    let mut chips = Vec::with_capacity(builds.len());
+    for built in builds {
+        chips.push(built?);
+    }
+
+    let mut feasible = Vec::new();
+    let mut rejected = Vec::new();
+    for (cfg, &slot) in candidates.iter().zip(assignment.iter()) {
+        // Every slot indexes a built representative by construction.
+        let Some(rep) = chips.get(slot) else { continue };
+        // Duplicates get a re-labeled copy so the evaluator and the
+        // result rows observe exactly the chip a per-candidate build
+        // would give — same values, this candidate's name.
+        let relabeled;
+        let chip: &Processor = if rep.config.name == cfg.name {
+            rep
+        } else {
+            let mut c = rep.clone();
+            c.config.name.clone_from(&cfg.name);
+            relabeled = c;
+            &relabeled
+        };
+        let area = chip.die_area();
+        let peak = chip.peak_power().total();
+        if area > budgets.max_area || peak > budgets.max_peak_power {
+            rejected.push(cfg.name.clone());
+            continue;
+        }
+        let metrics = evaluate(chip);
+        feasible.push(Candidate {
+            name: cfg.name.clone(),
+            area,
+            peak_power: peak,
+            metrics,
+        });
+    }
+
+    let pareto = pareto_front(&feasible);
+    Ok((
+        Exploration {
+            feasible,
+            rejected,
+            pareto,
+        },
+        unique.len(),
+    ))
 }
 
 /// Probe accounting of [`max_clock_under_power_budget_with_perf`].

@@ -250,13 +250,7 @@ impl Processor {
     /// (with the complete findings), or [`McpatError::Array`] naming the
     /// component whose storage array could not be solved.
     pub fn build(config: &ProcessorConfig) -> Result<Processor, McpatError> {
-        // One arena mark per solving build: every solver scratch
-        // allocation made inline on this thread rolls back when the
-        // build finishes, so back-to-back builds (warm sweeps,
-        // exploration) reuse one retained chunk.
-        Self::scoped("build", || {
-            mcpat_arena::scratch(|_scratch| Self::build_inner(config))
-        })
+        Self::scoped("build", || Self::build_inner(config))
     }
 
     /// Runs one build body — a full build or a delta rebuild — inside
@@ -455,9 +449,6 @@ impl Processor {
     /// validation, or any build error from the re-solved components.
     pub fn rebuild_with(&self, delta: Delta) -> Result<Processor, McpatError> {
         match delta {
-            // A clock probe solves no arrays, so it takes no arena mark;
-            // on this hot path even the extra by-value return of the
-            // ~10 KB chip through the mark's closure is measurable.
             Delta::Clock(hz) if !clock_delta_rebuilds_fully(&self.config) => {
                 Self::scoped("rebuild_with.clock", || {
                     let mut next = self.clone();
@@ -468,7 +459,7 @@ impl Processor {
             // Without an L2 the resize is a no-op patch.
             Delta::CacheSize(_) if self.config.l2.is_some() => {
                 Self::scoped("rebuild_with.cache", || {
-                    mcpat_arena::scratch(|_scratch| self.rebuild_cache(delta.apply(&self.config)))
+                    self.rebuild_cache(delta.apply(&self.config))
                 })
             }
             _ => Processor::build(&delta.apply(&self.config)),

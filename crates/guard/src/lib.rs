@@ -577,15 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_all_hits_live_budgets_only() {
-        let before = Budget::unbounded();
-        cancel_all();
-        let after = Budget::unbounded();
-        assert!(before.is_cancelled());
-        assert!(!after.is_cancelled());
-    }
-
-    #[test]
     fn errors_render_and_compare() {
         let p = Progress {
             candidates_done: 4,

@@ -1,6 +1,6 @@
 //! L009 fixture: a marked hot region that hits the global allocator on
 //! every candidate — fresh `Vec`s, formatted labels, and clones inside
-//! the loop instead of arena scratch or hoisted lanes.
+//! the loop instead of a fixed-size buffer hoisted out of it.
 
 pub fn score_candidates(cells: &[(usize, usize)]) -> f64 {
     let mut best = f64::INFINITY;

@@ -746,8 +746,8 @@ fn hot_ranges(lexed: &Lexed) -> Vec<(usize, usize)> {
 /// thousands of times per cold build), where a single `Vec::new` or
 /// `.clone()` of a non-`Copy` value turns into allocator churn that
 /// dominates the profile. Flags owning-container constructors,
-/// copy-to-heap methods, and allocating macros; scratch should come
-/// from the arena or fixed-size lanes hoisted out of the loop.
+/// copy-to-heap methods, and allocating macros; scratch should be a
+/// fixed-size buffer hoisted out of the loop.
 fn check_hot_allocs(
     file: &str,
     lexed: &Lexed,
@@ -792,9 +792,9 @@ fn check_hot_allocs(
                 line: t.line,
                 alt_line: None,
                 message: format!(
-                    "heap allocation `{name}` inside a `lint: hot` region; reuse arena \
-                     scratch or fixed-size lanes hoisted out of the candidate loop — or \
-                     justify with `// lint: allow(L009, reason)`"
+                    "heap allocation `{name}` inside a `lint: hot` region; hoist a \
+                     fixed-size buffer out of the candidate loop — or justify with \
+                     `// lint: allow(L009, reason)`"
                 ),
             });
         }

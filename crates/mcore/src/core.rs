@@ -159,16 +159,6 @@ impl CoreModel {
         if diags.has_errors() {
             return Err(CoreBuildError::Invalid(diags));
         }
-        // One arena mark per core build: solver scratch allocated on
-        // this thread (the pool inlines unit builds when it has no
-        // spare workers) rolls back here, so the thread-local chunk is
-        // reused across every unit and across repeated builds instead
-        // of round-tripping the global allocator. Pool workers keep
-        // their own retained arenas.
-        mcpat_arena::scratch(|_scratch| Self::build_units(tech, cfg))
-    }
-
-    fn build_units(tech: &TechParams, cfg: &CoreConfig) -> Result<CoreModel, CoreBuildError> {
         // The array-solving units are independent of each other; build
         // them concurrently when threads are available. Exu, pipeline
         // and misc are closed-form (no solver) and stay inline.

@@ -24,8 +24,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Counts this thread's heap allocations so the arena-reuse test can
-/// assert the cold exploration batch's allocation budget through the
+/// Counts this thread's heap allocations so the allocation-ceiling test
+/// can assert the cold exploration batch's allocation budget through the
 /// same `register_alloc_probe` seam benchline uses.
 struct CountingAlloc;
 
@@ -476,9 +476,9 @@ fn soa_sweep_matches_reference_on_both_relaxation_rungs() {
     );
 }
 
-/// The committed pre-arena baseline ran `explore_batch_16_candidates`
-/// at 3870 serial allocations. The SoA sweep plus per-build arenas
-/// must hold the cold batch at a ≥30% reduction: ≤ 2709.
+/// The committed pre-SoA baseline ran `explore_batch_16_candidates`
+/// at 3870 serial allocations. The SoA sweep over stack-resident
+/// solver scratch must hold the cold batch at a ≥30% reduction: ≤ 2709.
 const EXPLORE_BATCH_ALLOC_CEILING: u64 = 2709;
 
 #[test]
@@ -502,15 +502,15 @@ fn arena_reuse_cuts_explore_batch_allocs_at_least_30_percent() {
         })
         .collect();
     let eval = |c: &Processor| MetricSet::from_power(10.0, 1.0, c.die_area());
-    // One warm-up pass grows the thread-local arenas and lazy
-    // statics; the measured pass is the steady state every sweep
+    // One warm-up pass initializes the lazy statics and pool state;
+    // the measured pass is the steady state every sweep
     // scenario lives in.
     let _ = explore_batch(&cands, Budgets::default(), eval).unwrap();
     let (_, perf) = explore_batch(&cands, Budgets::default(), eval).unwrap();
     assert!(perf.allocs > 0, "the alloc probe must be live");
     assert!(
         perf.allocs <= EXPLORE_BATCH_ALLOC_CEILING,
-        "explore_batch_16_candidates ran {} allocations; the arena pass must stay \
+        "explore_batch_16_candidates ran {} allocations; the cold batch must stay \
          at or below {} (>=30% under the committed baseline's 3870)",
         perf.allocs,
         EXPLORE_BATCH_ALLOC_CEILING
