@@ -508,14 +508,20 @@ const MAX_DSE_ALLOCS_PER_CANDIDATE: f64 = 3.0;
 /// so the ratio is host-independent.
 const MIN_SERVE_WARM_SPEEDUP: f64 = 5.0;
 
+/// Round trips behind each serve median, whatever `--quick` says: at 3
+/// the warm/cold ratio wandered across its floor on a 2-vCPU host,
+/// while 301 trips read the same ratio run after run.
+const SERVE_ROUND_TRIPS: usize = 301;
+
 /// Median request latencies against an in-process `mcpat serve`
-/// daemon over real loopback TCP: `(cold_ms, warm_ms)`. Cold clears
+/// daemon over real loopback TCP, each over [`SERVE_ROUND_TRIPS`]
+/// round trips: `(cold_ms, warm_ms)`. Cold clears
 /// the shared solve cache before every request (each build does its
 /// full solver work); warm leaves the cache populated, so the request
 /// pays only lookup + relabel + render + the wire round trip. Serial
 /// requests on one connection — the concurrency story is covered by
 /// the daemon's own tests; this row times the cache seam.
-fn serve_request_latencies(reps: usize) -> (f64, f64) {
+fn serve_request_latencies() -> (f64, f64) {
     use std::io::{BufRead as _, BufReader, Write as _};
 
     let server = mcpat_serve::Server::bind(
@@ -563,8 +569,8 @@ fn serve_request_latencies(reps: usize) -> (f64, f64) {
     memo::set_enabled(true);
     memo::clear();
     roundtrip(request); // warm code paths; leaves the cache populated
-    let warm_ms = median_ms(reps, || roundtrip(request));
-    let cold_ms = median_ms(reps, || {
+    let warm_ms = median_ms(SERVE_ROUND_TRIPS, || roundtrip(request));
+    let cold_ms = median_ms(SERVE_ROUND_TRIPS, || {
         memo::clear();
         roundtrip(request);
     });
@@ -1012,7 +1018,7 @@ fn main() {
     // Serve daemon round-trip latency: cold (cache cleared per request)
     // vs warm (every solve resident in the shared cache), both over a
     // real loopback TCP connection to an in-process daemon.
-    let (serve_cold_ms, serve_warm_ms) = serve_request_latencies(reps);
+    let (serve_cold_ms, serve_warm_ms) = serve_request_latencies();
     let serve_warm_vs_cold = ratio(serve_cold_ms, serve_warm_ms);
     eprintln!(
         "benchline: serve request cold {serve_cold_ms:.3} ms | warm shared-cache \
@@ -1063,7 +1069,8 @@ fn main() {
         "  \"serve\": {{ \"cold_request_ms\": {serve_cold_ms:.4}, \
          \"warm_request_ms\": {serve_warm_ms:.4}, \
          \"warm_vs_cold_speedup\": {serve_warm_vs_cold:.2}, \
-         \"min_allowed_speedup\": {MIN_SERVE_WARM_SPEEDUP} }},"
+         \"min_allowed_speedup\": {MIN_SERVE_WARM_SPEEDUP}, \
+         \"round_trips\": {SERVE_ROUND_TRIPS} }},"
     );
     let _ = writeln!(
         json,

@@ -3,11 +3,18 @@
 
 use mcpat_diag::Diagnostics;
 use mcpat_interconnect::noc::Topology;
-use mcpat_mcore::config::CoreConfig;
+use mcpat_mcore::config::{CoreConfig, MAX_CALIBRATED_CLOCK_HZ};
 use mcpat_tech::{DeviceType, TechNode, WireProjection};
 use mcpat_uncore::memctrl::MemCtrlConfig;
 use mcpat_uncore::shared_cache::SharedCacheConfig;
 use serde::{Deserialize, Serialize};
+
+/// LSTP chips clocked above this draw a device advisory from
+/// [`ProcessorConfig::validate`], Hz.
+pub const LSTP_MAX_CLOCK_HZ: f64 = 1.5e9;
+
+/// Where [`ProcessorConfig::validate`] reports an empty name.
+pub(crate) const UNNAMED_FINDING_PATH: &str = "name";
 
 /// On-chip fabric description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -339,6 +346,19 @@ impl ProcessorConfig {
             .unwrap_or(self.num_cores)
     }
 
+    /// True if `hz`, as the chip and the core clock, trips none of the
+    /// clock rules of [`ProcessorConfig::validate`]: both clocks must be
+    /// finite and positive, an LSTP chip above [`LSTP_MAX_CLOCK_HZ`]
+    /// and a core above [`MAX_CALIBRATED_CLOCK_HZ`] draw advisories.
+    /// Between two quiet clocks every finding stays the same.
+    #[must_use]
+    pub(crate) fn clock_is_quiet(&self, hz: f64) -> bool {
+        hz.is_finite()
+            && hz > 0.0
+            && hz <= MAX_CALIBRATED_CLOCK_HZ
+            && !(self.device_type == DeviceType::Lstp && hz > LSTP_MAX_CLOCK_HZ)
+    }
+
     /// Full validation of the configuration.
     ///
     /// A collecting pass: reports **every** violated invariant and every
@@ -350,7 +370,7 @@ impl ProcessorConfig {
     pub fn validate(&self) -> Diagnostics {
         let mut d = Diagnostics::new();
         if self.name.is_empty() {
-            d.warning("name", "unnamed configuration");
+            d.warning(UNNAMED_FINDING_PATH, "unnamed configuration");
         }
 
         // Global operating point.
@@ -405,7 +425,7 @@ impl ProcessorConfig {
             );
         }
 
-        if self.device_type == DeviceType::Lstp && self.clock_hz > 1.5e9 {
+        if self.device_type == DeviceType::Lstp && self.clock_hz > LSTP_MAX_CLOCK_HZ {
             d.warning(
                 "device_type",
                 format!(
@@ -559,6 +579,57 @@ mod tests {
             "mc.channels",
         ] {
             assert!(paths.contains(&p), "missing {p} in {paths:?}");
+        }
+    }
+
+    #[test]
+    fn clock_advisories_fire_just_above_the_shared_thresholds() {
+        let clock_findings = |device: DeviceType, hz: f64| {
+            let mut cfg = ProcessorConfig::niagara();
+            cfg.device_type = device;
+            cfg.clock_hz = hz;
+            cfg.core.clock_hz = hz;
+            let d = cfg.validate();
+            let at = |path: &str| d.iter().filter(|f| f.path == path).count();
+            (at("clock_hz") + at("core.clock_hz"), at("device_type"))
+        };
+        let lstp = DeviceType::Lstp;
+        assert_eq!(clock_findings(lstp, LSTP_MAX_CLOCK_HZ), (0, 0));
+        assert_eq!(clock_findings(lstp, LSTP_MAX_CLOCK_HZ.next_up()), (0, 1));
+        assert_eq!(
+            clock_findings(DeviceType::Hp, LSTP_MAX_CLOCK_HZ.next_up()),
+            (0, 0)
+        );
+        assert_eq!(
+            clock_findings(DeviceType::Hp, MAX_CALIBRATED_CLOCK_HZ),
+            (0, 0)
+        );
+        assert_eq!(
+            clock_findings(DeviceType::Hp, MAX_CALIBRATED_CLOCK_HZ.next_up()),
+            (1, 0)
+        );
+        // The shortcut's predicate reads the same thresholds: a clock is
+        // quiet exactly when it draws no clock finding.
+        for device in [DeviceType::Hp, lstp] {
+            for hz in [
+                -1.0,
+                0.0,
+                f64::NAN,
+                f64::INFINITY,
+                500.0,
+                LSTP_MAX_CLOCK_HZ,
+                LSTP_MAX_CLOCK_HZ.next_up(),
+                MAX_CALIBRATED_CLOCK_HZ,
+                MAX_CALIBRATED_CLOCK_HZ.next_up(),
+            ] {
+                let mut cfg = ProcessorConfig::niagara();
+                cfg.device_type = device;
+                assert_eq!(
+                    cfg.clock_is_quiet(hz),
+                    clock_findings(device, hz) == (0, 0),
+                    "{device:?} at {hz:e} Hz"
+                );
+            }
         }
     }
 

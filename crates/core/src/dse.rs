@@ -22,8 +22,9 @@
 //!    clock, so they are taken once per row from its base chip
 //!    ([`RowFacts`]) and shared by every candidate of the row: the
 //!    area budget check and [`WorkloadModel`]'s lower bound are
-//!    arithmetic on them, and each probe walks peak power exactly once,
-//!    handing the total to the evaluator ([`ChipTotals`]).
+//!    arithmetic on them, and each probe walks only the dynamic terms
+//!    of peak power, adds the row's leakage, and hands the total to the
+//!    evaluator ([`ChipTotals`]).
 //!
 //! Work streams in bounded chunks deduped with
 //! [`crate::explore::explore_batch`]'s identity, so peak candidate
@@ -40,7 +41,7 @@ use crate::error::McpatError;
 use crate::explore::{eq_ignoring_name, Budgets};
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
-use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Delta, Processor};
+use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Delta, PeakLeakage, Processor};
 use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
@@ -278,9 +279,14 @@ impl RowFacts {
     /// The facts of `base`: two walks over the chip, made once per row.
     #[must_use]
     pub fn of(base: &Processor) -> RowFacts {
+        RowFacts::with(base, &base.peak_leakage())
+    }
+
+    /// The facts of `base`, given its [`Processor::peak_leakage`].
+    fn with(base: &Processor, leakage: &PeakLeakage) -> RowFacts {
         RowFacts {
             area: base.die_area(),
-            leakage: base.total_leakage().total(),
+            leakage: leakage.total,
         }
     }
 }
@@ -290,8 +296,10 @@ impl RowFacts {
 /// what the named [`Processor`] method returns on that chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipTotals {
-    /// [`Processor::peak_power_total`], W: walked once per probe, for
-    /// the peak-power budget check.
+    /// [`Processor::peak_power_total`], W, for the peak-power budget
+    /// check: once per probe, the dynamic terms walked on the chip plus
+    /// the row's leakage for a retargeted probe, the whole breakdown for
+    /// a full build.
     pub peak_power: f64,
     /// [`Processor::die_area`], m²: the row's [`RowFacts::area`] for a
     /// retargeted probe, walked on the chip for a full build.
@@ -336,7 +344,7 @@ impl RowCandidate<'_> {
 /// calls the two row forms, whose defaults forward to them; an
 /// evaluator overrides a row form to use what the engine has already
 /// computed. Per row, the engine walks the base chip once for its
-/// [`RowFacts`] (die area and total leakage); per probe, it walks peak
+/// [`RowFacts`] (die area and total leakage); per probe, it totals peak
 /// power once for the budget check ([`ChipTotals`]). The probe's
 /// totals are the exact bits the [`Processor`] methods return on the
 /// probed chip. The row facts are the base's exact bits, and equal
@@ -637,6 +645,8 @@ struct RowBase {
     row: u64,
     chip: Processor,
     facts: RowFacts,
+    /// The base's peak leakage, which its retargeted probes share.
+    leakage: PeakLeakage,
     /// Slot of the chunk's first row whose base configuration equals
     /// this one up to the name; candidates of rows in one class with
     /// the same clock are duplicates.
@@ -692,6 +702,11 @@ where
 
     let total = grid.total();
     let chunk = opts.chunk.max(1) as u64;
+    // Two candidates of one row are duplicates only if the clock axis
+    // repeats a value.
+    let mut clock_bits: Vec<u64> = grid.clocks_hz.iter().map(|c| c.to_bits()).collect();
+    clock_bits.sort_unstable();
+    let clocks_repeat = clock_bits.windows(2).any(|w| matches!(w, [a, b] if a == b));
     // Base chips always sit at the row's first clock point; within one
     // (node, flavor, cores) group consecutive rows differ only in L2
     // size, so the base advances by a CacheSize delta instead of a full
@@ -707,6 +722,7 @@ where
             opts,
             evaluator,
             cursor..end,
+            clocks_repeat,
             &mut last_base,
             &mut frontier,
             &mut perf,
@@ -726,12 +742,15 @@ where
 /// every candidate against the frontier as it stood when the chunk
 /// began; the second probes the survivors in cursor order by
 /// retargeting one scratch copy of their row base in place, and offers
-/// each to the frontier.
+/// each to the frontier. `clocks_repeat` says whether the grid's clock
+/// axis holds a value twice.
+#[allow(clippy::too_many_arguments)]
 fn run_chunk<E: DseEvaluator>(
     grid: &AxisGrid,
     opts: &DseOptions,
     evaluator: &mut E,
     range: std::ops::Range<u64>,
+    clocks_repeat: bool,
     last_base: &mut Option<(u64, Processor)>,
     frontier: &mut ParetoFrontier,
     perf: &mut DsePerf,
@@ -768,9 +787,11 @@ fn run_chunk<E: DseEvaluator>(
                     .iter()
                     .find(|r| eq_ignoring_name(&r.chip.config, &chip.config))
                     .map_or(rows.len(), |r| r.class);
+                let leakage = chip.peak_leakage();
                 rows.push(RowBase {
                     row,
-                    facts: RowFacts::of(&chip),
+                    facts: RowFacts::with(&chip, &leakage),
+                    leakage,
                     chip,
                     class,
                 });
@@ -812,7 +833,11 @@ fn run_chunk<E: DseEvaluator>(
     // up to the name are the same clock in rows of one class. The first
     // of them counts as a probe, the rest as deduped; each is still
     // retargeted, which costs no more than looking up a shared result.
-    let mut probed: HashSet<(usize, u64)> = HashSet::with_capacity(pending.len());
+    // Without a repeated clock or two rows of one class there is
+    // nothing to find, so no set is built.
+    let shared_class = rows.iter().enumerate().any(|(slot, r)| r.class != slot);
+    let mut probed: Option<HashSet<(usize, u64)>> =
+        (clocks_repeat || shared_class).then(|| HashSet::with_capacity(pending.len()));
     let mut scratch: Option<(usize, Processor)> = None;
     // Offer in cursor order so the frontier (ties, winners, counters)
     // is deterministic.
@@ -821,7 +846,9 @@ fn run_chunk<E: DseEvaluator>(
         let row = rows.get(p.row_slot).ok_or_else(|| {
             McpatError::config("dse.probe", "candidate references a missing row base")
         })?;
-        let duplicate = !probed.insert((row.class, p.clock_hz.to_bits()));
+        let duplicate = probed
+            .as_mut()
+            .is_some_and(|set| !set.insert((row.class, p.clock_hz.to_bits())));
         let full_build = clock_delta_rebuilds_fully(&row.chip.config);
         if duplicate {
             perf.deduped += 1;
@@ -848,14 +875,18 @@ fn run_chunk<E: DseEvaluator>(
             mcpat_guard::note_candidate();
         }
         // A full build re-picks array partitions for the new cycle
-        // time, so only a retargeted chip keeps the row's area.
-        let totals = ChipTotals {
-            peak_power: chip.peak_power_total(),
-            area: if full_build {
-                chip.die_area()
-            } else {
-                row.facts.area
-            },
+        // time, so only a retargeted chip keeps the row's area and
+        // leakage.
+        let totals = if full_build {
+            ChipTotals {
+                peak_power: chip.peak_power_total(),
+                area: chip.die_area(),
+            }
+        } else {
+            ChipTotals {
+                peak_power: chip.peak_power_total_with(&row.leakage),
+                area: row.facts.area,
+            }
         };
         if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
             perf.rejected += 1;
@@ -894,7 +925,6 @@ fn advance_base(
         if same_group && !base_cfg.core.enforce_timing {
             if let Some(l2) = &base_cfg.l2 {
                 perf.cache_rebuilds += 1;
-                mcpat_obs::record_dse_probes(1);
                 return chip.rebuild_with(Delta::CacheSize(l2.cache.capacity));
             }
         }
@@ -1343,9 +1373,11 @@ mod tests {
     #[test]
     fn custom_evaluators_see_what_a_naive_full_build_loop_sees() {
         let mut grid = tiny_grid();
-        // LSTP above 1.5 GHz draws a device advisory, so the warnings
-        // change along a row.
+        // LSTP above 1.5 GHz draws a device advisory and a core above
+        // 10 GHz a calibrated-range one, so the warnings change along a
+        // row in both directions, on both flavors.
         grid.device_types = vec![DeviceType::Hp, DeviceType::Lstp];
+        grid.clocks_hz = vec![1.0e9, 12.0e9, 1.5e9, 2.0e9];
         // A peak-power budget that rejects about a quarter of the grid.
         let peak_budget = {
             let mut peaks: Vec<f64> = (0..grid.total())

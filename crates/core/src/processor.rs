@@ -1,6 +1,6 @@
 //! Whole-processor assembly: the internal chip representation.
 
-use crate::config::ProcessorConfig;
+use crate::config::{ProcessorConfig, UNNAMED_FINDING_PATH};
 use crate::error::McpatError;
 use crate::power::{leakage_of, total_of, ChipPower, ChipPowerItem};
 use crate::stats::ChipStats;
@@ -48,8 +48,20 @@ pub struct AreaItem {
 /// `clock`).
 const CHIP_ITEMS: usize = 8;
 
+/// The items of a chip's power breakdown, in breakdown order.
+const CHIP_ITEM_NAMES: [&str; CHIP_ITEMS] = [
+    "cores",
+    "l2",
+    "l3",
+    "noc",
+    "mc",
+    "io",
+    "shared-fpu",
+    "clock",
+];
+
 /// Writes items into consecutive fixed slots: the allocation-free
-/// stand-in for `Vec::push` behind the power and area roll-ups.
+/// stand-in for `Vec::push` behind the area roll-up.
 fn slot_writer<T>(slots: &mut [Option<T>]) -> impl FnMut(T) + '_ {
     let mut slots = slots.iter_mut();
     move |item| {
@@ -60,10 +72,10 @@ fn slot_writer<T>(slots: &mut [Option<T>]) -> impl FnMut(T) + '_ {
 }
 
 /// The allocation-free form of a [`ChipPower`]: the same items in the
-/// same order, in fixed slots (`None` for absent components). Both
-/// forms total through the same folds ([`total_of`]), so
-/// [`Processor::peak_power_total`] and `peak_power().total()` agree to
-/// the bit.
+/// same order, one slot per entry of [`CHIP_ITEM_NAMES`] (`None` for
+/// absent components). Both forms total through the same folds
+/// ([`total_of`]), so [`Processor::peak_power_total`] and
+/// `peak_power().total()` agree to the bit.
 struct PowerItems {
     items: [Option<ChipPowerItem>; CHIP_ITEMS],
     /// The unit breakdown of the first core group, if any.
@@ -477,13 +489,17 @@ impl Processor {
     /// area and leakage follow from the floorplan and the sink load,
     /// not from the frequency, so only its `clock_hz` moves. This
     /// patches the five clock fields (chip and core config, the core
-    /// model's and the fabric's config echoes, the clock network),
-    /// re-validates the configuration — advisories such as the
-    /// aggressive-clock warning depend on the clock — and re-merges the
-    /// unchanged solver relaxations under the new findings. Nothing is
-    /// cloned and nothing is re-sized. Under `core.enforce_timing` the
-    /// geometry does depend on the clock, so the chip is replaced by a
-    /// full build of the patched configuration.
+    /// model's and the fabric's config echoes, the clock network).
+    /// Nothing is cloned, re-sized or re-solved, so the solver
+    /// relaxations stand. The findings stand too when the old and the
+    /// new clock are both quiet ([`ProcessorConfig::clock_is_quiet`])
+    /// and the name rule still reads as it did; otherwise the
+    /// configuration is re-validated — advisories such as the
+    /// aggressive-clock warning depend on the clock — and the
+    /// relaxations are re-merged under the new findings. Under
+    /// `core.enforce_timing` the geometry does depend on the clock, so
+    /// the chip is replaced by a full build of the patched
+    /// configuration.
     ///
     /// Afterwards the chip is bit-identical to a full build of its
     /// configuration with the clock patched (property-tested per
@@ -500,19 +516,24 @@ impl Processor {
     pub fn retarget_clock(&mut self, hz: f64) -> Result<(), McpatError> {
         checkpoint("retarget_clock")?;
         let prev = (self.config.clock_hz, self.config.core.clock_hz);
+        let findings_stand = [prev.0, prev.1, hz]
+            .into_iter()
+            .all(|clock| self.config.clock_is_quiet(clock))
+            && self.name_finding_is_current();
         self.config.clock_hz = hz;
         self.config.core.clock_hz = hz;
         let result = if clock_delta_rebuilds_fully(&self.config) {
             Processor::build(&self.config).map(|chip| *self = chip)
+        } else if findings_stand {
+            self.patch_component_clocks(hz);
+            Ok(())
         } else {
             self.config
                 .validate()
                 .into_result()
                 .map_err(McpatError::Invalid)
                 .map(|validation| {
-                    self.core.config.clock_hz = hz;
-                    self.noc.config.clock_hz = hz;
-                    self.clock.clock_hz = hz;
+                    self.patch_component_clocks(hz);
                     self.warnings = validation;
                     merge_relaxations(
                         &mut self.warnings,
@@ -528,6 +549,22 @@ impl Processor {
             (self.config.clock_hz, self.config.core.clock_hz) = prev;
         }
         result
+    }
+
+    /// The clock echoes of the components [`Processor::retarget_clock`]
+    /// keeps.
+    fn patch_component_clocks(&mut self, hz: f64) {
+        self.core.config.clock_hz = hz;
+        self.noc.config.clock_hz = hz;
+        self.clock.clock_hz = hz;
+    }
+
+    /// True if [`Processor::warnings`] carries the unnamed-configuration
+    /// finding exactly when the name is empty: the DSE engine renames
+    /// a chip between probes without re-validating it.
+    fn name_finding_is_current(&self) -> bool {
+        let flagged = self.warnings.iter().any(|f| f.path == UNNAMED_FINDING_PATH);
+        flagged == self.config.name.is_empty()
     }
 
     /// The incremental body of the [`Delta::CacheSize`] path: re-solve
@@ -675,41 +712,46 @@ impl Processor {
     /// serves core i, the last entry every core beyond the list). Does
     /// not allocate.
     fn power_items(&self, stats: &ChipStats, cores: &[CoreStats]) -> PowerItems {
-        let c = &self.config;
-        let mut items = [None; CHIP_ITEMS];
-        let mut push = slot_writer(&mut items);
-
-        // Cores: evaluate each core's stats (broadcast-aware) and sum.
-        // With power gating, an idle core drops to a retention state that
-        // keeps ~10% of its leakage.
-        // Group cores by their (broadcast-aware) stats entry so the cost
-        // is bounded by the number of distinct entries, not `num_cores`:
-        // entry i serves core i and the last entry serves every core
-        // beyond the provided list.
-        let n_cores = c.num_cores as usize;
-        let groups_len = if n_cores == 0 {
-            0
-        } else {
-            cores.len().max(1).min(n_cores)
-        };
-        let last = cores.len().saturating_sub(1);
-        let core_groups = || {
-            (0..groups_len).map(move |i| {
-                let cs = cores.get(i.min(last)).copied().unwrap_or_default();
-                let weight = if i + 1 == groups_len {
-                    (n_cores - groups_len + 1) as f64
-                } else {
-                    1.0
-                };
-                (cs, weight)
-            })
-        };
-        let mut cores_dynamic = 0.0;
-        let mut cores_leakage_scale = 0.0;
         let mut core_detail = None;
-        for (cs, weight) in core_groups() {
-            let p = self.core.power_items(&cs);
-            cores_dynamic += mcpat_mcore::core::dynamic_of(p.iter().flatten()) * weight;
+        let dynamic = self.dynamic_walk(stats, cores, |cs| {
+            let p = self.core.power_items(cs);
+            let dynamic = mcpat_mcore::core::dynamic_of(p.iter().flatten());
+            core_detail.get_or_insert(p);
+            dynamic
+        });
+        let leakage = self.leakage_items(dynamic.cores_leakage_scale);
+        let mut items = [None; CHIP_ITEMS];
+        let walk = items
+            .iter_mut()
+            .zip(CHIP_ITEM_NAMES.into_iter().zip(dynamic.items).zip(leakage));
+        for (slot, ((name, dynamic), leakage)) in walk {
+            if let (Some(dynamic), Some(leakage)) = (dynamic, leakage) {
+                *slot = Some(ChipPowerItem {
+                    name,
+                    dynamic,
+                    leakage,
+                });
+            }
+        }
+        PowerItems { items, core_detail }
+    }
+
+    /// The dynamic half of the power walk. `core_dynamic` prices one
+    /// core under its stats entry; it runs once per group of cores
+    /// sharing one, in core order.
+    fn dynamic_walk(
+        &self,
+        stats: &ChipStats,
+        cores: &[CoreStats],
+        mut core_dynamic: impl FnMut(&CoreStats) -> f64,
+    ) -> DynamicWalk {
+        let c = &self.config;
+        let mut cores_dynamic = 0.0;
+        // With power gating, an idle core drops to a retention state
+        // that keeps ~10% of its leakage.
+        let mut cores_leakage_scale = 0.0;
+        for (cs, weight) in core_groups(c.num_cores, cores) {
+            cores_dynamic += core_dynamic(&cs) * weight;
             let duty = cs.duty();
             cores_leakage_scale += weight
                 * if c.power_gating {
@@ -717,65 +759,17 @@ impl Processor {
                 } else {
                     1.0
                 };
-            if core_detail.is_none() {
-                core_detail = Some(p);
-            }
         }
         // Wakeup transitions recharge the gated rail.
         if c.power_gating && stats.core_wakeups > 0 {
             let e_wake = WAKEUP_ENERGY_PER_M2 * self.core.area();
             cores_dynamic += stats.core_wakeups as f64 * e_wake / stats.duration_s.max(1e-12);
         }
-        push(ChipPowerItem {
-            name: "cores",
-            dynamic: cores_dynamic,
-            leakage: self.core.leakage().scaled(cores_leakage_scale),
-        });
-
-        if let Some(l2) = &self.l2 {
-            push(ChipPowerItem {
-                name: "l2",
-                dynamic: l2.dynamic_power(&stats.l2),
-                leakage: l2.leakage().scaled(f64::from(c.num_l2s)),
-            });
-        }
-        if let Some(l3) = &self.l3 {
-            push(ChipPowerItem {
-                name: "l3",
-                dynamic: l3.dynamic_power(&stats.l3),
-                leakage: l3.leakage(),
-            });
-        }
-        push(ChipPowerItem {
-            name: "noc",
-            dynamic: self.noc.dynamic_power(&stats.noc),
-            leakage: self.noc.leakage(),
-        });
-        if let Some(mc) = &self.mc {
-            push(ChipPowerItem {
-                name: "mc",
-                dynamic: mc.dynamic_power(&stats.mc),
-                leakage: mc.leakage(),
-            });
-        }
-        push(ChipPowerItem {
-            name: "io",
-            dynamic: self.io.power_at_utilization(stats.io_utilization) - self.io.standby_power,
-            leakage: self.io.leakage(),
-        });
-        if c.num_shared_fpus > 0 {
-            let interval = stats.duration_s.max(1e-12);
-            push(ChipPowerItem {
-                name: "shared-fpu",
-                dynamic: stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op / interval,
-                leakage: self.shared_fpu.leakage.scaled(f64::from(c.num_shared_fpus)),
-            });
-        }
 
         // Clock: gate the grid by the cores' average idleness when the
         // core supports clock gating.
         let avg_duty = if c.num_cores > 0 {
-            core_groups()
+            core_groups(c.num_cores, cores)
                 .map(|(cs, weight)| cs.duty() * weight)
                 .sum::<f64>()
                 / f64::from(c.num_cores)
@@ -787,24 +781,60 @@ impl Processor {
         } else {
             0.0
         };
-        push(ChipPowerItem {
-            name: "clock",
-            dynamic: self.clock.dynamic_power_gated(gated_fraction),
-            leakage: self.clock.leakage(),
-        });
-        drop(push);
-        PowerItems { items, core_detail }
+        let items = [
+            Some(cores_dynamic),
+            self.l2.as_ref().map(|l2| l2.dynamic_power(&stats.l2)),
+            self.l3.as_ref().map(|l3| l3.dynamic_power(&stats.l3)),
+            Some(self.noc.dynamic_power(&stats.noc)),
+            self.mc.as_ref().map(|mc| mc.dynamic_power(&stats.mc)),
+            Some(self.io.power_at_utilization(stats.io_utilization) - self.io.standby_power),
+            (c.num_shared_fpus > 0).then(|| {
+                stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op
+                    / stats.duration_s.max(1e-12)
+            }),
+            Some(self.clock.dynamic_power_gated(gated_fraction)),
+        ];
+        DynamicWalk {
+            items,
+            cores_leakage_scale,
+        }
     }
 
-    /// The power walk under TDP-style peak statistics, allocation-free.
-    fn peak_items(&self) -> PowerItems {
-        let (stats, core) = ChipStats::peak_parts(
+    /// The leakage half of the power walk, W, in the slots of
+    /// [`DynamicWalk::items`]. Nothing here depends on the clock except
+    /// `cores_scale` ([`DynamicWalk::cores_leakage_scale`]).
+    fn leakage_items(&self, cores_scale: f64) -> [Option<StaticPower>; CHIP_ITEMS] {
+        let c = &self.config;
+        [
+            Some(self.core.leakage().scaled(cores_scale)),
+            self.l2
+                .as_ref()
+                .map(|l2| l2.leakage().scaled(f64::from(c.num_l2s))),
+            self.l3.as_ref().map(SharedCache::leakage),
+            Some(self.noc.leakage()),
+            self.mc.as_ref().map(MemCtrl::leakage),
+            Some(self.io.leakage()),
+            (c.num_shared_fpus > 0)
+                .then(|| self.shared_fpu.leakage.scaled(f64::from(c.num_shared_fpus))),
+            Some(self.clock.leakage()),
+        ]
+    }
+
+    /// The TDP-style peak statistics at this chip's clock: the chip's,
+    /// and the one entry every core shares.
+    fn peak_stats(&self) -> (ChipStats, CoreStats) {
+        ChipStats::peak_parts(
             1e-3,
             self.config.num_cores,
             self.config.clock_hz,
             self.config.core.issue_width,
             self.config.core.fp_issue_width,
-        );
+        )
+    }
+
+    /// The power walk under TDP-style peak statistics, allocation-free.
+    fn peak_items(&self) -> PowerItems {
+        let (stats, core) = self.peak_stats();
         self.power_items(&stats, std::slice::from_ref(&core))
     }
 
@@ -827,6 +857,87 @@ impl Processor {
     pub fn total_leakage(&self) -> StaticPower {
         leakage_of(self.peak_items().iter())
     }
+
+    /// The clock-invariant half of [`Processor::peak_power_total`], for
+    /// [`Processor::peak_power_total_with`]: one leakage walk.
+    pub(crate) fn peak_leakage(&self) -> PeakLeakage {
+        let cores_scale = self.peak_dynamic_walk().cores_leakage_scale;
+        let leakage: StaticPower = self.leakage_items(cores_scale).into_iter().flatten().sum();
+        PeakLeakage {
+            total: leakage.total(),
+            cores_scale,
+        }
+    }
+
+    /// [`Processor::peak_power_total`], bit for bit, given the
+    /// [`Processor::peak_leakage`] of this chip or of one it was
+    /// retargeted from: only the dynamic terms are walked, and the
+    /// core's per-unit leakage is never summed. Falls back to the full
+    /// walk if the clock moved the cores' leakage scale (a power-gated
+    /// chip whose peak window holds no whole cycle).
+    pub(crate) fn peak_power_total_with(&self, leakage: &PeakLeakage) -> f64 {
+        let walk = self.peak_dynamic_walk();
+        if walk.cores_leakage_scale.to_bits() != leakage.cores_scale.to_bits() {
+            return self.peak_power_total();
+        }
+        // The dynamic fold of `total_of`, over the same items in the
+        // same order.
+        let dynamic: f64 = walk.items.into_iter().flatten().sum();
+        dynamic + leakage.total
+    }
+
+    /// The dynamic half of the peak power walk, pricing the core with
+    /// [`CoreModel::dynamic_power`].
+    fn peak_dynamic_walk(&self) -> DynamicWalk {
+        let (stats, core) = self.peak_stats();
+        self.dynamic_walk(&stats, std::slice::from_ref(&core), |cs| {
+            self.core.dynamic_power(cs)
+        })
+    }
+}
+
+/// The dynamic half of a power walk ([`Processor::dynamic_walk`]).
+struct DynamicWalk {
+    /// Each item's dynamic power, W, one slot per entry of
+    /// [`CHIP_ITEM_NAMES`] (`None` for a component the chip lacks).
+    items: [Option<f64>; CHIP_ITEMS],
+    /// The factor on one core's leakage for the `cores` item: the core
+    /// count, with power gating counting an idle core at the ~10% of
+    /// its leakage it retains.
+    cores_leakage_scale: f64,
+}
+
+/// `(stats, weight)` per group of cores sharing one entry of `cores`
+/// (entry i serves core i, the last entry every core beyond the list),
+/// so a power walk costs the number of distinct entries, not
+/// `num_cores`.
+fn core_groups(num_cores: u32, cores: &[CoreStats]) -> impl Iterator<Item = (CoreStats, f64)> + '_ {
+    let n_cores = num_cores as usize;
+    let groups_len = if n_cores == 0 {
+        0
+    } else {
+        cores.len().max(1).min(n_cores)
+    };
+    let last = cores.len().saturating_sub(1);
+    (0..groups_len).map(move |i| {
+        let cs = cores.get(i.min(last)).copied().unwrap_or_default();
+        let weight = if i + 1 == groups_len {
+            (n_cores - groups_len + 1) as f64
+        } else {
+            1.0
+        };
+        (cs, weight)
+    })
+}
+
+/// The clock-invariant part of a chip's peak power, taken once per DSE
+/// row ([`Processor::peak_leakage`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PeakLeakage {
+    /// [`Processor::total_leakage`]'s total, W.
+    pub(crate) total: f64,
+    /// The cores' leakage scale it was taken at.
+    cores_scale: f64,
 }
 
 /// The on-chip fabric; its link length ≈ the pitch of one cluster tile.
@@ -920,6 +1031,7 @@ fn clock_network(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use mcpat_tech::DeviceType;
 
     #[test]
     fn niagara_builds_and_is_plausible() {
@@ -1157,6 +1269,68 @@ mod tests {
             assert_eq!(chip.config.clock_hz.to_bits(), clock.to_bits());
             assert_eq!(chip.config.core.clock_hz.to_bits(), clock.to_bits());
             assert_eq!(chip.peak_power_total().to_bits(), power.to_bits());
+        }
+    }
+
+    #[test]
+    fn retargeting_keeps_findings_only_while_they_hold() {
+        for device in [DeviceType::Hp, DeviceType::Lstp] {
+            let mut cfg = ProcessorConfig::niagara2();
+            cfg.device_type = device;
+            let mut chip = Processor::build(&cfg).unwrap();
+            // Renames (the DSE engine's) and clocks on both sides of
+            // both clock advisories.
+            for (name, hz) in [
+                ("", 1.0e9),
+                ("", 1.1e9),
+                ("n2", 1.2e9),
+                ("n2", 1.8e9),
+                ("n2", 12.0e9),
+                ("", 11.0e9),
+                ("", 1.3e9),
+                ("x", 1.4e9),
+            ] {
+                chip.config.name = name.into();
+                chip.retarget_clock(hz).unwrap();
+                let full = Processor::build(&chip.config).unwrap();
+                assert_eq!(
+                    chip.warnings, full.warnings,
+                    "{device:?} {name:?} at {hz:e} Hz"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn peak_total_with_row_leakage_equals_the_full_walk() {
+        for preset in [
+            ProcessorConfig::niagara(),
+            ProcessorConfig::niagara2(),
+            ProcessorConfig::alpha21364(),
+            ProcessorConfig::tulsa(),
+        ] {
+            for gating in [false, true] {
+                let mut cfg = preset.clone();
+                cfg.power_gating = gating;
+                let base = Processor::build(&cfg).unwrap();
+                let leakage = base.peak_leakage();
+                assert_eq!(
+                    leakage.total.to_bits(),
+                    base.total_leakage().total().to_bits()
+                );
+                let mut chip = base.clone();
+                // At 500 Hz the 1 ms peak window holds no whole cycle,
+                // which moves a gated chip's leakage: the fallback.
+                for hz in [cfg.clock_hz, 0.7e9, 2.9e9, 500.0, 12.0e9, 1.1e9] {
+                    chip.retarget_clock(hz).unwrap();
+                    assert_eq!(
+                        chip.peak_power_total_with(&leakage).to_bits(),
+                        chip.peak_power_total().to_bits(),
+                        "{} (gating {gating}) at {hz:e} Hz",
+                        cfg.name
+                    );
+                }
+            }
         }
     }
 

@@ -3,6 +3,10 @@
 use mcpat_array::cache::CacheSpec;
 use mcpat_diag::Diagnostics;
 
+/// Core clocks above this draw a calibrated-range advisory from
+/// [`CoreConfig::validate`], Hz.
+pub const MAX_CALIBRATED_CLOCK_HZ: f64 = 1.0e10;
+
 /// Execution paradigm of the core.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
@@ -617,7 +621,7 @@ impl CoreConfig {
                 ),
             );
         }
-        if self.clock_hz.is_finite() && self.clock_hz > 1.0e10 {
+        if self.clock_hz.is_finite() && self.clock_hz > MAX_CALIBRATED_CLOCK_HZ {
             d.warning(
                 "clock_hz",
                 format!(

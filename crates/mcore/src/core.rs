@@ -82,8 +82,23 @@ pub struct CorePower {
 /// Upper bound on the number of units in one core's power breakdown.
 pub const CORE_POWER_UNITS: usize = 9;
 
+/// The units of a core's power breakdown, in breakdown order (`rename`
+/// and `window` only on out-of-order cores).
+const UNIT_NAMES: [&str; CORE_POWER_UNITS] = [
+    "ifu",
+    "rename",
+    "window",
+    "regfile",
+    "exu",
+    "lsu",
+    "mmu",
+    "pipeline+clock",
+    "misc-logic",
+];
+
 /// The allocation-free form of a [`CorePower`]: the same items in the
-/// same order, in fixed slots (`None` for units the core lacks).
+/// same order, one slot per unit of the breakdown (`None` for units the
+/// core lacks).
 pub type CorePowerItems = [Option<PowerItem>; CORE_POWER_UNITS];
 
 /// Sum of the items' dynamic power, W: the one fold behind
@@ -307,18 +322,38 @@ impl CoreModel {
     /// in the same order, in fixed slots.
     #[must_use]
     pub fn power_items(&self, stats: &CoreStats) -> CorePowerItems {
+        let units = UNIT_NAMES
+            .into_iter()
+            .zip(self.unit_dynamics(stats))
+            .zip(self.unit_leakages());
+        let mut items: CorePowerItems = [None; CORE_POWER_UNITS];
+        for (slot, ((name, dynamic), leakage)) in items.iter_mut().zip(units) {
+            if let (Some(dynamic), Some(leakage)) = (dynamic, leakage) {
+                *slot = Some(PowerItem {
+                    name,
+                    dynamic,
+                    leakage,
+                });
+            }
+        }
+        items
+    }
+
+    /// Total dynamic power under `stats`, W: the dynamic fold of
+    /// [`CoreModel::power_items`] (bit for bit) without the per-unit
+    /// leakage walk.
+    #[must_use]
+    pub fn dynamic_power(&self, stats: &CoreStats) -> f64 {
+        self.unit_dynamics(stats).into_iter().flatten().sum()
+    }
+
+    /// Each unit's dynamic power under `stats`, W, one slot per entry
+    /// of [`UNIT_NAMES`] (`None` for a unit the core lacks).
+    fn unit_dynamics(&self, stats: &CoreStats) -> [Option<f64>; CORE_POWER_UNITS] {
         let cycles = stats.cycles.max(1) as f64;
         let interval = cycles / self.config.clock_hz;
         let per = |energy: f64| energy / interval;
         let n = |count: u64| count as f64;
-
-        let mut items: CorePowerItems = [None; CORE_POWER_UNITS];
-        let mut slots = items.iter_mut();
-        let mut push = |item: PowerItem| {
-            if let Some(slot) = slots.next() {
-                *slot = Some(item);
-            }
-        };
 
         // --- IFU ---------------------------------------------------------
         let icache_e = n(stats.icache_accesses) * self.ifu.icache.read_hit_energy
@@ -329,50 +364,31 @@ impl CoreModel {
             + n(stats.branch_mispredicts) * self.ifu.predictor_update_energy();
         let ib_e = n(stats.decodes) * self.ifu.buffer_energy_per_inst();
         let dec_e = n(stats.decodes) * self.ifu.decode_energy_per_inst;
-        push(PowerItem {
-            name: "ifu",
-            dynamic: per(icache_e + bpred_e + ib_e + dec_e),
-            leakage: self.ifu.leakage(),
-        });
+        let ifu = per(icache_e + bpred_e + ib_e + dec_e);
 
         // --- Rename ------------------------------------------------------
-        if let Some(r) = &self.rename {
+        let rename = self.rename.as_ref().map(|r| {
             let fp_frac = if stats.renames > 0 {
                 (n(stats.fp_ops) / n(stats.renames).max(1.0)).min(1.0)
             } else {
                 0.0
             };
-            let e = n(stats.renames)
+            per(n(stats.renames)
                 * ((1.0 - fp_frac) * r.rename_energy_per_inst(false)
-                    + fp_frac * r.rename_energy_per_inst(true));
-            push(PowerItem {
-                name: "rename",
-                dynamic: per(e),
-                leakage: r.leakage(),
-            });
-        }
+                    + fp_frac * r.rename_energy_per_inst(true)))
+        });
 
         // --- Window + ROB --------------------------------------------------
-        if let Some(w) = &self.window {
-            let e = n(stats.window_accesses) * w.window_energy_per_access(false)
-                + n(stats.rob_accesses) * w.rob_energy_per_access();
-            push(PowerItem {
-                name: "window",
-                dynamic: per(e),
-                leakage: w.leakage(),
-            });
-        }
+        let window = self.window.as_ref().map(|w| {
+            per(n(stats.window_accesses) * w.window_energy_per_access(false)
+                + n(stats.rob_accesses) * w.rob_energy_per_access())
+        });
 
         // --- Register files -------------------------------------------------
         let rf_e = n(stats.int_regfile_reads) * self.regs.int_rf.read_energy
             + n(stats.int_regfile_writes) * self.regs.int_rf.write_energy
             + n(stats.fp_regfile_reads) * self.regs.fp_rf.read_energy
             + n(stats.fp_regfile_writes) * self.regs.fp_rf.write_energy;
-        push(PowerItem {
-            name: "regfile",
-            dynamic: per(rf_e),
-            leakage: self.regs.leakage(),
-        });
 
         // --- EXU -------------------------------------------------------------
         let exu_e = n(stats.int_ops) * self.exu.alu.energy_per_op
@@ -383,30 +399,15 @@ impl CoreModel {
                 .saturating_add(stats.fp_ops)
                 .saturating_add(stats.mul_ops))
                 * self.exu.bypass_energy_per_transfer;
-        push(PowerItem {
-            name: "exu",
-            dynamic: per(exu_e),
-            leakage: self.exu.leakage(),
-        });
 
         // --- LSU ----------------------------------------------------------------
         let lsu_e = n(stats.loads) * self.lsu.load_energy()
             + n(stats.stores) * self.lsu.store_energy()
             + n(stats.dcache_misses) * (self.lsu.dcache.miss_energy + self.lsu.dcache.fill_energy);
-        push(PowerItem {
-            name: "lsu",
-            dynamic: per(lsu_e),
-            leakage: self.lsu.leakage(),
-        });
 
         // --- MMU -----------------------------------------------------------------
         let mmu_e = n(stats.itlb_accesses) * self.mmu.itlb_energy()
             + n(stats.dtlb_accesses) * self.mmu.dtlb_energy();
-        push(PowerItem {
-            name: "mmu",
-            dynamic: per(mmu_e),
-            leakage: self.mmu.leakage(),
-        });
 
         // --- Pipeline latches + local clock ----------------------------------------
         let duty = stats.duty();
@@ -415,21 +416,37 @@ impl CoreModel {
         let pipe_e = cycles
             * (self.pipeline.data_energy_per_cycle * duty
                 + self.pipeline.clock_energy_per_cycle * clock_scale);
-        push(PowerItem {
-            name: "pipeline+clock",
-            dynamic: per(pipe_e),
-            leakage: self.pipeline.leakage,
-        });
 
         // --- Random control logic ---------------------------------------------------
         let misc_e = cycles * duty * self.misc.energy_per_cycle;
-        push(PowerItem {
-            name: "misc-logic",
-            dynamic: per(misc_e),
-            leakage: self.misc.leakage,
-        });
 
-        items
+        [
+            Some(ifu),
+            rename,
+            window,
+            Some(per(rf_e)),
+            Some(per(exu_e)),
+            Some(per(lsu_e)),
+            Some(per(mmu_e)),
+            Some(per(pipe_e)),
+            Some(per(misc_e)),
+        ]
+    }
+
+    /// Each unit's leakage, W, in the slots of
+    /// [`CoreModel::unit_dynamics`].
+    fn unit_leakages(&self) -> [Option<StaticPower>; CORE_POWER_UNITS] {
+        [
+            Some(self.ifu.leakage()),
+            self.rename.as_ref().map(RenameUnit::leakage),
+            self.window.as_ref().map(WindowUnit::leakage),
+            Some(self.regs.leakage()),
+            Some(self.exu.leakage()),
+            Some(self.lsu.leakage()),
+            Some(self.mmu.leakage()),
+            Some(self.pipeline.leakage),
+            Some(self.misc.leakage),
+        ]
     }
 
     /// TDP-style peak power: one second of maximum sustained activity, W.

@@ -72,8 +72,8 @@ pub struct Snapshot {
     /// DSE candidates killed by the frontier's lower-bound prune before
     /// any build ran.
     pub dse_pruned: u64,
-    /// DSE candidates served by an incremental delta rebuild (a probe)
-    /// instead of a full build.
+    /// DSE candidates served by an in-place clock probe instead of a
+    /// full build (row-base L2 resizes are not probes).
     pub dse_probes: u64,
     /// DSE candidates (and row bases) that needed a full chip build.
     pub dse_full_builds: u64,
@@ -369,7 +369,7 @@ pub fn record_dse_pruned(n: u64) {
     }
 }
 
-/// Bills `n` incremental delta-rebuild probes to the active scope chain.
+/// Bills `n` in-place DSE clock probes to the active scope chain.
 pub fn record_dse_probes(n: u64) {
     if n > 0 {
         bill(|i| {
