@@ -493,6 +493,13 @@ fn cold_build_speedup_vs_baseline(
 /// same execution mode (so the ratio holds on any host).
 const MIN_DSE_STREAMING_SPEEDUP: f64 = 5.0;
 
+/// Floor on the share of `dse_10k_candidates`' grid that the streaming
+/// DSE engine prunes before any probe: five points below the 0.836
+/// measured with `WorkloadModel`'s dynamic-power floor. The share is a
+/// deterministic count, so it holds on any host; a bound that loosens
+/// (back toward leakage alone, 0.435) fails it.
+const MIN_DSE_PRUNE_RATE: f64 = 0.786;
+
 /// Ceiling on heap allocations per candidate of the streaming DSE
 /// sweep (`dse_10k_candidates`, every mode). Clock probes retarget one
 /// scratch chip per row in place, so what remains is per-row work (row
@@ -591,6 +598,7 @@ fn gate_failures(
     trace_overhead_ratio: f64,
     guard_overhead_ratio: f64,
     dse_streaming_vs_naive: f64,
+    dse_prune_rate: f64,
     dse_allocs_per_candidate: f64,
     serve_warm_vs_cold: f64,
     explore_pool_submissions: u64,
@@ -634,6 +642,12 @@ fn gate_failures(
             "dse streaming_vs_naive_speedup is {dse_streaming_vs_naive:.2} \
              (< {MIN_DSE_STREAMING_SPEEDUP}): the streaming engine must beat the naive \
              per-candidate full-build sweep by 5x"
+        ));
+    }
+    if dse_prune_rate < MIN_DSE_PRUNE_RATE {
+        failures.push(format!(
+            "dse prune_rate is {dse_prune_rate:.4} (< {MIN_DSE_PRUNE_RATE}): the lower bound \
+             must keep pruning the 10^4 grid before any probe"
         ));
     }
     if dse_allocs_per_candidate > MAX_DSE_ALLOCS_PER_CANDIDATE {
@@ -1075,6 +1089,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"dse\": {{ \"candidates\": {}, \"prune_rate\": {dse_prune_rate:.4}, \
+         \"min_allowed_prune_rate\": {MIN_DSE_PRUNE_RATE}, \
          \"probes\": {}, \"cache_rebuilds\": {}, \"full_builds\": {}, \
          \"probe_vs_full_build_ratio\": {dse_probe_vs_full:.2}, \
          \"allocs_per_candidate\": {dse_allocs_per_candidate:.2}, \
@@ -1139,6 +1154,7 @@ fn main() {
             trace_overhead_ratio,
             guard_overhead_ratio,
             dse_streaming_vs_naive,
+            dse_prune_rate,
             dse_allocs_per_candidate,
             serve_warm_vs_cold,
             explore_pool_submissions,

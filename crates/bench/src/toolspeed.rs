@@ -178,8 +178,8 @@ pub fn render(bench: &Value) -> Result<String, String> {
     };
     let _ = write!(
         s,
-        "\nThe streaming DSE engine prunes {:.0}% of the 10⁴ candidates and\n\
-         retires {} candidates/s serial against {} for the naive\n\
+        "\nThe streaming DSE engine prunes {:.0}% of the 10⁴ candidates (gated\n\
+         ≥ {:.1}%) and retires {} candidates/s serial against {} for the naive\n\
          build-every-candidate loop ({}x; gated ≥ {}x), at {:.2} allocations\n\
          per candidate (gated ≤ {}). A 10⁵-candidate sweep takes {} ms at the\n\
          default thread count. A serve request takes {} ms against a warm\n\
@@ -190,6 +190,7 @@ pub fn render(bench: &Value) -> Result<String, String> {
          {} ms warm (the Niagara2 and Tulsa rows), is McPAT's fast-exploration\n\
          pitch.\n",
         dse("prune_rate")? * 100.0,
+        dse("min_allowed_prune_rate")? * 100.0,
         count(dse("candidates_per_sec_serial")?),
         count(dse("naive_candidates_per_sec_serial")?),
         sig3(dse("streaming_vs_naive_speedup")?),

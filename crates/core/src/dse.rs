@@ -9,10 +9,10 @@
 //!    and candidates are generated from a cursor, never materialized.
 //! 2. **In-place probes** — the clock axis is innermost and the L2 axis
 //!    second-innermost, so the candidates of a row differ from its base
-//!    chip only in the clock: one scratch copy of the base is
-//!    retargeted in place per candidate ([`Processor::retarget_clock`],
-//!    no clone, no allocation), and consecutive rows advance the base
-//!    by a [`Delta::CacheSize`] rebuild instead of a full build.
+//!    chip only in the clock: the base itself is retargeted in place
+//!    per candidate ([`Processor::retarget_clock`], no clone, no
+//!    allocation), and consecutive rows advance the base by a
+//!    [`Delta::CacheSize`] rebuild instead of a full build.
 //! 3. **Lower-bound pruning** — before a candidate is built, the
 //!    evaluator produces a certified lower bound on its metrics; if the
 //!    incremental [`ParetoFrontier`] already dominates the bound, the
@@ -21,8 +21,9 @@
 //! 4. **Row facts** — die area and total leakage do not depend on the
 //!    clock, so they are taken once per row from its base chip
 //!    ([`RowFacts`]) and shared by every candidate of the row: the
-//!    area budget check and [`WorkloadModel`]'s lower bound are
-//!    arithmetic on them, and each probe walks only the dynamic terms
+//!    area budget check reads them, [`WorkloadModel`]'s lower bound
+//!    adds the row's leakage to the uncore's dynamic power at the
+//!    candidate's clock, and each probe walks only the dynamic terms
 //!    of peak power, adds the row's leakage, and hands the total to the
 //!    evaluator ([`ChipTotals`]).
 //!
@@ -215,11 +216,18 @@ pub struct DsePerf {
     /// Candidates enumerated (the cursor advanced past them).
     pub candidates: u64,
     /// Candidates discarded by the frontier's lower-bound prune before
-    /// any build ran.
+    /// any build ran ([`DseEvaluator::prunes_in_row`]). Never counted
+    /// on rows under [`CoreConfig::enforce_timing`], where nothing is
+    /// pruned. With [`WorkloadModel`] the count depends on how tight
+    /// its bound is, while the frontier and the `candidates` and
+    /// `rejected` counts do not: a tighter bound moves candidates from
+    /// `probes` to `pruned` only.
     pub pruned: u64,
     /// Candidates outside [`DseOptions::budgets`] (rejected before the
     /// build when the exact clock-invariant area already exceeds the
-    /// area budget, after it otherwise).
+    /// area budget, after it otherwise; always after it under
+    /// [`CoreConfig::enforce_timing`], where the row base's area is not
+    /// the candidate's).
     pub rejected: u64,
     /// Candidates served by an in-place clock probe
     /// ([`Processor::retarget_clock`]) off a row base.
@@ -266,27 +274,27 @@ impl DseResult {
 /// keep the base's bits (property-tested per preset, with and without
 /// power gating). Under [`CoreConfig::enforce_timing`] a probe is a
 /// full build instead, which may re-partition arrays for the new cycle
-/// time; there the facts are the row base's, not the candidate's.
+/// time; there the facts are the row base's, not the candidate's, and
+/// the engine neither rejects nor prunes on them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowFacts {
     /// Die area, m² ([`Processor::die_area`]).
     pub area: f64,
     /// Total leakage, W ([`Processor::total_leakage`]).
     pub leakage: f64,
+    /// The base's peak leakage, which its retargeted probes share.
+    peak: PeakLeakage,
 }
 
 impl RowFacts {
     /// The facts of `base`: two walks over the chip, made once per row.
     #[must_use]
     pub fn of(base: &Processor) -> RowFacts {
-        RowFacts::with(base, &base.peak_leakage())
-    }
-
-    /// The facts of `base`, given its [`Processor::peak_leakage`].
-    fn with(base: &Processor, leakage: &PeakLeakage) -> RowFacts {
+        let peak = base.peak_leakage();
         RowFacts {
             area: base.die_area(),
-            leakage: leakage.total,
+            leakage: peak.total,
+            peak,
         }
     }
 }
@@ -306,7 +314,8 @@ pub struct ChipTotals {
     pub area: f64,
 }
 
-/// An unbuilt candidate of a row, as the prune pass sees it.
+/// An unbuilt candidate of a row, as the prune pass sees it
+/// ([`DseEvaluator::prunes_in_row`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RowCandidate<'a> {
     /// The row base: a built chip identical to the candidate except
@@ -350,14 +359,14 @@ impl RowCandidate<'_> {
 /// probed chip. The row facts are the base's exact bits, and equal
 /// the candidate's because a retarget leaves area and leakage alone;
 /// under [`CoreConfig::enforce_timing`] a probe is a full build, so
-/// [`ChipTotals::area`] is walked on it, while a bound still sees the
-/// base's facts, as [`DseEvaluator::lower_bound`] always has.
+/// [`ChipTotals::area`] is walked on it, and the engine asks for no
+/// bound at all.
 pub trait DseEvaluator {
     /// Workload metrics of a built chip (the analog of
     /// [`crate::explore::explore_batch`]'s evaluator closure).
     ///
-    /// The engine hands over a scratch copy of the row base retargeted
-    /// in place ([`Processor::retarget_clock`]): its configuration
+    /// The engine hands over the row base retargeted in place
+    /// ([`Processor::retarget_clock`]): its configuration
     /// (name included), components, warnings and every modeled number
     /// are those of a full build of the candidate, but its
     /// [`Processor::perf`] and [`Processor::trace`] describe the build
@@ -382,11 +391,17 @@ pub trait DseEvaluator {
         self.evaluate(chip)
     }
 
-    /// What the prune pass calls for each candidate: the same bound as
+    /// What the prune pass calls for each candidate: true if the
+    /// frontier already beats it, that is, if
+    /// [`ParetoFrontier::would_prune`] holds for its
     /// [`DseEvaluator::lower_bound`]. The default forwards the row base
-    /// and the candidate's configuration to it.
-    fn lower_bound_in_row(&self, candidate: &RowCandidate<'_>) -> Option<MetricSet> {
+    /// and the candidate's configuration to `lower_bound`. An override
+    /// must decide exactly as that does; it may test cheaper, looser
+    /// bounds first, because `would_prune` is monotone: a bound that
+    /// prunes proves that every higher one does.
+    fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
         self.lower_bound(candidate.base, &candidate.config())
+            .is_some_and(|lb| frontier.would_prune(&lb))
     }
 }
 
@@ -414,17 +429,27 @@ impl WorkloadModel {
         MetricSet::from_power(peak_power, self.delay(num_cores, clock_hz), area)
     }
 
-    /// The lower bound for a candidate of a row with these facts. Area
-    /// is clock-invariant, so the row's area is the candidate's exact
-    /// area; leakage is clock-invariant too and bounds peak power from
-    /// below, so leakage × delay lower-bounds energy.
-    fn bound(&self, facts: &RowFacts, num_cores: u32, clock_hz: f64) -> MetricSet {
-        let delay = self.delay(num_cores, clock_hz);
-        MetricSet {
-            delay,
-            energy: facts.leakage * delay,
-            area: facts.area,
-        }
+    /// The lower bound for the candidate at `clock_hz` of the row of
+    /// `base`, whose facts are `facts`. Delay is exact. Area is
+    /// clock-invariant, so the row's area is the candidate's exact
+    /// area. Peak power is bounded by the probe's own walk at the
+    /// candidate's clock with the cores' dynamic term priced at zero
+    /// (the uncore's dynamic power plus the row's leakage; see
+    /// [`Processor::peak_power_floor_at`]), and energy is that floor
+    /// times the same delay, through the same multiplication as
+    /// [`DseEvaluator::evaluate`]'s: monotone rounding keeps it a
+    /// bound. `None` where the probe would not take that walk, under
+    /// [`CoreConfig::enforce_timing`] and where the clock moves the
+    /// cores' leakage scale (a power-gated chip below 1 kHz).
+    fn bound(
+        &self,
+        base: &Processor,
+        facts: &RowFacts,
+        num_cores: u32,
+        clock_hz: f64,
+    ) -> Option<MetricSet> {
+        let power = base.peak_power_floor_at(clock_hz, &facts.peak)?;
+        Some(self.metrics(power, facts.area, num_cores, clock_hz))
     }
 }
 
@@ -440,7 +465,7 @@ impl DseEvaluator for WorkloadModel {
     }
 
     fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
-        Some(self.bound(&RowFacts::of(base), cfg.num_cores, cfg.clock_hz))
+        self.bound(base, &RowFacts::of(base), cfg.num_cores, cfg.clock_hz)
     }
 
     fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
@@ -448,9 +473,23 @@ impl DseEvaluator for WorkloadModel {
         self.metrics(totals.peak_power, totals.area, c.num_cores, c.clock_hz)
     }
 
-    fn lower_bound_in_row(&self, candidate: &RowCandidate<'_>) -> Option<MetricSet> {
-        let num_cores = candidate.base.config.num_cores;
-        Some(self.bound(&candidate.facts, num_cores, candidate.clock_hz))
+    fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
+        let RowCandidate {
+            base,
+            facts,
+            clock_hz,
+            ..
+        } = *candidate;
+        let num_cores = base.config.num_cores;
+        // Where the row's leakage alone lies under the floor, it is a
+        // looser bound that needs no walk: try it first.
+        if base.peak_leakage_is_clock_invariant()
+            && frontier.would_prune(&self.metrics(facts.leakage, facts.area, num_cores, clock_hz))
+        {
+            return true;
+        }
+        self.bound(base, &facts, num_cores, clock_hz)
+            .is_some_and(|lb| frontier.would_prune(&lb))
     }
 }
 
@@ -645,8 +684,6 @@ struct RowBase {
     row: u64,
     chip: Processor,
     facts: RowFacts,
-    /// The base's peak leakage, which its retargeted probes share.
-    leakage: PeakLeakage,
     /// Slot of the chunk's first row whose base configuration equals
     /// this one up to the name; candidates of rows in one class with
     /// the same clock are duplicates.
@@ -741,8 +778,9 @@ where
 /// Streams one chunk in two passes. The first enumerates and prunes
 /// every candidate against the frontier as it stood when the chunk
 /// began; the second probes the survivors in cursor order by
-/// retargeting one scratch copy of their row base in place, and offers
-/// each to the frontier. `clocks_repeat` says whether the grid's clock
+/// retargeting their row base in place, and offers each to the
+/// frontier. The base carried into the next chunk is moved back to its
+/// row's first clock. `clocks_repeat` says whether the grid's clock
 /// axis holds a value twice.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk<E: DseEvaluator>(
@@ -787,11 +825,9 @@ fn run_chunk<E: DseEvaluator>(
                     .iter()
                     .find(|r| eq_ignoring_name(&r.chip.config, &chip.config))
                     .map_or(rows.len(), |r| r.class);
-                let leakage = chip.peak_leakage();
                 rows.push(RowBase {
                     row,
-                    facts: RowFacts::with(&chip, &leakage),
-                    leakage,
+                    facts: RowFacts::of(&chip),
                     chip,
                     class,
                 });
@@ -801,25 +837,26 @@ fn run_chunk<E: DseEvaluator>(
         let Some(base) = rows.get(row_slot) else {
             continue;
         };
+        // Where every probe is a full build, the row's facts are not the
+        // candidate's: no early reject and no prune there.
+        let full_build = clock_delta_rebuilds_fully(&base.chip.config);
         // Exact early budget rejection: die area is clock-invariant, so
         // the row's area IS this candidate's area.
-        if base.facts.area > opts.budgets.max_area {
+        if !full_build && base.facts.area > opts.budgets.max_area {
             perf.rejected += 1;
             continue;
         }
-        if opts.prune {
+        if opts.prune && !full_build {
             let candidate = RowCandidate {
                 base: &base.chip,
                 facts: base.facts,
                 clock_hz,
                 cursor,
             };
-            if let Some(lb) = evaluator.lower_bound_in_row(&candidate) {
-                if frontier.would_prune(&lb) {
-                    perf.pruned += 1;
-                    mcpat_obs::record_dse_pruned(1);
-                    continue;
-                }
+            if evaluator.prunes_in_row(&candidate, frontier) {
+                perf.pruned += 1;
+                mcpat_obs::record_dse_pruned(1);
+                continue;
             }
         }
         pending.push(Pending {
@@ -838,12 +875,11 @@ fn run_chunk<E: DseEvaluator>(
     let shared_class = rows.iter().enumerate().any(|(slot, r)| r.class != slot);
     let mut probed: Option<HashSet<(usize, u64)>> =
         (clocks_repeat || shared_class).then(|| HashSet::with_capacity(pending.len()));
-    let mut scratch: Option<(usize, Processor)> = None;
     // Offer in cursor order so the frontier (ties, winners, counters)
     // is deterministic.
     for p in &pending {
         checkpoint("dse.probe")?;
-        let row = rows.get(p.row_slot).ok_or_else(|| {
+        let row = rows.get_mut(p.row_slot).ok_or_else(|| {
             McpatError::config("dse.probe", "candidate references a missing row base")
         })?;
         let duplicate = probed
@@ -859,14 +895,9 @@ fn run_chunk<E: DseEvaluator>(
             perf.probes += 1;
             mcpat_obs::record_dse_probes(1);
         }
-        if scratch.as_ref().map(|(slot, _)| *slot) != Some(p.row_slot) {
-            scratch = Some((p.row_slot, row.chip.clone()));
-        }
-        let Some((_, chip)) = &mut scratch else {
-            continue;
-        };
-        // The candidate's own name, then its clock: the scratch chip is
+        // The candidate's own name, then its clock: the row's chip is
         // now bit-identical to a full build of the candidate.
+        let chip = &mut row.chip;
         write_candidate_name(&mut chip.config.name, p.cursor);
         if chip.config.clock_hz.to_bits() != p.clock_hz.to_bits() {
             chip.retarget_clock(p.clock_hz)?;
@@ -884,7 +915,7 @@ fn run_chunk<E: DseEvaluator>(
             }
         } else {
             ChipTotals {
-                peak_power: chip.peak_power_total_with(&row.leakage),
+                peak_power: chip.peak_power_total_with(&row.facts.peak),
                 area: row.facts.area,
             }
         };
@@ -901,8 +932,25 @@ fn run_chunk<E: DseEvaluator>(
             metrics,
         });
     }
-    *last_base = rows.pop().map(|r| (r.row, r.chip)).or(carried);
+    *last_base = match rows.pop() {
+        Some(RowBase { row, mut chip, .. }) => {
+            reset_row_base(grid, row, &mut chip)?;
+            Some((row, chip))
+        }
+        None => carried,
+    };
     Ok(())
+}
+
+/// Moves `chip`, the base of `row` that probes retargeted in place,
+/// back to the row's first clock and name: a retarget leaves the chip
+/// bit-identical to a full build of its configuration.
+fn reset_row_base(grid: &AxisGrid, row: u64, chip: &mut Processor) -> Result<(), McpatError> {
+    write_candidate_name(&mut chip.config.name, row * grid.clocks_len());
+    match grid.clocks_hz.first() {
+        Some(&hz) if hz.to_bits() != chip.config.clock_hz.to_bits() => chip.retarget_clock(hz),
+        _ => Ok(()),
+    }
 }
 
 /// Produces the base chip for `row` (the row's configuration at its
@@ -1259,12 +1307,14 @@ mod tests {
                     prev_row = Some(row);
                 }
                 let cfg = grid.config_at(cursor).unwrap();
-                if base.die_area() > budgets.max_area {
+                // Where every probe is a full build, nothing is decided
+                // on the row base.
+                let on_base = !cfg.core.enforce_timing;
+                if on_base && base.die_area() > budgets.max_area {
                     perf.rejected += 1;
                     continue;
                 }
-                let lb = opts
-                    .prune
+                let lb = (opts.prune && on_base)
                     .then(|| evaluator.lower_bound(&base, &cfg))
                     .flatten();
                 if lb.is_some_and(|lb| frontier.would_prune(&lb)) {
@@ -1488,5 +1538,78 @@ mod tests {
             result.frontier.offered() + result.perf.pruned + result.perf.rejected,
             grid.total()
         );
+    }
+
+    #[test]
+    fn enforced_timing_rows_are_neither_rejected_nor_pruned_on_their_base() {
+        // Under enforced timing die area is not monotone in the clock:
+        // this row's base (30 GHz) is over the budget while four of its
+        // candidates are under it.
+        let mut grid = AxisGrid::manycore(
+            vec![TechNode::N45],
+            vec![DeviceType::Hp],
+            vec![2],
+            vec![1 << 20],
+            vec![30.0e9, 1.0e9, 25.0e9, 2.0e9, 20.0e9, 3.0e9],
+        );
+        grid.core.enforce_timing = true;
+        let areas: Vec<f64> = (0..grid.total())
+            .map(|c| {
+                Processor::build(&grid.config_at(c).unwrap())
+                    .unwrap()
+                    .die_area()
+            })
+            .collect();
+        let mm2 = |a: f64| (a * 1e8).round() / 100.0;
+        assert_eq!(
+            areas.iter().map(|&a| mm2(a)).collect::<Vec<_>>(),
+            [55.40, 55.27, 55.44, 55.27, 55.29, 55.27]
+        );
+        let opts = DseOptions {
+            budgets: Budgets {
+                max_area: (areas[0] + areas[1]) / 2.0,
+                ..Budgets::default()
+            },
+            ..DseOptions::default()
+        };
+        let admitted = areas.iter().filter(|&&a| a <= opts.budgets.max_area);
+        assert_eq!(admitted.count(), 4);
+        // The engine admits the same four: two rejected, none pruned.
+        let (perf, _) = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+        assert_eq!((perf.rejected, perf.pruned), (2, 0), "{perf:?}");
+    }
+
+    #[test]
+    fn pruned_and_unpruned_perfbench_shaped_sweeps_agree() {
+        // The axes of the perfbench `dse_sweep` grid. Delay ties across
+        // its L2 rows (delay depends on cores × clock only), so the
+        // Delay winner moves if a tie is pruned.
+        let clocks = 200;
+        let grid = AxisGrid::manycore(
+            vec![TechNode::N45, TechNode::N32],
+            vec![DeviceType::Hp, DeviceType::Lop],
+            vec![2, 4, 8, 12, 16],
+            vec![512 * 1024, 1 << 20, 2 << 20, 4 << 20, 8 << 20],
+            (0..clocks)
+                .map(|i| 1.004e9 + 2.0e9 / f64::from(clocks - 1) * f64::from(i))
+                .collect(),
+        );
+        let pruned = dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).unwrap();
+        let unpruned = dse(
+            &grid,
+            &DseOptions {
+                prune: false,
+                ..DseOptions::default()
+            },
+            &mut WorkloadModel::default(),
+        )
+        .unwrap();
+        assert_frontiers_bit_identical(&pruned.frontier, &unpruned.frontier);
+        assert!(
+            pruned.perf.pruned * 10 > grid.total() * 8,
+            "{:?}",
+            pruned.perf
+        );
+        assert_eq!(pruned.perf.rejected, unpruned.perf.rejected);
     }
 }

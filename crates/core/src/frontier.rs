@@ -132,11 +132,23 @@ impl ParetoFrontier {
     /// and both kept). Pruning against a stale frontier stays sound by
     /// transitivity: points are only ever evicted by points that
     /// dominate them.
+    ///
+    /// Delay-tie guard: a candidate whose delay bound does not strictly
+    /// exceed the tracked [`Metric::Delay`] winner's delay is never
+    /// pruned. Delay ties are common (a throughput workload's delay
+    /// depends only on cores × clock), and a tie offered later takes
+    /// the winner's slot, so pruning one would move the Delay winner to
+    /// another of the tied candidates. With the guard every candidate
+    /// of minimal delay is built, and the Delay winner is the one an
+    /// unpruned sweep would pick.
     #[must_use]
     pub fn would_prune(&self, lower_bound: &MetricSet) -> bool {
-        self.points
-            .iter()
-            .any(|p| dominates(&p.metrics, lower_bound))
+        let fastest = self.best(Metric::Delay).map(|w| w.metrics.delay);
+        fastest.is_some_and(|d| lower_bound.delay > d)
+            && self
+                .points
+                .iter()
+                .any(|p| dominates(&p.metrics, lower_bound))
     }
 
     /// The non-dominated points, in insertion (cursor) order.
@@ -151,8 +163,12 @@ impl ParetoFrontier {
     /// For the four composite metrics the winning *value* always equals
     /// the minimum over all enumerated candidates, pruned ones
     /// included: a pruned candidate is ≥ some frontier point on every
-    /// composite. For [`Metric::Energy`]/[`Metric::Delay`] the winner
-    /// ranges over built candidates only.
+    /// composite. So does the [`Metric::Delay`] winner, cursor
+    /// included, given a delay bound that is exact on every candidate
+    /// of minimal delay (as [`crate::WorkloadModel`]'s is): the
+    /// delay-tie guard of [`ParetoFrontier::would_prune`] builds all of
+    /// them. The [`Metric::Energy`] winner ranges over built candidates
+    /// only.
     #[must_use]
     pub fn best(&self, metric: Metric) -> Option<&FrontierPoint> {
         Metric::ALL
@@ -337,6 +353,25 @@ mod tests {
             area: 1.0,
         };
         assert!(f.would_prune(&worse));
+    }
+
+    #[test]
+    fn would_prune_keeps_delay_ties_with_the_delay_winner() {
+        let mut f = ParetoFrontier::new();
+        f.offer(pt(0, 1.0, 1.0, 1.0));
+        // Dominated, but as fast as the Delay winner: offered, it would
+        // take the winner's slot, so it must be built.
+        let tie = MetricSet {
+            delay: 1.0,
+            energy: 2.0,
+            area: 2.0,
+        };
+        assert!(!f.would_prune(&tie));
+        let slower = MetricSet {
+            delay: 1.0 + 1e-9,
+            ..tie
+        };
+        assert!(f.would_prune(&slower));
     }
 
     #[test]

@@ -713,7 +713,7 @@ impl Processor {
     /// not allocate.
     fn power_items(&self, stats: &ChipStats, cores: &[CoreStats]) -> PowerItems {
         let mut core_detail = None;
-        let dynamic = self.dynamic_walk(stats, cores, |cs| {
+        let dynamic = self.dynamic_walk(self.clock.clock_hz, stats, cores, |cs| {
             let p = self.core.power_items(cs);
             let dynamic = mcpat_mcore::core::dynamic_of(p.iter().flatten());
             core_detail.get_or_insert(p);
@@ -738,9 +738,11 @@ impl Processor {
 
     /// The dynamic half of the power walk. `core_dynamic` prices one
     /// core under its stats entry; it runs once per group of cores
-    /// sharing one, in core order.
+    /// sharing one, in core order. The clock network, the one component
+    /// that reads a clock of its own, switches at `clock_hz`.
     fn dynamic_walk(
         &self,
+        clock_hz: f64,
         stats: &ChipStats,
         cores: &[CoreStats],
         mut core_dynamic: impl FnMut(&CoreStats) -> f64,
@@ -781,6 +783,8 @@ impl Processor {
         } else {
             0.0
         };
+        let mut clock = self.clock;
+        clock.clock_hz = clock_hz;
         let items = [
             Some(cores_dynamic),
             self.l2.as_ref().map(|l2| l2.dynamic_power(&stats.l2)),
@@ -792,7 +796,7 @@ impl Processor {
                 stats.shared_fpu_ops as f64 * self.shared_fpu.energy_per_op
                     / stats.duration_s.max(1e-12)
             }),
-            Some(self.clock.dynamic_power_gated(gated_fraction)),
+            Some(clock.dynamic_power_gated(gated_fraction)),
         ];
         DynamicWalk {
             items,
@@ -820,16 +824,21 @@ impl Processor {
         ]
     }
 
-    /// The TDP-style peak statistics at this chip's clock: the chip's,
-    /// and the one entry every core shares.
-    fn peak_stats(&self) -> (ChipStats, CoreStats) {
+    /// The TDP-style peak statistics at `clock_hz`: the chip's, and the
+    /// one entry every core shares.
+    fn peak_stats_at(&self, clock_hz: f64) -> (ChipStats, CoreStats) {
         ChipStats::peak_parts(
             1e-3,
             self.config.num_cores,
-            self.config.clock_hz,
+            clock_hz,
             self.config.core.issue_width,
             self.config.core.fp_issue_width,
         )
+    }
+
+    /// [`Processor::peak_stats_at`] this chip's clock.
+    fn peak_stats(&self) -> (ChipStats, CoreStats) {
+        self.peak_stats_at(self.config.clock_hz)
     }
 
     /// The power walk under TDP-style peak statistics, allocation-free.
@@ -877,22 +886,54 @@ impl Processor {
     /// chip whose peak window holds no whole cycle).
     pub(crate) fn peak_power_total_with(&self, leakage: &PeakLeakage) -> f64 {
         let walk = self.peak_dynamic_walk();
-        if walk.cores_leakage_scale.to_bits() != leakage.cores_scale.to_bits() {
+        if !walk.keeps(leakage) {
             return self.peak_power_total();
         }
-        // The dynamic fold of `total_of`, over the same items in the
-        // same order.
-        let dynamic: f64 = walk.items.into_iter().flatten().sum();
-        dynamic + leakage.total
+        walk.dynamic_total() + leakage.total
+    }
+
+    /// A floor under what [`Processor::peak_power_total_with`] returns,
+    /// given `leakage`, on this chip retargeted to `hz`
+    /// ([`Processor::retarget_clock`]): the same walk at `hz` with the
+    /// cores' dynamic term priced at zero. The retargeted chip walks
+    /// these very components: only the cores and the clock network
+    /// read their clock, and the network is walked at `hz` here. Every
+    /// term is non-negative and finite, and round-to-nearest addition
+    /// is monotone, so the fold with one term zeroed cannot exceed the
+    /// probe's.
+    ///
+    /// `None` where the probe would not take that walk: under
+    /// `core.enforce_timing` (a full build) and where `hz` moves the
+    /// cores' leakage scale.
+    pub(crate) fn peak_power_floor_at(&self, hz: f64, leakage: &PeakLeakage) -> Option<f64> {
+        if clock_delta_rebuilds_fully(&self.config) {
+            return None;
+        }
+        let (stats, core) = self.peak_stats_at(hz);
+        let walk = self.dynamic_walk(hz, &stats, std::slice::from_ref(&core), |_| 0.0);
+        walk.keeps(leakage)
+            .then(|| walk.dynamic_total() + leakage.total)
+    }
+
+    /// True if every clock retarget keeps this chip's peak leakage, so
+    /// that its total alone is a floor under the probe's peak power at
+    /// any clock: no enforced timing (where a probe is a full build)
+    /// and no power gating (without it, [`Processor::dynamic_walk`]
+    /// counts every core's leakage in full, whatever the clock).
+    pub(crate) fn peak_leakage_is_clock_invariant(&self) -> bool {
+        !(self.config.power_gating || clock_delta_rebuilds_fully(&self.config))
     }
 
     /// The dynamic half of the peak power walk, pricing the core with
     /// [`CoreModel::dynamic_power`].
     fn peak_dynamic_walk(&self) -> DynamicWalk {
         let (stats, core) = self.peak_stats();
-        self.dynamic_walk(&stats, std::slice::from_ref(&core), |cs| {
-            self.core.dynamic_power(cs)
-        })
+        self.dynamic_walk(
+            self.clock.clock_hz,
+            &stats,
+            std::slice::from_ref(&core),
+            |cs| self.core.dynamic_power(cs),
+        )
     }
 }
 
@@ -905,6 +946,20 @@ struct DynamicWalk {
     /// count, with power gating counting an idle core at the ~10% of
     /// its leakage it retains.
     cores_leakage_scale: f64,
+}
+
+impl DynamicWalk {
+    /// The dynamic fold of `total_of`, over the same items in the same
+    /// order.
+    fn dynamic_total(&self) -> f64 {
+        self.items.into_iter().flatten().sum()
+    }
+
+    /// True if this walk leaves the cores' leakage scale of `leakage`
+    /// as it was, so its total still holds.
+    fn keeps(&self, leakage: &PeakLeakage) -> bool {
+        self.cores_leakage_scale.to_bits() == leakage.cores_scale.to_bits()
+    }
 }
 
 /// `(stats, weight)` per group of cores sharing one entry of `cores`

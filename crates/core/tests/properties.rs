@@ -5,8 +5,8 @@
 mod support;
 
 use mcpat::{
-    explore_batch, Budgets, ChipStats, Delta, DvfsPoint, MetricSet, Processor, ProcessorConfig,
-    RowFacts,
+    explore_batch, Budgets, ChipStats, Delta, DseEvaluator, DvfsPoint, FrontierPoint, MetricSet,
+    ParetoFrontier, Processor, ProcessorConfig, RowCandidate, RowFacts, WorkloadModel,
 };
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_mcore::config::CoreConfig;
@@ -81,6 +81,17 @@ fn row_fact_configs() -> Vec<ProcessorConfig> {
     lstp.device_type = DeviceType::Lstp;
     let mut configs = presets();
     configs.push(lstp);
+    configs
+}
+
+/// The four presets, plus a Tulsa with a shared FPU: a chip with both
+/// an L3 and shared FPUs.
+fn bound_configs() -> Vec<ProcessorConfig> {
+    let mut tulsa = ProcessorConfig::tulsa();
+    tulsa.name = String::from("tulsa-shared-fpu");
+    tulsa.num_shared_fpus = 1;
+    let mut configs = presets();
+    configs.push(tulsa);
     configs
 }
 
@@ -359,6 +370,66 @@ proptest! {
                         step
                     );
                 }
+            }
+        }
+    }
+
+    /// `WorkloadModel`'s prune bound is sound: on a row's candidates it
+    /// never exceeds what `evaluate` gives each candidate's full build.
+    /// Covered: the presets (one with an L3 and shared FPUs) and
+    /// manycore chips built from their core templates, every device
+    /// flavor, clock and power gating on and off, clocks up to 15 GHz.
+    /// The row form decides as the bound does, against frontiers that
+    /// the leakage-only bound, the floor or neither lets it prune.
+    #[test]
+    fn workload_bound_never_exceeds_evaluate(
+        preset in prop::sample::select(bound_configs()),
+        template in prop::bool::ANY,
+        device in prop::sample::select(vec![DeviceType::Hp, DeviceType::Lop, DeviceType::Lstp]),
+        clock_gating in prop::bool::ANY,
+        power_gating in prop::bool::ANY,
+        a in 0.3..3.0f64,
+    ) {
+        let mut cfg = if template {
+            ProcessorConfig::manycore("template", TechNode::N32, preset.core, 8, 2, 2 << 20)
+        } else {
+            preset
+        };
+        cfg.device_type = device;
+        cfg.core.clock_gating = clock_gating;
+        cfg.power_gating = power_gating;
+        let base = Processor::build(&cfg).unwrap();
+        let facts = RowFacts::of(&base);
+        let model = WorkloadModel::default();
+        for hz in [cfg.clock_hz * a, 12.0e9, 15.0e9] {
+            let candidate = Delta::Clock(hz).apply(&cfg);
+            let step = format!("{} ({device:?}) at {hz:e} Hz", cfg.name);
+            let exact = WorkloadModel::default().evaluate(&Processor::build(&candidate).unwrap());
+            let lb = model.lower_bound(&base, &candidate);
+            prop_assert!(lb.is_some(), "no bound: {}", step);
+            let lb = lb.unwrap();
+            prop_assert!(lb.delay <= exact.delay, "delay: {}", step);
+            prop_assert!(lb.energy <= exact.energy, "energy: {}", step);
+            prop_assert!(lb.area <= exact.area, "area: {}", step);
+            let leakage_only = facts.leakage * lb.delay;
+            prop_assert!(lb.energy > leakage_only, "no uncore floor: {}", step);
+            let row = RowCandidate { base: &base, facts, clock_hz: hz, cursor: 0 };
+            for energy in [leakage_only * 0.5, (leakage_only + lb.energy) / 2.0, lb.energy * 1.02] {
+                let mut frontier = ParetoFrontier::new();
+                frontier.offer(FrontierPoint {
+                    name: String::from("incumbent"),
+                    cursor: 0,
+                    area: lb.area,
+                    peak_power: energy / lb.delay,
+                    metrics: MetricSet { delay: lb.delay * 0.99, energy, area: lb.area },
+                });
+                prop_assert_eq!(
+                    model.prunes_in_row(&row, &frontier),
+                    frontier.would_prune(&lb),
+                    "decision at incumbent energy {:e}: {}",
+                    energy,
+                    step
+                );
             }
         }
     }

@@ -29,6 +29,7 @@ impl Link {
 
     /// Energy of transmitting one flit (≈50% bit toggle), J.
     #[must_use]
+    #[inline]
     pub fn energy_per_flit(&self) -> f64 {
         0.5 * f64::from(self.flit_bits) * self.wire.metrics.energy_per_op
     }

@@ -61,6 +61,7 @@ impl Topology {
 
     /// Average hop count of uniform-random traffic.
     #[must_use]
+    #[inline]
     pub fn average_hops(self) -> f64 {
         match self {
             Topology::Mesh { x, y } => (f64::from(x) + f64::from(y)) / 3.0,
@@ -209,6 +210,7 @@ pub struct NocModel {
 impl NocModel {
     /// Energy of moving one flit one hop (router + link), J.
     #[must_use]
+    #[inline]
     pub fn energy_per_flit_hop(&self) -> f64 {
         match (&self.router, &self.link, &self.bus, &self.crossbar) {
             (_, Some(l), _, Some(x)) => x.energy_per_op + 2.0 * l.energy_per_flit(),
@@ -264,6 +266,7 @@ impl NocModel {
 
     /// Runtime dynamic power for the given traffic, W.
     #[must_use]
+    #[inline]
     pub fn dynamic_power(&self, stats: &NocStats) -> f64 {
         if stats.interval_s <= 0.0 {
             return 0.0;

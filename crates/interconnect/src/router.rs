@@ -104,6 +104,7 @@ impl Router {
     /// Energy of one flit transiting this router (buffer write + read,
     /// allocation, crossbar traversal), J.
     #[must_use]
+    #[inline]
     pub fn energy_per_flit(&self) -> f64 {
         self.input_buffer.write_energy
             + self.input_buffer.read_energy

@@ -72,6 +72,7 @@ impl CoreStats {
     /// with a 50% data toggle; this constructor encodes the event rates,
     /// the energy models encode the toggle.
     #[must_use]
+    #[inline]
     pub fn peak(cycles: u64, issue_width: u32, fp_issue_width: u32) -> CoreStats {
         let w = u64::from(issue_width);
         let fw = u64::from(fp_issue_width);
@@ -119,6 +120,7 @@ impl CoreStats {
 
     /// Fraction of cycles the core was active.
     #[must_use]
+    #[inline]
     pub fn duty(&self) -> f64 {
         if self.cycles == 0 {
             0.0

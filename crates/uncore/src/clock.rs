@@ -83,12 +83,14 @@ impl ClockNetwork {
     /// Dynamic power of the network (α = 1: the clock switches twice per
     /// cycle, giving `C·V²·f`), W.
     #[must_use]
+    #[inline]
     pub fn dynamic_power(&self) -> f64 {
         self.total_cap * self.vdd * self.vdd * self.clock_hz
     }
 
     /// Dynamic power with a fraction of the grid clock-gated off, W.
     #[must_use]
+    #[inline]
     pub fn dynamic_power_gated(&self, gated_fraction: f64) -> f64 {
         self.dynamic_power() * (1.0 - 0.9 * gated_fraction.clamp(0.0, 1.0))
     }

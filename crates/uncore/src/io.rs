@@ -47,6 +47,7 @@ impl OffChipIo {
 
     /// Power at a given utilization of the provisioned bandwidth, W.
     #[must_use]
+    #[inline]
     pub fn power_at_utilization(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         self.standby_power + u * self.energy_per_bit * self.bandwidth * 8.0

@@ -197,6 +197,7 @@ impl MemCtrl {
 
     /// Runtime dynamic power, W.
     #[must_use]
+    #[inline]
     pub fn dynamic_power(&self, stats: &MemCtrlStats) -> f64 {
         if stats.interval_s <= 0.0 {
             return 0.0;

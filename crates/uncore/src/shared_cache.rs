@@ -217,6 +217,7 @@ impl SharedCache {
 
     /// Runtime dynamic power, W.
     #[must_use]
+    #[inline]
     pub fn dynamic_power(&self, stats: &SharedCacheStats) -> f64 {
         if stats.interval_s <= 0.0 {
             return 0.0;
