@@ -323,13 +323,16 @@ pub fn set_cap(cap: Option<usize>) {
     CAP_OVERRIDE.store(cap.unwrap_or(usize::MAX), Ordering::SeqCst);
 }
 
-/// The effective total entry cap (0 = unbounded).
+/// The effective total entry cap (0 = unbounded). The
+/// `MCPAT_SOLVE_CACHE_CAP` knob is read once per process: every insert
+/// asks, and an environment read costs more than the insert.
 fn total_cap() -> usize {
+    static ENV_CAP: OnceLock<usize> = OnceLock::new();
     let forced = CAP_OVERRIDE.load(Ordering::SeqCst);
     if forced != usize::MAX {
         return forced;
     }
-    mcpat_par::knobs::solve_cache_cap()
+    *ENV_CAP.get_or_init(mcpat_par::knobs::solve_cache_cap)
 }
 
 /// The per-shard entry cap derived from [`total_cap`] (0 = unbounded).
@@ -359,11 +362,15 @@ pub fn set_auto() {
     MODE.store(0, Ordering::SeqCst);
 }
 
+/// Whether lookups use the cache. The `MCPAT_SOLVE_CACHE` knob is read
+/// once per process: every lookup asks, and an environment read costs
+/// more than a cache hit.
 fn enabled() -> bool {
+    static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
     match MODE.load(Ordering::SeqCst) {
         1 => true,
         2 => false,
-        _ => mcpat_par::knobs::solve_cache(),
+        _ => *ENV_ENABLED.get_or_init(mcpat_par::knobs::solve_cache),
     }
 }
 

@@ -871,6 +871,10 @@ pub(crate) fn solve_uncached(
     spec: &ArraySpec,
     target: OptTarget,
 ) -> Result<SolvedArray, ArrayError> {
+    // A real solve is worth a second lane: announce the join branches
+    // queued around it. Waking here, not on the cache-miss path, also
+    // covers cache-off builds and duplicate solves.
+    mcpat_par::wake();
     if REFERENCE_MODE.load(Ordering::Relaxed) {
         return reference::solve_reference(tech, spec, target);
     }

@@ -39,9 +39,11 @@
 //! clock within 25% of serial. A fifth host-independent gate covers
 //! the `mcpat serve` daemon: a warm shared-cache request over loopback
 //! TCP must complete at least 5x faster than the same request against
-//! a cleared cache (the `serve` block records both latencies). Full (non-`--quick`) runs additionally
-//! time one 10^5-candidate streaming sweep end to end, recorded in the
-//! `dse` block.
+//! a cleared cache (the `serve` block records both latencies). Another
+//! host-independent gate counts pool wake-ups: a warm Niagara2 build,
+//! every array a cache hit, must wake no worker (the `pool` block).
+//! Full (non-`--quick`) runs additionally time one 10^5-candidate
+//! streaming sweep end to end, recorded in the `dse` block.
 //!
 //! The JSON is stamped with the git revision and whether the tracked
 //! files differed from it (`worktree`), and records the host's
@@ -515,6 +517,34 @@ const MAX_DSE_ALLOCS_PER_CANDIDATE: f64 = 3.0;
 /// so the ratio is host-independent.
 const MIN_SERVE_WARM_SPEEDUP: f64 = 5.0;
 
+/// Ceiling on pool wake-ups during one warm Niagara2 build at the
+/// default thread count. Every array is a solve-cache hit, so no join
+/// in it has work worth a second lane: the joins must stay quiet. A
+/// count, so it holds on any host.
+const MAX_WARM_BUILD_WAKEUPS: u64 = 0;
+
+/// Pool wake-ups caused by one warm Niagara2 build at the default
+/// thread count, with the solve cache on and populated.
+fn warm_build_wakeups() -> u64 {
+    let cfg = ProcessorConfig::niagara2();
+    let build = || {
+        if let Err(e) = Processor::build(&cfg) {
+            die(&format!("warm wake-up probe build failed: {e}"));
+        }
+    };
+    memo::set_enabled(true);
+    mcpat_par::set_thread_override(0);
+    // Populate the cache and spawn the workers, then let the workers
+    // park, so any announcement reaches one and counts.
+    build();
+    std::thread::sleep(std::time::Duration::from_millis(10));
+    let before = mcpat_par::pool::stats().wakeups;
+    build();
+    let wakeups = mcpat_par::pool::stats().wakeups - before;
+    memo::set_auto();
+    wakeups
+}
+
 /// Round trips behind each serve median, whatever `--quick` says: at 3
 /// the warm/cold ratio wandered across its floor on a 2-vCPU host,
 /// while 301 trips read the same ratio run after run.
@@ -602,6 +632,7 @@ fn gate_failures(
     dse_allocs_per_candidate: f64,
     serve_warm_vs_cold: f64,
     explore_pool_submissions: u64,
+    warm_wakeups: u64,
     host_threads: usize,
     host_label: &str,
     reps: usize,
@@ -663,6 +694,12 @@ fn gate_failures(
             "serve warm_vs_cold_speedup is {serve_warm_vs_cold:.2} \
              (< {MIN_SERVE_WARM_SPEEDUP}): a warm shared-cache request must beat a \
              cold evaluation by 5x"
+        ));
+    }
+    if warm_wakeups > MAX_WARM_BUILD_WAKEUPS {
+        failures.push(format!(
+            "a warm niagara2 build woke the worker pool {warm_wakeups} time(s) \
+             (> {MAX_WARM_BUILD_WAKEUPS}): joins over solve-cache hits must stay quiet"
         ));
     }
     // Host-independent: the ratio compares two builds on *this* host,
@@ -990,6 +1027,11 @@ fn main() {
         "benchline: parallel-mode explore submitted {explore_pool_submissions} pool task(s) \
          on this {host_threads}-way host"
     );
+    let warm_wakeups = warm_build_wakeups();
+    eprintln!(
+        "benchline: a warm niagara2 build woke the pool {warm_wakeups} time(s) \
+         (gate ceiling {MAX_WARM_BUILD_WAKEUPS})"
+    );
 
     // Baseline for the cold-build speedup row: the gate baseline when
     // one was named, else whatever JSON the out path currently holds
@@ -1088,6 +1130,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
+        "  \"pool\": {{ \"warm_niagara2_build_wakeups\": {warm_wakeups}, \
+         \"max_allowed\": {MAX_WARM_BUILD_WAKEUPS} }},"
+    );
+    let _ = writeln!(
+        json,
         "  \"dse\": {{ \"candidates\": {}, \"prune_rate\": {dse_prune_rate:.4}, \
          \"min_allowed_prune_rate\": {MIN_DSE_PRUNE_RATE}, \
          \"probes\": {}, \"cache_rebuilds\": {}, \"full_builds\": {}, \
@@ -1158,6 +1205,7 @@ fn main() {
             dse_allocs_per_candidate,
             serve_warm_vs_cold,
             explore_pool_submissions,
+            warm_wakeups,
             host_threads,
             &label,
             reps,

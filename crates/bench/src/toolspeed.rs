@@ -127,7 +127,8 @@ pub fn render(bench: &Value) -> Result<String, String> {
          committed JSON, a benchline {} run at revision `{}`{},\n\
          median of {} reps per mode, host label `{}`. *Serial* runs one\n\
          thread with the solve cache off, *parallel* the default thread count\n\
-         with the cache off, *warm* one thread with the cache populated.\n\
+         with the cache off, *warm* the default thread count with the cache\n\
+         populated.\n\
          Allocations are heap allocations of one run.\n",
         match bench.get("quick").and_then(Value::as_bool) {
             Some(false) => "full",
@@ -169,6 +170,7 @@ pub fn render(bench: &Value) -> Result<String, String> {
     let dse = |key: &str| num(bench, &["dse", key]);
     let serve = |key: &str| num(bench, &["serve", key]);
     let speedup = |key: &str| num(bench, &["speedups", key]);
+    let pool = |key: &str| num(bench, &["pool", key]);
     let chip_builds = |key: &str| -> Result<String, String> {
         let values = ["chip_build_niagara2", "chip_build_tulsa"]
             .iter()
@@ -183,7 +185,8 @@ pub fn render(bench: &Value) -> Result<String, String> {
          build-every-candidate loop ({}x; gated ≥ {}x), at {:.2} allocations\n\
          per candidate (gated ≤ {}). A 10⁵-candidate sweep takes {} ms at the\n\
          default thread count. A serve request takes {} ms against a warm\n\
-         shared cache and {} ms cold ({}x; gated ≥ {}x). Incremental bisection\n\
+         shared cache and {} ms cold ({}x; gated ≥ {}x). A warm Niagara2 build\n\
+         wakes the worker pool {} times (gated ≤ {}). Incremental bisection\n\
          is {}x faster than rebuilding per probe, a warm chip build {}x faster\n\
          than a cold one, and the parallel build {}x faster than the serial one\n\
          on this `{}` host. Whole-chip power, area and timing in {} ms cold, or\n\
@@ -202,6 +205,8 @@ pub fn render(bench: &Value) -> Result<String, String> {
         sig3(serve("cold_request_ms")?),
         sig3(serve("warm_vs_cold_speedup")?),
         serve("min_allowed_speedup")?,
+        pool("warm_niagara2_build_wakeups")?,
+        pool("max_allowed")?,
         sig3(speedup("bisection_incremental_vs_full")?),
         sig3(speedup("chip_build_warm_cache_vs_cold")?),
         sig3(speedup("chip_build_parallel_vs_serial")?),

@@ -11,18 +11,21 @@
 //! the dependency graph that needs a knob (the worker count); the
 //! umbrella `mcpat` crate re-exports it as `mcpat::knobs`.
 //!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `MCPAT_THREADS` | worker count for every fan-out | detected parallelism |
-//! | `MCPAT_SOLVE_CACHE` | `0` disables the array solve cache | enabled |
-//! | `MCPAT_SOLVE_CACHE_CAP` | solve-cache entry cap (`0` = unbounded) | 4096 |
-//! | `MCPAT_SERVE_MAX_INFLIGHT` | serve daemon admission cap (`0` = unbounded) | 64 |
-//! | `MCPAT_SERVE_EVAL_HOLD_MS` | serve daemon sleeps this long before each uncoalesced build | 0 |
+//! | Variable | Meaning | Default | Read |
+//! |---|---|---|---|
+//! | `MCPAT_THREADS` | worker count for every fan-out | detected parallelism | once per process |
+//! | `MCPAT_SOLVE_CACHE` | `0` disables the array solve cache | enabled | once per process |
+//! | `MCPAT_SOLVE_CACHE_CAP` | solve-cache entry cap (`0` = unbounded) | 4096 | once per process |
+//! | `MCPAT_SERVE_MAX_INFLIGHT` | serve daemon admission cap (`0` = unbounded) | 64 | per `ServeOptions::default()` |
+//! | `MCPAT_SERVE_EVAL_HOLD_MS` | serve daemon sleeps this long before each uncoalesced build | 0 | per uncoalesced build |
 //!
-//! In-process overrides ([`crate::set_thread_override`],
-//! `mcpat_array::memo::set_enabled`) take precedence over both
-//! variables; tests and benchmarks should use those instead of mutating
-//! the process environment.
+//! The first three sit on hot paths (every fan-out, every cache lookup
+//! and insert), so their readers cache the first value: setting one of
+//! them after the process has used it changes nothing. In-process
+//! overrides ([`crate::set_thread_override`],
+//! `mcpat_array::memo::set_enabled`/`set_auto`/`set_cap`) take
+//! precedence over the variables at any time; tests and benchmarks
+//! should use those instead of mutating the process environment.
 
 /// Environment variable naming the worker count for every fan-out.
 pub const THREADS_VAR: &str = "MCPAT_THREADS";

@@ -11,6 +11,9 @@
 //! worker pushes onto that worker's own deque and the worker helps
 //! drain the queues while it waits, so a candidate sweep over N chips
 //! saturates the machine exactly once instead of N × depth times.
+//! Joins are **quiet**: their branches wait on the queue for the
+//! calling thread unless expensive work calls [`wake`], so a join over
+//! cheap branches never pays for waking a worker.
 //!
 //! Three properties every helper guarantees:
 //!
@@ -34,7 +37,7 @@
 pub mod knobs;
 pub mod pool;
 
-pub use pool::PoolStats;
+pub use pool::{wake, PoolStats};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -442,6 +445,96 @@ mod tests {
             after.inline_execs >= before.inline_execs + 12 * (1 + 4 + 6),
             "{after:?} vs {before:?}"
         );
+    }
+
+    /// Spawns the pool's workers and lets them park, so the wake-up
+    /// counter sees every later announcement.
+    fn park_workers() {
+        let items: Vec<usize> = (0..8).collect();
+        par_map(&items, 2, |_, &x| x).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    #[test]
+    fn quiet_join_runs_on_the_caller_without_waking() {
+        with_override(4, || {
+            park_workers();
+            let me = std::thread::current().id();
+            let here = || std::thread::current().id();
+            let before = pool::stats();
+            let (a, b, c, d) = join4(here, here, here, here).unwrap();
+            let (e, f) = join2(here, here).unwrap();
+            let after = pool::stats();
+            assert!(after.submitted > before.submitted, "the join used the pool");
+            assert_eq!(after.wakeups, before.wakeups, "a quiet join wakes nobody");
+            assert!([a, b, c, d, e, f].iter().all(|&t| t == me));
+        });
+    }
+
+    #[test]
+    fn wake_in_the_lead_branch_hands_a_branch_to_a_worker() {
+        with_override(2, || {
+            park_workers();
+            let me = std::thread::current().id();
+            let ran = std::sync::atomic::AtomicBool::new(false);
+            let before = pool::stats();
+            let (_, other) = join2(
+                || {
+                    wake();
+                    // Hold the caller until a worker has taken the branch
+                    // (bounded, so a lost wake fails instead of hanging).
+                    let start = std::time::Instant::now();
+                    while !ran.load(Ordering::SeqCst)
+                        && start.elapsed() < std::time::Duration::from_secs(5)
+                    {
+                        std::thread::yield_now();
+                    }
+                },
+                || {
+                    ran.store(true, Ordering::SeqCst);
+                    std::thread::current().id()
+                },
+            )
+            .unwrap();
+            assert_ne!(other, me, "the woken worker ran the queued branch");
+            assert!(pool::stats().wakeups > before.wakeups);
+        });
+    }
+
+    #[test]
+    fn nested_quiet_joins_with_random_wakes_complete_1000_rounds() {
+        /// A leaf that wakes the pool when its pseudo-random draw says so.
+        fn leaf(seed: u64, v: u64) -> u64 {
+            let mut x = seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(3) {
+                wake();
+            }
+            v
+        }
+        fn tree(seed: u64, depth: u32, v: u64) -> u64 {
+            if depth == 0 {
+                return leaf(seed, v);
+            }
+            let go = |k: u64| move || tree(seed.rotate_left(k as u32 + 1), depth - 1, v * 6 + k);
+            if leaf(seed, depth.into()).is_multiple_of(2) {
+                let (a, b) = join2(go(0), go(1)).unwrap();
+                a + b
+            } else {
+                let (a, b, c, d, e, f) = join6(go(0), go(1), go(2), go(3), go(4), go(5)).unwrap();
+                a + b + c + d + e + f
+            }
+        }
+        with_override(4, || {
+            for round in 0..1000u64 {
+                let items: Vec<u64> = (0..4).collect();
+                let got = par_map(&items, 2, |_, &x| tree(round * 7 + x, 2, x)).unwrap();
+                let serial: Vec<u64> = items.iter().map(|&x| tree(round * 7 + x, 2, x)).collect();
+                assert_eq!(got, serial, "round {round}");
+            }
+        });
     }
 
     #[test]

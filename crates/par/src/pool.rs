@@ -20,12 +20,25 @@
 //!   batch latch opens. Workers blocked on a *nested* fan-out do the
 //!   same, so every OS thread stays busy and nested joins can never
 //!   deadlock the pool.
+//! * **Quiet joins, eager maps.** A `join*` queues its branches without
+//!   waking anyone: the caller drains them itself after its lead
+//!   branch, so a join over microsecond branches (solve-cache hits in a
+//!   warm build) costs no wake-up. Work known to be expensive announces
+//!   itself: `par_map` wakes idle lanes on submission, and the array
+//!   optimizer calls [`wake`] on entry, which announces every
+//!   quietly queued branch so a cold build still fans out.
+//! * **Two condvars.** Idle workers park on a work condvar, helpers
+//!   waiting for a latch on a latch condvar. Both parked counts live
+//!   under the queue lock, so a finished task notifies the latch
+//!   condvar only when a helper is parked on it, and an announcement
+//!   notifies only condvars that have a parked thread.
 //! * **Lazy, growable sizing.** No thread is spawned until the first
 //!   parallel call. The pool grows to `threads() - 1` resident workers
 //!   (the submitting thread is the final lane) and honors the same
 //!   resolution as [`crate::threads`]: override, then `MCPAT_THREADS`
-//!   (via [`crate::knobs`] — this module reads no environment), then
-//!   detected parallelism.
+//!   (read once per process via [`crate::knobs`] — this module reads
+//!   no environment), then detected parallelism. The lane count is
+//!   mirrored in an atomic, so a fan-out checks it without the lock.
 //!
 //! # Safety
 //!
@@ -52,7 +65,7 @@ use std::time::Duration;
 const MAX_WORKERS: usize = crate::MAX_THREADS - 1;
 
 /// Heartbeat for idle waits. Wake-ups are edge-triggered through the
-/// condvar; the timeout is pure defense in depth so a (hypothetical)
+/// condvars; the timeout is pure defense in depth so a (hypothetical)
 /// missed notification degrades to slow polling instead of a hang.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
@@ -73,6 +86,10 @@ pub struct PoolStats {
     /// [`chaos_kill_worker`] — kills its worker; a drop guard respawns
     /// a replacement up to a capped respawn budget).
     pub workers_respawned: u64,
+    /// Announcements of queued work that reached a parked thread: a
+    /// notify of the work condvar (idle workers), plus the latch
+    /// condvar when a helper was parked there. Quiet joins make none.
+    pub wakeups: u64,
 }
 
 /// A type-erased pointer to a task living on a submitting caller's
@@ -93,15 +110,32 @@ unsafe impl Send for TaskRef {}
 struct Queues {
     injector: VecDeque<TaskRef>,
     locals: Vec<VecDeque<TaskRef>>,
+    /// Resident workers parked on [`Shared::work`].
+    idle: usize,
+    /// Helpers parked on [`Shared::latch`].
+    parked: usize,
+}
+
+impl Queues {
+    fn has_work(&self) -> bool {
+        !self.injector.is_empty() || self.locals.iter().any(|d| !d.is_empty())
+    }
 }
 
 struct Shared {
     queues: Mutex<Queues>,
-    cv: Condvar,
+    /// Idle workers wait here for announced work.
+    work: Condvar,
+    /// Helpers wait here for their batch latch to open.
+    latch: Condvar,
+    /// `queues.locals.len()`, written under the lock and read without
+    /// it by every fan-out.
+    lanes: AtomicUsize,
     submitted: AtomicU64,
     steals: AtomicU64,
     inline_execs: AtomicU64,
     respawned: AtomicU64,
+    wakeups: AtomicU64,
 }
 
 thread_local! {
@@ -117,12 +151,17 @@ fn shared() -> &'static Shared {
         queues: Mutex::new(Queues {
             injector: VecDeque::new(),
             locals: Vec::new(),
+            idle: 0,
+            parked: 0,
         }),
-        cv: Condvar::new(),
+        work: Condvar::new(),
+        latch: Condvar::new(),
+        lanes: AtomicUsize::new(0),
         submitted: AtomicU64::new(0),
         steals: AtomicU64::new(0),
         inline_execs: AtomicU64::new(0),
         respawned: AtomicU64::new(0),
+        wakeups: AtomicU64::new(0),
     })
 }
 
@@ -139,11 +178,12 @@ fn lock(shared: &Shared) -> MutexGuard<'_, Queues> {
 pub fn stats() -> PoolStats {
     let shared = shared();
     PoolStats {
-        workers: lock(shared).locals.len(),
+        workers: shared.lanes.load(Ordering::Acquire),
         submitted: shared.submitted.load(Ordering::Relaxed),
         steals: shared.steals.load(Ordering::Relaxed),
         inline_execs: shared.inline_execs.load(Ordering::Relaxed),
         workers_respawned: shared.respawned.load(Ordering::Relaxed),
+        wakeups: shared.wakeups.load(Ordering::Relaxed),
     }
 }
 
@@ -197,7 +237,7 @@ impl Drop for TaskDepth {
 /// parallel-slower-than-serial anomaly on a 1-CPU host), so the pooled
 /// paths fall back to inline execution instead.
 fn no_second_lane(shared: &Shared) -> bool {
-    let workers = lock(shared).locals.len();
+    let workers = shared.lanes.load(Ordering::Acquire);
     workers == 0 || (workers == 1 && is_pool_worker())
 }
 
@@ -206,6 +246,9 @@ fn no_second_lane(shared: &Shared) -> bool {
 /// drain the queues, so fewer workers costs throughput, not progress.
 fn ensure_workers(shared: &'static Shared, want: usize) {
     let want = want.min(MAX_WORKERS);
+    if shared.lanes.load(Ordering::Acquire) >= want {
+        return;
+    }
     let mut q = lock(shared);
     while q.locals.len() < want {
         let index = q.locals.len();
@@ -218,6 +261,7 @@ fn ensure_workers(shared: &'static Shared, want: usize) {
             break;
         }
     }
+    shared.lanes.store(q.locals.len(), Ordering::Release);
 }
 
 /// Lifetime cap on worker respawns: generous against any plausible bug
@@ -322,12 +366,52 @@ fn run_task(task: TaskRef, stolen: bool) {
     }
 }
 
-/// Wakes every parked thread after queue or latch state changed. The
-/// empty lock section orders the wake against a helper that checked
-/// its latch under the lock and is about to park.
+/// Wakes the helpers parked on a latch after one opened. Reading the
+/// parked count under the lock orders the wake against a helper that
+/// checked its latch under the lock and is about to park; with no
+/// helper parked, the notify (a syscall) is skipped.
 fn signal(shared: &Shared) {
-    drop(lock(shared));
-    shared.cv.notify_all();
+    if lock(shared).parked > 0 {
+        shared.latch.notify_all();
+    }
+}
+
+/// Announces queued work to every parked thread: idle workers, and
+/// helpers parked on a latch (an idle lane too). Takes the guard under
+/// which the caller saw or pushed the work, so a thread that parks
+/// after the guard drops has already seen that work.
+fn announce(shared: &Shared, q: MutexGuard<'_, Queues>) {
+    let (idle, parked) = (q.idle, q.parked);
+    drop(q);
+    if idle > 0 {
+        shared.work.notify_all();
+    }
+    if parked > 0 {
+        shared.latch.notify_all();
+    }
+    if idle + parked > 0 {
+        shared.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Announces every quietly queued join branch to the pool's idle
+/// lanes, so they can run it alongside the caller.
+///
+/// Joins queue their branches without waking anyone, because most
+/// branches are too cheap to be worth a thread wake-up (a warm chip
+/// build's are solve-cache hits). Code about to do expensive work calls
+/// this first: the array optimizer does on entry, so a cold build
+/// still fans out from its first solve. A no-op when nothing is queued
+/// or the pool has no worker.
+pub fn wake() {
+    let shared = shared();
+    if shared.lanes.load(Ordering::Acquire) == 0 {
+        return;
+    }
+    let q = lock(shared);
+    if q.has_work() {
+        announce(shared, q);
+    }
 }
 
 /// Worker-thread entry point: installs the respawn guard, then runs
@@ -347,46 +431,52 @@ fn worker_loop(shared: &'static Shared, me: usize) {
                 if let Some(found) = pop_task(&mut q, Some(me)) {
                     break found;
                 }
+                q.idle += 1;
                 let (guard, _) = shared
-                    .cv
+                    .work
                     .wait_timeout(q, IDLE_POLL)
                     .unwrap_or_else(PoisonError::into_inner);
                 q = guard;
+                q.idle = q.idle.saturating_sub(1);
             }
         };
         if stolen {
             shared.steals.fetch_add(1, Ordering::Relaxed);
         }
+        // The task's latch guard wakes its waiting owner.
         run_task(task, stolen);
-        signal(shared);
     }
 }
 
 /// Pushes a batch of tasks: nested submissions (from a pool worker) go
-/// to that worker's own deque, external ones to the injector.
-fn submit(shared: &'static Shared, tasks: impl IntoIterator<Item = TaskRef>) {
+/// to that worker's own deque, external ones to the injector. An
+/// `eager` batch is announced to the parked lanes at once; a quiet one
+/// waits for its submitter to drain it or for a [`wake`].
+fn submit(shared: &'static Shared, tasks: impl IntoIterator<Item = TaskRef>, eager: bool) {
     let me = WORKER.with(Cell::get);
     let mut pushed = 0u64;
-    {
-        let mut q = lock(shared);
-        match me.and_then(|i| q.locals.get_mut(i)) {
-            Some(local) => {
-                for t in tasks {
-                    local.push_back(t);
-                    pushed += 1;
-                }
+    let mut q = lock(shared);
+    match me.and_then(|i| q.locals.get_mut(i)) {
+        Some(local) => {
+            for t in tasks {
+                local.push_back(t);
+                pushed += 1;
             }
-            None => {
-                for t in tasks {
-                    q.injector.push_back(t);
-                    pushed += 1;
-                }
+        }
+        None => {
+            for t in tasks {
+                q.injector.push_back(t);
+                pushed += 1;
             }
         }
     }
+    if eager {
+        announce(shared, q);
+    } else {
+        drop(q);
+    }
     shared.submitted.fetch_add(pushed, Ordering::Relaxed);
     mcpat_obs::record_pool_submitted(pushed);
-    shared.cv.notify_all();
 }
 
 /// Executes queued tasks until `done` reports the caller's batch
@@ -402,15 +492,18 @@ fn help_until(shared: &'static Shared, done: &dyn Fn() -> bool) {
             let mut q = lock(shared);
             let popped = pop_task(&mut q, me);
             if popped.is_none() {
-                // Re-check under the lock: a completion signal takes
-                // this same lock, so parking here cannot lose it.
+                // Re-check under the lock: a completion signal reads
+                // the parked count under this same lock, so parking
+                // here cannot lose it.
                 if done() {
                     return;
                 }
-                let _ = shared
-                    .cv
+                q.parked += 1;
+                let (mut q, _) = shared
+                    .latch
                     .wait_timeout(q, IDLE_POLL)
                     .unwrap_or_else(PoisonError::into_inner);
+                q.parked = q.parked.saturating_sub(1);
             }
             popped
         };
@@ -419,7 +512,6 @@ fn help_until(shared: &'static Shared, done: &dyn Fn() -> bool) {
                 shared.steals.fetch_add(1, Ordering::Relaxed);
             }
             run_task(task, stolen);
-            signal(shared);
         }
     }
 }
@@ -535,6 +627,7 @@ where
             data: std::ptr::from_ref(t).cast(),
             exec: exec_map_task::<I, T, F>,
         }),
+        true,
     );
     help_until(shared, &|| remaining.load(Ordering::Acquire) == 0);
     let mut out = Vec::with_capacity(items.len());
@@ -632,8 +725,10 @@ where
     }
 }
 
-/// Submits `jobs` and runs `lead` inline, helping until every job's
-/// latch opens. The shared skeleton of `join2/4/6`.
+/// Queues `jobs` quietly and runs `lead` inline, helping until every
+/// job's latch opens. The shared skeleton of `join2/4/6`. No lane is
+/// woken here: the caller drains its own jobs unless some expensive
+/// work (the array optimizer) calls [`wake`] meanwhile.
 fn join_with<A, FA>(lead: FA, jobs: &[TaskRef], all_done: &dyn Fn() -> bool) -> Result<A, ParError>
 where
     A: Send,
@@ -649,7 +744,7 @@ where
         }
         return lead_result;
     }
-    submit(shared, jobs.iter().copied());
+    submit(shared, jobs.iter().copied(), false);
     note_inline(1);
     let lead_result = crate::catch(lead);
     help_until(shared, all_done);

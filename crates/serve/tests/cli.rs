@@ -33,6 +33,41 @@ fn every_preset_produces_a_report() {
     }
 }
 
+/// `MCPAT_THREADS` is read once, at process start-up, so its effect is
+/// checked across processes: a forced-serial report must match the
+/// default (pooled) one byte for byte, apart from the `Build:` line,
+/// which names the thread count (and so proves the variable was read).
+#[test]
+fn mcpat_threads_one_report_equals_default() {
+    fn report(preset: &str, threads: Option<&str>) -> (String, String) {
+        let mut cmd = mcpat_bin();
+        cmd.args(["--preset", preset]);
+        match threads {
+            Some(n) => cmd.env("MCPAT_THREADS", n),
+            None => cmd.env_remove("MCPAT_THREADS"),
+        };
+        let out = cmd.output().unwrap();
+        assert_eq!(exit_code(&out), 0, "preset {preset}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let (build, rest): (Vec<&str>, Vec<&str>) = text
+            .lines()
+            .partition(|l| l.trim_start().starts_with("Build:"));
+        (build.concat(), rest.join("\n"))
+    }
+    for preset in PRESETS {
+        let (serial_build, serial) = report(preset, Some("1"));
+        let (_, default) = report(preset, None);
+        assert!(
+            serial_build.contains("Build: 1 thread(s)"),
+            "preset {preset}: MCPAT_THREADS=1 was not honored: {serial_build}"
+        );
+        assert!(
+            serial == default,
+            "preset {preset}: MCPAT_THREADS=1 report differs from the default"
+        );
+    }
+}
+
 #[test]
 fn every_preset_emit_config_round_trips_identically() {
     for preset in PRESETS {
