@@ -53,50 +53,21 @@
 //! agrees.
 
 use mcpat::{
-    explore_batch, max_clock_under_power_budget, register_alloc_probe, AxisGrid, Budgets,
-    DseEvaluator, DseOptions, DsePerf, FrontierPoint, MetricSet, ParetoFrontier, Processor,
-    ProcessorConfig, WorkloadModel,
+    explore_batch, max_clock_under_power_budget, AxisGrid, Budgets, DseEvaluator, DseOptions,
+    DsePerf, FrontierPoint, MetricSet, ParetoFrontier, Processor, ProcessorConfig, WorkloadModel,
 };
 use mcpat_array::{memo, ArraySpec, OptTarget};
 use mcpat_mcore::config::CoreConfig;
 use mcpat_mcore::core::CoreModel;
 use mcpat_tech::{DeviceType, TechNode, TechParams};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts heap allocations so the benchmark can report allocations per
-/// solve — the direct measure of the enumeration loop's cheapness.
-/// A process-global total feeds the per-row `allocs_serial` column; a
-/// per-thread count feeds the `mcpat-obs` probe, whose contract is
-/// "the calling thread's allocations" (each thread flushes its own
-/// delta to the scope chain active on it).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// updates have no effect on allocation behavior (`try_with` shrugs off
-// TLS teardown instead of re-entering the allocator or panicking).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts each thread's heap allocations, so the benchmark can report
+/// allocations per run — the direct measure of the enumeration loop's
+/// cheapness — and traced spans carry real counts.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
 
 fn die(msg: &str) -> ! {
     eprintln!("benchline: {msg}");
@@ -154,18 +125,16 @@ fn git_worktree() -> &'static str {
         })
 }
 
-/// Allocations performed by one run of `f`.
+/// Allocations billed to one run of `f`: everything `f` allocates on
+/// this thread, plus what pool workers allocate in the tasks it submits
+/// (each task carries the submitter's scope chain).
 fn allocs_of(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
-/// Reader handed to [`register_alloc_probe`] so scoped collectors
-/// (`BuildPerf`/`ExplorePerf::allocs`) can bill each thread's
-/// allocations to the scope active on that thread.
-fn current_thread_allocs() -> u64 {
-    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
+    let collector = mcpat::obs::Collector::new();
+    {
+        let _scope = collector.enter();
+        f();
+    }
+    collector.snapshot().allocs
 }
 
 struct Row {
@@ -799,7 +768,6 @@ fn main() {
         .position(|a| a == "--gate")
         .and_then(|i| args.get(i + 1));
     let reps = if quick { 3 } else { 7 };
-    register_alloc_probe(current_thread_allocs);
 
     // lint: allow(L011, host metadata recorded in the report header so runs are only compared across equal hosts; no result depends on it)
     let host_threads = std::thread::available_parallelism().map_or(1, usize::from);

@@ -87,13 +87,11 @@ fn main() {
         }
     }
     println!("  paper shape: the optimum flips with the workload regime — with");
-    println!("  abundant TLP the sea of wimpy in-order cores wins every metric");
-    println!("  (the Niagara thesis); when TLP is scarce the brawny OoO design");
-    println!("  wins the performance-weighted metrics. Within each regime the");
-    println!("  clustering optimum also differs between EDP and ED2P/D, and the");
-    println!("  area term (EDAP/EDA2P) systematically narrows the gap toward the");
-    println!("  smaller designs — the reason the paper argues area must enter");
-    println!("  the objective.");
+    println!("  abundant TLP the sea of wimpy in-order cores (inorder-32c-x8)");
+    println!("  wins every metric (the Niagara thesis); when TLP is scarce the");
+    println!("  brawny OoO design wins every metric. Within a regime the metric");
+    println!("  dependence is weak: with limited TLP only D picks 8-core clusters");
+    println!("  (ooo-16c-x8); every other metric picks 4-core clusters.");
 
     header(
         "F-CS5",

@@ -628,6 +628,31 @@ mod tests {
         assert_eq!(winners.len(), Metric::ALL.len());
     }
 
+    /// Pins the F-CS3/F-CS4 winners that EXPERIMENTS.md and `repro`'s
+    /// shape note describe: the regime flip, and D as the only metric
+    /// whose limited-TLP winner departs from 4-core clusters.
+    #[test]
+    fn case_study_winners_flip_with_the_regime() {
+        let winners = |tlp: f64| -> Vec<(Metric, String)> {
+            case_study_metrics(&case_study_points_with_tlp(TechNode::N22, tlp))
+        };
+        let expect = |pick: fn(Metric) -> &'static str| -> Vec<(Metric, String)> {
+            Metric::ALL
+                .iter()
+                .map(|&m| (m, pick(m).to_owned()))
+                .collect()
+        };
+        assert_eq!(winners(f64::INFINITY), expect(|_| "inorder-32c-x8"));
+        assert_eq!(
+            winners(32.0),
+            expect(|m| if m == Metric::Delay {
+                "ooo-16c-x8"
+            } else {
+                "ooo-16c-x4"
+            })
+        );
+    }
+
     #[test]
     fn cross_node_winners_exist_for_every_node() {
         let rows = case_study_across_nodes();

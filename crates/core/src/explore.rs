@@ -13,11 +13,6 @@ use crate::error::McpatError;
 use crate::metrics::{best_index_of, Metric, MetricSet};
 use crate::processor::{checkpoint, clock_delta_rebuilds_fully, worker_failure, Processor};
 
-// The allocation-count probe now lives in `mcpat-obs` (allocations are
-// billed to scoped collectors, not differenced globally); the
-// registration entry point stays re-exported here for compatibility.
-pub use mcpat_obs::register_alloc_probe;
-
 /// Physical budgets a candidate must respect.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budgets {
@@ -146,8 +141,8 @@ pub struct ExplorePerf {
     /// Fan-out elements executed inline (serial cutoffs and nested
     /// calls that never reached the pool).
     pub pool_inline: u64,
-    /// Heap allocations over the call, if a probe is registered (see
-    /// [`register_alloc_probe`]); 0 otherwise.
+    /// Heap allocations billed to the call (0 unless the binary installs
+    /// [`mcpat_obs::CountingAlloc`]).
     pub allocs: u64,
 }
 

@@ -59,7 +59,7 @@ pub use dvfs::DvfsPoint;
 pub use error::McpatError;
 pub use explore::{
     explore_batch, max_clock_under_power_budget, max_clock_under_power_budget_with_perf,
-    register_alloc_probe, BisectionPerf, Budgets, Candidate, Exploration, ExplorePerf,
+    BisectionPerf, Budgets, Candidate, Exploration, ExplorePerf,
 };
 pub use floorplan::{Floorplan, Tile};
 pub use frontier::{FrontierPoint, ParetoFrontier};

@@ -1,8 +1,8 @@
 //! # mcpat-obs — span-scoped tracing and metrics for the mcpat stack
 //!
-//! The modeling layers (solve cache, work-stealing pool, allocator
-//! probe) maintain process-global monotonic counters that are useful
-//! for whole-process dashboards but **wrong** for per-call attribution:
+//! The modeling layers (solve cache, work-stealing pool) maintain
+//! process-global monotonic counters that are useful for
+//! whole-process dashboards but **wrong** for per-call attribution:
 //! two concurrent `Processor::build` calls differencing the same global
 //! counter each see the other's traffic. This crate provides the scoped
 //! alternative:
@@ -22,12 +22,13 @@
 //!   [`record_pool_steal`], [`record_pool_inline`] — called by
 //!   `mcpat-array`'s memo cache and `mcpat-par`'s pool next to their
 //!   global counters.
-//! * Allocation attribution — [`register_alloc_probe`] accepts a
-//!   `fn() -> u64` returning the **calling thread's** allocation count
-//!   (a binary with a counting `#[global_allocator]` registers one).
-//!   Deltas are flushed to the active chain at every chain switch, so
-//!   allocations bill the scope that was active when they happened,
-//!   on whichever thread they happened.
+//! * Allocation attribution — [`CountingAlloc`] is a `GlobalAlloc`
+//!   that counts the **calling thread's** heap allocations. A binary
+//!   installs it with `#[global_allocator]` (the `mcpat` CLI and daemon,
+//!   benchline and the allocation tests do). Each thread's count is
+//!   flushed to its active chain at every chain switch, so allocations
+//!   bill the scope that was active when they happened, on whichever
+//!   thread they happened. Without it installed, `allocs` reads 0.
 //! * Structured spans — [`span`] records component path, wall time,
 //!   cache outcome and relaxation events into every enclosing
 //!   collector, but **only** when tracing is enabled via
@@ -39,10 +40,11 @@
 //! scoping guarantees this); the chain itself is a persistent linked
 //! list of `Arc` nodes, so capturing it is O(1).
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Counter totals observed by one [`Collector`].
@@ -66,8 +68,8 @@ pub struct Snapshot {
     pub pool_steals: u64,
     /// Closures this scope ran inline instead of submitting.
     pub pool_inline: u64,
-    /// Heap allocations billed to this scope (0 unless a probe is
-    /// registered via [`register_alloc_probe`]).
+    /// Heap allocations billed to this scope (0 unless the binary
+    /// installs [`CountingAlloc`] as its global allocator).
     pub allocs: u64,
     /// DSE candidates killed by the frontier's lower-bound prune before
     /// any build ran.
@@ -91,7 +93,8 @@ pub struct SpanRecord {
     pub solve_cache_hits: u64,
     /// Solve-cache misses observed inside the span.
     pub solve_cache_misses: u64,
-    /// Heap allocations observed inside the span (0 without a probe).
+    /// Heap allocations observed inside the span (0 unless the binary
+    /// installs [`CountingAlloc`]).
     pub allocs: u64,
     /// Relaxation events noted via [`SpanGuard::note_relaxations`].
     pub relaxations: u64,
@@ -139,14 +142,15 @@ impl Collector {
     /// Until the returned guard drops, every event recorded on this
     /// thread — and on any pool worker executing tasks submitted from
     /// inside the scope — bills this collector (and every outer one).
+    /// The scope's own chain node is billed to the enclosing scope.
     #[must_use]
     pub fn enter(&self) -> ScopeGuard {
-        flush_allocs();
         let prev = chain_head();
         let node = Arc::new(Node {
             collector: self.clone(),
             parent: prev.clone(),
         });
+        flush_allocs();
         set_chain_head(Some(node));
         ScopeGuard {
             prev,
@@ -206,7 +210,9 @@ struct Node {
 
 thread_local! {
     static HEAD: Cell<Option<Arc<Node>>> = const { Cell::new(None) };
-    static ALLOC_MARK: Cell<u64> = const { Cell::new(0) };
+    /// Allocations [`CountingAlloc`] saw on this thread since the last
+    /// [`flush_allocs`].
+    static UNFLUSHED_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn chain_head() -> Option<Arc<Node>> {
@@ -391,34 +397,57 @@ pub fn record_dse_full_builds(n: u64) {
 // Allocation attribution.
 // ---------------------------------------------------------------------------
 
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
+/// The workspace's counting allocator: delegates every operation to
+/// [`System`] and counts each allocation (a `realloc` counts as one)
+/// against the calling thread. Install it with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
+/// and entered collectors report real `allocs`.
+pub struct CountingAlloc;
 
-/// Registers a callback that reports the **calling thread's** heap
-/// allocation count (a binary with a counting `#[global_allocator]`
-/// registers one; see `benchline`). Returns `false` if a probe was
-/// already registered (the first registration wins).
-pub fn register_alloc_probe(probe: fn() -> u64) -> bool {
-    ALLOC_PROBE.set(probe).is_ok()
+fn count_alloc() {
+    // `try_with` shrugs off TLS teardown instead of panicking; the
+    // const-initialized cell never allocates.
+    let _ = UNFLUSHED_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
 }
 
-/// Bills allocations made since the last flush to the chain that was
-/// active while they happened. Called automatically at every chain
-/// switch; call it manually before snapshotting a collector that is
-/// still entered on the current thread.
+// SAFETY: every operation is delegated to `System` with the caller's
+// arguments unchanged; the counter update neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Bills the allocations this thread made since the last flush to the
+/// chain that was active while they happened, and resets the count.
+/// Called automatically at every chain switch; call it manually before
+/// snapshotting a collector that is still entered on the current thread.
 pub fn flush_allocs() {
-    let Some(probe) = ALLOC_PROBE.get() else {
-        return;
-    };
-    let now = probe();
-    ALLOC_MARK.with(|mark| {
-        let delta = now.saturating_sub(mark.get());
-        mark.set(now);
-        if delta > 0 {
-            bill(|i| {
-                i.allocs.fetch_add(delta, Ordering::Relaxed);
-            });
-        }
-    });
+    let n = UNFLUSHED_ALLOCS.try_with(|c| c.replace(0)).unwrap_or(0);
+    if n > 0 {
+        bill(|i| {
+            i.allocs.fetch_add(n, Ordering::Relaxed);
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -611,6 +640,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
     // Tests in this module mutate the process-wide tracing flag and the
     // (thread-local) chain; serialize them.
     static TEST_LOCK: StdMutex<()> = StdMutex::new(());
@@ -771,6 +803,35 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let empty = Trace::default().to_json();
         assert!(empty.contains("\"spans\": []"));
+    }
+
+    #[test]
+    fn allocations_bill_the_entered_scope_on_any_thread() {
+        let _l = lock();
+        let c = Collector::new();
+        // Allocations outside every scope bill nobody.
+        drop(std::hint::black_box(vec![0u8; 64]));
+        assert_eq!(c.snapshot().allocs, 0);
+        let chain = {
+            let _s = c.enter();
+            drop(std::hint::black_box(vec![0u8; 64]));
+            let mut v: Vec<u64> = Vec::with_capacity(1);
+            v.extend(0..64); // grows by realloc
+            drop(std::hint::black_box(v));
+            current_chain()
+        };
+        let here = c.snapshot().allocs;
+        assert!(here >= 3, "alloc + alloc + realloc, got {here}");
+        // A worker running under the captured chain bills the same
+        // collector; its allocations outside the chain do not.
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                drop(std::hint::black_box(vec![0u8; 64]));
+                let _g = chain.activate();
+                drop(std::hint::black_box(vec![0u8; 64]));
+            });
+        });
+        assert_eq!(c.snapshot().allocs, here + 1);
     }
 
     #[test]

@@ -23,6 +23,11 @@ use mcpat::{
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Counts heap allocations per thread, so `--trace` spans and serve
+/// responses bill real `allocs`.
+#[global_allocator]
+static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
+
 /// A classified CLI failure; the variant picks the exit code.
 enum CliError {
     /// Bad invocation: unknown flag, missing operand, no config. Exit 2.

@@ -203,7 +203,8 @@ pub struct RequestPerf {
     pub pool_steals: u64,
     /// Closures this request ran inline instead of submitting.
     pub pool_inline: u64,
-    /// Heap allocations billed to this request (0 without a probe).
+    /// Heap allocations billed to this request (0 unless the binary
+    /// installs `mcpat::obs::CountingAlloc`; the `mcpat` binary does).
     pub allocs: u64,
 }
 

@@ -150,6 +150,30 @@ fn trace_flag_writes_a_span_trace_and_reports_it() {
 }
 
 #[test]
+fn traced_cold_build_bills_real_allocations() {
+    let path = std::env::temp_dir().join("mcpat-cli-test-trace-allocs.json");
+    let out = mcpat_bin()
+        .env("MCPAT_SOLVE_CACHE", "0")
+        .args(["--preset", "niagara2", "--trace"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 0);
+    let json = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let allocs = parsed
+        .get("totals")
+        .and_then(|t| t.get("allocs"))
+        .and_then(serde_json::Value::as_u64)
+        .expect("trace totals carry allocs");
+    assert!(
+        allocs > 0,
+        "the mcpat binary must install the counting allocator: {json}"
+    );
+}
+
+#[test]
 fn without_trace_flag_the_report_has_no_trace_section() {
     let out = mcpat_bin().args(["--preset", "niagara2"]).output().unwrap();
     assert_eq!(exit_code(&out), 0);

@@ -366,6 +366,52 @@ fn identical_concurrent_requests_coalesce_onto_one_build() {
     join.join().unwrap();
 }
 
+/// Kills the child daemon if the owning test fails before it exits.
+struct KillOnDrop(std::process::Child);
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn mcpat_serve_bills_real_allocations_on_a_cold_evaluate() {
+    let mut child = KillOnDrop(
+        std::process::Command::new(env!("CARGO_BIN_EXE_mcpat"))
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    // Kept open until the daemon exits: it logs the drain to stdout.
+    let mut stdout = BufReader::new(child.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"));
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut c = Client {
+        reader: BufReader::new(stream.try_clone().expect("clone stream")),
+        stream,
+    };
+
+    // The daemon's first request runs against an empty solve cache.
+    let resp = c.roundtrip("{\"type\":\"evaluate\",\"id\":1,\"preset\":\"niagara2\"}");
+    assert_eq!(status(&resp), "ok", "{resp:?}");
+    assert!(perf_u64(&resp, "solve_cache_misses") > 0, "{resp:?}");
+    assert!(
+        perf_u64(&resp, "allocs") > 0,
+        "the mcpat binary must install the counting allocator: {resp:?}"
+    );
+
+    let ack = c.roundtrip("{\"type\":\"shutdown\",\"id\":2}");
+    assert_eq!(status(&ack), "ok");
+    assert!(child.0.wait().unwrap().success());
+}
+
 #[test]
 fn shutdown_envelope_drains_and_run_returns() {
     let (handle, join) = start_server(2);

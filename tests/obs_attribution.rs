@@ -13,42 +13,17 @@
 
 use mcpat::array::memo;
 use mcpat::{
-    dse, explore_batch, register_alloc_probe, AxisGrid, Budgets, DseOptions, ExplorePerf,
-    MetricSet, ProcessorConfig, WorkloadModel,
+    dse, explore_batch, AxisGrid, Budgets, DseOptions, ExplorePerf, MetricSet, ProcessorConfig,
+    WorkloadModel,
 };
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Counts each thread's allocations so the registered probe satisfies
-/// the `mcpat-obs` contract ("the calling thread's allocation count").
-struct CountingAlloc;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates to `System` unchanged; the const-initialized TLS
-// counter neither allocates nor panics (`try_with` covers teardown).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts each thread's allocations, so perf blocks bill real `allocs`.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn current_thread_allocs() -> u64 {
-    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
-}
+static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
 
 /// Serializes every test that touches the global knobs.
 fn knob_lock() -> MutexGuard<'static, ()> {
@@ -98,7 +73,6 @@ fn run_batch(cands: &[ProcessorConfig]) -> ExplorePerf {
 fn concurrent_explore_batches_report_only_their_own_traffic() {
     let _guard = knob_lock();
     let _reset = KnobReset;
-    register_alloc_probe(current_thread_allocs);
     // Serial inside each call: the concurrency under test is the two
     // *outer* threads, and serial builds keep the miss counts exact.
     mcpat::par::set_thread_override(1);
@@ -113,7 +87,7 @@ fn concurrent_explore_batches_report_only_their_own_traffic() {
     let solo_large = run_batch(&large);
     assert!(solo_small.solve_cache_misses > 0);
     assert!(solo_large.solve_cache_misses > solo_small.solve_cache_misses);
-    assert!(solo_small.allocs > 0, "the alloc probe must be live");
+    assert!(solo_small.allocs > 0, "the counting allocator must be live");
 
     memo::clear();
     let (perf_small, perf_large) = std::thread::scope(|s| {
@@ -226,7 +200,6 @@ fn start_server() -> (mcpat_serve::ServerHandle, std::thread::JoinHandle<()>) {
 fn concurrent_serve_requests_bill_only_their_own_traffic() {
     let _guard = knob_lock();
     let _reset = KnobReset;
-    register_alloc_probe(current_thread_allocs);
     mcpat::par::set_thread_override(1);
     memo::set_enabled(true);
 
@@ -252,7 +225,7 @@ fn concurrent_serve_requests_bill_only_their_own_traffic() {
     let solo_small_allocs = wire::perf_u64(&solo_small, "allocs");
     assert!(solo_small_misses > 0);
     assert!(solo_large_misses > 0);
-    assert!(solo_small_allocs > 0, "the alloc probe must be live");
+    assert!(solo_small_allocs > 0, "the counting allocator must be live");
 
     // Concurrent requests over separate connections, empty cache again.
     memo::clear();
@@ -289,7 +262,6 @@ fn concurrent_serve_requests_bill_only_their_own_traffic() {
 fn coalesced_serve_pair_bills_the_shared_build_once() {
     let _guard = knob_lock();
     let _reset = KnobReset;
-    register_alloc_probe(current_thread_allocs);
     mcpat::par::set_thread_override(1);
     memo::set_enabled(true);
 

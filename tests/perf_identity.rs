@@ -20,38 +20,12 @@ use mcpat::{
 };
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::TechNode;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Counts this thread's heap allocations so the allocation-ceiling test
-/// can assert the cold exploration batch's allocation budget through the
-/// same `register_alloc_probe` seam benchline uses.
-struct CountingAlloc;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// update has no effect on allocation behavior (`try_with` shrugs off
-// TLS teardown instead of re-entering the allocator or panicking).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts heap allocations so the allocation-ceiling test can assert
+/// the cold exploration batch's budget through `ExplorePerf::allocs`.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn current_thread_allocs() -> u64 {
-    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
-}
+static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
 
 /// Serializes every test that touches the global thread/cache knobs.
 fn knob_lock() -> MutexGuard<'static, ()> {
@@ -489,7 +463,6 @@ fn arena_reuse_cuts_explore_batch_allocs_at_least_30_percent() {
     let _reset = KnobReset;
     memo::set_enabled(false);
     mcpat::par::set_thread_override(1);
-    mcpat::register_alloc_probe(current_thread_allocs);
     // The benchline `explore_batch_16_candidates` workload, verbatim.
     let cands: Vec<ProcessorConfig> = (0..16u32)
         .map(|i| {
@@ -509,7 +482,7 @@ fn arena_reuse_cuts_explore_batch_allocs_at_least_30_percent() {
     // scenario lives in.
     let _ = explore_batch(&cands, Budgets::default(), eval).unwrap();
     let (_, perf) = explore_batch(&cands, Budgets::default(), eval).unwrap();
-    assert!(perf.allocs > 0, "the alloc probe must be live");
+    assert!(perf.allocs > 0, "the counting allocator must be live");
     assert!(
         perf.allocs <= EXPLORE_BATCH_ALLOC_CEILING,
         "explore_batch_16_candidates ran {} allocations; the cold batch must stay \
