@@ -1,6 +1,6 @@
 //! Tool-speed benchmark line: times the modeling stack itself (array
-//! solves, core builds, chip builds, exploration sweeps, clock
-//! bisection, streaming DSE sweeps) in three execution modes — serial,
+//! solves, core builds, chip builds, clock bisection, streaming DSE
+//! sweeps) in three execution modes — serial,
 //! thread-parallel, and warm solve-cache — and writes
 //! `BENCH_toolspeed.json` for trend tracking in CI.
 //!
@@ -12,8 +12,9 @@
 //! ([`mcpat_bench::toolspeed`]).
 //!
 //! `--gate` turns the run into a regression check against a previously
-//! committed JSON: on a multi-core host the exploration sweep must not
-//! be slower in parallel than serially, and when the baseline was
+//! committed JSON: on a multi-core host the 16-chip DSE sweep
+//! (`dse_16_chips`) must not be slower in parallel than serially, and
+//! when the baseline was
 //! recorded on a host with the same CPU label *and* the same rep count
 //! (`--quick` and full runs take different medians), no benchmark's
 //! `serial_ms` may regress by more than 15% — tightened to 10% for the
@@ -34,7 +35,7 @@
 //! design-space sweep: the streaming `mcpat::dse` engine must retire
 //! candidates at least 5x faster than the naive per-candidate
 //! full-build loop (both throughputs measured in this run, same serial
-//! mode), and on a single-core host the parallel exploration path must
+//! mode), and on a single-core host the parallel 16-chip sweep must
 //! degrade to inline execution — zero worker-pool submissions and wall
 //! clock within 25% of serial. A fifth host-independent gate covers
 //! the `mcpat serve` daemon: a warm shared-cache request over loopback
@@ -53,8 +54,8 @@
 //! agrees.
 
 use mcpat::{
-    explore_batch, max_clock_under_power_budget, AxisGrid, Budgets, DseEvaluator, DseOptions,
-    DsePerf, FrontierPoint, MetricSet, ParetoFrontier, Processor, ProcessorConfig, WorkloadModel,
+    max_clock_under_power_budget, AxisGrid, DseEvaluator, DseOptions, DsePerf, FrontierPoint,
+    ParetoFrontier, Processor, ProcessorConfig, WorkloadModel,
 };
 use mcpat_array::{memo, ArraySpec, OptTarget};
 use mcpat_mcore::config::CoreConfig;
@@ -188,19 +189,22 @@ fn bench(name: &'static str, reps: usize, mut work: impl FnMut()) -> Row {
     row
 }
 
-fn explore_candidates() -> Vec<ProcessorConfig> {
-    (0..16u32)
-        .map(|i| {
-            ProcessorConfig::manycore(
-                &format!("c{i}"),
-                TechNode::N32,
-                CoreConfig::generic_inorder(),
-                2 + (i % 4) * 2,
-                1 + (i % 4),
-                u64::from(1 + (i % 4)) * 1024 * 1024,
-            )
-        })
-        .collect()
+/// Sixteen distinct chips, one clock each: the `dse_16_chips` row's
+/// grid, where every candidate is its own row.
+fn sixteen_chips() -> AxisGrid {
+    AxisGrid::manycore(
+        vec![TechNode::N32],
+        vec![DeviceType::Hp],
+        vec![2, 4, 6, 8],
+        vec![1 << 20, 2 << 20, 3 << 20, 4 << 20],
+        vec![1.4e9],
+    )
+}
+
+/// One streaming sweep of `grid` with the default options and model.
+fn sweep(grid: &AxisGrid, what: &str) -> mcpat::DseResult {
+    mcpat::dse(grid, &DseOptions::default(), &mut WorkloadModel::default())
+        .unwrap_or_else(|e| die(&format!("{what} failed: {e}")))
 }
 
 /// The pre-incremental clock bisection: every probe rebuilds the full
@@ -630,7 +634,7 @@ fn gate_failures(
         }
         if explore_pool_submissions > 0 {
             failures.push(format!(
-                "explore submitted {explore_pool_submissions} task(s) to the worker pool on a \
+                "the 16-chip sweep submitted {explore_pool_submissions} task(s) to the worker pool on a \
                  single-core host: the parallel path must run inline"
             ));
         }
@@ -815,15 +819,10 @@ fn main() {
         }));
     }
 
-    let cands = explore_candidates();
+    let chips16 = sixteen_chips();
     let explore_reps = if quick { 1 } else { 3 };
-    rows.push(bench("explore_batch_16_candidates", explore_reps, || {
-        let r = explore_batch(&cands, Budgets::default(), |c| {
-            MetricSet::from_power(10.0, 1.0, c.die_area())
-        });
-        if let Err(e) = r {
-            die(&format!("batched exploration failed: {e}"));
-        }
+    rows.push(bench("dse_16_chips", explore_reps, || {
+        sweep(&chips16, "16-chip dse sweep");
     }));
 
     let clk_cfg = ProcessorConfig::manycore(
@@ -841,8 +840,8 @@ fn main() {
     }));
     rows.push(bench("clock_bisection_incremental", explore_reps, || {
         match max_clock_under_power_budget(&clk_cfg, 25.0, 0.5e9, 6.0e9) {
-            Ok(Some(_)) => {}
-            Ok(None) => die("incremental bisection found no feasible clock"),
+            Ok((Some(_), _)) => {}
+            Ok((None, _)) => die("incremental bisection found no feasible clock"),
             Err(e) => die(&format!("incremental bisection failed: {e}")),
         }
     }));
@@ -940,7 +939,7 @@ fn main() {
             .unwrap_or_else(|| die("missing benchmark row"))
     };
     let chip = find("chip_build_niagara2");
-    let batch = find("explore_batch_16_candidates");
+    let batch = find("dse_16_chips");
     let bisect_full = find("clock_bisection_full");
     let bisect_incr = find("clock_bisection_incremental");
     let chip_parallel_speedup = ratio(chip.serial_ms, chip.parallel_ms);
@@ -975,25 +974,20 @@ fn main() {
          {dse_allocs_per_candidate:.2} allocations per candidate"
     );
 
-    // One parallel-mode exploration with the pool's submission counter
-    // bracketed around it. On a single-core host the parallel path must
-    // degrade to fully inline execution — zero tasks handed to the
-    // worker pool (the 1-CPU regression the explore gate below pins);
-    // multi-core hosts record the count informationally.
+    // One parallel-mode 16-chip sweep with the pool's submission
+    // counter bracketed around it. On a single-core host the parallel
+    // path must degrade to fully inline execution — zero tasks handed
+    // to the worker pool (the 1-CPU regression the explore gate below
+    // pins); multi-core hosts record the count informationally.
     let explore_pool_submissions = {
         mcpat_par::set_thread_override(0);
         let before = mcpat_par::pool::stats().submitted;
-        let r = explore_batch(&cands, Budgets::default(), |c| {
-            MetricSet::from_power(10.0, 1.0, c.die_area())
-        });
-        if let Err(e) = r {
-            die(&format!("pool-probe exploration failed: {e}"));
-        }
+        sweep(&chips16, "pool-probe dse sweep");
         mcpat_par::pool::stats().submitted - before
     };
     eprintln!(
-        "benchline: parallel-mode explore submitted {explore_pool_submissions} pool task(s) \
-         on this {host_threads}-way host"
+        "benchline: parallel-mode 16-chip sweep submitted {explore_pool_submissions} pool \
+         task(s) on this {host_threads}-way host"
     );
     let warm_wakeups = warm_build_wakeups();
     eprintln!(

@@ -25,10 +25,7 @@ const ROWS: [(&str, &[&str]); 9] = [
     ("core build (generic OoO)", &["core_build_ooo"]),
     ("chip build, Niagara2", &["chip_build_niagara2"]),
     ("chip build, Tulsa", &["chip_build_tulsa"]),
-    (
-        "`explore_batch`, 16 candidates",
-        &["explore_batch_16_candidates"],
-    ),
+    ("streaming DSE, 16 distinct chips", &["dse_16_chips"]),
     (
         "clock bisection, full rebuild per probe",
         &["clock_bisection_full"],

@@ -1,12 +1,13 @@
 //! Streaming design-space exploration over a declarative axis grid.
 //!
-//! [`crate::explore::explore_batch`] is the paper's case-study workflow
-//! for tens of materialized candidates; this module is the same workflow
-//! scaled to 10^5–10^6-candidate sweeps. Four ideas keep it cheap:
+//! This is the paper's case-study workflow — build many chips, evaluate
+//! each under the metrics, keep the Pareto-optimal ones — scaled to
+//! 10^5–10^6-candidate sweeps. Four ideas keep it cheap:
 //!
 //! 1. **Lazy enumeration** — an [`AxisGrid`] describes the candidate
-//!    set ({tech node × device flavor × core count × L2 size × clock})
-//!    and candidates are generated from a cursor, never materialized.
+//!    set ({core template × cluster size × tech node × device flavor ×
+//!    core count × L2 size × clock}) and candidates are generated from a
+//!    cursor, never materialized.
 //! 2. **In-place probes** — the clock axis is innermost and the L2 axis
 //!    second-innermost, so the candidates of a row differ from its base
 //!    chip only in the clock: the base itself is retargeted in place
@@ -27,11 +28,11 @@
 //!    of peak power, adds the row's leakage, and hands the total to the
 //!    evaluator ([`ChipTotals`]).
 //!
-//! Work streams in bounded chunks deduped with
-//! [`crate::explore::explore_batch`]'s identity, so peak candidate
-//! storage is O(frontier + chunk). Probes run serially: each costs
-//! about what a pool task would, so fanning them out lost to walking
-//! the row in place (DESIGN.md §12 has the measurements). The frontier
+//! Work streams in bounded chunks, deduped by configuration identity up
+//! to the name, so peak candidate storage is
+//! O(frontier + chunk). Probes run serially: each costs about what a
+//! pool task would, so fanning them out lost to walking the row in
+//! place (DESIGN.md §12 has the measurements). The frontier
 //! plus the generator cursor serialize to JSON ([`DseCheckpoint`]) at
 //! chunk boundaries, so a sweep killed by the `mcpat-guard`
 //! deadline/cancel machinery resumes where it stopped with a
@@ -39,7 +40,6 @@
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::explore::{eq_ignoring_name, Budgets};
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
 use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Delta, PeakLeakage, Processor};
@@ -50,13 +50,86 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-/// A declarative candidate grid: the cross product of five axes around
-/// a shared core template. Candidates are enumerated lazily from a
-/// cursor with the clock axis innermost and the L2 axis second-
-/// innermost — the order that lets the streaming engine serve
-/// neighboring candidates with delta rebuilds.
+/// Physical budgets a candidate must respect.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Budgets {
+    /// Maximum die area, m² (`f64::INFINITY` to disable).
+    pub max_area: f64,
+    /// Maximum peak power, W (`f64::INFINITY` to disable).
+    pub max_peak_power: f64,
+}
+
+impl Default for Budgets {
+    fn default() -> Budgets {
+        Budgets {
+            max_area: f64::INFINITY,
+            max_peak_power: f64::INFINITY,
+        }
+    }
+}
+
+/// True if two configurations describe the same chip, ignoring the
+/// report name.
+pub(crate) fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
+    // Exhaustive destructure: adding a field to `ProcessorConfig`
+    // breaks this compile, forcing the dedup key to be revisited — a
+    // silently stale key would merge genuinely different candidates.
+    let ProcessorConfig {
+        name,
+        node,
+        device_type,
+        temperature_k,
+        projection,
+        long_channel_leakage,
+        clock_hz,
+        num_cores,
+        core,
+        l2,
+        num_l2s,
+        l3,
+        fabric,
+        mc,
+        io_bandwidth,
+        num_shared_fpus,
+        power_gating,
+        vdd_scale,
+    } = a;
+    // An empty name changes validation warnings, so emptiness (though
+    // not the name itself) must match for the builds to be identical.
+    name.is_empty() == b.name.is_empty()
+        && *node == b.node
+        && *device_type == b.device_type
+        && *temperature_k == b.temperature_k
+        && *projection == b.projection
+        && *long_channel_leakage == b.long_channel_leakage
+        && *clock_hz == b.clock_hz
+        && *num_cores == b.num_cores
+        && *core == b.core
+        && *l2 == b.l2
+        && *num_l2s == b.num_l2s
+        && *l3 == b.l3
+        && *fabric == b.fabric
+        && *mc == b.mc
+        && *io_bandwidth == b.io_bandwidth
+        && *num_shared_fpus == b.num_shared_fpus
+        && *power_gating == b.power_gating
+        && *vdd_scale == b.vdd_scale
+}
+
+/// A declarative candidate grid: the cross product of seven axes.
+/// Candidates are enumerated lazily from a cursor with the core
+/// template outermost, then the cluster size, and the clock axis
+/// innermost with the L2 axis second-innermost — the order that lets
+/// the streaming engine serve neighboring candidates with delta
+/// rebuilds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AxisGrid {
+    /// Core templates every candidate instantiates (the outermost
+    /// axis). Each template's own clock is replaced by the clock axis.
+    pub core_templates: Vec<CoreConfig>,
+    /// Cores sharing each L2 bank; a value is capped at the candidate's
+    /// core count, so `[2]` gives `cores.min(2)`.
+    pub cores_per_cluster: Vec<u32>,
     /// Technology nodes.
     pub nodes: Vec<TechNode>,
     /// Device flavors (HP / LSTP / LOP).
@@ -67,13 +140,11 @@ pub struct AxisGrid {
     pub l2_bytes: Vec<u64>,
     /// Target clocks, Hz (the innermost axis).
     pub clocks_hz: Vec<f64>,
-    /// The core template every candidate instantiates.
-    pub core: CoreConfig,
 }
 
 impl AxisGrid {
     /// A grid over [`ProcessorConfig::manycore`] chips built from a
-    /// generic in-order core template.
+    /// generic in-order core template, two cores to an L2 cluster.
     #[must_use]
     pub fn manycore(
         nodes: Vec<TechNode>,
@@ -83,19 +154,22 @@ impl AxisGrid {
         clocks_hz: Vec<f64>,
     ) -> AxisGrid {
         AxisGrid {
+            core_templates: vec![CoreConfig::generic_inorder()],
+            cores_per_cluster: vec![2],
             nodes,
             device_types,
             core_counts,
             l2_bytes,
             clocks_hz,
-            core: CoreConfig::generic_inorder(),
         }
     }
 
     /// Total number of candidates the grid enumerates.
     #[must_use]
     pub fn total(&self) -> u64 {
-        (self.nodes.len() as u64)
+        (self.core_templates.len() as u64)
+            .saturating_mul(self.cores_per_cluster.len() as u64)
+            .saturating_mul(self.nodes.len() as u64)
             .saturating_mul(self.device_types.len() as u64)
             .saturating_mul(self.core_counts.len() as u64)
             .saturating_mul(self.l2_bytes.len() as u64)
@@ -107,6 +181,26 @@ impl AxisGrid {
     #[must_use]
     pub fn validate(&self) -> Diagnostics {
         let mut d = Diagnostics::new();
+        if self.core_templates.is_empty() {
+            d.error(
+                "dse.core_templates",
+                "at least one core template is required",
+            );
+        }
+        if self.cores_per_cluster.is_empty() {
+            d.error(
+                "dse.cores_per_cluster",
+                "at least one cluster size is required",
+            );
+        }
+        for (i, &cluster) in self.cores_per_cluster.iter().enumerate() {
+            if cluster == 0 {
+                d.error(
+                    format!("dse.cores_per_cluster[{i}]"),
+                    "a cluster holds at least one core",
+                );
+            }
+        }
         if self.nodes.is_empty() {
             d.error("dse.nodes", "at least one tech node is required");
         }
@@ -159,13 +253,19 @@ impl AxisGrid {
             .device_types
             .get((rest % self.device_types.len() as u64) as usize)?;
         rest /= self.device_types.len() as u64;
-        let node = *self.nodes.get(rest as usize)?;
+        let node = *self.nodes.get((rest % self.nodes.len() as u64) as usize)?;
+        rest /= self.nodes.len() as u64;
+        let cluster = *self
+            .cores_per_cluster
+            .get((rest % self.cores_per_cluster.len() as u64) as usize)?;
+        rest /= self.cores_per_cluster.len() as u64;
+        let template = self.core_templates.get(rest as usize)?;
         let mut cfg = ProcessorConfig::manycore(
             &format!("dse-{cursor}"),
             node,
-            self.core.clone(),
+            template.clone(),
             cores,
-            cores.min(2),
+            cluster.min(cores),
             l2,
         );
         cfg.device_type = device;
@@ -241,8 +341,7 @@ pub struct DsePerf {
     /// Candidates whose configuration (up to the name) an earlier
     /// candidate of the same chunk already probed: the same clock in a
     /// row whose base equals that candidate's row base. Counted here
-    /// instead of in `probes`/`full_builds`, as
-    /// [`crate::explore::explore_batch`] counts shared builds.
+    /// instead of in `probes`/`full_builds`.
     pub deduped: u64,
 }
 
@@ -362,8 +461,7 @@ impl RowCandidate<'_> {
 /// [`ChipTotals::area`] is walked on it, and the engine asks for no
 /// bound at all.
 pub trait DseEvaluator {
-    /// Workload metrics of a built chip (the analog of
-    /// [`crate::explore::explore_batch`]'s evaluator closure).
+    /// Workload metrics of a built chip.
     ///
     /// The engine hands over the row base retargeted in place
     /// ([`Processor::retarget_clock`]): its configuration
@@ -535,8 +633,9 @@ impl PointRepr {
     }
 }
 
-/// The checkpoint schema identifier.
-const CHECKPOINT_SCHEMA: &str = "mcpat-dse-checkpoint-v1";
+/// The checkpoint schema identifier. Version 2 added the core-template
+/// and cluster-size axes to the grid echo.
+const CHECKPOINT_SCHEMA: &str = "mcpat-dse-checkpoint-v2";
 
 /// A resumable image of an in-flight sweep: the grid (echoed for
 /// validation), the generator cursor (always a chunk boundary), the
@@ -633,14 +732,21 @@ impl DseCheckpoint {
     /// [`McpatError::Invalid`] on malformed JSON, a schema mismatch, or
     /// a `winners` array without exactly one slot per [`Metric`].
     pub fn from_json(text: &str) -> Result<DseCheckpoint, McpatError> {
-        let cp: DseCheckpoint = serde_json::from_str(text)
-            .map_err(|e| McpatError::config("dse.checkpoint", format!("parse: {e}")))?;
-        if cp.schema != CHECKPOINT_SCHEMA {
+        let parse_error = |e| McpatError::config("dse.checkpoint", format!("parse: {e}"));
+        let value: serde_json::Value = serde_json::from_str(text).map_err(parse_error)?;
+        // The schema says how the rest reads, so it is checked first: an
+        // older checkpoint fails here, not on whichever field it lacks.
+        let schema = value
+            .get("schema")
+            .and_then(serde_json::Value::as_str)
+            .unwrap_or("no schema");
+        if schema != CHECKPOINT_SCHEMA {
             return Err(McpatError::config(
                 "dse.checkpoint.schema",
-                format!("expected {CHECKPOINT_SCHEMA}, got {}", cp.schema),
+                format!("expected {CHECKPOINT_SCHEMA}, got {schema}"),
             ));
         }
+        let cp: DseCheckpoint = serde_json::from_value(value).map_err(parse_error)?;
         if cp.winners.len() != Metric::ALL.len() {
             return Err(McpatError::config(
                 "dse.checkpoint.winners",
@@ -866,8 +972,8 @@ fn run_chunk<E: DseEvaluator>(
         });
     }
 
-    // Dedupe with explore_batch's identity: configurations that match
-    // up to the name are the same clock in rows of one class. The first
+    // Dedupe by configuration identity: configurations that match up
+    // to the name are the same clock in rows of one class. The first
     // of them counts as a probe, the rest as deduped; each is still
     // retargeted, which costs no more than looking up a shared result.
     // Without a repeated clock or two rows of one class there is
@@ -1030,6 +1136,108 @@ mod tests {
         let mut bad = tiny_grid();
         bad.clocks_hz = vec![0.0];
         assert!(bad.validate().has_errors());
+        let errors_at = |grid: &AxisGrid| -> Vec<String> {
+            grid.validate().iter().map(|f| f.path.clone()).collect()
+        };
+        let mut no_templates = tiny_grid();
+        no_templates.core_templates.clear();
+        assert_eq!(errors_at(&no_templates), ["dse.core_templates"]);
+        let mut no_clusters = tiny_grid();
+        no_clusters.cores_per_cluster.clear();
+        assert_eq!(errors_at(&no_clusters), ["dse.cores_per_cluster"]);
+        let mut zero_cluster = tiny_grid();
+        zero_cluster.cores_per_cluster = vec![2, 0];
+        assert_eq!(errors_at(&zero_cluster), ["dse.cores_per_cluster[1]"]);
+    }
+
+    /// Two templates (one under enforced timing) and two cluster sizes,
+    /// one of them above the smallest core count.
+    fn two_template_grid() -> AxisGrid {
+        let mut enforced = CoreConfig::generic_ooo();
+        enforced.enforce_timing = true;
+        AxisGrid {
+            core_templates: vec![CoreConfig::generic_inorder(), enforced],
+            cores_per_cluster: vec![2, 4],
+            ..AxisGrid::manycore(
+                vec![TechNode::N32],
+                vec![DeviceType::Hp],
+                vec![2, 4],
+                vec![1 << 20, 2 << 20],
+                vec![1.0e9, 2.0e9],
+            )
+        }
+    }
+
+    #[test]
+    fn template_and_cluster_axes_are_outermost() {
+        let grid = two_template_grid();
+        assert_eq!(grid.total(), 2 * 2 * 2 * 2 * 2);
+        // The innermost five axes enumerate exactly the one-template,
+        // one-cluster grid, so existing grids keep their cursors.
+        let mut inner = tiny_grid();
+        inner.nodes = vec![TechNode::N32];
+        inner.clocks_hz = grid.clocks_hz.clone();
+        let block = inner.total();
+        for cursor in 0..block {
+            assert_eq!(grid.config_at(cursor), inner.config_at(cursor));
+        }
+        // The cluster axis moves next, capped at the core count: the
+        // two-core rows of the x4 block are the x2 chips.
+        let x4 = grid.config_at(block).unwrap();
+        assert_eq!((x4.num_cores, x4.num_l2s), (2, 1));
+        let x4 = grid.config_at(block + 4).unwrap();
+        assert_eq!((x4.num_cores, x4.num_l2s), (4, 1));
+        // The template axis moves last.
+        for cursor in 0..grid.total() {
+            let cfg = grid.config_at(cursor).unwrap();
+            assert_eq!(cfg.core.enforce_timing, cursor >= 2 * block, "{cursor}");
+            assert_eq!(cfg.core.clock_hz.to_bits(), cfg.clock_hz.to_bits());
+        }
+    }
+
+    #[test]
+    fn sweeps_over_templates_and_clusters_match_the_naive_reference() {
+        let grid = two_template_grid();
+        for chunk in [256, 5, 3] {
+            for prune in [true, false] {
+                let opts = DseOptions {
+                    chunk,
+                    prune,
+                    ..DseOptions::default()
+                };
+                let (perf, _) =
+                    assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+                // The capped x4 two-core rows repeat the x2 ones, and
+                // are deduped only when both land in one chunk.
+                assert_eq!(perf.deduped > 0, chunk == 256, "{perf:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn version_one_checkpoints_are_rejected_by_schema() {
+        let grid = tiny_grid();
+        let cp = dse(&grid, &DseOptions::default(), &mut WorkloadModel::default())
+            .unwrap()
+            .final_checkpoint(&grid);
+        // The same sweep as version 1 wrote it: one `core` template in
+        // the grid echo and no cluster axis.
+        let mut v1: serde_json::Value = serde_json::from_str(&cp.to_json().unwrap()).unwrap();
+        let Some(serde_json::Value::Map(echo)) = v1.get_mut("grid") else {
+            panic!("the grid echo is a map");
+        };
+        echo.retain(|(key, _)| key != "core_templates" && key != "cores_per_cluster");
+        let template = serde_json::to_value(&grid.core_templates[0]).unwrap();
+        echo.push(("core".to_owned(), template));
+        *v1.get_mut("schema").unwrap() = serde_json::Value::Str("mcpat-dse-checkpoint-v1".into());
+        let err = DseCheckpoint::from_json(&serde_json::to_string(&v1).unwrap())
+            .expect_err("a version-1 checkpoint must be rejected");
+        assert!(matches!(err, McpatError::Invalid(_)), "{err:?}");
+        let at_schema = err
+            .diagnostics()
+            .is_some_and(|d| d.iter().any(|f| f.path == "dse.checkpoint.schema"));
+        assert!(at_schema, "{err}");
+        assert!(err.to_string().contains(CHECKPOINT_SCHEMA), "{err}");
     }
 
     /// The naive reference: full-build every candidate in cursor order
@@ -1296,10 +1504,11 @@ mod tests {
             for &cursor in chunk {
                 perf.candidates += 1;
                 let row = cursor / clocks;
-                let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
+                let base_cfg = grid.config_at(row * clocks).unwrap();
+                let base = Processor::build(&base_cfg).unwrap();
                 if prev_row != Some(row) {
                     let same_group = prev_row.is_some_and(|p| p / l2_len == row / l2_len);
-                    if same_group && !grid.core.enforce_timing {
+                    if same_group && !base_cfg.core.enforce_timing {
                         perf.cache_rebuilds += 1;
                     } else {
                         perf.full_builds += 1;
@@ -1479,7 +1688,7 @@ mod tests {
             // Every probe and every row base is a full build.
             (true, vec![1 << 20, 1 << 20], vec![2.0e9, 1.0e9, 2.0e9]),
         ] {
-            grid.core.enforce_timing = enforce_timing;
+            grid.core_templates[0].enforce_timing = enforce_timing;
             grid.l2_bytes = l2;
             grid.clocks_hz = clocks;
             for chunk in [256, 5, 4] {
@@ -1500,7 +1709,7 @@ mod tests {
         // other array partitions, so under enforced timing those
         // probes' die area moves away from their row base's.
         let mut grid = AxisGrid {
-            core: CoreConfig::generic_ooo(),
+            core_templates: vec![CoreConfig::generic_ooo()],
             ..AxisGrid::manycore(
                 vec![TechNode::N32],
                 vec![DeviceType::Hp],
@@ -1509,7 +1718,7 @@ mod tests {
                 vec![1.0e9, 20.0e9, 50.0e9, 20.0e9],
             )
         };
-        grid.core.enforce_timing = true;
+        grid.core_templates[0].enforce_timing = true;
         let area_at = |cursor| {
             Processor::build(&grid.config_at(cursor).unwrap())
                 .unwrap()
@@ -1552,7 +1761,7 @@ mod tests {
             vec![1 << 20],
             vec![30.0e9, 1.0e9, 25.0e9, 2.0e9, 20.0e9, 3.0e9],
         );
-        grid.core.enforce_timing = true;
+        grid.core_templates[0].enforce_timing = true;
         let areas: Vec<f64> = (0..grid.total())
             .map(|c| {
                 Processor::build(&grid.config_at(c).unwrap())

@@ -1,14 +1,13 @@
 //! Incremental Pareto frontier over the paper's four composite metrics.
 //!
-//! [`crate::explore::explore_batch`] materializes every feasible
-//! candidate and filters afterwards; that is fine for tens of points and
-//! hopeless for the 10^5–10^6-candidate sweeps [`crate::dse`] streams.
-//! This module keeps only the *non-dominated* points — dominance taken
-//! over the paper's four composite figures of merit (EDP, ED²P, EDAP,
-//! EDA²P) — plus one tracked winner per [`Metric`], so memory is
-//! O(frontier), not O(candidates). That is a different front from
-//! [`crate::explore::Exploration::pareto`], which compares the raw
-//! (energy, delay, area) axes; DESIGN.md §8.2 gives an example.
+//! The 10^5–10^6-candidate sweeps [`crate::dse`] streams cannot keep
+//! every candidate. This module keeps only the *non-dominated* points —
+//! dominance taken over the paper's four composite figures of merit
+//! (EDP, ED²P, EDAP, EDA²P) — plus one tracked winner per [`Metric`],
+//! so memory is O(frontier), not O(candidates). Composite dominance is
+//! not dominance over the raw (energy, delay, area) axes: (E 1, D 2,
+//! A 1) and (E 2, D 1, A 1) are both raw-axis optimal, but the second
+//! dominates the first on the composites (ED²P 2 < 4, the rest tie).
 //!
 //! The frontier also answers the pruning question the streaming engine
 //! asks before paying for a build: given a certified *lower bound* on a
@@ -86,7 +85,7 @@ impl ParetoFrontier {
     /// a min-energy point that is composite-dominated stays reachable
     /// as the [`Metric::Energy`] winner even though it never joins the
     /// frontier. Ties replace the incumbent (new ≤ current wins),
-    /// matching [`crate::metrics::best_index_of`]'s last-minimal-wins
+    /// matching [`crate::metrics::best_index`]'s last-minimal-wins
     /// resolution over the offer order.
     pub fn offer(&mut self, point: FrontierPoint) -> bool {
         self.offered += 1;
@@ -179,10 +178,8 @@ impl ParetoFrontier {
     }
 
     /// True if every tracked composite-metric winner is itself
-    /// non-dominated — the streaming analog of
-    /// [`crate::explore::Exploration::winners_are_pareto`]. Raw
-    /// energy/delay winners may legitimately live off the frontier, so
-    /// they are exempt.
+    /// non-dominated. Raw energy/delay winners may legitimately live off
+    /// the frontier, so they are exempt.
     #[must_use]
     pub fn winners_are_pareto(&self) -> bool {
         [Metric::Edp, Metric::Ed2p, Metric::Edap, Metric::Eda2p]
@@ -304,6 +301,18 @@ mod tests {
         assert!(f.offer(pt(1, 1.5, 1.0, 10.0)));
         assert_eq!(f.len(), 2);
         assert!(f.winners_are_pareto());
+    }
+
+    #[test]
+    fn composites_drop_a_raw_axis_optimal_point() {
+        // (E 1, D 2) and (E 2, D 1) at equal area: neither beats the
+        // other on every raw axis, but the second has the lower ED²P
+        // and ties the other composites.
+        let mut f = ParetoFrontier::new();
+        assert!(f.offer(pt(0, 2.0, 1.0, 1.0)));
+        assert!(f.offer(pt(1, 1.0, 2.0, 1.0)));
+        assert_eq!(f.len(), 1);
+        assert_eq!(f.points()[0].cursor, 1);
     }
 
     #[test]

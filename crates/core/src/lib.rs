@@ -36,11 +36,11 @@
 //! # Ok::<(), mcpat::McpatError>(())
 //! ```
 
+pub mod clock_budget;
 pub mod config;
 pub mod dse;
 pub mod dvfs;
 pub mod error;
-pub mod explore;
 pub mod floorplan;
 pub mod frontier;
 pub mod metrics;
@@ -50,17 +50,14 @@ pub mod report;
 pub mod stats;
 pub mod thermal;
 
+pub use clock_budget::{max_clock_under_power_budget, BisectionPerf};
 pub use config::ProcessorConfig;
 pub use dse::{
-    dse, dse_streaming, AxisGrid, ChipTotals, DseCheckpoint, DseEvaluator, DseOptions, DsePerf,
-    DseResult, RowCandidate, RowFacts, WorkloadModel,
+    dse, dse_streaming, AxisGrid, Budgets, ChipTotals, DseCheckpoint, DseEvaluator, DseOptions,
+    DsePerf, DseResult, RowCandidate, RowFacts, WorkloadModel,
 };
 pub use dvfs::DvfsPoint;
 pub use error::McpatError;
-pub use explore::{
-    explore_batch, max_clock_under_power_budget, max_clock_under_power_budget_with_perf,
-    BisectionPerf, Budgets, Candidate, Exploration, ExplorePerf,
-};
 pub use floorplan::{Floorplan, Tile};
 pub use frontier::{FrontierPoint, ParetoFrontier};
 pub use metrics::{Metric, MetricSet};
@@ -86,10 +83,10 @@ pub use mcpat_obs as obs;
 
 /// Resource governance: deadlines, cooperative cancellation and memory
 /// ceilings for long-running builds. Enter a [`guard::Budget`] around
-/// any build/explore call and every checkpointed loop underneath it
+/// any build or sweep and every checkpointed loop underneath it
 /// honors the budget, surfacing trips as [`McpatError::Budget`] (or
 /// [`array::ArrayError::Budget`] inside the solver). Named `guard`
-/// because [`Budgets`] — the exploration area/power constraints — is an
+/// because [`Budgets`] — the DSE area/power constraints — is an
 /// unrelated, older concept.
 pub use mcpat_guard as guard;
 

@@ -113,19 +113,11 @@ impl Metric {
     }
 }
 
-/// Index of the best (minimum) point under a metric; `None` for empty
-/// input.
+/// Index of the best (minimum) point under a metric, over a slice or
+/// any other stream of points; `None` for empty input. Ties resolve to
+/// the last minimal point (per `Iterator::min_by`).
 #[must_use]
-pub fn best_index(points: &[MetricSet], metric: Metric) -> Option<usize> {
-    best_index_of(points.iter(), metric)
-}
-
-/// Index of the best (minimum) point under a metric over any stream of
-/// points, without materializing a slice first; `None` for empty input.
-///
-/// Ties resolve exactly like [`best_index`] (the last minimal point,
-/// per `Iterator::min_by`).
-pub fn best_index_of<'a, I>(points: I, metric: Metric) -> Option<usize>
+pub fn best_index<'a, I>(points: I, metric: Metric) -> Option<usize>
 where
     I: IntoIterator<Item = &'a MetricSet>,
 {

@@ -155,8 +155,7 @@ pub(crate) fn checkpoint(stage: &str) -> Result<(), McpatError> {
 }
 
 /// Locates a fan-out failure (a panicked pool task) at `stage`: the
-/// `map_err` for every [`mcpat_par::par_map`] / [`mcpat_par::join4`]
-/// in the crate.
+/// `map_err` for every [`mcpat_par::join4`] in the crate.
 pub(crate) fn worker_failure(stage: &'static str) -> impl FnOnce(ParError) -> McpatError {
     move |e| {
         McpatError::Array(AtPath::new(
@@ -480,7 +479,7 @@ impl Processor {
 
     /// Moves this chip to `hz` in place: the primitive behind every
     /// clock probe ([`Delta::Clock`] rebuilds, DSE candidates, and
-    /// [`crate::explore::max_clock_under_power_budget`]'s bisection).
+    /// [`crate::clock_budget::max_clock_under_power_budget`]'s bisection).
     ///
     /// Without a cycle-time constraint (`core.enforce_timing == false`,
     /// the default everywhere) the solved geometry of every array is

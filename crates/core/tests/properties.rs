@@ -5,14 +5,14 @@
 mod support;
 
 use mcpat::{
-    explore_batch, Budgets, ChipStats, Delta, DseEvaluator, DvfsPoint, FrontierPoint, MetricSet,
+    dse, AxisGrid, ChipStats, Delta, DseEvaluator, DseOptions, DvfsPoint, FrontierPoint, MetricSet,
     ParetoFrontier, Processor, ProcessorConfig, RowCandidate, RowFacts, WorkloadModel,
 };
 use mcpat_circuit::metrics::StaticPower;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
 use proptest::prelude::*;
-use support::{differs_from_full_build, per_candidate_reference};
+use support::{differs_from_full_build, per_candidate_sweep, sweep_fingerprint};
 
 fn presets() -> Vec<ProcessorConfig> {
     vec![
@@ -95,9 +95,96 @@ fn bound_configs() -> Vec<ProcessorConfig> {
     configs
 }
 
-fn batch_eval(chip: &Processor) -> MetricSet {
-    let n = f64::from(chip.config.num_cores.max(1));
-    MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
+/// Runs the pruned and the unpruned engine over `grid` in `chunk`-sized
+/// chunks and compares both with per-candidate full builds: the same
+/// frontier bits, winners, `candidates`, `rejected` and `deduped`. A
+/// pruned candidate is never probed, so where pruning fired the pruned
+/// engine's `deduped` may only be lower.
+fn assert_engines_match_full_builds(grid: &AxisGrid, chunk: usize) {
+    let reference = per_candidate_sweep(grid, chunk);
+    let expected = sweep_fingerprint(&reference);
+    for prune in [false, true] {
+        let opts = DseOptions {
+            chunk,
+            prune,
+            ..DseOptions::default()
+        };
+        let engine = dse(grid, &opts, &mut WorkloadModel::default()).unwrap();
+        let what = format!("prune {prune}, chunk {chunk}, {:?}", engine.perf);
+        assert_eq!(sweep_fingerprint(&engine), expected, "{what}");
+        if engine.perf.pruned == 0 {
+            assert_eq!(engine.perf.deduped, reference.perf.deduped, "{what}");
+        } else {
+            assert!(engine.perf.deduped <= reference.perf.deduped, "{what}");
+        }
+    }
+}
+
+/// The in-order template, plain or under enforced timing, or the OoO
+/// one.
+fn template(kind: u8) -> CoreConfig {
+    match kind {
+        0 => CoreConfig::generic_inorder(),
+        1 => CoreConfig::generic_ooo(),
+        _ => {
+            let mut core = CoreConfig::generic_inorder();
+            core.enforce_timing = true;
+            core
+        }
+    }
+}
+
+/// Small grids over every axis, the two outermost ones included.
+/// Every drawn cluster size divides every drawn core count once capped,
+/// and one clock list repeats a value, so the dedupe path runs.
+fn any_small_grid() -> impl Strategy<Value = AxisGrid> {
+    (
+        (
+            prop::sample::select(vec![vec![0u8], vec![1], vec![0, 1], vec![1, 2]]),
+            prop::sample::select(vec![
+                vec![1u32],
+                vec![2],
+                vec![4],
+                vec![1, 4],
+                vec![2, 4, 1],
+            ]),
+            any_node(),
+        ),
+        (
+            prop::sample::select(vec![vec![2u32], vec![8], vec![2, 4], vec![8, 2]]),
+            prop::sample::select(vec![vec![1u64 << 20], vec![512 << 10, 2 << 20]]),
+            prop::sample::select(vec![
+                vec![1.0e9],
+                vec![2.0e9, 1.0e9],
+                vec![1.5e9, 1.0e9, 1.5e9],
+            ]),
+        ),
+    )
+        .prop_map(
+            |((templates, clusters, node), (cores, l2, clocks))| AxisGrid {
+                core_templates: templates.into_iter().map(template).collect(),
+                cores_per_cluster: clusters,
+                ..AxisGrid::manycore(vec![node], vec![DeviceType::Hp], cores, l2, clocks)
+            },
+        )
+}
+
+#[test]
+fn engines_match_full_builds_on_mixed_enforced_timing_templates() {
+    let grid = AxisGrid {
+        core_templates: vec![template(2), template(1)],
+        cores_per_cluster: vec![2, 4],
+        ..AxisGrid::manycore(
+            vec![TechNode::N32],
+            vec![DeviceType::Hp],
+            vec![2, 4],
+            vec![1 << 20, 2 << 20],
+            vec![1.0e9, 2.0e9, 1.0e9],
+        )
+    };
+    for chunk in [256, 5, 3] {
+        assert_engines_match_full_builds(&grid, chunk);
+    }
 }
 
 fn any_node() -> impl Strategy<Value = TechNode> {
@@ -193,43 +280,11 @@ proptest! {
     }
 
     #[test]
-    fn explore_batch_equals_per_candidate_builds(
-        a in any_manycore(),
-        b in any_manycore(),
-        take_second in prop::bool::ANY,
-        dup_first in prop::bool::ANY,
+    fn dse_over_every_axis_equals_per_candidate_builds(
+        grid in any_small_grid(),
+        chunk in prop::sample::select(vec![3usize, 256]),
     ) {
-        let mut cands: Vec<ProcessorConfig> = vec![a];
-        if take_second {
-            cands.push(b);
-        }
-        for (i, c) in cands.iter_mut().enumerate() {
-            c.name = format!("cand{i}");
-        }
-        if dup_first {
-            if let Some(mut d) = cands.first().cloned() {
-                d.name = String::from("cand-dup");
-                cands.push(d);
-            }
-        }
-        let (feasible, pareto) = per_candidate_reference(&cands, batch_eval);
-        let (batched, perf) = explore_batch(&cands, Budgets::default(), batch_eval).unwrap();
-        prop_assert_eq!(perf.candidates, cands.len());
-        prop_assert!(perf.unique_builds + perf.deduped == cands.len());
-        if dup_first {
-            prop_assert!(perf.deduped >= 1);
-        }
-        prop_assert!(batched.rejected.is_empty());
-        prop_assert_eq!(&pareto, &batched.pareto);
-        prop_assert_eq!(feasible.len(), batched.feasible.len());
-        for (a, b) in feasible.iter().zip(&batched.feasible) {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.area.to_bits(), b.area.to_bits());
-            prop_assert_eq!(a.peak_power.to_bits(), b.peak_power.to_bits());
-            prop_assert_eq!(a.metrics.energy.to_bits(), b.metrics.energy.to_bits());
-            prop_assert_eq!(a.metrics.delay.to_bits(), b.metrics.delay.to_bits());
-            prop_assert_eq!(a.metrics.area.to_bits(), b.metrics.area.to_bits());
-        }
+        assert_engines_match_full_builds(&grid, chunk);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   traffic, and allocations that request caused;
 //! - concurrent requests for the *same* configuration (modulo its
 //!   report name) coalesce onto one build — a thundering herd of an
-//!   identical config costs one solve, mirroring `explore_batch`'s
+//!   identical config costs one solve, mirroring the DSE engine's
 //!   dedupe.
 //!
 //! A `stats` request exposes the cumulative solve-cache counters

@@ -12,7 +12,7 @@
 //!
 //! **Coalescing.** Two concurrent `evaluate` requests whose configs
 //! differ only in `name` are the same model; the second parks on the
-//! first's in-flight build (the `explore_batch` dedupe contract) and
+//! first's in-flight build (the DSE engine's dedupe identity) and
 //! re-labels a clone of the shared chip. The coalesce map holds the
 //! canonical config JSON (name cleared) — never a lock across the
 //! build itself, mirroring the solve cache's pending-key protocol.
@@ -523,7 +523,7 @@ fn wait_for_build(slot: &BuildSlot) -> Result<Result<Arc<Processor>, McpatError>
 
 /// Renders the report of a shared build re-labeled with this request's
 /// own config name — the same relabel contract the solve cache and
-/// `explore_batch` honor, so the text is byte-identical to a fresh
+/// the DSE engine honor, so the text is byte-identical to a fresh
 /// build of the named config.
 fn relabeled_report(chip: &Processor, cfg: &ProcessorConfig) -> String {
     let mut own = chip.clone();

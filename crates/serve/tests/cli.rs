@@ -383,3 +383,45 @@ fn serve_with_unparseable_cap_is_a_usage_error() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("is not a number"), "{err}");
 }
+
+#[test]
+fn resuming_a_version_one_dse_checkpoint_exits_3_naming_the_schema() {
+    let axes = "nodes=32;flavors=hp;cores=2,4;l2=1M;clocks=1e9,2e9";
+    let dir = std::env::temp_dir();
+    let v2 = dir.join("mcpat-cli-test-dse-v2.json");
+    let out = mcpat_bin()
+        .args(["dse", "--axes", axes, "--out"])
+        .arg(&v2)
+        .output()
+        .unwrap();
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Rewrite the final checkpoint as version 1 wrote it: one `core`
+    // template in the grid echo and no cluster axis.
+    let text = std::fs::read_to_string(&v2).unwrap();
+    let mut cp: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let Some(serde_json::Value::Map(grid)) = cp.get_mut("grid") else {
+        panic!("the checkpoint echoes its grid: {text}");
+    };
+    grid.retain(|(key, _)| key != "core_templates" && key != "cores_per_cluster");
+    let core = mcpat::mcore::config::CoreConfig::generic_inorder();
+    grid.push(("core".to_owned(), serde_json::to_value(&core).unwrap()));
+    *cp.get_mut("schema").unwrap() = serde_json::Value::Str("mcpat-dse-checkpoint-v1".into());
+    let v1 = dir.join("mcpat-cli-test-dse-v1.json");
+    std::fs::write(&v1, serde_json::to_string_pretty(&cp).unwrap()).unwrap();
+
+    let out = mcpat_bin()
+        .args(["dse", "--axes", axes, "--resume"])
+        .arg(&v1)
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 3);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("expected mcpat-dse-checkpoint-v2"), "{err}");
+    let _ = std::fs::remove_file(&v1);
+    let _ = std::fs::remove_file(&v2);
+}

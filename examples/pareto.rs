@@ -1,89 +1,111 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! Design-space exploration with budgets and a Pareto front: enumerate
-//! manycore candidates at 32 nm, reject those over the area/power
-//! budgets, simulate a workload on the rest, and print the
-//! energy/delay/area Pareto front plus per-metric winners.
+//! Design-space exploration with budgets and a Pareto frontier: sweep
+//! in-order and out-of-order manycores at 32 nm over core count,
+//! cluster size and L2 size, reject those over the area/power budgets,
+//! simulate a workload on the rest, and print the composite-metric
+//! Pareto frontier plus per-metric winners.
 //!
 //! Run with: `cargo run --release --example pareto`
 
-use mcpat::explore::{explore_batch, Budgets};
 use mcpat::metrics::{Metric, MetricSet};
-use mcpat::ProcessorConfig;
-use mcpat_mcore::config::CoreConfig;
+use mcpat::{dse, AxisGrid, Budgets, DseEvaluator, DseOptions, Processor, ProcessorConfig};
+use mcpat_mcore::config::{CoreConfig, MachineType};
 use mcpat_sim::{SystemModel, WorkloadProfile};
-use mcpat_tech::TechNode;
+use mcpat_tech::{DeviceType, TechNode};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let node = TechNode::N32;
-    let workload = WorkloadProfile::balanced();
-    let total_insts: u64 = 1_600_000_000;
+/// Scores a chip by simulating a fixed amount of work on it: delay is
+/// the simulated time, energy the runtime power of the simulated
+/// activity times that time.
+struct Simulated {
+    workload: WorkloadProfile,
+    total_insts: u64,
+}
 
-    let mut candidates = Vec::new();
-    for (kind, core) in [
-        ("io", CoreConfig::generic_inorder()),
-        ("ooo", CoreConfig::generic_ooo()),
-    ] {
-        for cores in [4u32, 8, 16, 32] {
-            for cluster in [2u32, 4] {
-                if cores % cluster != 0 {
-                    continue;
-                }
-                let cfg = ProcessorConfig::manycore(
-                    &format!("{kind}-{cores}c-x{cluster}"),
-                    node,
-                    core.clone(),
-                    cores,
-                    cluster,
-                    u64::from(cluster) * 512 * 1024,
-                );
-                candidates.push(cfg);
-            }
-        }
-    }
-
-    let budgets = Budgets {
-        max_area: 150e-6,     // 150 mm²
-        max_peak_power: 90.0, // 90 W
-    };
-    let exploration = explore_batch(&candidates, budgets, |chip| {
-        let run = SystemModel::new(&chip.config)
-            .simulate(&workload, total_insts / u64::from(chip.config.num_cores));
+impl DseEvaluator for Simulated {
+    fn evaluate(&mut self, chip: &Processor) -> MetricSet {
+        let cores = u64::from(chip.config.num_cores.max(1));
+        let run = SystemModel::new(&chip.config).simulate(&self.workload, self.total_insts / cores);
         let power = chip.runtime_power(&run.stats);
         MetricSet::from_power(power.total(), run.seconds, chip.die_area())
-    })?
-    .0;
+    }
+
+    /// No cheap bound on a simulated run: every candidate is built.
+    fn lower_bound(&self, _: &Processor, _: &ProcessorConfig) -> Option<MetricSet> {
+        None
+    }
+}
+
+/// `io-8c-x4-2M`: core kind, core count, cores per L2 cluster, and L2
+/// capacity per cluster.
+fn label(cfg: &ProcessorConfig) -> String {
+    let kind = match cfg.core.machine_type {
+        MachineType::InOrder => "io",
+        MachineType::OutOfOrder => "ooo",
+    };
+    let cluster = cfg.num_cores / cfg.num_l2s.max(1);
+    let l2_mib = cfg.l2.as_ref().map_or(0, |l2| l2.cache.capacity >> 20);
+    format!("{kind}-{}c-x{cluster}-{l2_mib}M", cfg.num_cores)
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Both core kinds at one clock, as in the paper's case study.
+    let grid = AxisGrid {
+        core_templates: vec![CoreConfig::generic_inorder(), CoreConfig::generic_ooo()],
+        cores_per_cluster: vec![2, 4],
+        ..AxisGrid::manycore(
+            vec![TechNode::N32],
+            vec![DeviceType::Hp],
+            vec![4, 8, 16, 32],
+            vec![1 << 20, 2 << 20],
+            vec![2.0e9],
+        )
+    };
+    let opts = DseOptions {
+        budgets: Budgets {
+            max_area: 150e-6,     // 150 mm²
+            max_peak_power: 90.0, // 90 W
+        },
+        ..DseOptions::default()
+    };
+    let mut evaluator = Simulated {
+        workload: WorkloadProfile::balanced(),
+        total_insts: 1_600_000_000,
+    };
+    let result = dse(&grid, &opts, &mut evaluator)?;
+    let at = |cursor: u64| {
+        grid.config_at(cursor)
+            .expect("a swept cursor is on the grid")
+    };
 
     println!(
-        "{} candidates, {} feasible, {} rejected by budgets ({:?})",
-        candidates.len(),
-        exploration.feasible.len(),
-        exploration.rejected.len(),
-        exploration.rejected
+        "{} candidates, {} evaluated, {} rejected by budgets",
+        result.perf.candidates,
+        result.frontier.offered(),
+        result.perf.rejected
     );
     println!();
     println!(
-        "{:<14} {:>9} {:>9} {:>10} {:>10} {:>7}",
-        "candidate", "mm2", "peak W", "energy J", "delay s", "pareto"
+        "{:<16} {:>9} {:>9} {:>10} {:>10}",
+        "frontier point", "mm2", "peak W", "energy J", "delay s"
     );
-    for (i, c) in exploration.feasible.iter().enumerate() {
+    for p in result.frontier.points() {
         println!(
-            "{:<14} {:>9.1} {:>9.1} {:>10.3} {:>10.4} {:>7}",
-            c.name,
-            c.area * 1e6,
-            c.peak_power,
-            c.metrics.energy,
-            c.metrics.delay,
-            if exploration.pareto.contains(&i) {
-                "*"
-            } else {
-                ""
-            },
+            "{:<16} {:>9.1} {:>9.1} {:>10.3} {:>10.4}",
+            label(&at(p.cursor)),
+            p.area * 1e6,
+            p.peak_power,
+            p.metrics.energy,
+            p.metrics.delay,
         );
     }
     println!();
     for metric in Metric::ALL {
-        if let Some(best) = exploration.best(metric) {
-            println!("best under {:<6}: {}", metric.name(), best.name);
+        if let Some(best) = result.frontier.best(metric) {
+            println!(
+                "best under {:<6}: {}",
+                metric.name(),
+                label(&at(best.cursor))
+            );
         }
     }
     Ok(())

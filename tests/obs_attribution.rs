@@ -1,21 +1,19 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Scoped-attribution guarantees of the `mcpat-obs` collector layer.
 //!
-//! The perf blocks on `BuildPerf`/`ExplorePerf` are billed through the
+//! `BuildPerf` and every scoped collector are billed through the
 //! thread-scoped collector chain, not global before/after deltas, so a
 //! run must report only its own traffic no matter what else the
-//! process is doing. Two concurrent `explore_batch` calls each see
-//! their solo counts; work stolen by a pool worker bills the scope
-//! that submitted it, not whatever the stealing worker was doing.
+//! process is doing. Two concurrent `dse` sweeps each see their solo
+//! counts; work stolen by a pool worker bills the scope that submitted
+//! it, not whatever the stealing worker was doing.
 //!
 //! Tests here flip process-global knobs (thread override, cache mode),
 //! so they serialize on one mutex and restore defaults on exit.
 
 use mcpat::array::memo;
-use mcpat::{
-    dse, explore_batch, AxisGrid, Budgets, DseOptions, ExplorePerf, MetricSet, ProcessorConfig,
-    WorkloadModel,
-};
+use mcpat::obs::Snapshot;
+use mcpat::{dse, AxisGrid, DseOptions, DsePerf, ProcessorConfig, WorkloadModel};
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,79 +41,95 @@ impl Drop for KnobReset {
     }
 }
 
-/// `n` distinct manycore candidates at `node`. Different tech nodes
-/// give two sets fully disjoint solve-cache keys, so concurrent runs
-/// cannot serve each other's arrays.
-fn candidates(node: TechNode, n: u32) -> Vec<ProcessorConfig> {
-    (0..n)
-        .map(|i| {
-            ProcessorConfig::manycore(
-                &format!("{node}-c{i}"),
-                node,
-                CoreConfig::generic_inorder(),
-                2 + (i % 4) * 2,
-                1 + (i % 4),
-                u64::from(1 + (i % 4)) * 1024 * 1024,
-            )
-        })
-        .collect()
+/// A grid of `core_counts.len() × l2_mib.len()` distinct chips at
+/// `node`, one clock each. Different tech nodes give two grids fully
+/// disjoint solve-cache keys, so concurrent sweeps cannot serve each
+/// other's arrays.
+fn chips(node: TechNode, core_counts: Vec<u32>, l2_mib: &[u64]) -> AxisGrid {
+    AxisGrid::manycore(
+        vec![node],
+        vec![DeviceType::Hp],
+        core_counts,
+        l2_mib.iter().map(|m| m << 20).collect(),
+        vec![1.4e9],
+    )
 }
 
-fn run_batch(cands: &[ProcessorConfig]) -> ExplorePerf {
-    let (_ex, perf) = explore_batch(cands, Budgets::default(), |c| {
-        MetricSet::from_power(10.0, 1.0, c.die_area())
-    })
-    .unwrap();
-    perf
+/// A two-core chip at `node`, one core to each L2.
+fn two_core_chip(node: TechNode) -> ProcessorConfig {
+    ProcessorConfig::manycore(
+        &format!("{node}-c0"),
+        node,
+        CoreConfig::generic_inorder(),
+        2,
+        1,
+        1024 * 1024,
+    )
+}
+
+/// One sweep inside its own collector: the engine's counters and the
+/// traffic the collector billed.
+fn run_sweep(grid: &AxisGrid) -> (DsePerf, Snapshot) {
+    let collector = mcpat::obs::Collector::new();
+    let perf = {
+        let _scope = collector.enter();
+        dse(grid, &DseOptions::default(), &mut WorkloadModel::default())
+            .unwrap()
+            .perf
+    };
+    (perf, collector.snapshot())
 }
 
 #[test]
-fn concurrent_explore_batches_report_only_their_own_traffic() {
+fn concurrent_dse_sweeps_report_only_their_own_traffic() {
     let _guard = knob_lock();
     let _reset = KnobReset;
-    // Serial inside each call: the concurrency under test is the two
+    // Serial inside each sweep: the concurrency under test is the two
     // *outer* threads, and serial builds keep the miss counts exact.
     mcpat::par::set_thread_override(1);
     memo::set_enabled(true);
 
-    let small = candidates(TechNode::N32, 2);
-    let large = candidates(TechNode::N45, 6);
+    let small = chips(TechNode::N32, vec![2, 4], &[1]);
+    let large = chips(TechNode::N45, vec![2, 4, 6], &[1, 2]);
 
     memo::clear();
-    let solo_small = run_batch(&small);
+    let solo_small = run_sweep(&small);
     memo::clear();
-    let solo_large = run_batch(&large);
-    assert!(solo_small.solve_cache_misses > 0);
-    assert!(solo_large.solve_cache_misses > solo_small.solve_cache_misses);
-    assert!(solo_small.allocs > 0, "the counting allocator must be live");
+    let solo_large = run_sweep(&large);
+    assert!(solo_small.1.solve_cache_misses > 0);
+    assert!(solo_large.1.solve_cache_misses > solo_small.1.solve_cache_misses);
+    assert!(
+        solo_small.1.allocs > 0,
+        "the counting allocator must be live"
+    );
 
     memo::clear();
     let (perf_small, perf_large) = std::thread::scope(|s| {
-        let a = s.spawn(|| run_batch(&small));
-        let b = s.spawn(|| run_batch(&large));
+        let a = s.spawn(|| run_sweep(&small));
+        let b = s.spawn(|| run_sweep(&large));
         (a.join().unwrap(), b.join().unwrap())
     });
 
-    for (what, solo, concurrent) in [
-        ("small batch", &solo_small, &perf_small),
-        ("large batch", &solo_large, &perf_large),
+    for (what, (solo, solo_snap), (concurrent, snap)) in [
+        ("small sweep", &solo_small, &perf_small),
+        ("large sweep", &solo_large, &perf_large),
     ] {
         assert_eq!(
-            concurrent.unique_builds, solo.unique_builds,
-            "{what}: unique_builds must not absorb the other run's builds"
+            concurrent, solo,
+            "{what}: the sweep's counters must not absorb the other run's builds"
         );
         assert_eq!(
-            concurrent.solve_cache_misses, solo.solve_cache_misses,
+            snap.solve_cache_misses, solo_snap.solve_cache_misses,
             "{what}: cache misses must not cross-bill between threads"
         );
         // Allocation counts jitter slightly (hash seeding, vector
         // growth), but cross-billing would multiply them: the small
-        // batch would absorb the large batch's >3x traffic.
+        // sweep would absorb the large sweep's >3x traffic.
         assert!(
-            concurrent.allocs >= solo.allocs / 2 && concurrent.allocs <= solo.allocs * 2,
+            snap.allocs >= solo_snap.allocs / 2 && snap.allocs <= solo_snap.allocs * 2,
             "{what}: allocs {} drifted past 2x from solo {}",
-            concurrent.allocs,
-            solo.allocs
+            snap.allocs,
+            solo_snap.allocs
         );
     }
 }
@@ -208,9 +222,9 @@ fn concurrent_serve_requests_bill_only_their_own_traffic() {
 
     // Different tech nodes -> fully disjoint solve-cache keys, so the
     // concurrent requests cannot serve each other's arrays.
-    let cfg_small = &candidates(TechNode::N32, 1)[0];
+    let cfg_small = &two_core_chip(TechNode::N32);
     let cfg_large = {
-        let mut c = candidates(TechNode::N45, 1)[0].clone();
+        let mut c = two_core_chip(TechNode::N45);
         c.num_cores *= 4;
         c
     };
@@ -276,7 +290,7 @@ fn coalesced_serve_pair_bills_the_shared_build_once() {
     let (handle, join) = start_server();
     let addr = handle.addr();
 
-    let cfg_a = &candidates(TechNode::N22, 1)[0];
+    let cfg_a = &two_core_chip(TechNode::N22);
     let mut cfg_b = cfg_a.clone();
     cfg_b.name = format!("{}-twin", cfg_a.name);
 

@@ -15,15 +15,15 @@ mod support;
 
 use mcpat::array::memo;
 use mcpat::{
-    explore_batch, max_clock_under_power_budget, Budgets, Exploration, MetricSet, Processor,
-    ProcessorConfig,
+    dse, max_clock_under_power_budget, AxisGrid, DseOptions, Processor, ProcessorConfig,
+    WorkloadModel,
 };
 use mcpat_mcore::config::CoreConfig;
-use mcpat_tech::TechNode;
+use mcpat_tech::{DeviceType, TechNode};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Counts heap allocations so the allocation-ceiling test can assert
-/// the cold exploration batch's budget through `ExplorePerf::allocs`.
+/// Counts heap allocations so the allocation-ceiling test can bill a
+/// cold sweep through a scoped collector.
 #[global_allocator]
 static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
 
@@ -108,51 +108,16 @@ fn assert_identical(a: &[(String, u64)], b: &[(String, u64)], what: &str) {
     }
 }
 
-fn sweep_candidates() -> Vec<ProcessorConfig> {
-    [2u32, 4, 8]
-        .into_iter()
-        .map(|n| {
-            ProcessorConfig::manycore(
-                &format!("m{n}"),
-                TechNode::N32,
-                CoreConfig::generic_inorder(),
-                n,
-                n.min(2),
-                1024 * 1024,
-            )
-        })
-        .collect()
-}
-
-fn sweep_eval(chip: &Processor) -> MetricSet {
-    let n = f64::from(chip.config.num_cores.max(1));
-    MetricSet::from_power(10.0 * n, 1.0 / n, chip.die_area())
-}
-
-/// The serial reference every `explore_batch` result must reproduce:
-/// each candidate built on its own with `Processor::build`, in input
-/// order. Every sweep here fits the default (unbounded) budgets.
-fn serial_explore(cands: &[ProcessorConfig]) -> Exploration {
-    let (feasible, pareto) = support::per_candidate_reference(cands, sweep_eval);
-    Exploration {
-        feasible,
-        rejected: Vec::new(),
-        pareto,
-    }
-}
-
-/// Every f64 of an exploration result as exact bit patterns, keyed by
-/// candidate name.
-fn exploration_fingerprint(ex: &Exploration) -> Vec<(String, u64)> {
-    let mut v = Vec::new();
-    for c in &ex.feasible {
-        v.push((format!("{}.area", c.name), c.area.to_bits()));
-        v.push((format!("{}.peak", c.name), c.peak_power.to_bits()));
-        v.push((format!("{}.energy", c.name), c.metrics.energy.to_bits()));
-        v.push((format!("{}.delay", c.name), c.metrics.delay.to_bits()));
-        v.push((format!("{}.marea", c.name), c.metrics.area.to_bits()));
-    }
-    v
+/// Sixteen distinct chips, one clock each: the grid of benchline's
+/// `dse_16_chips` row.
+fn sixteen_chips() -> AxisGrid {
+    AxisGrid::manycore(
+        vec![TechNode::N32],
+        vec![DeviceType::Hp],
+        vec![2, 4, 6, 8],
+        vec![1 << 20, 2 << 20, 3 << 20, 4 << 20],
+        vec![1.4e9],
+    )
 }
 
 #[test]
@@ -235,48 +200,25 @@ fn cached_solve_equals_uncached_across_presets() {
 }
 
 #[test]
-fn explore_is_bit_identical_across_pool_thread_counts() {
+fn dse_is_bit_identical_to_full_builds_across_pool_thread_counts() {
     let _guard = knob_lock();
     let _reset = KnobReset;
     memo::set_enabled(false);
-    let cands = sweep_candidates();
+    let grid = sixteen_chips();
+    let opts = DseOptions::default();
     mcpat::par::set_thread_override(1);
-    let reference = serial_explore(&cands);
-    let ref_fp = exploration_fingerprint(&reference);
+    let reference = support::per_candidate_sweep(&grid, opts.chunk);
+    assert_eq!(reference.perf.deduped, 0, "the sixteen chips are distinct");
+    let ref_fp = support::sweep_fingerprint(&reference);
     for threads in [1, 2, 3, 8, 16] {
         mcpat::par::set_thread_override(threads);
-        let (ex, _) = explore_batch(&cands, Budgets::default(), sweep_eval).unwrap();
-        let what = format!("explore_batch at {threads} pool threads");
-        assert_eq!(reference.rejected, ex.rejected, "{what}: rejected set");
-        assert_eq!(reference.pareto, ex.pareto, "{what}: pareto front");
-        assert_identical(&ref_fp, &exploration_fingerprint(&ex), &what);
-    }
-}
-
-#[test]
-fn explore_batch_is_bit_identical_to_serial_explore() {
-    let _guard = knob_lock();
-    let _reset = KnobReset;
-    memo::set_enabled(false);
-    let mut cands = sweep_candidates();
-    // One duplicate configuration under a different name exercises the
-    // dedup path against the serial reference.
-    let mut dup = cands[0].clone();
-    dup.name = String::from("m2-copy");
-    cands.push(dup);
-
-    mcpat::par::set_thread_override(1);
-    let reference = serial_explore(&cands);
-    let ref_fp = exploration_fingerprint(&reference);
-    for threads in [1, 4] {
-        mcpat::par::set_thread_override(threads);
-        let (batched, perf) = explore_batch(&cands, Budgets::default(), sweep_eval).unwrap();
-        let what = format!("explore_batch at {threads} pool threads");
-        assert_eq!(perf.candidates, cands.len(), "{what}");
-        assert_eq!(perf.deduped, 1, "{what}: the copy must dedupe");
-        assert_eq!(reference.rejected, batched.rejected, "{what}: rejected");
-        assert_eq!(reference.pareto, batched.pareto, "{what}: pareto");
-        assert_identical(&ref_fp, &exploration_fingerprint(&batched), &what);
+        for prune in [true, false] {
+            let opts = DseOptions { prune, ..opts };
+            let engine = dse(&grid, &opts, &mut WorkloadModel::default()).unwrap();
+            let what = format!("dse (prune {prune}) at {threads} pool threads");
+            assert_eq!(engine.perf.deduped, 0, "{what}");
+            assert_identical(&ref_fp, &support::sweep_fingerprint(&engine), &what);
+        }
     }
 }
 
@@ -314,6 +256,7 @@ fn incremental_bisection_equals_full_rebuild_bisection() {
     }
     let incremental = max_clock_under_power_budget(&cfg, budget, lo_hz, hi_hz)
         .unwrap()
+        .0
         .expect("a feasible clock exists");
     assert_eq!(
         incremental.to_bits(),
@@ -452,43 +395,36 @@ fn soa_sweep_matches_reference_on_both_relaxation_rungs() {
     );
 }
 
-/// The committed pre-SoA baseline ran `explore_batch_16_candidates`
-/// at 3870 serial allocations. The SoA sweep over stack-resident
-/// solver scratch must hold the cold batch at a ≥30% reduction: ≤ 2709.
-const EXPLORE_BATCH_ALLOC_CEILING: u64 = 2709;
+/// The committed pre-SoA baseline ran its 16-candidate exploration row
+/// at 3870 serial allocations. The SoA sweep over stack-resident solver
+/// scratch must hold a cold 16-candidate sweep at a ≥30% reduction,
+/// ≤ 2709, now over sixteen distinct chips where that row built four.
+const SIXTEEN_CHIP_ALLOC_CEILING: u64 = 2709;
 
 #[test]
-fn arena_reuse_cuts_explore_batch_allocs_at_least_30_percent() {
+fn arena_reuse_holds_a_cold_sixteen_chip_sweep_under_the_alloc_ceiling() {
     let _guard = knob_lock();
     let _reset = KnobReset;
     memo::set_enabled(false);
     mcpat::par::set_thread_override(1);
-    // The benchline `explore_batch_16_candidates` workload, verbatim.
-    let cands: Vec<ProcessorConfig> = (0..16u32)
-        .map(|i| {
-            ProcessorConfig::manycore(
-                &format!("c{i}"),
-                TechNode::N32,
-                CoreConfig::generic_inorder(),
-                2 + (i % 4) * 2,
-                1 + (i % 4),
-                u64::from(1 + (i % 4)) * 1024 * 1024,
-            )
-        })
-        .collect();
-    let eval = |c: &Processor| MetricSet::from_power(10.0, 1.0, c.die_area());
-    // One warm-up pass initializes the lazy statics and pool state;
-    // the measured pass is the steady state every sweep
-    // scenario lives in.
-    let _ = explore_batch(&cands, Budgets::default(), eval).unwrap();
-    let (_, perf) = explore_batch(&cands, Budgets::default(), eval).unwrap();
-    assert!(perf.allocs > 0, "the counting allocator must be live");
+    // The benchline `dse_16_chips` workload, verbatim.
+    let grid = sixteen_chips();
+    let sweep = || dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).unwrap();
+    // One warm-up sweep initializes the lazy statics and pool state;
+    // the measured sweep is the steady state every sweep scenario
+    // lives in.
+    let _ = sweep();
+    let collector = mcpat::obs::Collector::new();
+    {
+        let _scope = collector.enter();
+        let _ = sweep();
+    }
+    let allocs = collector.snapshot().allocs;
+    assert!(allocs > 0, "the counting allocator must be live");
     assert!(
-        perf.allocs <= EXPLORE_BATCH_ALLOC_CEILING,
-        "explore_batch_16_candidates ran {} allocations; the cold batch must stay \
-         at or below {} (>=30% under the committed baseline's 3870)",
-        perf.allocs,
-        EXPLORE_BATCH_ALLOC_CEILING
+        allocs <= SIXTEEN_CHIP_ALLOC_CEILING,
+        "dse_16_chips ran {allocs} allocations; a cold sweep must stay at or below \
+         {SIXTEEN_CHIP_ALLOC_CEILING} (>=30% under the committed baseline's 3870)"
     );
 }
 

@@ -1,45 +1,74 @@
 //! Per-candidate references shared by the bit-identity suites
 //! (`tests/perf_identity.rs`, `crates/core/tests/properties.rs`): every
-//! fast path — batched exploration, delta rebuilds, in-place clock
+//! fast path — streaming exploration, delta rebuilds, in-place clock
 //! retargeting — is checked against chips built one at a time from
 //! scratch.
 #![allow(dead_code)] // each suite uses a subset
 
-use mcpat::{Candidate, MetricSet, Processor, ProcessorConfig};
+use mcpat::{
+    AxisGrid, DseEvaluator, DsePerf, DseResult, FrontierPoint, Metric, ParetoFrontier, Processor,
+    ProcessorConfig, WorkloadModel,
+};
 
-/// What `explore_batch` must reproduce: every candidate built on its
-/// own with `Processor::build`, in input order, with the raw (energy,
-/// delay, area) Pareto front found by brute force.
-pub fn per_candidate_reference(
-    cands: &[ProcessorConfig],
-    eval: impl Fn(&Processor) -> MetricSet,
-) -> (Vec<Candidate>, Vec<usize>) {
-    let feasible: Vec<Candidate> = cands
-        .iter()
-        .map(|cfg| {
-            let chip = Processor::build(cfg).unwrap();
-            Candidate {
-                name: cfg.name.clone(),
-                area: chip.die_area(),
-                peak_power: chip.peak_power().total(),
-                metrics: eval(&chip),
-            }
-        })
-        .collect();
-    let axes = |c: &Candidate| [c.metrics.energy, c.metrics.delay, c.metrics.area];
-    let dominated = |c: &Candidate| {
-        feasible.iter().any(|o| {
-            let (o, c) = (axes(o), axes(c));
-            o.iter().zip(&c).all(|(x, y)| x <= y) && o.iter().zip(&c).any(|(x, y)| x < y)
-        })
-    };
-    let pareto = feasible
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !dominated(c))
-        .map(|(i, _)| i)
-        .collect();
-    (feasible, pareto)
+/// What the streaming engine must reproduce with pruning off and the
+/// default budgets: every candidate of `grid` built on its own with
+/// `Processor::build` and scored by [`WorkloadModel`], offered to a
+/// fresh frontier in cursor order. A candidate counts as deduped when
+/// an earlier candidate of its `chunk`-sized chunk has the same
+/// configuration up to the name, as the engine counts it.
+pub fn per_candidate_sweep(grid: &AxisGrid, chunk: usize) -> DseResult {
+    let mut frontier = ParetoFrontier::new();
+    let mut perf = DsePerf::default();
+    let mut seen: Vec<ProcessorConfig> = Vec::new();
+    for cursor in 0..grid.total() {
+        if cursor % chunk.max(1) as u64 == 0 {
+            seen.clear();
+        }
+        let cfg = grid.config_at(cursor).unwrap();
+        perf.candidates += 1;
+        let mut unnamed = cfg.clone();
+        unnamed.name.clear();
+        if seen.contains(&unnamed) {
+            perf.deduped += 1;
+        } else {
+            seen.push(unnamed);
+        }
+        let chip = Processor::build(&cfg).unwrap();
+        frontier.offer(FrontierPoint {
+            name: cfg.name,
+            cursor,
+            area: chip.die_area(),
+            peak_power: chip.peak_power().total(),
+            metrics: WorkloadModel::default().evaluate(&chip),
+        });
+    }
+    DseResult { frontier, perf }
+}
+
+/// A sweep's outcome as exact bit patterns: every frontier point in
+/// order, each metric's winner, and the `candidates` and `rejected`
+/// counters. (`deduped` counts only candidates that survive pruning,
+/// so callers compare it on their own terms.)
+pub fn sweep_fingerprint(r: &DseResult) -> Vec<(String, u64)> {
+    let mut v = Vec::new();
+    for p in r.frontier.points() {
+        let m = &p.metrics;
+        v.push((format!("{}.cursor", p.name), p.cursor));
+        v.push((format!("{}.area", p.name), p.area.to_bits()));
+        v.push((format!("{}.peak", p.name), p.peak_power.to_bits()));
+        v.push((format!("{}.delay", p.name), m.delay.to_bits()));
+        v.push((format!("{}.energy", p.name), m.energy.to_bits()));
+        v.push((format!("{}.marea", p.name), m.area.to_bits()));
+    }
+    for metric in Metric::ALL {
+        let best = r.frontier.best(metric);
+        let what = format!("best {}", metric.name());
+        v.push((what.clone(), best.map_or(u64::MAX, |w| w.cursor)));
+        v.push((what, best.map_or(0, |w| metric.of(&w.metrics).to_bits())));
+    }
+    v.push(("candidates".to_owned(), r.perf.candidates));
+    v.push(("rejected".to_owned(), r.perf.rejected));
+    v
 }
 
 /// A chip's report without its `Build:` line, which describes how the
