@@ -200,7 +200,7 @@ fn cached_solve_equals_uncached_across_presets() {
 }
 
 #[test]
-fn dse_is_bit_identical_to_full_builds_across_pool_thread_counts() {
+fn explore_is_bit_identical_across_pool_thread_counts() {
     let _guard = knob_lock();
     let _reset = KnobReset;
     memo::set_enabled(false);
@@ -219,6 +219,39 @@ fn dse_is_bit_identical_to_full_builds_across_pool_thread_counts() {
             assert_eq!(engine.perf.deduped, 0, "{what}");
             assert_identical(&ref_fp, &support::sweep_fingerprint(&engine), &what);
         }
+    }
+}
+
+#[test]
+fn explore_batch_is_bit_identical_to_serial_explore() {
+    let _guard = knob_lock();
+    let _reset = KnobReset;
+    memo::set_enabled(false);
+    // A repeated core count makes four candidates copies of earlier
+    // ones, which exercises the dedup path against the serial reference.
+    let grid = AxisGrid::manycore(
+        vec![TechNode::N32],
+        vec![DeviceType::Hp],
+        vec![2, 4, 2],
+        vec![1 << 20, 2 << 20, 3 << 20, 4 << 20],
+        vec![1.4e9],
+    );
+    let opts = DseOptions {
+        prune: false,
+        ..DseOptions::default()
+    };
+    mcpat::par::set_thread_override(1);
+    let reference = support::per_candidate_sweep(&grid, opts.chunk);
+    assert_eq!(reference.perf.candidates, 12);
+    assert_eq!(reference.perf.deduped, 4, "each repeated chip must dedupe");
+    let ref_fp = support::sweep_fingerprint(&reference);
+    for threads in [1, 4] {
+        mcpat::par::set_thread_override(threads);
+        let batched = dse(&grid, &opts, &mut WorkloadModel::default()).unwrap();
+        let what = format!("dse at {threads} pool threads");
+        assert_eq!(batched.perf.candidates, 12, "{what}");
+        assert_eq!(batched.perf.deduped, 4, "{what}: the copies must dedupe");
+        assert_identical(&ref_fp, &support::sweep_fingerprint(&batched), &what);
     }
 }
 
