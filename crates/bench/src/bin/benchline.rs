@@ -37,10 +37,12 @@
 //! full-build loop (both throughputs measured in this run, same serial
 //! mode), and on a single-core host the parallel 16-chip sweep must
 //! degrade to inline execution — zero worker-pool submissions and wall
-//! clock within 25% of serial. A fifth host-independent gate covers
-//! the `mcpat serve` daemon: a warm shared-cache request over loopback
-//! TCP must complete at least 5x faster than the same request against
-//! a cleared cache (the `serve` block records both latencies). Another
+//! clock within 25% of serial. Two more host-independent gates cover
+//! the `mcpat serve` daemon's shared cache: every warm request over
+//! loopback TCP must bill zero solve-cache misses, and its server-side
+//! time must stay within a small multiple of an in-process warm build
+//! of the same chip (the `serve` block records both, plus the ungated
+//! warm-over-cold round-trip ratio). Another
 //! host-independent gate counts pool wake-ups: a warm Niagara2 build,
 //! every array a cache hit, must wake no worker (the `pool` block).
 //! Full (non-`--quick`) runs additionally time one 10^5-candidate
@@ -483,12 +485,21 @@ const MIN_DSE_PRUNE_RATE: f64 = 0.786;
 /// one allocation per candidate. A count, so it holds on any host.
 const MAX_DSE_ALLOCS_PER_CANDIDATE: f64 = 3.0;
 
-/// Floor on the serve daemon's warm-request advantage: a request whose
-/// solves are all resident in the shared cache must complete at least
-/// this much faster than the same request against a cleared cache.
-/// Both latencies go over a real loopback TCP round trip in this run,
-/// so the ratio is host-independent.
-const MIN_SERVE_WARM_SPEEDUP: f64 = 5.0;
+/// Ceiling on solve-cache misses billed to the serve probe's warm
+/// requests, all of them together: a request whose configuration the
+/// shared cache already holds must not run the solver. A count, so it
+/// holds on any host.
+const MAX_SERVE_WARM_MISSES: u64 = 0;
+
+/// Ceiling on a warm serve request's server-side time (`perf.wall_ms`,
+/// median) over an in-process warm `Processor::build` of the same chip
+/// (median), both measured in this run. The request adds key hashing,
+/// the coalesce map, report rendering and billing to the build: seven
+/// `--quick` runs on a 2-vCPU host read 2.8–3.7x, while a request that
+/// re-solves its arrays reads about 30x. A ratio of two timings on one
+/// host, so it holds on any host, and it does not depend on how fast
+/// the solver is.
+const MAX_SERVE_WARM_VS_BUILD: f64 = 6.0;
 
 /// Ceiling on pool wake-ups during one warm Niagara2 build at the
 /// default thread count. Every array is a solve-cache hit, so no join
@@ -523,15 +534,31 @@ fn warm_build_wakeups() -> u64 {
 /// while 301 trips read the same ratio run after run.
 const SERVE_ROUND_TRIPS: usize = 301;
 
-/// Median request latencies against an in-process `mcpat serve`
-/// daemon over real loopback TCP, each over [`SERVE_ROUND_TRIPS`]
-/// round trips: `(cold_ms, warm_ms)`. Cold clears
-/// the shared solve cache before every request (each build does its
-/// full solver work); warm leaves the cache populated, so the request
-/// pays only lookup + relabel + render + the wire round trip. Serial
-/// requests on one connection — the concurrency story is covered by
-/// the daemon's own tests; this row times the cache seam.
-fn serve_request_latencies() -> (f64, f64) {
+/// What the serve probe measured against its in-process daemon.
+struct ServeProbe {
+    /// Median client round trip with the solve cache cleared before
+    /// every request, ms.
+    cold_ms: f64,
+    /// Median client round trip with every solve resident, ms.
+    warm_ms: f64,
+    /// Median server-side `perf.wall_ms` of the warm requests, ms.
+    warm_server_ms: f64,
+    /// Median in-process warm `Processor::build` of the same chip, ms.
+    warm_build_ms: f64,
+    /// Solve-cache misses billed to all warm requests together.
+    warm_misses: u64,
+}
+
+/// Drives an in-process `mcpat serve` daemon over real loopback TCP,
+/// [`SERVE_ROUND_TRIPS`] round trips per mode. Cold clears the shared
+/// solve cache before every request (each build does its full solver
+/// work); warm leaves the cache populated, so the request pays only
+/// lookup + relabel + render + the wire round trip, and each warm
+/// response's own billing (`perf.wall_ms`, `perf.solve_cache_misses`)
+/// is read back. Serial requests on one connection — the concurrency
+/// story is covered by the daemon's own tests; this probe times the
+/// cache seam.
+fn serve_probe() -> ServeProbe {
     use std::io::{BufRead as _, BufReader, Write as _};
 
     let server = mcpat_serve::Server::bind(
@@ -555,7 +582,8 @@ fn serve_request_latencies() -> (f64, f64) {
             .unwrap_or_else(|e| die(&format!("serve probe: cannot clone stream: {e}"))),
     );
     let mut stream = stream;
-    let mut roundtrip = |line: &str| {
+    // Returns the response's `(perf.wall_ms, perf.solve_cache_misses)`.
+    let mut roundtrip = |line: &str| -> (f64, u64) {
         // One write per request: a trailing-newline second write would
         // reintroduce the Nagle stall the daemon disables server-side.
         let mut buf = Vec::with_capacity(line.len() + 1);
@@ -572,6 +600,19 @@ fn serve_request_latencies() -> (f64, f64) {
         if !resp.contains("\"status\":\"ok\"") {
             die(&format!("serve probe: request failed: {}", resp.trim()));
         }
+        let v: serde_json::Value = serde_json::from_str(&resp)
+            .unwrap_or_else(|e| die(&format!("serve probe: response is not JSON: {e}")));
+        let perf = |key: &str| v.get("perf").and_then(|p| p.get(key));
+        match (
+            perf("wall_ms").and_then(serde_json::Value::as_f64),
+            perf("solve_cache_misses").and_then(serde_json::Value::as_u64),
+        ) {
+            (Some(wall_ms), Some(misses)) => (wall_ms, misses),
+            _ => die(&format!(
+                "serve probe: response lacks perf billing: {}",
+                resp.trim()
+            )),
+        }
     };
     let request = "{\"type\":\"evaluate\",\"preset\":\"niagara2\"}";
 
@@ -579,7 +620,19 @@ fn serve_request_latencies() -> (f64, f64) {
     memo::set_enabled(true);
     memo::clear();
     roundtrip(request); // warm code paths; leaves the cache populated
-    let warm_ms = median_ms(SERVE_ROUND_TRIPS, || roundtrip(request));
+    let mut warm_server = Vec::with_capacity(SERVE_ROUND_TRIPS);
+    let mut warm_misses = 0u64;
+    let warm_ms = median_ms(SERVE_ROUND_TRIPS, || {
+        let (wall_ms, misses) = roundtrip(request);
+        warm_server.push(wall_ms);
+        warm_misses += misses;
+    });
+    let cfg = ProcessorConfig::niagara2();
+    let warm_build_ms = median_ms(SERVE_ROUND_TRIPS, || {
+        if let Err(e) = Processor::build(&cfg) {
+            die(&format!("serve probe: in-process warm build failed: {e}"));
+        }
+    });
     let cold_ms = median_ms(SERVE_ROUND_TRIPS, || {
         memo::clear();
         roundtrip(request);
@@ -588,7 +641,17 @@ fn serve_request_latencies() -> (f64, f64) {
 
     handle.request_drain();
     let _ = join.join();
-    (cold_ms, warm_ms)
+    warm_server.sort_by(f64::total_cmp);
+    ServeProbe {
+        cold_ms,
+        warm_ms,
+        warm_server_ms: warm_server
+            .get(warm_server.len() / 2)
+            .copied()
+            .unwrap_or(f64::NAN),
+        warm_build_ms,
+        warm_misses,
+    }
 }
 
 /// Regression gate: compares this run's rows against a committed
@@ -603,7 +666,7 @@ fn gate_failures(
     dse_streaming_vs_naive: f64,
     dse_prune_rate: f64,
     dse_allocs_per_candidate: f64,
-    serve_warm_vs_cold: f64,
+    serve: &ServeProbe,
     explore_pool_submissions: u64,
     warm_wakeups: u64,
     host_threads: usize,
@@ -660,13 +723,24 @@ fn gate_failures(
              (> {MAX_DSE_ALLOCS_PER_CANDIDATE}): clock probes must not allocate"
         ));
     }
-    // Host-independent: both request latencies go over this run's own
-    // loopback daemon, so the ratio holds on any host.
-    if serve_warm_vs_cold < MIN_SERVE_WARM_SPEEDUP {
+    // Host-independent: a count, and a ratio of two timings taken in
+    // this run. The warm-over-cold round-trip ratio is not gated: its
+    // cold side is the solver, so it would fail a faster solver.
+    if serve.warm_misses > MAX_SERVE_WARM_MISSES {
         failures.push(format!(
-            "serve warm_vs_cold_speedup is {serve_warm_vs_cold:.2} \
-             (< {MIN_SERVE_WARM_SPEEDUP}): a warm shared-cache request must beat a \
-             cold evaluation by 5x"
+            "serve warm requests billed {} solve-cache miss(es) (> {MAX_SERVE_WARM_MISSES}): \
+             a request for a cached configuration must not run the solver",
+            serve.warm_misses
+        ));
+    }
+    let warm_vs_build = serve.warm_server_ms / serve.warm_build_ms;
+    // A NaN ratio (no timing) fails too.
+    if warm_vs_build.is_nan() || warm_vs_build > MAX_SERVE_WARM_VS_BUILD {
+        failures.push(format!(
+            "serve warm request takes {:.4} ms server-side, {warm_vs_build:.2}x an in-process \
+             warm build ({:.4} ms; > {MAX_SERVE_WARM_VS_BUILD}x): a warm request must cost \
+             little more than a warm build",
+            serve.warm_server_ms, serve.warm_build_ms
         ));
     }
     if warm_wakeups > MAX_WARM_BUILD_WAKEUPS {
@@ -1036,11 +1110,15 @@ fn main() {
     // Serve daemon round-trip latency: cold (cache cleared per request)
     // vs warm (every solve resident in the shared cache), both over a
     // real loopback TCP connection to an in-process daemon.
-    let (serve_cold_ms, serve_warm_ms) = serve_request_latencies();
-    let serve_warm_vs_cold = ratio(serve_cold_ms, serve_warm_ms);
+    let serve = serve_probe();
+    let serve_warm_vs_cold = ratio(serve.cold_ms, serve.warm_ms);
+    let serve_warm_vs_build = ratio(serve.warm_server_ms, serve.warm_build_ms);
     eprintln!(
-        "benchline: serve request cold {serve_cold_ms:.3} ms | warm shared-cache \
-         {serve_warm_ms:.3} ms ({serve_warm_vs_cold:.1}x; gate floor {MIN_SERVE_WARM_SPEEDUP})"
+        "benchline: serve request cold {:.3} ms | warm shared-cache {:.3} ms \
+         ({serve_warm_vs_cold:.1}x, ungated) | warm server-side {:.4} ms = \
+         {serve_warm_vs_build:.2}x an in-process warm build of {:.4} ms (gate ceiling \
+         {MAX_SERVE_WARM_VS_BUILD}x) | {} warm miss(es) (gate ceiling {MAX_SERVE_WARM_MISSES})",
+        serve.cold_ms, serve.warm_ms, serve.warm_server_ms, serve.warm_build_ms, serve.warm_misses
     );
     print_span_summary();
 
@@ -1084,11 +1162,15 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"serve\": {{ \"cold_request_ms\": {serve_cold_ms:.4}, \
-         \"warm_request_ms\": {serve_warm_ms:.4}, \
+        "  \"serve\": {{ \"cold_request_ms\": {:.4}, \
+         \"warm_request_ms\": {:.4}, \
          \"warm_vs_cold_speedup\": {serve_warm_vs_cold:.2}, \
-         \"min_allowed_speedup\": {MIN_SERVE_WARM_SPEEDUP}, \
-         \"round_trips\": {SERVE_ROUND_TRIPS} }},"
+         \"warm_server_ms\": {:.4}, \"warm_build_ms\": {:.4}, \
+         \"warm_server_vs_build_ratio\": {serve_warm_vs_build:.2}, \
+         \"max_allowed_server_vs_build_ratio\": {MAX_SERVE_WARM_VS_BUILD}, \
+         \"warm_misses\": {}, \"max_allowed_warm_misses\": {MAX_SERVE_WARM_MISSES}, \
+         \"round_trips\": {SERVE_ROUND_TRIPS} }},",
+        serve.cold_ms, serve.warm_ms, serve.warm_server_ms, serve.warm_build_ms, serve.warm_misses
     );
     let _ = writeln!(
         json,
@@ -1165,7 +1247,7 @@ fn main() {
             dse_streaming_vs_naive,
             dse_prune_rate,
             dse_allocs_per_candidate,
-            serve_warm_vs_cold,
+            &serve,
             explore_pool_submissions,
             warm_wakeups,
             host_threads,

@@ -182,7 +182,9 @@ pub fn render(bench: &Value) -> Result<String, String> {
          build-every-candidate loop ({}x; gated ≥ {}x), at {:.2} allocations\n\
          per candidate (gated ≤ {}). A 10⁵-candidate sweep takes {} ms at the\n\
          default thread count. A serve request takes {} ms against a warm\n\
-         shared cache and {} ms cold ({}x; gated ≥ {}x). A warm Niagara2 build\n\
+         shared cache and {} ms cold ({}x, not gated). A warm request bills {}\n\
+         solve-cache misses (gated ≤ {}) and spends {} ms server-side, {}x an\n\
+         in-process warm build (gated ≤ {}x). A warm Niagara2 build\n\
          wakes the worker pool {} times (gated ≤ {}). Incremental bisection\n\
          is {}x faster than rebuilding per probe, a warm chip build {}x faster\n\
          than a cold one, and the parallel build {}x faster than the serial one\n\
@@ -201,7 +203,11 @@ pub fn render(bench: &Value) -> Result<String, String> {
         sig3(serve("warm_request_ms")?),
         sig3(serve("cold_request_ms")?),
         sig3(serve("warm_vs_cold_speedup")?),
-        serve("min_allowed_speedup")?,
+        serve("warm_misses")?,
+        serve("max_allowed_warm_misses")?,
+        sig3(serve("warm_server_ms")?),
+        sig3(serve("warm_server_vs_build_ratio")?),
+        serve("max_allowed_server_vs_build_ratio")?,
         pool("warm_niagara2_build_wakeups")?,
         pool("max_allowed")?,
         sig3(speedup("bisection_incremental_vs_full")?),
