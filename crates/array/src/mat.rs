@@ -350,14 +350,18 @@ pub struct MatInvariants {
     fo4: f64,
     /// Shared 2-input NAND predecoder prototype (size-invariant).
     predecoder: LogicGate,
+    /// Input capacitance of every wordline driver: a `BufferChain`
+    /// always has a first stage, and that stage is a minimum inverter
+    /// whatever the column count.
+    wl_driver_input_cap: f64,
     /// CAM matchline capacitance and discharge time (0 for RAM).
     c_ml: f64,
     t_ml: f64,
     tech: TechParams,
 }
 
-/// The rows-dependent slice of a mat evaluation, shared by every column
-/// partition (`Ndwl`) of the same `rows_per_mat`.
+/// The rows-dependent slice of a mat evaluation, shared by every
+/// candidate of the same `rows_per_mat`.
 #[derive(Debug, Clone, Copy)]
 pub struct MatRowPart {
     rows: usize,
@@ -365,7 +369,9 @@ pub struct MatRowPart {
     t_bl: f64,
     /// Write-driver chain metrics (load is the bitline).
     wd: CircuitMetrics,
-    row_gate: LogicGate,
+    /// Row-gate metrics into the wordline driver's input, which is the
+    /// same minimum inverter for every column count.
+    row_m: CircuitMetrics,
     num_predecoders: u32,
     /// Predecoder metrics at this row count's predecode load.
     pre: CircuitMetrics,
@@ -374,36 +380,17 @@ pub struct MatRowPart {
     search_delay: f64,
 }
 
-/// The columns-dependent slice of a mat evaluation, shared by every row
-/// partition (`Ndbl`) of the same `cols_per_mat`.
+/// The columns-dependent slice of a mat evaluation, shared by every
+/// candidate of the same `cols_per_mat`.
 #[derive(Debug, Clone, Copy)]
 pub struct MatColPart {
     cols: usize,
-    /// Wordline-driver chain metrics and input load.
+    /// Wordline-driver chain metrics.
     driver: CircuitMetrics,
-    driver_input_cap: f64,
     e_wl: f64,
     e_sense: f64,
     cells_width: f64,
     periph_leak: f64,
-}
-
-impl MatColPart {
-    /// An inert zero geometry for fixed-size table slots that are never
-    /// evaluated. Not part of the public API contract.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn placeholder() -> MatColPart {
-        MatColPart {
-            cols: 0,
-            driver: CircuitMetrics::zero(),
-            driver_input_cap: 0.0,
-            e_wl: 0.0,
-            e_sense: 0.0,
-            cells_width: 0.0,
-            periph_leak: 0.0,
-        }
-    }
 }
 
 impl MatInvariants {
@@ -498,6 +485,8 @@ impl MatInvariants {
             vdd,
             fo4,
             predecoder: LogicGate::new(tech, GateKind::Nand(2), 2.0),
+            // `BufferChain::input_cap` of a chain with at least one stage.
+            wl_driver_input_cap: LogicGate::new(tech, GateKind::Inverter, 1.0).input_cap(),
             c_ml,
             t_ml,
             tech: *tech,
@@ -560,7 +549,7 @@ impl MatInvariants {
             c_bl,
             t_bl,
             wd,
-            row_gate,
+            row_m: row_gate.metrics(self.wl_driver_input_cap),
             num_predecoders,
             pre,
             cells_h: rows as f64 * self.cell_height,
@@ -578,7 +567,6 @@ impl MatInvariants {
         MatColPart {
             cols,
             driver: wordline_driver.metrics(),
-            driver_input_cap: wordline_driver.input_cap(),
             e_wl: self.tech.switch_energy(c_wl) * 2.0,
             e_sense: cols as f64 * self.senseamp_energy,
             cells_width: cols as f64 * self.cell_width,
@@ -591,7 +579,7 @@ impl MatInvariants {
     #[must_use]
     pub fn evaluate(&self, row: &MatRowPart, col: &MatColPart, written_cols: usize) -> MatMetrics {
         // Decoder combine, mirroring `RowDecoder::metrics`.
-        let row_m = row.row_gate.metrics(col.driver_input_cap);
+        let row_m = row.row_m;
         let num_pre = f64::from(row.num_predecoders);
         let dec_energy =
             row.pre.energy_per_op * num_pre + row_m.energy_per_op + col.driver.energy_per_op;

@@ -8,10 +8,10 @@
 //! best under the requested objective.
 
 use crate::htree::HTree;
-use crate::mat::{Mat, MatColPart, MatInvariants};
+use crate::mat::{Mat, MatColPart, MatInvariants, MatRowPart};
 use crate::spec::{ArrayKind, ArraySpec, OptTarget};
 use mcpat_circuit::metrics::{CircuitMetrics, StaticPower};
-use mcpat_circuit::mux::Multiplexer;
+use mcpat_circuit::mux::{Multiplexer, MuxFamily};
 use mcpat_circuit::repeater::RepeaterInvariants;
 use mcpat_tech::{TechParams, WireType};
 use std::fmt;
@@ -293,13 +293,15 @@ fn materialize(spec: &ArraySpec, s: Scored, relaxation: Option<Relaxation>) -> S
 
 /// One `(nspd, ndbl)` cell of the outer enumeration space — the unit of
 /// work distributed across sweep threads. `geom_idx` points at the
-/// hoisted per-`nspd` column-geometry table.
-#[derive(Clone, Copy)]
+/// pass's per-`nspd` column-geometry table, `row_idx` at the pass's
+/// shared row part for `rows_per_mat`.
+#[derive(Clone, Copy, Default)]
 struct OuterCell {
     nspd: usize,
     ndbl: usize,
     rows_per_mat: usize,
     geom_idx: usize,
+    row_idx: usize,
 }
 
 /// The `Ndwl × Ndbl × Nspd` enumeration limits for one search pass.
@@ -381,6 +383,13 @@ const MAX_NSPD: usize = 5;
 /// `max_ndbl` (512).
 const MAX_CELLS: usize = MAX_NSPD * 10;
 
+/// Upper bound on distinct column parts per enumeration pass: one per
+/// `(nspd, ndwl)` geometry.
+const MAX_COL_PARTS: usize = MAX_NSPD * MAX_LANES;
+
+/// The load every output column mux drives, F.
+const MUX_LOAD: f64 = 20e-15;
+
 /// Test-only escape hatch: routes [`solve_uncached`] through the
 /// retained [`reference`] implementation so differential tests can
 /// compare whole chip builds against the unhoisted path. Process-global
@@ -395,13 +404,16 @@ pub fn set_reference_mode(enabled: bool) {
 }
 
 /// Everything about one solve that does not depend on the candidate
-/// partitioning: the hoisted mat and repeater invariant tables plus a
+/// partitioning: the hoisted mat, repeater and mux invariants plus a
 /// few spec-derived scalars. Built once per solve and shared by both
 /// enumeration passes (and, read-only, by all sweep threads).
 struct SolveInvariants {
     tech: TechParams,
     mat: MatInvariants,
     rep: RepeaterInvariants,
+    /// Every output mux of the solve drives [`MUX_LOAD`], so one family
+    /// sizes their buffer chain and select driver once.
+    mux: MuxFamily,
     addr_bits: u32,
     /// `spec.access_bits.max(1)`, the mux/rollup form.
     access_bits: usize,
@@ -416,6 +428,7 @@ impl SolveInvariants {
             tech: *tech,
             mat: MatInvariants::new(tech, spec.kind, spec.ports, spec.search_bits),
             rep: RepeaterInvariants::new(tech, WireType::Intermediate),
+            mux: MuxFamily::new(tech, MUX_LOAD),
             addr_bits: (spec.entries.max(2) as f64).log2().ceil() as u32,
             access_bits: spec.access_bits.max(1) as usize,
             data_bits: spec.access_bits,
@@ -424,18 +437,60 @@ impl SolveInvariants {
     }
 }
 
+/// A fixed-capacity stack table of mat parts keyed by one mat
+/// dimension, so an enumeration pass builds each distinct
+/// [`MatRowPart`] (keyed by `rows_per_mat`) and [`MatColPart`] (keyed
+/// by `cols_per_mat`) once, however many candidates share it. A part
+/// is a pure function of its key, so sharing it is exact.
+struct PartTable<P, const N: usize> {
+    n: usize,
+    keys: [usize; N],
+    parts: [Option<P>; N],
+}
+
+impl<P: Copy, const N: usize> PartTable<P, N> {
+    fn new() -> Self {
+        PartTable {
+            n: 0,
+            keys: [0; N],
+            parts: [None; N],
+        }
+    }
+
+    /// The slot of `key`'s part, built by `build` on first use. `None`
+    /// only when the table is full, which the bounds tables rule out
+    /// (`bounds_tables_fit_the_stack_scratch`).
+    fn index_of(&mut self, key: usize, build: impl FnOnce() -> P) -> Option<usize> {
+        let known = self.keys.get(..self.n).unwrap_or(&[]);
+        if let Some(i) = known.iter().position(|&k| k == key) {
+            return Some(i);
+        }
+        let i = self.n;
+        let (slot_key, slot_part) = (self.keys.get_mut(i)?, self.parts.get_mut(i)?);
+        *slot_key = key;
+        *slot_part = Some(build());
+        self.n = i + 1;
+        Some(i)
+    }
+
+    fn get(&self, i: usize) -> Option<&P> {
+        self.parts.get(i)?.as_ref()
+    }
+}
+
+type RowParts = PartTable<MatRowPart, MAX_CELLS>;
+type ColParts = PartTable<MatColPart, MAX_COL_PARTS>;
+
 /// Column geometry for one `(nspd, ndwl)` pair, shared by every `ndbl`
-/// cell at that `nspd`: the wordline-side mat invariants plus the fully
-/// hoisted output-mux metrics. `valid` preserves the reference sweep's
-/// cadence — a column-filtered geometry still consumes one budget
-/// checkpoint but never evaluates or counts as a guard candidate.
-#[derive(Clone, Copy)]
+/// cell at that `nspd`: the slot of its column part in the pass's
+/// [`ColParts`], plus the output-mux metrics already scaled to the
+/// access width.
+#[derive(Clone, Copy, Default)]
 struct ColGeom {
     ndwl: usize,
-    valid: bool,
     cols_per_mat: usize,
     written_per_mat: usize,
-    col: MatColPart,
+    col_idx: usize,
     mux_delay: f64,
     /// `access_bits × mux energy`, the read-path rollup term.
     mux_read_energy: f64,
@@ -443,22 +498,7 @@ struct ColGeom {
     mux_leak: StaticPower,
 }
 
-impl ColGeom {
-    fn placeholder() -> ColGeom {
-        ColGeom {
-            ndwl: 0,
-            valid: false,
-            cols_per_mat: 0,
-            written_per_mat: 0,
-            col: MatColPart::placeholder(),
-            mux_delay: 0.0,
-            mux_read_energy: 0.0,
-            mux_leak: StaticPower::default(),
-        }
-    }
-}
-
-/// The per-`nspd` table of column geometries, one per candidate `ndwl`.
+/// The per-`nspd` table of column geometries, one per evaluated `ndwl`.
 #[derive(Clone, Copy)]
 struct GeomSet {
     n: usize,
@@ -466,31 +506,39 @@ struct GeomSet {
 }
 
 impl GeomSet {
-    fn empty() -> GeomSet {
-        GeomSet {
+    /// Column geometries of one `nspd`, skipping the ones the bounds
+    /// filter out; their column parts go into `cols`.
+    fn build(
+        inv: &SolveInvariants,
+        bounds: &SearchBounds,
+        cols_total: usize,
+        cols: &mut ColParts,
+    ) -> GeomSet {
+        let mut set = GeomSet {
             n: 0,
-            geoms: [ColGeom::placeholder(); MAX_LANES],
-        }
-    }
-
-    fn build(inv: &SolveInvariants, bounds: &SearchBounds, cols_total: usize) -> GeomSet {
-        let mut set = GeomSet::empty();
+            geoms: [ColGeom::default(); MAX_LANES],
+        };
         // `max_ndwl` ≤ 256 in every bounds table, so the pow2 ladder
         // fits in MAX_LANES with headroom; `take` is a formality.
         for ndwl in pow2s_up_to(bounds.max_ndwl.min(cols_total)).take(MAX_LANES) {
             let cols_per_mat = cols_total.div_ceil(ndwl);
-            let written_per_mat = inv.access_bits.div_ceil(ndwl).min(cols_per_mat);
-            let mux_degree = ((cols_per_mat * ndwl) / inv.access_bits.max(1)).max(1);
-            let mux_m = Multiplexer::new(&inv.tech, mux_degree, 20e-15).metrics();
-            let Some(slot) = set.geoms.get_mut(set.n) else {
+            if cols_per_mat > bounds.max_cols_per_mat {
+                continue;
+            }
+            let (Some(col_idx), Some(slot)) = (
+                cols.index_of(cols_per_mat, || inv.mat.cols_part(cols_per_mat)),
+                set.geoms.get_mut(set.n),
+            ) else {
                 break;
             };
+            let written_per_mat = inv.access_bits.div_ceil(ndwl).min(cols_per_mat);
+            let mux_degree = ((cols_per_mat * ndwl) / inv.access_bits.max(1)).max(1);
+            let mux_m = inv.mux.metrics(mux_degree);
             *slot = ColGeom {
                 ndwl,
-                valid: cols_per_mat <= bounds.max_cols_per_mat,
                 cols_per_mat,
                 written_per_mat,
-                col: inv.mat.cols_part(cols_per_mat),
+                col_idx,
                 mux_delay: mux_m.delay,
                 mux_read_energy: inv.access_bits as f64 * mux_m.energy_per_op,
                 mux_leak: mux_m.leakage.scaled(inv.access_bits as f64),
@@ -612,11 +660,12 @@ impl CellLanes {
 /// candidate-invariant term read from the tables instead of recomputed.
 fn evaluate_fast(
     inv: &SolveInvariants,
-    row: &crate::mat::MatRowPart,
+    row: &MatRowPart,
+    col: &MatColPart,
     geom: &ColGeom,
     cell: &OuterCell,
 ) -> RawEval {
-    let m = inv.mat.evaluate(row, &geom.col, geom.written_per_mat);
+    let m = inv.mat.evaluate(row, col, geom.written_per_mat);
     let ndwl = geom.ndwl;
     let ndbl = cell.ndbl;
 
@@ -672,33 +721,36 @@ fn evaluate_fast(
 
 /// Sweeps `ndwl` for one outer cell, reducing into per-threshold bests.
 ///
-/// This is the structure-of-arrays fast path: row invariants are hoisted
-/// once per cell, candidates fill `f64` lanes, scoring runs branch-light
-/// over the lanes, and the ordered reduce replays the reference
-/// tie-break sequence exactly. Budget checkpoints and guard candidate
-/// counts keep the reference cadence — one budget check per `ndwl`
-/// (including column-filtered ones), one guard candidate per evaluated
-/// geometry — so a deadline or cancellation still stops the sweep
-/// between candidates, never mid-evaluation.
+/// This is the structure-of-arrays fast path: the row and column parts
+/// come from the pass's shared tables, candidates fill `f64` lanes,
+/// scoring runs branch-light over the lanes, and the ordered reduce
+/// replays the reference tie-break sequence exactly. The cell is the
+/// guard's unit: one budget checkpoint before it and one batched
+/// candidate count after it, so a deadline or cancellation stops the
+/// sweep between cells (at most one cell, ≤ 9 candidates, late), never
+/// mid-evaluation. The retained [`reference`] solver keeps its
+/// per-candidate cadence.
+#[allow(clippy::too_many_arguments)]
 fn sweep_cell(
     inv: &SolveInvariants,
     spec: &ArraySpec,
     target: OptTarget,
     thresholds: &[Option<f64>],
     cell: &OuterCell,
+    row: &MatRowPart,
     geoms: &[ColGeom],
+    cols: &ColParts,
 ) -> Result<(BestSet, f64), ArrayError> {
+    budget_check(spec)?;
     // lint: hot
-    let row = inv.mat.rows_part(cell.rows_per_mat);
     let mut lanes = CellLanes::new();
     for geom in geoms {
-        budget_check(spec)?;
-        if !geom.valid {
+        let Some(col) = cols.get(geom.col_idx) else {
             continue;
-        }
-        lanes.push(geom.ndwl, evaluate_fast(inv, &row, geom, cell));
-        mcpat_guard::note_candidate();
+        };
+        lanes.push(geom.ndwl, evaluate_fast(inv, row, col, geom, cell));
     }
+    mcpat_guard::note_candidates(lanes.n as u64);
     lanes.score(target);
 
     let mut best = BestSet::empty();
@@ -737,12 +789,16 @@ fn sweep_cell(
 /// two passes. Also returns the fastest cycle time seen by any
 /// candidate.
 ///
-/// Column geometry depends only on `(nspd, ndwl)`, so one table per
-/// `nspd` is hoisted out of the per-cell sweep here. Large arrays
-/// distribute the outer `(nspd, ndbl)` cells across threads; because
-/// [`better`] is a total order, merging the per-cell bests in any
-/// grouping yields the same winner, so the parallel sweep is
-/// bit-identical to the serial one.
+/// Everything a candidate shares with others is built once per pass
+/// before the sweep: one column-geometry table per `nspd` (column
+/// geometry depends only on `(nspd, ndwl)`), one [`MatRowPart`] per
+/// distinct `rows_per_mat` and one [`MatColPart`] per distinct
+/// `cols_per_mat` (different `(nspd, ndbl)` and `(nspd, ndwl)` pairs
+/// often land on the same mat dimensions). Large arrays distribute the
+/// outer `(nspd, ndbl)` cells across threads; because [`better`] is a
+/// total order, merging the per-cell bests in any grouping yields the
+/// same winner, so the parallel sweep is bit-identical to the serial
+/// one.
 fn enumerate(
     inv: &SolveInvariants,
     spec: &ArraySpec,
@@ -754,17 +810,15 @@ fn enumerate(
     let bits = spec.bits_per_entry as usize;
 
     // All enumeration scratch lives on the stack: the bounds tables cap
-    // it at MAX_NSPD geometry tables and MAX_CELLS outer cells, so a
-    // solve allocates nothing here. Unused geometry slots stay `None`
-    // and are never filled.
+    // it at MAX_NSPD geometry tables, MAX_CELLS outer cells (and so row
+    // parts) and MAX_COL_PARTS column parts, so a solve allocates
+    // nothing here. Unused geometry slots stay `None` and are never
+    // filled.
     let mut geom_sets: [Option<GeomSet>; MAX_NSPD] = [None; MAX_NSPD];
     let mut n_sets = 0usize;
-    let mut cells_buf = [OuterCell {
-        nspd: 0,
-        ndbl: 0,
-        rows_per_mat: 0,
-        geom_idx: 0,
-    }; MAX_CELLS];
+    let mut rows = RowParts::new();
+    let mut cols = ColParts::new();
+    let mut cells_buf = [OuterCell::default(); MAX_CELLS];
     let mut n_cells = 0usize;
     for &nspd in bounds.nspd_options {
         budget_check(spec)?;
@@ -776,7 +830,7 @@ fn enumerate(
         let Some(slot) = geom_sets.get_mut(n_sets) else {
             break;
         };
-        *slot = Some(GeomSet::build(inv, bounds, cols_total));
+        *slot = Some(GeomSet::build(inv, bounds, cols_total, &mut cols));
         let geom_idx = n_sets;
         n_sets += 1;
         for ndbl in pow2s_up_to(bounds.max_ndbl.min(rows_total)) {
@@ -784,7 +838,10 @@ fn enumerate(
             if rows_per_mat > bounds.max_rows_per_mat {
                 continue;
             }
-            let Some(cell) = cells_buf.get_mut(n_cells) else {
+            let (Some(row_idx), Some(cell)) = (
+                rows.index_of(rows_per_mat, || inv.mat.rows_part(rows_per_mat)),
+                cells_buf.get_mut(n_cells),
+            ) else {
                 break;
             };
             *cell = OuterCell {
@@ -792,6 +849,7 @@ fn enumerate(
                 ndbl,
                 rows_per_mat,
                 geom_idx,
+                row_idx,
             };
             n_cells += 1;
         }
@@ -810,7 +868,10 @@ fn enumerate(
             .and_then(Option::as_ref)
             .map(GeomSet::as_slice)
             .unwrap_or(&[]);
-        sweep_cell(inv, spec, target, thresholds, cell, geoms)
+        match rows.get(cell.row_idx) {
+            Some(row) => sweep_cell(inv, spec, target, thresholds, cell, row, geoms, &cols),
+            None => Ok((BestSet::empty(), f64::INFINITY)),
+        }
     })
     .map_err(|e| ArrayError::Worker {
         name: spec.name.clone(),
@@ -1014,7 +1075,7 @@ fn evaluate_raw(
     // wants access_bits.
     let cols_total = cols_per_mat * ndwl;
     let mux_degree = (cols_total / access_bits.max(1)).max(1);
-    let mux = Multiplexer::new(tech, mux_degree, 20e-15);
+    let mux = Multiplexer::new(tech, mux_degree, MUX_LOAD);
     let mux_m = mux.metrics();
 
     let addr_bits = (spec.entries.max(2) as f64).log2().ceil() as u32;
@@ -1301,6 +1362,15 @@ mod tests {
                 cells <= MAX_CELLS,
                 "{name}: {cells} outer cells > MAX_CELLS"
             );
+            let geoms = nspd * pow2s_up_to(bounds.max_ndwl).count();
+            assert!(
+                geoms <= MAX_COL_PARTS,
+                "{name}: {geoms} column geometries > MAX_COL_PARTS"
+            );
+            assert!(
+                pow2s_up_to(bounds.max_ndwl).count() <= MAX_LANES,
+                "{name}: more ndwl options than MAX_LANES"
+            );
         }
     }
 
@@ -1542,12 +1612,16 @@ mod tests {
 
     #[test]
     fn fast_path_matches_reference_bit_for_bit_across_rungs_and_targets() {
-        // The hoisted SoA sweep must pick the same organization and
-        // produce the same bits as the retained reference sweep, on
-        // every objective, including specs that exercise the strict
-        // rung, the widened-bounds rung, the dropped-cycle rung, CAMs,
-        // and many-ported register files.
+        // The hoisted SoA sweep, with its shared row/column parts, mux
+        // family and deduplicated derating, must pick the same
+        // organization and produce the same bits as the retained
+        // reference sweep, on every objective, including specs that
+        // exercise the strict rung, the widened-bounds rung, the
+        // dropped-cycle rung, CAMs (one and two search ports), EDRAM,
+        // narrow access widths, many-ported register files, and
+        // geometries whose `nspd` passes share `cols_per_mat`.
         let t = tech();
+        let shared_cols = ArraySpec::table(3000, 72).named("shared-cols");
         let specs = [
             ArraySpec::ram(32 * 1024, 64).named("rung0"),
             ArraySpec::table(2 * 1024 * 1024, 8).named("widened"),
@@ -1555,10 +1629,38 @@ mod tests {
                 .with_max_cycle_time(1e-12)
                 .named("dropped"),
             ArraySpec::cam(64, 64, 48).named("cam"),
+            ArraySpec::cam(256, 64, 40)
+                .with_ports(Ports {
+                    search: 2,
+                    ..Ports::single_rw()
+                })
+                .named("cam-2-search"),
+            ArraySpec::ram(1024 * 1024, 64)
+                .with_kind(ArrayKind::Edram)
+                .named("edram"),
+            ArraySpec::ram(512 * 1024, 64)
+                .with_access_bits(128)
+                .named("narrow"),
             ArraySpec::table(128, 64)
                 .with_ports(Ports::reg_file(6, 3))
                 .named("rf"),
+            shared_cols.clone(),
         ];
+        // The shared-columns spec does exercise sharing: its strict
+        // pass has more column geometries than distinct column counts.
+        let bits = shared_cols.bits_per_entry as usize;
+        let geoms: Vec<usize> = NORMAL_RAM
+            .nspd_options
+            .iter()
+            .flat_map(|&nspd| {
+                pow2s_up_to(NORMAL_RAM.max_ndwl.min(bits * nspd))
+                    .map(move |ndwl| (bits * nspd).div_ceil(ndwl))
+            })
+            .collect();
+        let mut distinct = geoms.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() < geoms.len(), "{geoms:?}");
         let targets = [
             OptTarget::Delay,
             OptTarget::Energy,

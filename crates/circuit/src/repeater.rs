@@ -226,15 +226,18 @@ impl RepeaterInvariants {
         }
     }
 
-    /// The fast equivalent of [`RepeatedWire::build`] for one sweep entry.
-    fn build(&self, length: f64, gate_idx: usize, spacing_derate: f64) -> RepeatedWire {
+    /// Repeater count of a `length` wire at one spacing derate — the
+    /// only way the spacing derate enters a build (the same expressions
+    /// as [`RepeatedWire::build`]).
+    fn repeater_count(&self, length: f64, spacing_derate: f64) -> usize {
         let seg_len = (self.l_opt * spacing_derate).min(length.max(1e-9));
-        // The index is reduced modulo the array length, so it is always in bounds.
-        #[allow(clippy::indexing_slicing)]
-        let gate = self.gates[gate_idx % self.gates.len()];
-        let num_repeaters = (length / seg_len).ceil().max(1.0) as usize;
-        let seg_len = length / num_repeaters as f64;
+        (length / seg_len).ceil().max(1.0) as usize
+    }
 
+    /// Delay and energy of the build with `gate` and `n` repeaters: the
+    /// two figures the derating sweep compares.
+    fn delay_energy(&self, length: f64, gate: &RepeaterGate, n: usize) -> (f64, f64) {
+        let seg_len = length / n as f64;
         let c_wire_seg = self.c_per_m * seg_len;
         let r_wire_seg = self.r_per_m * seg_len;
         let c_next = gate.input_cap;
@@ -246,11 +249,19 @@ impl RepeaterInvariants {
         // Same operation sequence as `TechParams::switch_energy`.
         let seg_energy = 0.5 * (gate.self_cap + c_wire_seg + c_next) * self.vdd * self.vdd;
 
-        let k = num_repeaters as f64;
+        let k = n as f64;
+        (seg_delay * k, seg_energy * k)
+    }
+
+    /// The fast equivalent of [`RepeatedWire::build`] for one sweep
+    /// entry, given its repeater count.
+    fn build(&self, length: f64, gate: &RepeaterGate, n: usize) -> RepeatedWire {
+        let (delay, energy_per_op) = self.delay_energy(length, gate, n);
+        let k = n as f64;
         let metrics = CircuitMetrics {
             area: gate.area * k,
-            delay: seg_delay * k,
-            energy_per_op: seg_energy * k,
+            delay,
+            energy_per_op,
             leakage: StaticPower {
                 subthreshold: gate.leak.subthreshold * k,
                 gate: gate.leak.gate * k,
@@ -259,7 +270,7 @@ impl RepeaterInvariants {
         RepeatedWire {
             wire_type: self.wire_type,
             length,
-            num_repeaters,
+            num_repeaters: n,
             repeater_size: gate.size,
             metrics,
         }
@@ -267,6 +278,13 @@ impl RepeaterInvariants {
 
     /// The fast equivalent of [`RepeatedWire::energy_derated`]:
     /// bit-identical output, no per-call `sqrt`/`exp`/gate sizing.
+    ///
+    /// A build depends on the spacing derate only through its repeater
+    /// count, so the sweep compares each distinct `(gate, count)` pair
+    /// once, in the reference's gate-major order. A skipped pair is an
+    /// exact duplicate of one already compared, and a duplicate can never
+    /// win under the strict `<` (the best energy only falls). Only the
+    /// winner is built in full.
     #[must_use]
     pub fn energy_derated(&self, length: f64, delay_tolerance: f64) -> RepeatedWire {
         let delay_tolerance = if delay_tolerance.is_finite() {
@@ -274,22 +292,36 @@ impl RepeaterInvariants {
         } else {
             1.0
         };
-        let optimal = self.build(length, 0, 1.0);
-        let budget = optimal.metrics.delay * delay_tolerance;
-        let mut best = optimal;
-        // lint: allow(L012, closed-form arithmetic over 30 precomputed combinations — no solver)
-        for gate_idx in 0..SIZE_DERATES.len() {
-            // lint: allow(L012, closed-form arithmetic over 30 precomputed combinations — no solver)
-            for spacing_derate in SPACING_DERATES {
-                let cand = self.build(length, gate_idx, spacing_derate);
-                if cand.metrics.delay <= budget
-                    && cand.metrics.energy_per_op < best.metrics.energy_per_op
-                {
-                    best = cand;
+        // Counts only fall as the spacing grows, so a duplicate repeats
+        // the last count kept (and no build has zero repeaters).
+        let mut counts = [0usize; SPACING_DERATES.len()];
+        let (mut n_counts, mut last) = (0, 0);
+        for spacing_derate in SPACING_DERATES {
+            let n = self.repeater_count(length, spacing_derate);
+            if n != last {
+                if let Some(slot) = counts.get_mut(n_counts) {
+                    *slot = n;
+                    n_counts += 1;
+                }
+                last = n;
+            }
+        }
+        let counts = counts.get(..n_counts).unwrap_or(&[]);
+
+        let optimal = self.gates[0];
+        let n_opt = self.repeater_count(length, 1.0);
+        let (opt_delay, opt_energy) = self.delay_energy(length, &optimal, n_opt);
+        let budget = opt_delay * delay_tolerance;
+        let (mut best_gate, mut best_n, mut best_energy) = (optimal, n_opt, opt_energy);
+        for gate in &self.gates {
+            for &n in counts {
+                let (delay, energy) = self.delay_energy(length, gate, n);
+                if delay <= budget && energy < best_energy {
+                    (best_gate, best_n, best_energy) = (*gate, n, energy);
                 }
             }
         }
-        best
+        self.build(length, &best_gate, best_n)
     }
 }
 
@@ -359,47 +391,57 @@ mod tests {
         assert_eq!(rep.num_repeaters, 1);
     }
 
+    fn assert_same_wire(fast: &RepeatedWire, reference: &RepeatedWire, ctx: &str) {
+        assert_eq!(fast.num_repeaters, reference.num_repeaters, "{ctx}: count");
+        for (a, b, field) in [
+            (fast.repeater_size, reference.repeater_size, "size"),
+            (fast.metrics.delay, reference.metrics.delay, "delay"),
+            (
+                fast.metrics.energy_per_op,
+                reference.metrics.energy_per_op,
+                "energy",
+            ),
+            (fast.metrics.area, reference.metrics.area, "area"),
+            (
+                fast.metrics.leakage.subthreshold,
+                reference.metrics.leakage.subthreshold,
+                "sub",
+            ),
+            (
+                fast.metrics.leakage.gate,
+                reference.metrics.leakage.gate,
+                "gate",
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {field} {a:e} vs {b:e}");
+        }
+    }
+
+    /// The hoisted, deduplicated sweep against the 30-build reference,
+    /// including where the repeater counts change: below the 1e-9 m
+    /// segment floor, and one ulp around 1×, 2× and 3× `l_opt` × each
+    /// spacing derate (where two spacings start to differ in count).
     #[test]
     fn invariants_match_reference_bit_for_bit() {
-        for node in [TechNode::N90, TechNode::N22] {
+        for node in [TechNode::N90, TechNode::N45, TechNode::N22] {
             for proj in [WireProjection::Aggressive, WireProjection::Conservative] {
                 let t = TechParams::new(node, DeviceType::Hp, 360.0).with_projection(proj);
                 for wt in [WireType::Local, WireType::Intermediate, WireType::Global] {
                     let inv = RepeaterInvariants::new(&t, wt);
-                    for length in [5e-6, 120e-6, 1.7e-3, 12e-3] {
-                        for tol in [1.0, 1.10, 1.5, f64::NAN] {
-                            let fast = inv.energy_derated(length, tol);
-                            let reference = RepeatedWire::energy_derated(&t, wt, length, tol);
-                            assert_eq!(fast.num_repeaters, reference.num_repeaters);
-                            assert_eq!(
-                                fast.repeater_size.to_bits(),
-                                reference.repeater_size.to_bits()
+                    let mut lengths = vec![0.0, 1e-12, 5e-10, 1e-9, 5e-6, 120e-6, 1.7e-3, 12e-3];
+                    for sd in SPACING_DERATES {
+                        for k in [1.0, 2.0, 3.0] {
+                            let edge = inv.l_opt * sd * k;
+                            lengths.extend([edge.next_down(), edge, edge.next_up()]);
+                        }
+                    }
+                    for &length in &lengths {
+                        for tol in [1.0, 1.1, 1.5, f64::NAN] {
+                            assert_same_wire(
+                                &inv.energy_derated(length, tol),
+                                &RepeatedWire::energy_derated(&t, wt, length, tol),
+                                &format!("{node:?}/{proj:?}/{wt:?} len {length:e} tol {tol}"),
                             );
-                            for (a, b, field) in [
-                                (fast.metrics.delay, reference.metrics.delay, "delay"),
-                                (
-                                    fast.metrics.energy_per_op,
-                                    reference.metrics.energy_per_op,
-                                    "energy",
-                                ),
-                                (fast.metrics.area, reference.metrics.area, "area"),
-                                (
-                                    fast.metrics.leakage.subthreshold,
-                                    reference.metrics.leakage.subthreshold,
-                                    "sub",
-                                ),
-                                (
-                                    fast.metrics.leakage.gate,
-                                    reference.metrics.leakage.gate,
-                                    "gate",
-                                ),
-                            ] {
-                                assert_eq!(
-                                    a.to_bits(),
-                                    b.to_bits(),
-                                    "{node:?}/{proj:?}/{wt:?} len {length:e} tol {tol}: {field}"
-                                );
-                            }
                         }
                     }
                 }

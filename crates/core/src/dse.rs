@@ -199,6 +199,25 @@ impl AxisGrid {
                     format!("dse.cores_per_cluster[{i}]"),
                     "a cluster holds at least one core",
                 );
+                continue;
+            }
+            // `config_at` caps the cluster at the core count; what is
+            // left must tile the cores, or the row's chip is invalid.
+            let misfits: Vec<String> = self
+                .core_counts
+                .iter()
+                .filter(|&&cores| !cores.is_multiple_of(cluster.min(cores)))
+                .map(u32::to_string)
+                .collect();
+            if !misfits.is_empty() {
+                d.error(
+                    format!("dse.cores_per_cluster[{i}]"),
+                    format!(
+                        "cluster size {cluster} does not divide core count{} {}",
+                        if misfits.len() > 1 { "s" } else { "" },
+                        misfits.join(", ")
+                    ),
+                );
             }
         }
         if self.nodes.is_empty() {
@@ -1148,6 +1167,45 @@ mod tests {
         let mut zero_cluster = tiny_grid();
         zero_cluster.cores_per_cluster = vec![2, 0];
         assert_eq!(errors_at(&zero_cluster), ["dse.cores_per_cluster[1]"]);
+    }
+
+    #[test]
+    fn cluster_sizes_must_divide_every_capped_core_count() {
+        let mut grid = tiny_grid();
+        // 8 caps to every core count here, so it always fits; 2 leaves
+        // a core over at 3 and 5, and 4 (capped to 3 at 3 cores) leaves
+        // cores over at 5 and 6.
+        grid.core_counts = vec![2, 3, 4, 5, 6];
+        grid.cores_per_cluster = vec![1, 8, 2, 4];
+        let errors: Vec<(String, String)> = grid
+            .validate()
+            .iter()
+            .map(|f| (f.path.clone(), f.message.clone()))
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                (
+                    "dse.cores_per_cluster[2]".to_owned(),
+                    "cluster size 2 does not divide core counts 3, 5".to_owned()
+                ),
+                (
+                    "dse.cores_per_cluster[3]".to_owned(),
+                    "cluster size 4 does not divide core counts 5, 6".to_owned()
+                ),
+            ]
+        );
+        grid.core_counts = vec![3];
+        assert_eq!(
+            grid.validate()
+                .iter()
+                .map(|f| f.message.clone())
+                .collect::<Vec<_>>(),
+            ["cluster size 2 does not divide core count 3"]
+        );
+        grid.core_counts = vec![2, 4, 8];
+        grid.cores_per_cluster = vec![1, 2, 8];
+        assert!(!grid.validate().has_errors());
     }
 
     /// Two templates (one under enforced timing) and two cluster sizes,

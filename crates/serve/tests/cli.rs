@@ -385,6 +385,28 @@ fn serve_with_unparseable_cap_is_a_usage_error() {
 }
 
 #[test]
+fn a_cluster_size_that_does_not_divide_a_core_count_exits_3_before_any_row() {
+    // The default cluster size, 2, does not divide 3 cores.
+    let out = mcpat_bin()
+        .args([
+            "dse",
+            "--axes",
+            "nodes=32;flavors=hp;cores=2,3;l2=1M;clocks=1e9,2e9",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 3);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("dse.cores_per_cluster[0]"), "{err}");
+    assert!(err.contains("core count 3"), "{err}");
+    // The grid is rejected up front: no row's chip got as far as its
+    // own config validation, and no sweep result was printed.
+    assert!(!err.contains("num_l2s"), "{err}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("frontier"), "{stdout}");
+}
+
+#[test]
 fn resuming_a_version_one_dse_checkpoint_exits_3_naming_the_schema() {
     let axes = "nodes=32;flavors=hp;cores=2,4;l2=1M;clocks=1e9,2e9";
     let dir = std::env::temp_dir();
