@@ -202,7 +202,10 @@ impl AxisGrid {
                 continue;
             }
             // `config_at` caps the cluster at the core count; what is
-            // left must tile the cores, or the row's chip is invalid.
+            // left must tile the cores exactly. Otherwise the row's
+            // clusters would not hold the size the grid names, and where
+            // the L2 count does not divide the cores either (2 into 3),
+            // the chip fails validation mid-sweep.
             let misfits: Vec<String> = self
                 .core_counts
                 .iter()
