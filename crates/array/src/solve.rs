@@ -934,7 +934,7 @@ pub(crate) fn solve_uncached(
 ) -> Result<SolvedArray, ArrayError> {
     // A real solve is worth a second lane: announce the join branches
     // queued around it. Waking here, not on the cache-miss path, also
-    // covers cache-off builds and duplicate solves.
+    // covers cache-off builds.
     mcpat_par::wake();
     if REFERENCE_MODE.load(Ordering::Relaxed) {
         return reference::solve_reference(tech, spec, target);
@@ -1147,7 +1147,7 @@ fn evaluate_raw(
 /// The reference (unhoisted) solver, retained verbatim from before the
 /// invariant-hoisting fast path: every candidate is rebuilt from scratch
 /// through [`Mat`], [`Multiplexer`], and [`HTree::new`] via
-/// [`evaluate_raw`]. The differential tests sweep both implementations
+/// `evaluate_raw`. The differential tests sweep both implementations
 /// across specs, objectives, and relaxation rungs and require equal
 /// bits; [`set_reference_mode`] routes whole chip builds through here
 /// for the same comparison. Not part of the public API contract.
@@ -1265,7 +1265,7 @@ pub mod reference {
     }
 
     /// Solves `spec` with the unhoisted reference sweep. Same contract
-    /// and same results, bit for bit, as [`super::solve_uncached`].
+    /// and same results, bit for bit, as `solve_uncached`.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 //! Incremental Pareto frontier over the paper's four composite metrics.
 //!
-//! The 10^5–10^6-candidate sweeps [`crate::dse`] streams cannot keep
+//! The 10^5–10^6-candidate sweeps [`crate::dse`](mod@crate::dse) streams cannot keep
 //! every candidate. This module keeps only the *non-dominated* points —
 //! dominance taken over the paper's four composite figures of merit
 //! (EDP, ED²P, EDAP, EDA²P) — plus one tracked winner per [`Metric`],

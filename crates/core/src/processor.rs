@@ -137,10 +137,6 @@ pub struct BuildPerf {
     pub solve_cache_hits: u64,
     /// Array solves that ran the optimizer.
     pub solve_cache_misses: u64,
-    /// Subset of `solve_cache_misses` that found the array in flight on
-    /// another thread but could not wait for it (see
-    /// [`mcpat_array::memo`]), so solved a private copy.
-    pub solve_cache_duplicates: u64,
     /// Cache entries evicted during this build by the bounded solve
     /// cache (see `MCPAT_SOLVE_CACHE_CAP`). Non-zero values mean the
     /// cache is under pressure and warm rebuilds may re-solve arrays.
@@ -183,10 +179,6 @@ pub(crate) fn clock_delta_rebuilds_fully(config: &ProcessorConfig) -> bool {
 pub enum Delta {
     /// Retarget the chip (and core) clock, Hz.
     Clock(f64),
-    /// Rescale the supply voltage (`vdd_scale` on the configuration).
-    Vdd(f64),
-    /// Move the junction temperature, K.
-    Temperature(f64),
     /// Resize each L2 instance to this capacity, bytes.
     CacheSize(u64),
 }
@@ -201,8 +193,6 @@ impl Delta {
                 config.clock_hz = hz;
                 config.core.clock_hz = hz;
             }
-            Delta::Vdd(scale) => config.vdd_scale = scale,
-            Delta::Temperature(kelvin) => config.temperature_k = kelvin,
             Delta::CacheSize(bytes) => {
                 if let Some(l2) = &mut config.l2 {
                     l2.cache.capacity = bytes;
@@ -288,7 +278,6 @@ impl Processor {
             threads: mcpat_par::threads(),
             solve_cache_hits: snap.solve_cache_hits,
             solve_cache_misses: snap.solve_cache_misses,
-            solve_cache_duplicates: snap.solve_cache_duplicates,
             solve_cache_evictions: snap.solve_cache_evictions,
         };
         chip.trace = mcpat_obs::tracing_enabled().then(|| collector.trace());
@@ -433,8 +422,9 @@ impl Processor {
         })
     }
 
-    /// Re-evaluates this chip under a single-axis change, reusing every
-    /// component whose inputs the delta leaves untouched.
+    /// Re-evaluates this chip under a clock or L2-size change, reusing
+    /// every component whose inputs the delta leaves untouched. (A supply
+    /// or temperature change re-solves every array: build it instead.)
     ///
     /// The reuse matrix (DESIGN.md §12 argues each row):
     ///
@@ -446,10 +436,6 @@ impl Processor {
     ///   the input that changed) and the fabric (whose link length
     ///   follows the cluster footprint); the core, L3, memory
     ///   controller, I/O and shared FPU are reused as-is.
-    /// * [`Delta::Vdd`] / [`Delta::Temperature`] — every solved array
-    ///   depends on the technology corner (the solve memo key covers
-    ///   vdd and temperature), so nothing survives: these honestly fall
-    ///   back to a full [`Processor::build`] of the patched config.
     ///
     /// Whichever path runs, the result is bit-identical to a full build
     /// of `delta.apply(&self.config)` (property-tested per preset).
@@ -491,7 +477,7 @@ impl Processor {
     /// model's and the fabric's config echoes, the clock network).
     /// Nothing is cloned, re-sized or re-solved, so the solver
     /// relaxations stand. The findings stand too when the old and the
-    /// new clock are both quiet ([`ProcessorConfig::clock_is_quiet`])
+    /// new clock are both quiet (`ProcessorConfig::clock_is_quiet`)
     /// and the name rule still reads as it did; otherwise the
     /// configuration is re-validated — advisories such as the
     /// aggressive-clock warning depend on the clock — and the
@@ -1253,22 +1239,6 @@ mod tests {
             );
             assert_eq!(fast.die_area().to_bits(), full.die_area().to_bits());
             assert_eq!(fast.warnings.len(), full.warnings.len(), "at {bytes} B");
-        }
-    }
-
-    #[test]
-    fn rebuild_with_corner_deltas_fall_back_to_full_builds() {
-        let base = Processor::build(&ProcessorConfig::niagara2()).unwrap();
-        for delta in [Delta::Vdd(0.9), Delta::Temperature(340.0)] {
-            let fast = base.rebuild_with(delta).unwrap();
-            let full = Processor::build(&delta.apply(&base.config)).unwrap();
-            assert_eq!(
-                fast.peak_power().total().to_bits(),
-                full.peak_power().total().to_bits(),
-                "{delta:?}"
-            );
-            assert_eq!(fast.die_area().to_bits(), full.die_area().to_bits());
-            assert_eq!(fast.warnings.len(), full.warnings.len(), "{delta:?}");
         }
     }
 

@@ -86,11 +86,10 @@ impl Processor {
 
         let _ = writeln!(
             out,
-            "  Build: {} thread(s), solve cache {} hit(s) / {} miss(es) / {} duplicate(s) / {} eviction(s)",
+            "  Build: {} thread(s), solve cache {} hit(s) / {} miss(es) / {} eviction(s)",
             self.perf.threads,
             self.perf.solve_cache_hits,
             self.perf.solve_cache_misses,
-            self.perf.solve_cache_duplicates,
             self.perf.solve_cache_evictions
         );
 
@@ -200,6 +199,31 @@ mod tests {
             })
             .sum();
         assert!((sum - 100.0).abs() < 1.0, "sum = {sum}\n{table}");
+    }
+
+    /// Benchmark harnesses read a build's solve-cache billing back from
+    /// the report, so the `Build:` line's tokens are a format contract.
+    #[test]
+    fn build_line_bills_exactly_the_build_perf() {
+        // A temperature no other test uses keeps every array key cold.
+        let cfg = ProcessorConfig {
+            temperature_k: 351.5,
+            ..ProcessorConfig::niagara2()
+        };
+        mcpat_array::memo::set_enabled(true);
+        let chip = Processor::build(&cfg).unwrap();
+        mcpat_array::memo::set_auto();
+        let p = chip.perf;
+        assert!(p.solve_cache_misses > 0, "a cold build must solve");
+        let want = format!(
+            "Build: {} thread(s), solve cache {} hit(s) / {} miss(es) / {} eviction(s)",
+            p.threads, p.solve_cache_hits, p.solve_cache_misses, p.solve_cache_evictions
+        );
+        let report = chip.report();
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("Build:"));
+        assert_eq!(line.map(str::trim_start), Some(want.as_str()));
     }
 
     #[test]

@@ -87,7 +87,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// True for every keyword that cannot be the tail of an expression
-/// (see [`KEYWORDS`] for the deliberate `self` exception).
+/// (see `KEYWORDS` for the deliberate `self` exception).
 #[must_use]
 pub fn is_keyword(ident: &str) -> bool {
     KEYWORDS.contains(&ident)

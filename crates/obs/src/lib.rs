@@ -54,11 +54,6 @@ pub struct Snapshot {
     pub solve_cache_hits: u64,
     /// Solve-cache misses (full solves) billed to this scope.
     pub solve_cache_misses: u64,
-    /// Hits that waited for an in-flight identical solve.
-    pub solve_cache_coalesced: u64,
-    /// Misses that found the key in flight elsewhere but could not park
-    /// on it, so solved a private copy.
-    pub solve_cache_duplicates: u64,
     /// Solve-cache entries evicted (CLOCK cap) while this scope was
     /// active — nonzero means the working set exceeds the cache cap.
     pub solve_cache_evictions: u64,
@@ -104,8 +99,6 @@ pub struct SpanRecord {
 struct Inner {
     solve_cache_hits: AtomicU64,
     solve_cache_misses: AtomicU64,
-    solve_cache_coalesced: AtomicU64,
-    solve_cache_duplicates: AtomicU64,
     solve_cache_evictions: AtomicU64,
     pool_submitted: AtomicU64,
     pool_steals: AtomicU64,
@@ -165,8 +158,6 @@ impl Collector {
         Snapshot {
             solve_cache_hits: i.solve_cache_hits.load(Ordering::Relaxed),
             solve_cache_misses: i.solve_cache_misses.load(Ordering::Relaxed),
-            solve_cache_coalesced: i.solve_cache_coalesced.load(Ordering::Relaxed),
-            solve_cache_duplicates: i.solve_cache_duplicates.load(Ordering::Relaxed),
             solve_cache_evictions: i.solve_cache_evictions.load(Ordering::Relaxed),
             pool_submitted: i.pool_submitted.load(Ordering::Relaxed),
             pool_steals: i.pool_steals.load(Ordering::Relaxed),
@@ -305,24 +296,13 @@ impl Drop for ChainGuard {
 // ---------------------------------------------------------------------------
 
 /// Bills one solve-cache lookup outcome to the active scope chain.
-pub fn record_solve(hit: bool, coalesced: bool) {
+pub fn record_solve(hit: bool) {
     bill(|i| {
         if hit {
             i.solve_cache_hits.fetch_add(1, Ordering::Relaxed);
-            if coalesced {
-                i.solve_cache_coalesced.fetch_add(1, Ordering::Relaxed);
-            }
         } else {
             i.solve_cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-    });
-}
-
-/// Bills one private duplicate solve (a miss that could not park on the
-/// key's in-flight owner) to the active scope chain.
-pub fn record_solve_duplicate() {
-    bill(|i| {
-        i.solve_cache_duplicates.fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -594,15 +574,12 @@ impl Trace {
         let t = self.totals;
         out.push_str(&format!(
             "\n    \"solve_cache_hits\": {},\n    \"solve_cache_misses\": {},\n    \
-             \"solve_cache_coalesced\": {},\n    \"solve_cache_duplicates\": {},\n    \
              \"solve_cache_evictions\": {},\n    \
              \"pool_submitted\": {},\n    \
              \"pool_steals\": {},\n    \"pool_inline\": {},\n    \"allocs\": {},\n    \
              \"dse_pruned\": {},\n    \"dse_probes\": {},\n    \"dse_full_builds\": {}\n  }},",
             t.solve_cache_hits,
             t.solve_cache_misses,
-            t.solve_cache_coalesced,
-            t.solve_cache_duplicates,
             t.solve_cache_evictions,
             t.pool_submitted,
             t.pool_steals,
@@ -658,10 +635,10 @@ mod tests {
         let inner = Collector::new();
         {
             let _o = outer.enter();
-            record_solve(false, false);
+            record_solve(false);
             {
                 let _i = inner.enter();
-                record_solve(true, false);
+                record_solve(true);
                 record_pool_inline(2);
             }
             record_pool_submitted(3);
@@ -682,7 +659,7 @@ mod tests {
     fn events_outside_any_scope_are_dropped() {
         let _l = lock();
         let c = Collector::new();
-        record_solve(true, true);
+        record_solve(true);
         record_pool_steal();
         assert_eq!(c.snapshot(), Snapshot::default());
     }
@@ -701,7 +678,7 @@ mod tests {
             scope.spawn(move || {
                 let _g = chain.activate();
                 record_pool_steal();
-                record_solve(false, false);
+                record_solve(false);
             });
         });
         let snap = c.snapshot();
@@ -731,12 +708,12 @@ mod tests {
         {
             let _s = c.enter();
             let sp = span("build.l2");
-            record_solve(false, false);
-            record_solve(true, false);
+            record_solve(false);
+            record_solve(true);
             sp.note_relaxations(2);
             drop(sp);
             // A solve after the span closed must not appear in it.
-            record_solve(false, false);
+            record_solve(false);
         }
         set_tracing(false);
         let trace = c.trace();
@@ -760,7 +737,7 @@ mod tests {
             let outer = span("build");
             {
                 let _inner = span("build.core");
-                record_solve(false, false);
+                record_solve(false);
             }
             drop(outer);
         }

@@ -43,7 +43,7 @@
 //! # Safety
 //!
 //! Tasks are type-erased pointers to stack frames of the submitting
-//! caller ([`TaskRef`]). This is sound because every submission path
+//! caller (`TaskRef`). This is sound because every submission path
 //! blocks (helping) until its batch latch reports completion, and a
 //! task's final touch of batch memory is the latch update itself; the
 //! wake-up signal afterwards only touches the pool's `'static` state.
@@ -141,8 +141,6 @@ struct Shared {
 thread_local! {
     /// Index of the pool worker running on this thread, if any.
     static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Pool tasks currently on this thread's stack.
-    static TASK_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 fn shared() -> &'static Shared {
@@ -199,33 +197,6 @@ pub(crate) fn note_inline(n: u64) {
 #[must_use]
 pub fn is_pool_worker() -> bool {
     WORKER.with(Cell::get).is_some()
-}
-
-/// True while the calling thread is inside a pool task: one it picked
-/// up as a worker, or while helping the pool from a blocked fan-out.
-/// Some other thread's fan-out is waiting for that task's latch, so a
-/// thread in this state must never block on work that could in turn
-/// need that fan-out to finish (see the solve cache's in-flight
-/// coalescing).
-#[must_use]
-pub fn in_pool_task() -> bool {
-    TASK_DEPTH.with(Cell::get) > 0
-}
-
-/// Counts one pool task on this thread's stack for as long as it lives.
-struct TaskDepth;
-
-impl TaskDepth {
-    fn enter() -> TaskDepth {
-        TASK_DEPTH.with(|d| d.set(d.get() + 1));
-        TaskDepth
-    }
-}
-
-impl Drop for TaskDepth {
-    fn drop(&mut self) {
-        TASK_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-    }
 }
 
 /// True when a fan-out from this thread would have no second lane to
@@ -352,7 +323,6 @@ fn pop_task(q: &mut Queues, me: Option<usize>) -> Option<(TaskRef, bool)> {
 /// into [`ParError`] slots and opens its latch via a drop guard; the
 /// outer catch is defense in depth so a worker thread never unwinds.
 fn run_task(task: TaskRef, stolen: bool) {
-    let _depth = TaskDepth::enter();
     // SAFETY: see the module-level argument — the submitting caller
     // keeps the pointee alive until the batch latch opens.
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe {
@@ -851,26 +821,5 @@ mod tests {
     #[test]
     fn pool_worker_flag_is_false_on_external_threads() {
         assert!(!is_pool_worker());
-    }
-
-    #[test]
-    fn task_depth_tracks_running_tasks() {
-        fn probe(data: *const (), _stolen: bool) {
-            // SAFETY: `data` points at the `AtomicBool` below, alive for
-            // the synchronous `run_task` call.
-            let seen = unsafe { &*data.cast::<AtomicBool>() };
-            seen.store(in_pool_task(), Ordering::SeqCst);
-        }
-        let seen = AtomicBool::new(false);
-        assert!(!in_pool_task());
-        run_task(
-            TaskRef {
-                data: std::ptr::from_ref(&seen).cast(),
-                exec: probe,
-            },
-            false,
-        );
-        assert!(seen.load(Ordering::SeqCst), "inside a task");
-        assert!(!in_pool_task(), "after the task");
     }
 }

@@ -190,11 +190,6 @@ pub struct RequestPerf {
     pub solve_cache_hits: u64,
     /// Solve-cache misses (full solves) billed to this request.
     pub solve_cache_misses: u64,
-    /// Subset of hits that parked on an in-flight identical solve.
-    pub solve_cache_coalesced: u64,
-    /// Subset of misses that solved a private copy of an in-flight
-    /// solve they could not wait for.
-    pub solve_cache_duplicates: u64,
     /// Cache evictions observed while this request was active.
     pub solve_cache_evictions: u64,
     /// Pool tasks submitted by this request.
@@ -273,7 +268,6 @@ fn push_perf(out: &mut String, p: &RequestPerf) {
         out,
         "{{\"wall_ms\":{:.3},\"built\":{},\"coalesced\":{},\
          \"solve_cache_hits\":{},\"solve_cache_misses\":{},\
-         \"solve_cache_coalesced\":{},\"solve_cache_duplicates\":{},\
          \"solve_cache_evictions\":{},\
          \"pool_submitted\":{},\"pool_steals\":{},\"pool_inline\":{},\
          \"allocs\":{}}}",
@@ -282,8 +276,6 @@ fn push_perf(out: &mut String, p: &RequestPerf) {
         p.coalesced,
         p.solve_cache_hits,
         p.solve_cache_misses,
-        p.solve_cache_coalesced,
-        p.solve_cache_duplicates,
         p.solve_cache_evictions,
         p.pool_submitted,
         p.pool_steals,
@@ -367,12 +359,10 @@ pub fn stats_response(
     out.push_str("\"status\":\"ok\",\"type\":\"stats\",\"stats\":{");
     let _ = write!(
         out,
-        "\"solve_cache\":{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"duplicate\":{},\
+        "\"solve_cache\":{{\"hits\":{},\"misses\":{},\
          \"entries\":{},\"evictions\":{},\"bytes\":{},\"lookups\":{},\"hit_rate\":",
         cache.hits,
         cache.misses,
-        cache.coalesced,
-        cache.duplicate,
         cache.entries,
         cache.evictions,
         cache.bytes,

@@ -405,8 +405,6 @@ fn handle_evaluate(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
         coalesced,
         solve_cache_hits: snap.solve_cache_hits,
         solve_cache_misses: snap.solve_cache_misses,
-        solve_cache_coalesced: snap.solve_cache_coalesced,
-        solve_cache_duplicates: snap.solve_cache_duplicates,
         solve_cache_evictions: snap.solve_cache_evictions,
         pool_submitted: snap.pool_submitted,
         pool_steals: snap.pool_steals,

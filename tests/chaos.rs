@@ -203,8 +203,8 @@ fn mid_build_cancellation_leaves_no_poisoned_state() {
             );
         }
     }
-    // With 600-check trip points against cold multi-thousand-checkpoint
-    // builds, both arms must actually run.
+    // Trip points below 600 against cold builds of roughly 400 to 750
+    // checkpoints (niagara fewest, tulsa most): both arms must run.
     assert!(cancelled > 0, "chaos never cancelled a build");
     assert!(completed > 0, "chaos never let a build finish");
 }
