@@ -303,18 +303,6 @@ impl Mat {
     pub fn kind(&self) -> ArrayKind {
         self.kind
     }
-
-    /// Helper exposing the raw metrics as a [`CircuitMetrics`] for reads.
-    #[must_use]
-    pub fn read_metrics(&self) -> CircuitMetrics {
-        let m = self.evaluate_full(0);
-        CircuitMetrics {
-            area: m.area,
-            delay: m.read_delay,
-            energy_per_op: m.read_energy,
-            leakage: m.leakage,
-        }
-    }
 }
 
 /// Everything in [`Mat::evaluate`] that depends only on the corner, the

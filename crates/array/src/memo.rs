@@ -184,7 +184,7 @@ fn approx_entry_bytes(value: &Result<SolvedArray, ArrayError>) -> u64 {
 /// Whether a solve result may be stored. Deterministic outcomes — a
 /// successful solve, a degenerate spec, an infeasible partition — are
 /// facts about the key and cache fine. Worker panics and budget trips
-/// (cancellation, deadline, memory ceiling) are facts about *this
+/// (cancellation, deadline) are facts about *this
 /// call's circumstances*; caching one would poison the key for every
 /// future caller, so they are never stored.
 fn is_cacheable(value: &Result<SolvedArray, ArrayError>) -> bool {

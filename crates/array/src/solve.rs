@@ -10,7 +10,7 @@
 use crate::htree::HTree;
 use crate::mat::{Mat, MatColPart, MatInvariants, MatRowPart};
 use crate::spec::{ArrayKind, ArraySpec, OptTarget};
-use mcpat_circuit::metrics::{CircuitMetrics, StaticPower};
+use mcpat_circuit::metrics::StaticPower;
 use mcpat_circuit::mux::{Multiplexer, MuxFamily};
 use mcpat_circuit::repeater::RepeaterInvariants;
 use mcpat_tech::{TechParams, WireType};
@@ -49,9 +49,11 @@ pub enum ArrayError {
         detail: String,
     },
     /// A resource budget tripped at one of the solver's cooperative
-    /// checkpoints (deadline, cancellation, or memory ceiling — see
-    /// `mcpat-guard`). Never cached: a timed-out solve is a fact about
-    /// this call, not about the array.
+    /// checkpoints (deadline or cancellation — see `mcpat-guard`).
+    /// Never cached: a timed-out solve is a fact about this call, not
+    /// about the array. The `mcpat` crate converts it to its own budget
+    /// error at the array's path, so it never surfaces as a solver
+    /// failure.
     Budget {
         /// Array name from the spec.
         name: String,
@@ -189,28 +191,11 @@ impl SolvedArray {
             .map(|r| mcpat_diag::Diagnostic::warning(self.name.clone(), r.to_string()))
     }
 
-    /// Read-path metrics as a uniform [`CircuitMetrics`].
-    #[must_use]
-    pub fn read_metrics(&self) -> CircuitMetrics {
-        CircuitMetrics {
-            area: self.area,
-            delay: self.access_time,
-            energy_per_op: self.read_energy,
-            leakage: self.leakage,
-        }
-    }
-
     /// Average energy of an access mix with the given read fraction, J.
     #[must_use]
     pub fn mixed_energy(&self, read_fraction: f64) -> f64 {
         let rf = read_fraction.clamp(0.0, 1.0);
         rf * self.read_energy + (1.0 - rf) * self.write_energy
-    }
-
-    /// Area efficiency: fraction of the footprint that is storage cells.
-    #[must_use]
-    pub fn storage_density_bits_per_m2(&self, total_bits: u64) -> f64 {
-        total_bits as f64 / self.area
     }
 }
 

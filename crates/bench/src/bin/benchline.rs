@@ -90,6 +90,35 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
+/// The median of `a / b` over `pairs` pairs of runs, where `timed(true)`
+/// times one run of A and `timed(false)` one run of B, in seconds. Both
+/// runs of a pair are adjacent in time, so they share the host's
+/// frequency and CPU-steal regime, and the median discards the pairs a
+/// scheduling blip lands in. (A per-side `min` is not robust here: the
+/// two minima come from different instants, so a brief fast window
+/// covering only one side skews the ratio by several percent.) The
+/// order within a pair alternates, because the second run sees warmer
+/// caches and a fixed order would bake that bias into every ratio.
+/// `empty` is returned when no pair timed B above zero.
+fn paired_median_ratio(pairs: usize, empty: f64, mut timed: impl FnMut(bool) -> f64) -> f64 {
+    let mut ratios: Vec<f64> = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let a_first = pair % 2 == 0;
+        let first = timed(a_first);
+        let second = timed(!a_first);
+        let (a, b) = if a_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        if b > 0.0 {
+            ratios.push(a / b);
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios.get(ratios.len() / 2).copied().unwrap_or(empty)
+}
+
 /// Short git revision of the checkout, or `"unknown"` outside one (or
 /// without git on PATH). Restricted to alphanumeric characters so it
 /// embeds in the hand-written JSON without escaping.
@@ -203,33 +232,18 @@ const DSE_16_CHIPS_REPS: usize = 9;
 /// row's per-mode medians, each mode timed as one block, read below 1.0
 /// in 5 of 10 `--quick` runs at one rep and 2 of 10 at five, when the
 /// two blocks landed in different host phases; pairing times both
-/// modes of each sample in the same phase. The order within a pair
-/// alternates, as in the overhead probes.
+/// modes of each sample in the same phase ([`paired_median_ratio`]).
 fn explore_parallel_vs_serial(grid: &AxisGrid) -> f64 {
     memo::set_enabled(false);
-    let timed = |threads: usize| {
-        mcpat_par::set_thread_override(threads);
+    let ratio = paired_median_ratio(DSE_16_CHIPS_REPS, 0.0, |serial| {
+        mcpat_par::set_thread_override(if serial { 1 } else { 0 });
         let t = Instant::now();
         sweep(grid, "paired 16-chip dse sweep");
         t.elapsed().as_secs_f64()
-    };
-    let mut ratios: Vec<f64> = Vec::with_capacity(DSE_16_CHIPS_REPS);
-    for pair in 0..DSE_16_CHIPS_REPS {
-        let (serial, parallel) = if pair % 2 == 0 {
-            let serial = timed(1);
-            (serial, timed(0))
-        } else {
-            let parallel = timed(0);
-            (timed(1), parallel)
-        };
-        if parallel > 0.0 {
-            ratios.push(serial / parallel);
-        }
-    }
+    });
     memo::set_auto();
     mcpat_par::set_thread_override(0);
-    ratios.sort_by(f64::total_cmp);
-    ratios.get(ratios.len() / 2).copied().unwrap_or(0.0)
+    ratio
 }
 
 /// Sixteen distinct chips, one clock each: the `dse_16_chips` row's
@@ -302,15 +316,9 @@ const MAX_TRACE_DISABLED_OVERHEAD: f64 = 1.02;
 /// overhead ceiling is about. (A warm-cache rebuild finishes in microseconds,
 /// where per-event counter billing amplifies to a few percent relative
 /// but only single-digit microseconds absolute; gating on that would
-/// flake on timer noise without protecting anything real.) Each
-/// interleaved pair yields one scoped/plain ratio from two temporally
-/// adjacent builds — the same frequency and CPU-steal regime — and the
-/// probe reports the median ratio, which discards the pairs a
-/// scheduling blip lands in. (A per-side `min` is not robust here: the
-/// two minima come from different instants, so a brief fast window
-/// covering only one side skews the ratio by several percent.) The
-/// order within a pair alternates so the second build's warmer caches
-/// do not bias the ratio toward either side.
+/// flake on timer noise without protecting anything real.) The probe
+/// reports the median scoped/plain ratio of 100 interleaved pairs
+/// ([`paired_median_ratio`]).
 fn trace_disabled_overhead_ratio() -> f64 {
     mcpat::obs::set_tracing(false);
     let cfg = ProcessorConfig::niagara2();
@@ -324,38 +332,20 @@ fn trace_disabled_overhead_ratio() -> f64 {
     memo::clear();
     build(); // warm the code paths (the cache is cleared per sample)
     let collector = mcpat::obs::Collector::new();
-    let mut ratios: Vec<f64> = Vec::with_capacity(100);
-    for pair in 0..100 {
-        let timed = |scope: bool| {
-            memo::clear();
-            let t = Instant::now();
-            if scope {
-                let _scope = collector.enter();
-                build();
-            } else {
-                build();
-            }
-            t.elapsed().as_secs_f64()
-        };
-        // Alternate which side runs first: the second build of a pair
-        // sees warmer caches, and a fixed order would bake that bias
-        // into every ratio.
-        let scope_first = pair % 2 == 0;
-        let first = timed(scope_first);
-        let second = timed(!scope_first);
-        let (scoped, plain) = if scope_first {
-            (first, second)
+    let ratio = paired_median_ratio(100, 1.0, |scope| {
+        memo::clear();
+        let t = Instant::now();
+        if scope {
+            let _scope = collector.enter();
+            build();
         } else {
-            (second, first)
-        };
-        if plain > 0.0 {
-            ratios.push(scoped / plain);
+            build();
         }
-    }
+        t.elapsed().as_secs_f64()
+    });
     memo::set_auto();
     mcpat_par::set_thread_override(0);
-    ratios.sort_by(f64::total_cmp);
-    ratios.get(ratios.len() / 2).copied().unwrap_or(1.0)
+    ratio
 }
 
 /// Ceiling on the budget-checkpoint overhead: a build running inside an
@@ -375,7 +365,7 @@ const MAX_GUARD_DISABLED_OVERHEAD: f64 = 1.03;
 /// budget active. Methodology matches [`trace_disabled_overhead_ratio`]:
 /// the cache is cleared per sample so every checkpoint in the solver
 /// sweep actually executes, and the reported number is the median of
-/// 50 interleaved pairwise scoped/plain ratios.
+/// 100 interleaved pairwise scoped/plain ratios.
 fn guard_disabled_overhead_ratio() -> f64 {
     let cfg = ProcessorConfig::niagara2();
     let build = || {
@@ -388,36 +378,20 @@ fn guard_disabled_overhead_ratio() -> f64 {
     memo::clear();
     build(); // warm the code paths (the cache is cleared per sample)
     let budget = mcpat::guard::Budget::unbounded();
-    let mut ratios: Vec<f64> = Vec::with_capacity(100);
-    for pair in 0..100 {
-        let timed = |scope: bool| {
-            memo::clear();
-            let t = Instant::now();
-            if scope {
-                let _scope = budget.enter();
-                build();
-            } else {
-                build();
-            }
-            t.elapsed().as_secs_f64()
-        };
-        // Alternate which side runs first (see trace probe).
-        let scope_first = pair % 2 == 0;
-        let first = timed(scope_first);
-        let second = timed(!scope_first);
-        let (scoped, plain) = if scope_first {
-            (first, second)
+    let ratio = paired_median_ratio(100, 1.0, |scope| {
+        memo::clear();
+        let t = Instant::now();
+        if scope {
+            let _scope = budget.enter();
+            build();
         } else {
-            (second, first)
-        };
-        if plain > 0.0 {
-            ratios.push(scoped / plain);
+            build();
         }
-    }
+        t.elapsed().as_secs_f64()
+    });
     memo::set_auto();
     mcpat_par::set_thread_override(0);
-    ratios.sort_by(f64::total_cmp);
-    ratios.get(ratios.len() / 2).copied().unwrap_or(1.0)
+    ratio
 }
 
 /// Runs one tracing-enabled chip build and prints its per-phase span

@@ -51,13 +51,6 @@ impl TagComparator {
         self.width
     }
 
-    /// Capacitance presented per compared bit (both operands), F.
-    #[must_use]
-    pub fn input_cap_per_bit(&self) -> f64 {
-        // XNOR ≈ two NAND2 input loads per operand bit.
-        2.0 * self.xnor_stage.input_cap()
-    }
-
     /// Metrics of one comparison.
     #[must_use]
     pub fn metrics(&self) -> CircuitMetrics {

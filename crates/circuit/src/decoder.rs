@@ -75,17 +75,6 @@ impl RowDecoder {
         self.num_rows
     }
 
-    /// Capacitance presented per address bit to the address bus, F.
-    #[must_use]
-    pub fn input_cap_per_bit(&self) -> f64 {
-        // Each address bit (true + complement) feeds half the predecoder
-        // inputs on average.
-        if self.num_predecoders == 0 {
-            return 0.0;
-        }
-        2.0 * self.predecoder.input_cap()
-    }
-
     /// Metrics of one decode operation (one row fires).
     #[must_use]
     pub fn metrics(&self) -> CircuitMetrics {

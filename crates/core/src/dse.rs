@@ -983,7 +983,6 @@ fn run_chunk<E: DseEvaluator>(
             };
             if evaluator.prunes_in_row(&candidate, frontier) {
                 perf.pruned += 1;
-                mcpat_obs::record_dse_pruned(1);
                 continue;
             }
         }
@@ -1018,10 +1017,8 @@ fn run_chunk<E: DseEvaluator>(
             perf.deduped += 1;
         } else if full_build {
             perf.full_builds += 1;
-            mcpat_obs::record_dse_full_builds(1);
         } else {
             perf.probes += 1;
-            mcpat_obs::record_dse_probes(1);
         }
         // The candidate's own name, then its clock: the row's chip is
         // now bit-identical to a full build of the candidate.
@@ -1106,7 +1103,6 @@ fn advance_base(
         }
     }
     perf.full_builds += 1;
-    mcpat_obs::record_dse_full_builds(1);
     Processor::build(&base_cfg)
 }
 

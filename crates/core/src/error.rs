@@ -9,17 +9,22 @@ use std::fmt;
 ///
 /// Every variant is *located*: validation failures carry the complete
 /// [`Diagnostics`] pass (all findings, each with its component path),
-/// and solver failures carry the path of the array that failed.
+/// and solver failures and budget trips carry the path where they
+/// happened. Each failure has exactly one representation — a budget
+/// trip is always [`McpatError::Budget`], wherever it fired — and one
+/// class, [`McpatError::kind`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum McpatError {
     /// The configuration failed validation. Holds **every** error and
     /// warning found, not just the first.
     Invalid(Diagnostics),
     /// A storage array — located by its component path, e.g.
-    /// `core.lsu.dcache-data` — could not be solved.
+    /// `core.lsu.dcache-data` — could not be solved. Never holds
+    /// [`ArrayError::Budget`]: a trip inside the solver converts to
+    /// [`McpatError::Budget`] at the array's path.
     Array(AtPath<ArrayError>),
-    /// A resource budget (deadline, cooperative cancellation, or memory
-    /// ceiling — see [`mcpat_guard`]) tripped at the named build stage.
+    /// A resource budget (deadline or cooperative cancellation — see
+    /// [`mcpat_guard`]) tripped at the named build stage or array.
     /// Carries partial-progress metadata; the build leaves no poisoned
     /// state behind and can simply be retried.
     Budget(AtPath<GuardError>),
@@ -43,20 +48,25 @@ impl McpatError {
         }
     }
 
-    /// The budget violation behind this error, if a deadline,
-    /// cancellation, or memory ceiling is what stopped the build —
-    /// whether it surfaced at a build-stage checkpoint
-    /// ([`McpatError::Budget`]) or inside the array solver
-    /// ([`ArrayError::Budget`]).
+    /// The budget violation behind this error, if a deadline or
+    /// cancellation is what stopped the build.
     #[must_use]
     pub fn guard_error(&self) -> Option<&GuardError> {
         match self {
             McpatError::Budget(e) => Some(&e.source),
-            McpatError::Array(e) => match &e.source {
-                ArrayError::Budget { reason, .. } => Some(reason),
-                _ => None,
-            },
-            McpatError::Invalid(_) => None,
+            McpatError::Invalid(_) | McpatError::Array(_) => None,
+        }
+    }
+
+    /// The failure class: `InvalidConfig`, `Infeasible`, or the
+    /// budget's [`GuardError::kind`]. This is the serve daemon's wire
+    /// `error.kind` and picks the `mcpat` CLI's exit code.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            McpatError::Invalid(_) => "InvalidConfig",
+            McpatError::Array(_) => "Infeasible",
+            McpatError::Budget(e) => e.source.kind(),
         }
     }
 
@@ -109,9 +119,14 @@ impl From<AtPath<GuardError>> for McpatError {
     }
 }
 
+/// A budget trip inside the solver becomes [`McpatError::Budget`] at the
+/// array's path; every other solver failure stays [`McpatError::Array`].
 impl From<AtPath<ArrayError>> for McpatError {
     fn from(e: AtPath<ArrayError>) -> McpatError {
-        McpatError::Array(e)
+        match e.source {
+            ArrayError::Budget { reason, .. } => McpatError::Budget(AtPath::new(e.path, reason)),
+            source => McpatError::Array(AtPath::new(e.path, source)),
+        }
     }
 }
 
@@ -157,14 +172,39 @@ mod tests {
         assert_eq!(e.findings().len(), 1);
         assert_eq!(e.findings()[0].path, "build.core");
 
-        // The solver-side variant surfaces through the same accessor.
+        // A trip inside the solver converts to the same variant, at the
+        // array's path.
         let ae = ArrayError::Budget {
             name: "dcache".into(),
             reason: ge.clone(),
         };
-        let e = McpatError::Array(AtPath::new("core.lsu.dcache", ae));
+        let e: McpatError = AtPath::new("core.lsu.dcache", ae).into();
+        assert_eq!(
+            e,
+            McpatError::Budget(AtPath::new("core.lsu.dcache", ge.clone()))
+        );
         assert_eq!(e.guard_error(), Some(&ge));
         assert!(McpatError::config("x", "y").guard_error().is_none());
+    }
+
+    #[test]
+    fn kind_names_each_failure_class() {
+        assert_eq!(McpatError::config("x", "y").kind(), "InvalidConfig");
+        let ae = ArrayError::DegenerateSpec { name: "x".into() };
+        assert_eq!(
+            McpatError::Array(AtPath::new("l2", ae)).kind(),
+            "Infeasible"
+        );
+        let progress = mcpat_guard::Progress::default();
+        let cancelled: McpatError = AtPath::new("build", GuardError::Cancelled { progress }).into();
+        assert_eq!(cancelled.kind(), "Cancelled");
+        let late = GuardError::DeadlineExceeded {
+            budget_us: 1,
+            elapsed_us: 2,
+            progress,
+        };
+        let late: McpatError = AtPath::new("build", late).into();
+        assert_eq!(late.kind(), "DeadlineExceeded");
     }
 
     #[test]

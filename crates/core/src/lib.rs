@@ -81,11 +81,10 @@ pub use mcpat_par::knobs;
 /// active).
 pub use mcpat_obs as obs;
 
-/// Resource governance: deadlines, cooperative cancellation and memory
-/// ceilings for long-running builds. Enter a [`guard::Budget`] around
-/// any build or sweep and every checkpointed loop underneath it
-/// honors the budget, surfacing trips as [`McpatError::Budget`] (or
-/// [`array::ArrayError::Budget`] inside the solver). Named `guard`
+/// Resource governance: deadlines and cooperative cancellation for
+/// long-running builds. Enter a [`guard::Budget`] around any build or
+/// sweep and every checkpointed loop underneath it honors the budget,
+/// surfacing trips as [`McpatError::Budget`]. Named `guard`
 /// because [`Budgets`] — the DSE area/power constraints — is an
 /// unrelated, older concept.
 pub use mcpat_guard as guard;

@@ -143,8 +143,8 @@ pub struct BuildPerf {
     pub solve_cache_evictions: u64,
 }
 
-/// Budget checkpoint at a build-stage boundary: a tripped deadline,
-/// cancellation, or memory ceiling surfaces as [`McpatError::Budget`]
+/// Budget checkpoint at a build-stage boundary: a tripped deadline or
+/// cancellation surfaces as [`McpatError::Budget`]
 /// located at `stage`. Free when no budget is in scope.
 pub(crate) fn checkpoint(stage: &str) -> Result<(), McpatError> {
     mcpat_guard::check().map_err(|e| McpatError::Budget(AtPath::new(stage, e)))
@@ -248,8 +248,9 @@ impl Processor {
     /// # Errors
     ///
     /// [`McpatError::Invalid`] if the configuration fails validation
-    /// (with the complete findings), or [`McpatError::Array`] naming the
-    /// component whose storage array could not be solved.
+    /// (with the complete findings), [`McpatError::Array`] naming the
+    /// component whose storage array could not be solved, or
+    /// [`McpatError::Budget`] when the active budget trips.
     pub fn build(config: &ProcessorConfig) -> Result<Processor, McpatError> {
         Self::scoped("build", || Self::build_inner(config))
     }
@@ -317,7 +318,7 @@ impl Processor {
                         all.merge_under("core", d);
                         McpatError::Invalid(all)
                     }
-                    CoreBuildError::Array(e) => McpatError::Array(e.under("core")),
+                    CoreBuildError::Array(e) => e.under("core").into(),
                 });
                 if let Ok(core) = &r {
                     span.note_relaxations(core.relaxation_warnings().len() as u64);

@@ -1,11 +1,11 @@
-//! # mcpat-guard — deadlines, cooperative cancellation, memory budgets
+//! # mcpat-guard — deadlines and cooperative cancellation
 //!
 //! The modeling stack is embedded in outer control loops (design-space
 //! exploration, DVFS governors, a future `mcpat-serve` daemon) that
 //! need predictable *worst-case* latency, not just good medians. This
 //! crate provides the resource-governance primitive those loops share:
-//! a cheap-clone [`Budget`] handle carrying an optional deadline, a
-//! cooperative cancel flag, and an optional memory ceiling.
+//! a cheap-clone [`Budget`] handle carrying an optional deadline and a
+//! cooperative cancel flag.
 //!
 //! Budgets thread through the **same scope-chain mechanism** that
 //! `mcpat-obs` collectors use: [`Budget::enter`] pushes the budget onto
@@ -69,15 +69,6 @@ pub enum GuardError {
         /// Progress at the moment the budget tripped.
         progress: Progress,
     },
-    /// Cooperatively-charged memory exceeded the configured ceiling.
-    MemoryBudget {
-        /// The configured ceiling, in bytes.
-        limit_bytes: u64,
-        /// Bytes charged when the checkpoint fired.
-        used_bytes: u64,
-        /// Progress at the moment the budget tripped.
-        progress: Progress,
-    },
 }
 
 impl GuardError {
@@ -85,9 +76,9 @@ impl GuardError {
     #[must_use]
     pub fn progress(&self) -> Progress {
         match self {
-            GuardError::DeadlineExceeded { progress, .. }
-            | GuardError::Cancelled { progress }
-            | GuardError::MemoryBudget { progress, .. } => *progress,
+            GuardError::DeadlineExceeded { progress, .. } | GuardError::Cancelled { progress } => {
+                *progress
+            }
         }
     }
 
@@ -99,7 +90,6 @@ impl GuardError {
         match self {
             GuardError::DeadlineExceeded { .. } => "DeadlineExceeded",
             GuardError::Cancelled { .. } => "Cancelled",
-            GuardError::MemoryBudget { .. } => "MemoryBudget",
         }
     }
 }
@@ -120,16 +110,6 @@ impl std::fmt::Display for GuardError {
             GuardError::Cancelled { progress } => write!(
                 f,
                 "cancelled ({} candidate(s), {} span(s) completed)",
-                progress.candidates_done, progress.spans_done
-            ),
-            GuardError::MemoryBudget {
-                limit_bytes,
-                used_bytes,
-                progress,
-            } => write!(
-                f,
-                "memory budget exceeded: {used_bytes} B charged against a {limit_bytes} B \
-                 ceiling ({} candidate(s), {} span(s) completed)",
                 progress.candidates_done, progress.spans_done
             ),
         }
@@ -157,8 +137,6 @@ struct Inner {
     cancelled: AtomicBool,
     /// [`CANCEL_GENERATION`] at creation; a later global bump cancels us.
     cancel_snapshot: u64,
-    memory_limit: Option<u64>,
-    memory_used: AtomicU64,
     candidates_done: AtomicU64,
     spans_done: AtomicU64,
     /// Chaos-testing hook: when > 0, the countdown decrements on every
@@ -167,9 +145,9 @@ struct Inner {
     cancel_after_checks: AtomicU64,
 }
 
-/// A cheap-clone (one `Arc`) resource budget: optional deadline,
-/// cooperative cancel flag, optional memory ceiling, plus progress
-/// counters. Clones share all state.
+/// A cheap-clone (one `Arc`) resource budget: optional deadline and
+/// cooperative cancel flag, plus progress counters. Clones share all
+/// state.
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<Inner>,
@@ -180,16 +158,14 @@ impl std::fmt::Debug for Budget {
         f.debug_struct("Budget")
             .field("deadline_us", &self.inner.budget_us)
             .field("cancelled", &self.is_cancelled())
-            .field("memory_limit", &self.inner.memory_limit)
             .finish()
     }
 }
 
 impl Budget {
-    /// A budget with the given limits; `None` everywhere means
+    /// A budget with an optional deadline; `None` means
     /// cancellation-only.
-    #[must_use]
-    pub fn with_limits(deadline: Option<Duration>, memory_limit_bytes: Option<u64>) -> Budget {
+    fn new(deadline: Option<Duration>) -> Budget {
         let started = Instant::now();
         let budget_us = deadline.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
         Budget {
@@ -199,8 +175,6 @@ impl Budget {
                 budget_us,
                 cancelled: AtomicBool::new(false),
                 cancel_snapshot: CANCEL_GENERATION.load(Ordering::SeqCst),
-                memory_limit: memory_limit_bytes,
-                memory_used: AtomicU64::new(0),
                 candidates_done: AtomicU64::new(0),
                 spans_done: AtomicU64::new(0),
                 cancel_after_checks: AtomicU64::new(0),
@@ -208,18 +182,18 @@ impl Budget {
         }
     }
 
-    /// A budget with no deadline and no memory ceiling — still
-    /// cancellable (per-handle or via [`cancel_all`]).
+    /// A budget with no deadline — still cancellable (per-handle or via
+    /// [`cancel_all`]).
     #[must_use]
     pub fn unbounded() -> Budget {
-        Budget::with_limits(None, None)
+        Budget::new(None)
     }
 
     /// A budget that trips [`GuardError::DeadlineExceeded`] once `d`
     /// wall time has elapsed.
     #[must_use]
     pub fn with_deadline(d: Duration) -> Budget {
-        Budget::with_limits(Some(d), None)
+        Budget::new(Some(d))
     }
 
     /// Flips this budget's (and all its clones') cancel flag.
@@ -244,12 +218,6 @@ impl Budget {
         }
     }
 
-    /// Cooperatively charges `bytes` against the memory ceiling (the
-    /// next [`check`] trips if the ceiling is exceeded).
-    pub fn charge(&self, bytes: u64) {
-        self.inner.memory_used.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Chaos-testing hook: cancel this budget at its `n`-th
     /// [`check_self`](Budget::check_self) call (0 disarms). Lets the
     /// chaos harness cancel deterministically at a randomized
@@ -259,9 +227,9 @@ impl Budget {
         self.inner.cancel_after_checks.store(n, Ordering::SeqCst);
     }
 
-    /// Checks this budget alone (cancel flag, then deadline, then
-    /// memory ceiling). Most code should call the free [`check`], which
-    /// walks the whole active chain.
+    /// Checks this budget alone (cancel flag, then deadline). Most code
+    /// should call the free [`check`], which walks the whole active
+    /// chain.
     ///
     /// # Errors
     ///
@@ -290,16 +258,6 @@ impl Budget {
                 return Err(GuardError::DeadlineExceeded {
                     budget_us: self.inner.budget_us,
                     elapsed_us,
-                    progress: self.progress(),
-                });
-            }
-        }
-        if let Some(limit) = self.inner.memory_limit {
-            let used = self.inner.memory_used.load(Ordering::Relaxed);
-            if used > limit {
-                return Err(GuardError::MemoryBudget {
-                    limit_bytes: limit,
-                    used_bytes: used,
                     progress: self.progress(),
                 });
             }
@@ -454,14 +412,6 @@ pub fn note_span() {
     });
 }
 
-/// Cooperatively charges `bytes` against every budget in the active
-/// chain's memory ceiling.
-pub fn charge(bytes: u64) {
-    bill(|b| {
-        b.inner.memory_used.fetch_add(bytes, Ordering::Relaxed);
-    });
-}
-
 fn bill(f: impl Fn(&Budget)) {
     HEAD.with(|head| {
         let head = head.borrow();
@@ -510,27 +460,6 @@ mod tests {
         assert!(check().is_ok());
         b.cancel();
         assert!(matches!(check(), Err(GuardError::Cancelled { .. })));
-    }
-
-    #[test]
-    fn memory_ceiling_trips_after_charge() {
-        let b = Budget::with_limits(None, Some(1024));
-        let _scope = b.enter();
-        charge(512);
-        assert!(check().is_ok());
-        charge(1024);
-        let err = check().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GuardError::MemoryBudget {
-                    used_bytes: 1536,
-                    limit_bytes: 1024,
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
     }
 
     #[test]

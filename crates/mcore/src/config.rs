@@ -406,13 +406,6 @@ impl CoreConfig {
         c
     }
 
-    /// Sets the clock rate, Hz.
-    #[must_use]
-    pub fn with_clock_hz(mut self, hz: f64) -> CoreConfig {
-        self.clock_hz = hz;
-        self
-    }
-
     /// Scales the cycle-time constraint implied by the clock, s.
     #[must_use]
     pub fn cycle_time(&self) -> f64 {
@@ -431,12 +424,6 @@ impl CoreConfig {
     #[must_use]
     pub fn is_ooo(&self) -> bool {
         self.machine_type == MachineType::OutOfOrder
-    }
-
-    /// Peak integer operations per cycle (issue bound).
-    #[must_use]
-    pub fn peak_ops_per_cycle(&self) -> f64 {
-        f64::from(self.issue_width)
     }
 
     /// Full sanity validation of the configuration.

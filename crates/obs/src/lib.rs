@@ -66,14 +66,6 @@ pub struct Snapshot {
     /// Heap allocations billed to this scope (0 unless the binary
     /// installs [`CountingAlloc`] as its global allocator).
     pub allocs: u64,
-    /// DSE candidates killed by the frontier's lower-bound prune before
-    /// any build ran.
-    pub dse_pruned: u64,
-    /// DSE candidates served by an in-place clock probe instead of a
-    /// full build (row-base L2 resizes are not probes).
-    pub dse_probes: u64,
-    /// DSE candidates (and row bases) that needed a full chip build.
-    pub dse_full_builds: u64,
 }
 
 /// One completed [`span`]: a named phase with wall time and the cache /
@@ -104,9 +96,6 @@ struct Inner {
     pool_steals: AtomicU64,
     pool_inline: AtomicU64,
     allocs: AtomicU64,
-    dse_pruned: AtomicU64,
-    dse_probes: AtomicU64,
-    dse_full_builds: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
 }
 
@@ -163,9 +152,6 @@ impl Collector {
             pool_steals: i.pool_steals.load(Ordering::Relaxed),
             pool_inline: i.pool_inline.load(Ordering::Relaxed),
             allocs: i.allocs.load(Ordering::Relaxed),
-            dse_pruned: i.dse_pruned.load(Ordering::Relaxed),
-            dse_probes: i.dse_probes.load(Ordering::Relaxed),
-            dse_full_builds: i.dse_full_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -340,35 +326,6 @@ pub fn record_pool_inline(n: u64) {
     if n > 0 {
         bill(|i| {
             i.pool_inline.fetch_add(n, Ordering::Relaxed);
-        });
-    }
-}
-
-/// Bills `n` lower-bound-pruned DSE candidates to the active scope
-/// chain (the streaming explorer calls this for candidates it never
-/// builds).
-pub fn record_dse_pruned(n: u64) {
-    if n > 0 {
-        bill(|i| {
-            i.dse_pruned.fetch_add(n, Ordering::Relaxed);
-        });
-    }
-}
-
-/// Bills `n` in-place DSE clock probes to the active scope chain.
-pub fn record_dse_probes(n: u64) {
-    if n > 0 {
-        bill(|i| {
-            i.dse_probes.fetch_add(n, Ordering::Relaxed);
-        });
-    }
-}
-
-/// Bills `n` full DSE chip builds to the active scope chain.
-pub fn record_dse_full_builds(n: u64) {
-    if n > 0 {
-        bill(|i| {
-            i.dse_full_builds.fetch_add(n, Ordering::Relaxed);
         });
     }
 }
@@ -576,18 +533,14 @@ impl Trace {
             "\n    \"solve_cache_hits\": {},\n    \"solve_cache_misses\": {},\n    \
              \"solve_cache_evictions\": {},\n    \
              \"pool_submitted\": {},\n    \
-             \"pool_steals\": {},\n    \"pool_inline\": {},\n    \"allocs\": {},\n    \
-             \"dse_pruned\": {},\n    \"dse_probes\": {},\n    \"dse_full_builds\": {}\n  }},",
+             \"pool_steals\": {},\n    \"pool_inline\": {},\n    \"allocs\": {}\n  }},",
             t.solve_cache_hits,
             t.solve_cache_misses,
             t.solve_cache_evictions,
             t.pool_submitted,
             t.pool_steals,
             t.pool_inline,
-            t.allocs,
-            t.dse_pruned,
-            t.dse_probes,
-            t.dse_full_builds
+            t.allocs
         ));
         out.push_str("\n  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {

@@ -16,8 +16,9 @@
 //! 4 infeasible model (an array could not be solved), 5 budget
 //! exceeded (`--deadline-ms` elapsed or the build was cancelled).
 
+use mcpat::guard::Budget;
 use mcpat::{
-    AxisGrid, ChipStats, DseCheckpoint, DseOptions, Metric, Processor, ProcessorConfig,
+    AxisGrid, ChipStats, DseCheckpoint, DseOptions, McpatError, Metric, Processor, ProcessorConfig,
     WorkloadModel,
 };
 use std::process::ExitCode;
@@ -28,38 +29,110 @@ use std::time::Duration;
 #[global_allocator]
 static GLOBAL: mcpat::obs::CountingAlloc = mcpat::obs::CountingAlloc;
 
-/// A classified CLI failure; the variant picks the exit code.
-enum CliError {
-    /// Bad invocation: unknown flag, missing operand, no config. Exit 2.
-    Usage(String),
-    /// The configuration is unreadable, malformed, or fails
-    /// validation. Exit 3.
-    InvalidConfig(String),
-    /// The configuration is well-formed but no feasible model exists
-    /// (the array solver exhausted its relaxation ladder). Exit 4.
-    Infeasible(String),
-    /// The build tripped a resource budget: `--deadline-ms` elapsed or
-    /// a `--cancel-on-signal` signal arrived. Exit 5.
-    Budget(String),
+/// A CLI failure: its message and its class, which picks the exit code.
+struct CliError {
+    /// `Usage`, or a failure class of [`McpatError::kind`].
+    kind: &'static str,
+    message: String,
 }
 
 impl CliError {
-    fn exit_code(&self) -> ExitCode {
-        match self {
-            CliError::Usage(_) => ExitCode::from(2),
-            CliError::InvalidConfig(_) => ExitCode::from(3),
-            CliError::Infeasible(_) => ExitCode::from(4),
-            CliError::Budget(_) => ExitCode::from(5),
+    /// Bad invocation: unknown flag, missing operand, no config.
+    fn usage(message: impl Into<String>) -> CliError {
+        CliError {
+            kind: "Usage",
+            message: message.into(),
         }
     }
 
-    fn message(&self) -> &str {
-        match self {
-            CliError::Usage(m)
-            | CliError::InvalidConfig(m)
-            | CliError::Infeasible(m)
-            | CliError::Budget(m) => m,
+    /// A file that cannot be read, parsed or written.
+    fn invalid(message: impl Into<String>) -> CliError {
+        CliError {
+            kind: "InvalidConfig",
+            message: message.into(),
         }
+    }
+
+    fn exit_code(&self) -> ExitCode {
+        ExitCode::from(match self.kind {
+            "Usage" => 2,
+            "InvalidConfig" => 3,
+            "Infeasible" => 4,
+            // The budget trips: `--deadline-ms` elapsed or a
+            // `--cancel-on-signal` signal arrived.
+            _ => 5,
+        })
+    }
+}
+
+impl From<McpatError> for CliError {
+    fn from(e: McpatError) -> CliError {
+        CliError {
+            kind: e.kind(),
+            message: e.to_string(),
+        }
+    }
+}
+
+/// The argument reader every subcommand walks its argv with, so a
+/// missing or malformed flag value reads the same everywhere.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args: args.iter() }
+    }
+
+    /// The value given after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
+    }
+
+    /// The value given after `flag`, parsed as a number.
+    fn number<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|_| CliError::usage(format!("{flag}: `{v}` is not a number")))
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    /// The next flag or operand.
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+}
+
+/// Reads the JSON file at `path` and parses it with `parse`; a file that
+/// cannot be read or parsed is an invalid configuration (exit 3).
+fn read_json<T, E: std::fmt::Display>(
+    path: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::invalid(format!("cannot read `{path}`: {e}")))?;
+    parse(&text).map_err(|e| CliError::invalid(format!("`{path}` is not a valid {what}: {e}")))
+}
+
+/// The budget the `--deadline-ms` and `--cancel-on-signal` flags ask
+/// for, with the signal hook installed. A plain `--cancel-on-signal`
+/// run gets an unbounded budget that a signal can cancel; with neither
+/// flag there is no budget.
+fn governance(deadline_ms: Option<u64>, cancel_on_signal: bool) -> Option<Budget> {
+    #[cfg(unix)]
+    if cancel_on_signal {
+        sig::install();
+    }
+    match deadline_ms {
+        Some(ms) => Some(Budget::with_deadline(Duration::from_millis(ms))),
+        None if cancel_on_signal => Some(Budget::unbounded()),
+        None => None,
     }
 }
 
@@ -127,19 +200,6 @@ fn usage() -> &'static str {
      elapsed or cancelled)."
 }
 
-/// Classifies a build/sweep error into the CLI's typed exit codes.
-fn classify(e: mcpat::McpatError) -> CliError {
-    if e.guard_error().is_some() {
-        return CliError::Budget(e.to_string());
-    }
-    match e {
-        mcpat::McpatError::Invalid(_) => CliError::InvalidConfig(e.to_string()),
-        mcpat::McpatError::Array(_) | mcpat::McpatError::Budget(_) => {
-            CliError::Infeasible(e.to_string())
-        }
-    }
-}
-
 fn dse_usage() -> &'static str {
     "usage: mcpat dse --axes <spec> [options]\n\
      \n\
@@ -173,7 +233,7 @@ fn parse_list<T>(
     mut one: impl FnMut(&str) -> Result<T, String>,
 ) -> Result<Vec<T>, CliError> {
     text.split(',')
-        .map(|s| one(s.trim()).map_err(|e| CliError::Usage(format!("--axes {field}: {e}"))))
+        .map(|s| one(s.trim()).map_err(|e| CliError::usage(format!("--axes {field}: {e}"))))
         .collect()
 }
 
@@ -200,16 +260,16 @@ fn parse_clocks(text: &str) -> Result<Vec<f64>, CliError> {
         let lo: f64 = lo
             .trim()
             .parse()
-            .map_err(|_| CliError::Usage(format!("--axes clocks: `{lo}` is not a frequency")))?;
+            .map_err(|_| CliError::usage(format!("--axes clocks: `{lo}` is not a frequency")))?;
         let hi: f64 = hi
             .trim()
             .parse()
-            .map_err(|_| CliError::Usage(format!("--axes clocks: `{hi}` is not a frequency")))?;
+            .map_err(|_| CliError::usage(format!("--axes clocks: `{hi}` is not a frequency")))?;
         let count: usize = count.trim().parse().map_err(|_| {
-            CliError::Usage(format!("--axes clocks: `{count}` is not a point count"))
+            CliError::usage(format!("--axes clocks: `{count}` is not a point count"))
         })?;
         if count == 0 {
-            return Err(CliError::Usage("--axes clocks: count must be > 0".into()));
+            return Err(CliError::usage("--axes clocks: count must be > 0"));
         }
         if count == 1 {
             return Ok(vec![lo]);
@@ -237,7 +297,7 @@ fn parse_axes(spec: &str) -> Result<AxisGrid, CliError> {
         }
         let (key, value) = field
             .split_once('=')
-            .ok_or_else(|| CliError::Usage(format!("--axes: `{field}` is not key=value")))?;
+            .ok_or_else(|| CliError::usage(format!("--axes: `{field}` is not key=value")))?;
         match key.trim() {
             "nodes" => {
                 nodes = Some(parse_list("nodes", value, |s| match s {
@@ -273,11 +333,11 @@ fn parse_axes(spec: &str) -> Result<AxisGrid, CliError> {
                 clocks = Some(parse_clocks(value)?);
             }
             other => {
-                return Err(CliError::Usage(format!("--axes: unknown axis `{other}`")));
+                return Err(CliError::usage(format!("--axes: unknown axis `{other}`")));
             }
         }
     }
-    let missing = |what: &str| CliError::Usage(format!("--axes: missing `{what}=` axis"));
+    let missing = |what: &str| CliError::usage(format!("--axes: missing `{what}=` axis"));
     Ok(AxisGrid::manycore(
         nodes.ok_or_else(|| missing("nodes"))?,
         flavors.ok_or_else(|| missing("flavors"))?,
@@ -290,14 +350,12 @@ fn parse_axes(spec: &str) -> Result<AxisGrid, CliError> {
 /// Writes checkpoint JSON atomically (tmp file + rename), so a sweep
 /// killed mid-write never leaves a truncated checkpoint behind.
 fn write_checkpoint(path: &str, cp: &DseCheckpoint) -> Result<(), CliError> {
-    let json = cp
-        .to_json()
-        .map_err(|e| CliError::InvalidConfig(e.to_string()))?;
+    let json = cp.to_json().map_err(|e| CliError::invalid(e.to_string()))?;
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, json)
-        .map_err(|e| CliError::InvalidConfig(format!("cannot write `{tmp}`: {e}")))?;
+        .map_err(|e| CliError::invalid(format!("cannot write `{tmp}`: {e}")))?;
     std::fs::rename(&tmp, path)
-        .map_err(|e| CliError::InvalidConfig(format!("cannot rename `{tmp}`: {e}")))?;
+        .map_err(|e| CliError::invalid(format!("cannot rename `{tmp}`: {e}")))?;
     Ok(())
 }
 
@@ -315,80 +373,27 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
         checkpoint_every: 4096,
         ..DseOptions::default()
     };
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
+    let mut checkpoint_path: Option<&str> = None;
+    let mut resume_path: Option<&str> = None;
+    let mut out_path: Option<&str> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut cancel_on_signal = false;
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        let value = |name: &str| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--axes" => {
-                grid = Some(parse_axes(&value("--axes")?)?);
-                i += 2;
-            }
-            "--chunk" => {
-                let v = value("--chunk")?;
-                opts.chunk = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--chunk: `{v}` is not a number")))?;
-                i += 2;
-            }
-            "--checkpoint" => {
-                checkpoint_path = Some(value("--checkpoint")?);
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                let v = value("--checkpoint-every")?;
-                opts.checkpoint_every = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--checkpoint-every: `{v}` is not a number"))
-                })?;
-                i += 2;
-            }
-            "--resume" => {
-                resume_path = Some(value("--resume")?);
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(value("--out")?);
-                i += 2;
-            }
-            "--max-area" => {
-                let v = value("--max-area")?;
-                opts.budgets.max_area = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--max-area: `{v}` is not a number")))?;
-                i += 2;
-            }
-            "--max-peak-power" => {
-                let v = value("--max-peak-power")?;
-                opts.budgets.max_peak_power = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--max-peak-power: `{v}` is not a number"))
-                })?;
-                i += 2;
-            }
-            "--no-prune" => {
-                opts.prune = false;
-                i += 1;
-            }
-            "--deadline-ms" => {
-                let v = value("--deadline-ms")?;
-                deadline_ms = Some(v.parse().map_err(|_| {
-                    CliError::Usage(format!("--deadline-ms: `{v}` is not a number"))
-                })?);
-                i += 2;
-            }
-            "--cancel-on-signal" => {
-                cancel_on_signal = true;
-                i += 1;
-            }
-            flag => {
-                return Err(CliError::Usage(format!(
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--axes" => grid = Some(parse_axes(flags.value(flag)?)?),
+            "--chunk" => opts.chunk = flags.number(flag)?,
+            "--checkpoint" => checkpoint_path = Some(flags.value(flag)?),
+            "--checkpoint-every" => opts.checkpoint_every = flags.number(flag)?,
+            "--resume" => resume_path = Some(flags.value(flag)?),
+            "--out" => out_path = Some(flags.value(flag)?),
+            "--max-area" => opts.budgets.max_area = flags.number(flag)?,
+            "--max-peak-power" => opts.budgets.max_peak_power = flags.number(flag)?,
+            "--no-prune" => opts.prune = false,
+            "--deadline-ms" => deadline_ms = Some(flags.number(flag)?),
+            "--cancel-on-signal" => cancel_on_signal = true,
+            _ => {
+                return Err(CliError::usage(format!(
                     "dse: unknown argument `{flag}`\n{}",
                     dse_usage()
                 )));
@@ -396,29 +401,13 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
         }
     }
     let grid =
-        grid.ok_or_else(|| CliError::Usage(format!("dse: --axes is required\n{}", dse_usage())))?;
+        grid.ok_or_else(|| CliError::usage(format!("dse: --axes is required\n{}", dse_usage())))?;
     let resume = resume_path
-        .map(|path| {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| CliError::InvalidConfig(format!("cannot read `{path}`: {e}")))?;
-            DseCheckpoint::from_json(&text).map_err(|e| CliError::InvalidConfig(e.to_string()))
-        })
+        .map(|path| read_json(path, "checkpoint", DseCheckpoint::from_json))
         .transpose()?;
 
-    #[cfg(unix)]
-    if cancel_on_signal {
-        sig::install();
-    }
-    #[cfg(not(unix))]
-    let _ = cancel_on_signal;
-    let budget = match deadline_ms {
-        Some(ms) => Some(mcpat::guard::Budget::with_deadline(Duration::from_millis(
-            ms,
-        ))),
-        None if cancel_on_signal => Some(mcpat::guard::Budget::unbounded()),
-        None => None,
-    };
-    let _budget_scope = budget.as_ref().map(mcpat::guard::Budget::enter);
+    let budget = governance(deadline_ms, cancel_on_signal);
+    let _budget_scope = budget.as_ref().map(Budget::enter);
 
     println!(
         "dse: {} candidates ({} nodes x {} flavors x {} core counts x {} L2 sizes x {} clocks){}",
@@ -434,10 +423,10 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
             .unwrap_or_default(),
     );
     let mut evaluator = WorkloadModel::default();
-    let checkpoint_sink = |cp: &DseCheckpoint| -> Result<(), mcpat::McpatError> {
-        if let Some(path) = &checkpoint_path {
+    let checkpoint_sink = |cp: &DseCheckpoint| -> Result<(), McpatError> {
+        if let Some(path) = checkpoint_path {
             write_checkpoint(path, cp)
-                .map_err(|e| mcpat::McpatError::config("dse.checkpoint", e.message().to_owned()))?;
+                .map_err(|e| McpatError::config("dse.checkpoint", e.message))?;
         }
         Ok(())
     };
@@ -449,11 +438,10 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
         checkpoint_sink,
     )
     .map_err(|e| {
-        let e = classify(e);
-        if let (CliError::Budget(_), Some(path)) = (&e, &checkpoint_path) {
+        if let (Some(_), Some(path)) = (e.guard_error(), checkpoint_path) {
             eprintln!("mcpat: sweep interrupted; resume with --resume {path}");
         }
-        e
+        CliError::from(e)
     })?;
 
     println!(
@@ -481,7 +469,7 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    if let Some(path) = &out_path {
+    if let Some(path) = out_path {
         let cp = result.final_checkpoint(&grid);
         write_checkpoint(path, &cp)?;
         println!("dse: frontier written to {path}");
@@ -512,29 +500,15 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         println!("{}", serve_usage());
         return Ok(());
     }
-    let mut listen: Option<String> = None;
+    let mut listen: Option<&str> = None;
     let mut opts = mcpat_serve::ServeOptions::default();
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        let value = |name: &str| {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--listen" => {
-                listen = Some(value("--listen")?);
-                i += 2;
-            }
-            "--max-inflight" => {
-                let v = value("--max-inflight")?;
-                opts.max_inflight = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--max-inflight: `{v}` is not a number"))
-                })?;
-                i += 2;
-            }
-            flag => {
-                return Err(CliError::Usage(format!(
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--listen" => listen = Some(flags.value(flag)?),
+            "--max-inflight" => opts.max_inflight = flags.number(flag)?,
+            _ => {
+                return Err(CliError::usage(format!(
                     "serve: unknown argument `{flag}`\n{}",
                     serve_usage()
                 )));
@@ -542,10 +516,10 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         }
     }
     let listen = listen.ok_or_else(|| {
-        CliError::Usage(format!("serve: --listen is required\n{}", serve_usage()))
+        CliError::usage(format!("serve: --listen is required\n{}", serve_usage()))
     })?;
-    let server = mcpat_serve::Server::bind(&listen, &opts)
-        .map_err(|e| CliError::InvalidConfig(format!("cannot listen on `{listen}`: {e}")))?;
+    let server = mcpat_serve::Server::bind(listen, &opts)
+        .map_err(|e| CliError::invalid(format!("cannot listen on `{listen}`: {e}")))?;
     #[cfg(unix)]
     sig::install_drain();
     println!("serve: listening on {}", server.local_addr());
@@ -553,7 +527,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let _ = std::io::stdout().flush();
     server
         .run()
-        .map_err(|e| CliError::InvalidConfig(format!("serve: {e}")))?;
+        .map_err(|e| CliError::invalid(format!("serve: {e}")))?;
     println!("serve: drained, exiting");
     Ok(())
 }
@@ -575,95 +549,54 @@ fn run() -> Result<(), CliError> {
     let mut emit_config = false;
     let mut validate_only = false;
     let mut show_floorplan = false;
-    let mut trace_path: Option<String> = None;
+    let mut trace_path: Option<&str> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut cancel_on_signal = false;
     let mut config: Option<ProcessorConfig> = None;
     let mut stats: Option<ChipStats> = None;
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        match arg.as_str() {
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--preset" => {
-                let name = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--preset needs a name".into()))?;
+                let name = flags.value(flag)?;
                 config = Some(
                     preset(name)
-                        .ok_or_else(|| CliError::Usage(format!("unknown preset `{name}`")))?,
+                        .ok_or_else(|| CliError::usage(format!("unknown preset `{name}`")))?,
                 );
-                i += 2;
             }
             "--stats" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--stats needs a file path".into()))?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::InvalidConfig(format!("cannot read `{path}`: {e}")))?;
-                stats = Some(serde_json::from_str(&text).map_err(|e| {
-                    CliError::InvalidConfig(format!("`{path}` is not a valid stats file: {e}"))
-                })?);
-                i += 2;
+                let path = flags.value(flag)?;
+                stats = Some(read_json(path, "stats file", serde_json::from_str)?);
             }
-            "--emit-config" => {
-                emit_config = true;
-                i += 1;
-            }
-            "--validate" => {
-                validate_only = true;
-                i += 1;
-            }
-            "--floorplan" => {
-                show_floorplan = true;
-                i += 1;
-            }
-            "--trace" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--trace needs a file path".into()))?;
-                trace_path = Some(path.clone());
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let ms = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--deadline-ms needs a number".into()))?;
-                deadline_ms = Some(ms.parse().map_err(|_| {
-                    CliError::Usage(format!("--deadline-ms: `{ms}` is not a number"))
-                })?);
-                i += 2;
-            }
-            "--cancel-on-signal" => {
-                cancel_on_signal = true;
-                i += 1;
-            }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!(
+            "--emit-config" => emit_config = true,
+            "--validate" => validate_only = true,
+            "--floorplan" => show_floorplan = true,
+            "--trace" => trace_path = Some(flags.value(flag)?),
+            "--deadline-ms" => deadline_ms = Some(flags.number(flag)?),
+            "--cancel-on-signal" => cancel_on_signal = true,
+            _ if flag.starts_with('-') => {
+                return Err(CliError::usage(format!(
                     "unknown flag `{flag}`\n{}",
                     usage()
                 )));
             }
             path => {
                 if config.is_some() {
-                    return Err(CliError::Usage(format!(
+                    return Err(CliError::usage(format!(
                         "unexpected operand `{path}` (use --stats <file> for a stats file)\n{}",
                         usage()
                     )));
                 }
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::InvalidConfig(format!("cannot read `{path}`: {e}")))?;
-                config = Some(serde_json::from_str(&text).map_err(|e| {
-                    CliError::InvalidConfig(format!("`{path}` is not a valid config: {e}"))
-                })?);
-                i += 1;
+                config = Some(read_json(path, "config", serde_json::from_str)?);
             }
         }
     }
 
     let config =
-        config.ok_or_else(|| CliError::Usage(format!("no configuration given\n{}", usage())))?;
+        config.ok_or_else(|| CliError::usage(format!("no configuration given\n{}", usage())))?;
     if emit_config {
         let json = serde_json::to_string_pretty(&config)
-            .map_err(|e| CliError::InvalidConfig(format!("serialization failed: {e}")))?;
+            .map_err(|e| CliError::invalid(format!("serialization failed: {e}")))?;
         println!("{json}");
         return Ok(());
     }
@@ -684,9 +617,7 @@ fn run() -> Result<(), CliError> {
         );
         println!("{diags}");
         if diags.has_errors() {
-            return Err(CliError::InvalidConfig(
-                "configuration failed validation".into(),
-            ));
+            return Err(CliError::invalid("configuration failed validation"));
         }
         return Ok(());
     }
@@ -694,42 +625,16 @@ fn run() -> Result<(), CliError> {
     if trace_path.is_some() {
         mcpat::obs::set_tracing(true);
     }
-    #[cfg(unix)]
-    if cancel_on_signal {
-        sig::install();
-    }
-    #[cfg(not(unix))]
-    let _ = cancel_on_signal;
-    // A budget scope is opened whenever either governance flag is set:
-    // a plain `--cancel-on-signal` run gets an unbounded budget that a
-    // signal can cancel.
-    let budget = match deadline_ms {
-        Some(ms) => Some(mcpat::guard::Budget::with_deadline(Duration::from_millis(
-            ms,
-        ))),
-        None if cancel_on_signal => Some(mcpat::guard::Budget::unbounded()),
-        None => None,
-    };
-    let _budget_scope = budget.as_ref().map(mcpat::guard::Budget::enter);
-    let chip = Processor::build(&config).map_err(|e| {
-        if e.guard_error().is_some() {
-            CliError::Budget(e.to_string())
-        } else {
-            match e {
-                mcpat::McpatError::Invalid(_) => CliError::InvalidConfig(e.to_string()),
-                mcpat::McpatError::Array(_) | mcpat::McpatError::Budget(_) => {
-                    CliError::Infeasible(e.to_string())
-                }
-            }
-        }
-    })?;
-    if let Some(path) = &trace_path {
+    let budget = governance(deadline_ms, cancel_on_signal);
+    let _budget_scope = budget.as_ref().map(Budget::enter);
+    let chip = Processor::build(&config)?;
+    if let Some(path) = trace_path {
         let json = chip
             .trace
             .as_ref()
             .map_or_else(|| mcpat::obs::Trace::default().to_json(), |t| t.to_json());
         std::fs::write(path, json)
-            .map_err(|e| CliError::InvalidConfig(format!("cannot write `{path}`: {e}")))?;
+            .map_err(|e| CliError::invalid(format!("cannot write `{path}`: {e}")))?;
     }
     println!("{}", chip.report());
     if show_floorplan {
@@ -761,7 +666,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("mcpat: {}", e.message());
+            eprintln!("mcpat: {}", e.message);
             e.exit_code()
         }
     }

@@ -61,13 +61,6 @@ pub fn drain_requested() -> bool {
     SIGNAL_DRAIN.load(Ordering::SeqCst)
 }
 
-/// Test-only reset of the process-wide drain flag, so one test's
-/// drain does not leak into the next server started in this process.
-#[doc(hidden)]
-pub fn reset_drain_for_tests() {
-    SIGNAL_DRAIN.store(false, Ordering::SeqCst);
-}
-
 /// Test-only hold applied by the *building* side of a coalesced
 /// evaluation before the build starts, so tests can deterministically
 /// overlap a second identical request (which must coalesce) or an

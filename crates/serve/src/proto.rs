@@ -26,9 +26,9 @@
 //! ```
 //!
 //! `error.kind` is a closed vocabulary: `InvalidRequest` (malformed
-//! envelope), `InvalidConfig`, `Infeasible`, `DeadlineExceeded`,
-//! `Cancelled`, `MemoryBudget` (budget trips, named by
-//! [`mcpat::guard::GuardError::kind`]), and `Overloaded` (admission
+//! envelope), the build failure classes of [`mcpat::McpatError::kind`]
+//! (`InvalidConfig`, `Infeasible`, and the budget trips
+//! `DeadlineExceeded` and `Cancelled`), and `Overloaded` (admission
 //! cap).
 
 use mcpat::array::memo::SolveCacheStats;

@@ -14,8 +14,8 @@
 //! differ only in `name` are the same model; the second parks on the
 //! first's in-flight build (the DSE engine's dedupe identity) and
 //! re-labels a clone of the shared chip. The coalesce map holds the
-//! canonical config JSON (name cleared) — never a lock across the
-//! build itself, mirroring the solve cache's pending-key protocol.
+//! canonical config JSON (name cleared, but whether it was empty kept)
+//! — never a lock across the build itself.
 
 use crate::proto::{self, EvaluateRequest, Request, RequestPerf, ServerStatsView};
 use mcpat::guard::Budget;
@@ -92,7 +92,7 @@ struct Shared {
     in_flight: AtomicUsize,
     drain: AtomicBool,
     counters: Counters,
-    /// Canonical config JSON (name cleared) -> in-flight build.
+    /// Canonical coalescing key ([`canonical_key`]) -> in-flight build.
     builds: Mutex<HashMap<String, Arc<BuildSlot>>>,
 }
 
@@ -357,17 +357,6 @@ fn stats_response(shared: &Shared, id: Option<u64>) -> String {
     )
 }
 
-/// Maps a build failure to its wire `error.kind`.
-fn error_kind(e: &McpatError) -> &'static str {
-    if let Some(g) = e.guard_error() {
-        return g.kind();
-    }
-    match e {
-        McpatError::Invalid(_) => "InvalidConfig",
-        McpatError::Array(_) | McpatError::Budget(_) => "Infeasible",
-    }
-}
-
 /// One admitted `evaluate`: its own budget scope, its own collector,
 /// coalesced onto an identical in-flight build when one exists.
 fn handle_evaluate(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
@@ -418,7 +407,7 @@ fn handle_evaluate(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
         }
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::SeqCst);
-            let kind = error_kind(&e);
+            let kind = e.kind();
             if kind == "DeadlineExceeded" {
                 shared
                     .counters
@@ -431,16 +420,25 @@ fn handle_evaluate(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
 }
 
 /// The canonical coalescing key: the config's JSON with the name
-/// cleared, so identical-modulo-name requests share one build.
+/// cleared, so identical-modulo-name requests share one build. Whether
+/// the name was empty stays in the key, because validation warns about
+/// an unnamed configuration and the relabeled report must match a fresh
+/// build. JSON rather than `==` on the config, because `-0.0 == 0.0`.
 fn canonical_key(cfg: &ProcessorConfig) -> Result<String, McpatError> {
     let mut c = cfg.clone();
     c.name.clear();
-    serde_json::to_string(&c).map_err(|e| {
+    let json = serde_json::to_string(&c).map_err(|e| {
         McpatError::config(
             "serve.request.config",
             format!("configuration cannot be canonicalized: {e}"),
         )
-    })
+    })?;
+    let named = if cfg.name.is_empty() {
+        "unnamed"
+    } else {
+        "named"
+    };
+    Ok(format!("{named}:{json}"))
 }
 
 enum Claim {

@@ -7,7 +7,7 @@
 //! Integration tests for the `mcpat` command-line front-end.
 //!
 //! Exit-code contract under test: 0 success, 2 usage error, 3 invalid
-//! configuration, 4 infeasible model.
+//! configuration, 4 infeasible model, 5 budget exceeded.
 
 use std::process::Command;
 
@@ -446,4 +446,75 @@ fn resuming_a_version_one_dse_checkpoint_exits_3_naming_the_schema() {
     assert!(err.contains("expected mcpat-dse-checkpoint-v2"), "{err}");
     let _ = std::fs::remove_file(&v1);
     let _ = std::fs::remove_file(&v2);
+}
+
+#[test]
+fn an_elapsed_deadline_exits_5() {
+    let out = mcpat_bin()
+        .args(["--preset", "niagara", "--deadline-ms", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 5);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("deadline exceeded"), "{err}");
+    assert!(out.stdout.is_empty(), "a tripped build prints no report");
+}
+
+#[test]
+fn an_elapsed_dse_deadline_exits_5() {
+    let out = mcpat_bin()
+        .args([
+            "dse",
+            "--axes",
+            "nodes=32;flavors=hp;cores=2;l2=1M;clocks=1e9,2e9",
+            "--deadline-ms",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 5);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("deadline exceeded"), "{err}");
+}
+
+#[test]
+fn an_unparseable_deadline_is_a_usage_error_naming_the_flag() {
+    let one_shot = ["--preset", "niagara", "--deadline-ms", "abc"];
+    let dse = [
+        "dse",
+        "--axes",
+        "nodes=32;flavors=hp;cores=2;l2=1M;clocks=1e9",
+        "--deadline-ms",
+        "abc",
+    ];
+    for args in [&one_shot[..], &dse[..]] {
+        let out = mcpat_bin().args(args).output().unwrap();
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("--deadline-ms"), "{args:?}: {err}");
+        assert!(err.contains("abc"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_value_flag_given_last_is_a_usage_error_naming_the_flag() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["--preset", "niagara", "--trace"], "--trace"),
+        (
+            &[
+                "dse",
+                "--axes",
+                "nodes=32;flavors=hp;cores=2;l2=1M;clocks=1e9",
+                "--chunk",
+            ],
+            "--chunk",
+        ),
+        (&["serve", "--listen"], "--listen"),
+    ];
+    for (args, flag) in cases {
+        let out = mcpat_bin().args(args).output().unwrap();
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
 }

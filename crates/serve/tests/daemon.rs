@@ -427,3 +427,78 @@ fn shutdown_envelope_drains_and_run_returns() {
     join.join().unwrap();
     assert_eq!(handle.in_flight(), 0);
 }
+
+/// Polls `stats` until at least one `evaluate` holds an admission slot.
+fn wait_for_admission(probe: &mut Client) {
+    let t0 = Instant::now();
+    loop {
+        let stats = probe.roundtrip("{\"type\":\"stats\"}");
+        let in_flight = stats
+            .get("stats")
+            .and_then(|s| s.get("server"))
+            .and_then(|s| s.get("in_flight"))
+            .and_then(Value::as_u64)
+            .unwrap();
+        if in_flight >= 1 {
+            return;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the first request was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The report without its `Build:` line, which records cache traffic
+/// rather than the model.
+fn model_lines(report: &str) -> String {
+    report
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("Build:"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn an_unnamed_request_does_not_coalesce_with_a_named_one() {
+    let _hold_lock = HOLD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _reset = HoldReset;
+    let (handle, join) = start_server(8);
+
+    // Validation warns about an empty name only, so the two configs,
+    // identical apart from the name, render different warning sets.
+    // The clock alone leaves niagara's array solves unchanged; its own
+    // temperature keeps this test from warming the other hold tests'
+    // solves.
+    let mut unnamed = distinct_config("", 1.23e9);
+    unnamed.temperature_k = 350.0;
+    let mut named = unnamed.clone();
+    named.name = "herd-named".to_owned();
+    mcpat_serve::set_eval_hold_ms(400);
+    let mut a = Client::connect(&handle);
+    let mut b = Client::connect(&handle);
+    let mut probe = Client::connect(&handle);
+    a.send(&evaluate_line(&unnamed, 1));
+    wait_for_admission(&mut probe);
+    b.send(&evaluate_line(&named, 2));
+    let resp_a = a.recv();
+    let resp_b = b.recv();
+    mcpat_serve::set_eval_hold_ms(0);
+    assert_eq!(status(&resp_a), "ok", "{resp_a:?}");
+    assert_eq!(status(&resp_b), "ok", "{resp_b:?}");
+    assert!(!perf_bool(&resp_b, "coalesced"), "{resp_b:?}");
+
+    for (resp, cfg) in [(&resp_a, &unnamed), (&resp_b, &named)] {
+        let fresh = mcpat::Processor::build(cfg).unwrap().report();
+        assert_eq!(
+            model_lines(report(resp)),
+            model_lines(&fresh),
+            "`{}`: the served report differs from a fresh build",
+            cfg.name
+        );
+    }
+
+    handle.request_drain();
+    join.join().unwrap();
+}

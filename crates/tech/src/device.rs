@@ -233,12 +233,6 @@ impl DeviceParams {
     pub fn r_on_n(&self) -> f64 {
         self.vdd / (self.i_on_n * 0.5)
     }
-
-    /// Effective switching resistance of a 1 m wide PMOS, Ω·m.
-    #[must_use]
-    pub fn r_on_p(&self) -> f64 {
-        self.vdd / (self.i_on_p * 0.5)
-    }
 }
 
 #[cfg(test)]

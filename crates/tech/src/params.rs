@@ -4,7 +4,7 @@
 use crate::cell::{CamCell, DffStorage, EdramCell, SramCell};
 use crate::device::{DeviceParams, DeviceType};
 use crate::node::TechNode;
-use crate::wire::{LowSwingWire, WireParams, WireProjection, WireType};
+use crate::wire::{WireParams, WireProjection, WireType};
 
 /// A fully resolved process corner: node + device flavor + temperature +
 /// interconnect projection.
@@ -48,7 +48,7 @@ pub struct TechParams {
 
 /// Values that depend only on the corner itself and are hot on the
 /// per-candidate solver path: temperature-resolved leakage currents
-/// (each hides an `exp`), on-resistances, the FO4 delay, and the three
+/// (each hides an `exp`), the NMOS on-resistance, the FO4 delay, and the three
 /// wire classes. Caching them here makes `subthreshold_leakage`,
 /// `r_eq_n`, `fo4`, and `wire` branch-and-table-free.
 ///
@@ -60,7 +60,6 @@ struct TechDerived {
     i_off_n_t: f64,
     i_off_p_t: f64,
     r_on_n: f64,
-    r_on_p: f64,
     fo4: f64,
     wire_local: WireParams,
     wire_intermediate: WireParams,
@@ -85,7 +84,6 @@ impl TechDerived {
             i_off_n_t: device.i_off_n(temperature),
             i_off_p_t: device.i_off_p(temperature),
             r_on_n,
-            r_on_p: device.r_on_p(),
             fo4: 0.69 * r * (c_self + 4.0 * c_in),
             wire_local: WireParams::new(node, WireType::Local, projection),
             wire_intermediate: WireParams::new(node, WireType::Intermediate, projection),
@@ -185,12 +183,6 @@ impl TechParams {
         self.derived.r_on_n / w
     }
 
-    /// Equivalent switching resistance of a PMOS of width `w`, Ω.
-    #[must_use]
-    pub fn r_eq_p(&self, w: f64) -> f64 {
-        self.derived.r_on_p / w
-    }
-
     /// The fanout-of-4 inverter delay of this corner, s.
     ///
     /// This is the canonical speed unit: pipeline depths and achievable
@@ -234,12 +226,6 @@ impl TechParams {
             WireType::Intermediate => self.derived.wire_intermediate,
             WireType::Global => self.derived.wire_global,
         }
-    }
-
-    /// Low-swing differential wire parameters for this corner.
-    #[must_use]
-    pub fn low_swing_wire(&self) -> LowSwingWire {
-        LowSwingWire::new(self.node, self.projection)
     }
 
     /// The canonical 6T SRAM cell of this node.
@@ -366,7 +352,6 @@ mod tests {
                         t.device.i_off_p(t.temperature).to_bits()
                     );
                     assert_eq!(d.r_on_n.to_bits(), t.device.r_on_n().to_bits());
-                    assert_eq!(d.r_on_p.to_bits(), t.device.r_on_p().to_bits());
                     // The pre-cache fo4 expression, verbatim.
                     let wn = t.min_w_nmos();
                     let wp = t.min_w_pmos();

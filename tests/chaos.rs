@@ -20,8 +20,8 @@ use mcpat::array::memo;
 use mcpat::guard::{Budget, GuardError};
 use mcpat::tech::{DeviceType, TechNode};
 use mcpat::{
-    dse_streaming, AxisGrid, DseCheckpoint, DseOptions, ParetoFrontier, Processor, ProcessorConfig,
-    WorkloadModel,
+    dse_streaming, AxisGrid, DseCheckpoint, DseOptions, McpatError, ParetoFrontier, Processor,
+    ProcessorConfig, WorkloadModel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -189,6 +189,14 @@ fn mid_build_cancellation_leaves_no_poisoned_state() {
                         "{}: expected Cancelled, got {g}",
                         cfg.name
                     );
+                    // One representation: a cancel inside a solver sweep
+                    // is the same budget error as one between stages.
+                    assert!(
+                        matches!(e, McpatError::Budget(_)),
+                        "{}: a budget trip surfaced as {e:?}",
+                        cfg.name
+                    );
+                    assert_eq!(e.kind(), "Cancelled", "{}", cfg.name);
                 }
             }
             // Zero poisoned state: the very next unbudgeted build, on

@@ -413,36 +413,3 @@ fn stolen_pool_tasks_bill_the_submitting_scope() {
         "no steal observed in 50 attempts of a nested fan-out on a 4-thread pool"
     );
 }
-
-/// A sweep's scope sees exactly the engine's decision counters: row
-/// bases advanced by an L2 resize are neither probes nor full builds.
-#[test]
-fn traced_dse_counters_equal_the_sweep_perf() {
-    let _guard = knob_lock();
-    let _reset = KnobReset;
-    // The perfbench `dse_sweep` shape, scaled down: several L2 rows per
-    // group (cache rebuilds) and chunks small enough to prune.
-    let grid = AxisGrid::manycore(
-        vec![TechNode::N45, TechNode::N32],
-        vec![DeviceType::Hp, DeviceType::Lop],
-        vec![2, 8],
-        vec![512 * 1024, 1 << 20, 4 << 20],
-        (0..20).map(|i| 1.0e9 + 1.0e8 * f64::from(i)).collect(),
-    );
-    let opts = DseOptions {
-        chunk: 32,
-        ..DseOptions::default()
-    };
-    let collector = mcpat::obs::Collector::new();
-    let result = {
-        let _scope = collector.enter();
-        dse(&grid, &opts, &mut WorkloadModel::default()).unwrap()
-    };
-    let (perf, traced) = (result.perf, collector.snapshot());
-    assert!(perf.cache_rebuilds > 0 && perf.pruned > 0, "{perf:?}");
-    assert_eq!(
-        (traced.dse_pruned, traced.dse_probes, traced.dse_full_builds),
-        (perf.pruned, perf.probes, perf.full_builds),
-        "{perf:?}"
-    );
-}
