@@ -97,13 +97,6 @@ impl CacheSpec {
         self
     }
 
-    /// Sets the bank count (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_banks(mut self, banks: u32) -> CacheSpec {
-        self.banks = banks.max(1);
-        self
-    }
-
     /// Sets the per-bank port configuration.
     #[must_use]
     pub fn with_ports(mut self, ports: Ports) -> CacheSpec {
@@ -412,10 +405,12 @@ mod tests {
         let one = CacheSpec::new("l2", 2 * 1024 * 1024, 64, 8)
             .solve(&t, OptTarget::EnergyDelay)
             .unwrap();
-        let four = CacheSpec::new("l2", 2 * 1024 * 1024, 64, 8)
-            .with_banks(4)
-            .solve(&t, OptTarget::EnergyDelay)
-            .unwrap();
+        let four = CacheSpec {
+            banks: 4,
+            ..CacheSpec::new("l2", 2 * 1024 * 1024, 64, 8)
+        }
+        .solve(&t, OptTarget::EnergyDelay)
+        .unwrap();
         // Four quarter-size banks: per-access energy drops, total area
         // stays within ~2×, leakage comparable.
         assert!(four.read_hit_energy < one.read_hit_energy);

@@ -285,8 +285,8 @@ impl Mat {
         }
     }
 
-    /// The per-access metrics with all columns active (the common case
-    /// used by the solver before column-select gating).
+    /// The per-access metrics with all columns active.
+    #[cfg(test)]
     #[must_use]
     pub fn evaluate_full(&self, search_bits: u32) -> MatMetrics {
         self.evaluate(self.cols, self.cols, search_bits)
@@ -482,12 +482,14 @@ impl MatInvariants {
     }
 
     /// Physical cell height including port tracks, m.
+    #[cfg(test)]
     #[must_use]
     pub fn cell_height(&self) -> f64 {
         self.cell_height
     }
 
     /// Physical cell width including port tracks, m.
+    #[cfg(test)]
     #[must_use]
     pub fn cell_width(&self) -> f64 {
         self.cell_width

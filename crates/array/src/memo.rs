@@ -248,6 +248,7 @@ static CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// `MCPAT_SOLVE_CACHE_CAP` knob (default 4096). Intended for tests and
 /// benchmarks forcing eviction pressure without mutating the process
 /// environment.
+// lint: allow(L013, the in-process twin of MCPAT_SOLVE_CACHE_CAP; the chaos tests force evictions with it)
 pub fn set_cap(cap: Option<usize>) {
     CAP_OVERRIDE.store(cap.unwrap_or(usize::MAX), Ordering::SeqCst);
 }

@@ -190,13 +190,6 @@ impl SolvedArray {
         self.relaxation
             .map(|r| mcpat_diag::Diagnostic::warning(self.name.clone(), r.to_string()))
     }
-
-    /// Average energy of an access mix with the given read fraction, J.
-    #[must_use]
-    pub fn mixed_energy(&self, read_fraction: f64) -> f64 {
-        let rf = read_fraction.clamp(0.0, 1.0);
-        rf * self.read_energy + (1.0 - rf) * self.write_energy
-    }
 }
 
 fn pow2s_up_to(max: usize) -> impl Iterator<Item = usize> {
@@ -384,6 +377,7 @@ static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 /// Selects the reference (unhoisted) solver for subsequent solves.
 /// For differential tests only; solves remain bit-identical either way.
 #[doc(hidden)]
+// lint: allow(L013, differential tests build whole chips on the reference solver and compare bits)
 pub fn set_reference_mode(enabled: bool) {
     REFERENCE_MODE.store(enabled, Ordering::SeqCst);
 }
@@ -1747,16 +1741,5 @@ mod tests {
             assert_eq!(p.read_energy.to_bits(), serial.read_energy.to_bits());
             assert_eq!(p.area.to_bits(), serial.area.to_bits());
         }
-    }
-
-    #[test]
-    fn mixed_energy_interpolates() {
-        let t = tech();
-        let a = ArraySpec::ram(64 * 1024, 64)
-            .solve(&t, OptTarget::EnergyDelay)
-            .unwrap();
-        let mixed = a.mixed_energy(0.5);
-        assert!(mixed >= a.read_energy.min(a.write_energy));
-        assert!(mixed <= a.read_energy.max(a.write_energy));
     }
 }

@@ -171,14 +171,6 @@ fn case_study_core(kind: &'static str, node: TechNode) -> CoreConfig {
     core
 }
 
-/// Runs F-CS1/F-CS2 in the abundant-TLP regime (enough software threads
-/// to fill every hardware context). See
-/// [`case_study_points_with_tlp`] for the latency-bound regime.
-#[must_use]
-pub fn case_study_points(node: TechNode) -> Vec<CaseStudyPoint> {
-    case_study_points_with_tlp(node, f64::INFINITY)
-}
-
 /// Builds the design-point grid at `node` — 16- and 32-core in-order
 /// chips vs a 16-core out-of-order chip, at clustering degrees
 /// {1, 2, 4, 8} — under a workload offering `tlp` parallel software
@@ -607,7 +599,7 @@ mod tests {
 
     #[test]
     fn case_study_shapes_hold() {
-        let points = case_study_points(TechNode::N22);
+        let points = case_study_points_with_tlp(TechNode::N22, f64::INFINITY);
         assert_eq!(points.len(), 12);
         // In-order 32-core chips out-throughput OoO 16-core chips on TLP work.
         let io_best = points

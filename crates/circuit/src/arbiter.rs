@@ -43,12 +43,6 @@ impl MatrixArbiter {
         }
     }
 
-    /// Number of requesters.
-    #[must_use]
-    pub fn requesters(&self) -> usize {
-        self.requesters
-    }
-
     /// Metrics of one arbitration decision.
     #[must_use]
     pub fn metrics(&self) -> CircuitMetrics {

@@ -73,18 +73,6 @@ impl Crossbar {
         }
     }
 
-    /// Input port count.
-    #[must_use]
-    pub fn n_in(&self) -> usize {
-        self.n_in
-    }
-
-    /// Output port count.
-    #[must_use]
-    pub fn n_out(&self) -> usize {
-        self.n_out
-    }
-
     /// Word width in bits.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -177,8 +165,8 @@ mod tests {
     fn gate_level_checks() {
         let t = tech();
         let x = Crossbar::new(&t, 2, 3, 16);
-        assert_eq!(x.n_in(), 2);
-        assert_eq!(x.n_out(), 3);
+        assert_eq!(x.n_in, 2);
+        assert_eq!(x.n_out, 3);
         assert_eq!(x.width(), 16);
         let _inv = crate::gate::LogicGate::new(&t, crate::gate::GateKind::Inverter, 1.0);
     }

@@ -21,13 +21,11 @@ use mcpat_tech::TechParams;
 ///
 /// let tech = TechParams::new(TechNode::N65, DeviceType::Hp, 360.0);
 /// let dec = RowDecoder::new(&tech, 256, 50e-15);
-/// assert_eq!(dec.address_bits(), 8);
 /// assert!(dec.metrics().delay > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RowDecoder {
     num_rows: usize,
-    address_bits: u32,
     /// All predecoders are identically sized 2-input NANDs, so one
     /// prototype plus a count replaces the per-candidate `Vec` the
     /// partition sweep used to allocate on every evaluation.
@@ -54,25 +52,12 @@ impl RowDecoder {
         let wordline_driver = BufferChain::for_load(tech, c_wordline.max(1e-18));
         RowDecoder {
             num_rows,
-            address_bits,
             predecoder,
             num_predecoders,
             row_gate,
             wordline_driver,
             tech: *tech,
         }
-    }
-
-    /// Number of address bits decoded.
-    #[must_use]
-    pub fn address_bits(&self) -> u32 {
-        self.address_bits
-    }
-
-    /// Number of selectable rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
     }
 
     /// Metrics of one decode operation (one row fires).
@@ -121,11 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn address_bits_round_up() {
+    fn predecoders_cover_the_rounded_up_address_bits() {
+        // 64 rows decode 6 address bits (3 pairs); 65 round up to 7 (4).
         let t = tech();
-        assert_eq!(RowDecoder::new(&t, 100, 1e-15).address_bits(), 7);
-        assert_eq!(RowDecoder::new(&t, 128, 1e-15).address_bits(), 7);
-        assert_eq!(RowDecoder::new(&t, 129, 1e-15).address_bits(), 8);
+        assert_eq!(RowDecoder::new(&t, 64, 1e-15).num_predecoders, 3);
+        assert_eq!(RowDecoder::new(&t, 65, 1e-15).num_predecoders, 4);
     }
 
     #[test]

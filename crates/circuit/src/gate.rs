@@ -243,12 +243,6 @@ impl BufferChain {
         }
     }
 
-    /// Number of inverter stages.
-    #[must_use]
-    pub fn num_stages(&self) -> usize {
-        self.n_stages
-    }
-
     /// Capacitance presented to whatever drives the chain, F.
     #[must_use]
     pub fn input_cap(&self) -> f64 {
@@ -333,7 +327,7 @@ mod tests {
         let t = tech();
         let small = BufferChain::for_load(&t, 10e-15);
         let big = BufferChain::for_load(&t, 10e-12);
-        assert!(big.num_stages() > small.num_stages());
+        assert!(big.n_stages > small.n_stages);
     }
 
     #[test]

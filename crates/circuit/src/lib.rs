@@ -35,7 +35,6 @@ pub mod gate;
 pub mod metrics;
 pub mod mux;
 pub mod repeater;
-pub mod timing;
 
 pub use arbiter::MatrixArbiter;
 pub use comparator::TagComparator;

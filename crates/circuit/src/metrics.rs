@@ -80,8 +80,6 @@ impl Sum for StaticPower {
 /// let b = CircuitMetrics { area: 2e-9, delay: 3e-10, energy_per_op: 1e-12, ..Default::default() };
 /// let sum = a.in_series(&b);
 /// assert!((sum.delay - 4e-10).abs() < 1e-18);     // delays add in series
-/// let par = a.in_parallel(&b);
-/// assert!((par.delay - 3e-10).abs() < 1e-18);     // max delay in parallel
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CircuitMetrics {
@@ -114,41 +112,10 @@ impl CircuitMetrics {
         }
     }
 
-    /// Combines with a structure operating *in parallel*: areas, energies
-    /// and leakage add; the slower delay dominates.
-    #[must_use]
-    pub fn in_parallel(&self, other: &CircuitMetrics) -> CircuitMetrics {
-        CircuitMetrics {
-            area: self.area + other.area,
-            delay: self.delay.max(other.delay),
-            energy_per_op: self.energy_per_op + other.energy_per_op,
-            leakage: self.leakage + other.leakage,
-        }
-    }
-
-    /// Returns this structure replicated `n` times operating in parallel
-    /// (n ports, n lanes, ...): area/energy/leakage scale, delay unchanged.
-    #[must_use]
-    pub fn replicated(&self, n: usize) -> CircuitMetrics {
-        let k = n as f64;
-        CircuitMetrics {
-            area: self.area * k,
-            delay: self.delay,
-            energy_per_op: self.energy_per_op * k,
-            leakage: self.leakage.scaled(k),
-        }
-    }
-
     /// Dynamic power at an access rate of `ops_per_second`, W.
     #[must_use]
     pub fn dynamic_power(&self, ops_per_second: f64) -> f64 {
         self.energy_per_op * ops_per_second
-    }
-
-    /// Total power (dynamic at the given op rate + leakage), W.
-    #[must_use]
-    pub fn total_power(&self, ops_per_second: f64) -> f64 {
-        self.dynamic_power(ops_per_second) + self.leakage.total()
     }
 }
 
@@ -178,33 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_takes_max_delay() {
-        let x = sample(1.0, 2.0, 3.0, 4.0);
-        let y = sample(1.0, 7.0, 3.0, 4.0);
-        assert_eq!(x.in_parallel(&y).delay, 7.0);
-    }
-
-    #[test]
-    fn replication_scales_everything_but_delay() {
-        let x = sample(1.0, 2.0, 3.0, 4.0);
-        let r = x.replicated(4);
-        assert_eq!(r.area, 4.0);
-        assert_eq!(r.delay, 2.0);
-        assert_eq!(r.energy_per_op, 12.0);
-        assert!((r.leakage.subthreshold - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn static_power_sums() {
         let parts = vec![StaticPower::new(1.0, 0.5), StaticPower::new(2.0, 0.25)];
         let total: StaticPower = parts.into_iter().sum();
         assert!((total.total() - 3.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_power_combines_dynamic_and_static() {
-        let x = sample(1.0, 1.0, 2.0, 1.0);
-        // 2 J/op × 3 op/s + 1.1 W leakage
-        assert!((x.total_power(3.0) - 7.1).abs() < 1e-12);
     }
 }

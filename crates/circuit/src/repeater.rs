@@ -340,7 +340,9 @@ mod tests {
         let t = tech();
         let len = 5e-3;
         let rep = RepeatedWire::delay_optimal(&t, WireType::Global, len);
-        let raw = t.wire(WireType::Global).unrepeated_delay(len);
+        // The unrepeated distributed-RC bound, 0.38·R·C·L².
+        let w = t.wire(WireType::Global);
+        let raw = 0.38 * w.r_per_m * w.c_per_m * len * len;
         assert!(rep.metrics.delay < raw);
     }
 

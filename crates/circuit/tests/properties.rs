@@ -7,7 +7,6 @@ use mcpat_circuit::crossbar::Crossbar;
 use mcpat_circuit::decoder::RowDecoder;
 use mcpat_circuit::gate::{BufferChain, GateKind, LogicGate};
 use mcpat_circuit::repeater::RepeatedWire;
-use mcpat_circuit::timing::horowitz;
 use mcpat_tech::{DeviceType, TechNode, TechParams, WireType};
 use proptest::prelude::*;
 
@@ -119,13 +118,4 @@ proptest! {
         prop_assert!(big.energy_per_op > small.energy_per_op);
     }
 
-    #[test]
-    fn horowitz_never_beats_the_step_response(
-        ramp in 1e-12..1e-9f64,
-        tf in 1e-12..1e-9f64,
-    ) {
-        let step = horowitz(0.0, tf, 0.5);
-        let slow = horowitz(ramp, tf, 0.5);
-        prop_assert!(slow >= step * 0.99, "slow {slow:e} vs step {step:e}");
-    }
 }

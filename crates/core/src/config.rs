@@ -509,6 +509,7 @@ impl ProcessorConfig {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use mcpat_diag::Severity;
 
     #[test]
     fn presets_validate() {
@@ -551,7 +552,8 @@ mod tests {
         let d = cfg.validate();
         assert!(d.has_errors());
         assert!(
-            d.errors().any(|f| f.path == "num_l2s"),
+            d.iter()
+                .any(|f| f.severity == Severity::Error && f.path == "num_l2s"),
             "expected a num_l2s finding: {d}"
         );
     }
@@ -639,7 +641,11 @@ mod tests {
         cfg.temperature_k = 290.0;
         let d = cfg.validate();
         assert!(!d.has_errors(), "{d}");
-        assert!(d.warnings().any(|f| f.path == "temperature_k"), "{d}");
+        assert!(
+            d.iter()
+                .any(|f| f.severity == Severity::Warning && f.path == "temperature_k"),
+            "{d}"
+        );
     }
 
     #[test]

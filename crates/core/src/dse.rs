@@ -1290,9 +1290,8 @@ mod tests {
         let err = DseCheckpoint::from_json(&serde_json::to_string(&v1).unwrap())
             .expect_err("a version-1 checkpoint must be rejected");
         assert!(matches!(err, McpatError::Invalid(_)), "{err:?}");
-        let at_schema = err
-            .diagnostics()
-            .is_some_and(|d| d.iter().any(|f| f.path == "dse.checkpoint.schema"));
+        let at_schema = matches!(&err, McpatError::Invalid(d)
+            if d.iter().any(|f| f.path == "dse.checkpoint.schema"));
         assert!(at_schema, "{err}");
         assert!(err.to_string().contains(CHECKPOINT_SCHEMA), "{err}");
     }
@@ -1465,9 +1464,8 @@ mod tests {
             bad.winners.resize(len, None);
             let err = DseCheckpoint::from_json(&bad.to_json().expect("json"))
                 .expect_err("a malformed winners array must be rejected");
-            let at_winners = err
-                .diagnostics()
-                .is_some_and(|d| d.iter().any(|f| f.path == "dse.checkpoint.winners"));
+            let at_winners = matches!(&err, McpatError::Invalid(d)
+                if d.iter().any(|f| f.path == "dse.checkpoint.winners"));
             assert!(at_winners, "{err}");
         }
     }

@@ -39,15 +39,6 @@ impl McpatError {
         McpatError::Invalid(d)
     }
 
-    /// The findings of a failed validation, if that is what this is.
-    #[must_use]
-    pub fn diagnostics(&self) -> Option<&Diagnostics> {
-        match self {
-            McpatError::Invalid(d) => Some(d),
-            McpatError::Array(_) | McpatError::Budget(_) => None,
-        }
-    }
-
     /// The budget violation behind this error, if a deadline or
     /// cancellation is what stopped the build.
     #[must_use]

@@ -5,8 +5,8 @@
 //! structure explicit: clusters (cores + their shared L2) are placed in
 //! a near-square grid, the L3 (if any) as a strip below them, and the
 //! memory controllers / I/O on the bottom edge — the classic
-//! server-chip layout. The result supports Manhattan-distance wire
-//! estimates and an ASCII rendering for reports.
+//! server-chip layout. The result backs the ASCII rendering in
+//! reports (`mcpat --floorplan`).
 
 use crate::processor::Processor;
 
@@ -26,19 +26,15 @@ pub struct Tile {
 }
 
 impl Tile {
-    /// Center coordinates, m.
-    #[must_use]
-    pub fn center(&self) -> (f64, f64) {
-        (self.x + self.w / 2.0, self.y + self.h / 2.0)
-    }
-
     /// Area, m².
+    #[cfg(test)]
     #[must_use]
     pub fn area(&self) -> f64 {
         self.w * self.h
     }
 
     /// True if the interiors of two tiles overlap.
+    #[cfg(test)]
     #[must_use]
     pub fn overlaps(&self, other: &Tile) -> bool {
         let eps = 1e-12;
@@ -62,47 +58,10 @@ pub struct Floorplan {
 
 impl Floorplan {
     /// Finds a tile by name.
+    #[cfg(test)]
     #[must_use]
     pub fn tile(&self, name: &str) -> Option<&Tile> {
         self.tiles.iter().find(|t| t.name == name)
-    }
-
-    /// Manhattan distance between two tiles' centers, m.
-    #[must_use]
-    pub fn distance(&self, a: &str, b: &str) -> Option<f64> {
-        let ta = self.tile(a)?.center();
-        let tb = self.tile(b)?.center();
-        Some((ta.0 - tb.0).abs() + (ta.1 - tb.1).abs())
-    }
-
-    /// Mean Manhattan distance from each core to its cluster's L2, m.
-    #[must_use]
-    pub fn average_core_l2_distance(&self) -> f64 {
-        // Cores sit adjacent to their cluster's L2, so the nearest L2
-        // tile is the cluster's L2.
-        let mut total = 0.0;
-        let mut n = 0u32;
-        for t in self.tiles.iter().filter(|t| t.name.starts_with("core")) {
-            let (cx, cy) = t.center();
-            let nearest = self
-                .tiles
-                .iter()
-                .filter(|c| c.name.starts_with("l2-"))
-                .map(|l2| {
-                    let (lx, ly) = l2.center();
-                    (lx - cx).abs() + (ly - cy).abs()
-                })
-                .min_by(f64::total_cmp);
-            if let Some(d) = nearest {
-                total += d;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / f64::from(n)
-        }
     }
 
     /// Renders the plan as a coarse ASCII grid (`cols × rows`
@@ -275,15 +234,6 @@ mod tests {
         for k in 0..cfg.num_l2s {
             assert!(plan.tile(&format!("l2-{k}")).is_some(), "l2-{k} missing");
         }
-    }
-
-    #[test]
-    fn core_to_l2_distance_is_intra_cluster_scale() {
-        let (_, plan) = plan_for(&ProcessorConfig::niagara());
-        let d = plan.average_core_l2_distance();
-        assert!(d > 0.0);
-        // Must be far below the die edge (cores sit next to their L2).
-        assert!(d < plan.width, "distance {d} vs width {}", plan.width);
     }
 
     #[test]

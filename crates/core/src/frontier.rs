@@ -181,6 +181,7 @@ impl ParetoFrontier {
     /// non-dominated. Raw energy/delay winners may legitimately live off
     /// the frontier, so they are exempt.
     #[must_use]
+    // lint: allow(L013, the streaming-DSE integration tests check every winner against it)
     pub fn winners_are_pareto(&self) -> bool {
         [Metric::Edp, Metric::Ed2p, Metric::Edap, Metric::Eda2p]
             .iter()

@@ -50,12 +50,6 @@ impl MetricSet {
     pub fn eda2p(&self) -> f64 {
         self.ed2p() * self.area
     }
-
-    /// Which of two design points wins under a metric selector.
-    #[must_use]
-    pub fn better_than(&self, other: &MetricSet, metric: Metric) -> bool {
-        metric.of(self) < metric.of(other)
-    }
 }
 
 /// Selector for one of the composite metrics.
@@ -155,8 +149,8 @@ mod tests {
         // A is faster but huge; B is slower but tiny.
         let a = m(1.0, 1.0, 100.0);
         let b = m(1.5, 1.0, 10.0);
-        assert!(a.better_than(&b, Metric::Ed2p));
-        assert!(b.better_than(&a, Metric::Eda2p));
+        assert!(Metric::Ed2p.of(&a) < Metric::Ed2p.of(&b));
+        assert!(Metric::Eda2p.of(&b) < Metric::Eda2p.of(&a));
     }
 
     #[test]

@@ -112,15 +112,6 @@ pub struct TimingReport {
     pub target_clock_hz: f64,
 }
 
-impl TimingReport {
-    /// True if the configured clock is achievable by the latency-critical
-    /// core arrays.
-    #[must_use]
-    pub fn clock_feasible(&self) -> bool {
-        self.core_max_clock_hz >= self.target_clock_hz
-    }
-}
-
 /// How the build itself performed: worker threads available to the
 /// fan-out and the array-solve cache's effectiveness over this build.
 ///
@@ -849,6 +840,7 @@ impl Processor {
     /// Total chip leakage, W: `peak_power().leakage()` without building
     /// the breakdown. Does not allocate.
     #[must_use]
+    // lint: allow(L013, the bit-identity harnesses pin it against peak_power().leakage())
     pub fn total_leakage(&self) -> StaticPower {
         leakage_of(self.peak_items().iter())
     }
@@ -1367,6 +1359,10 @@ mod tests {
         assert!(t.core_max_clock_hz > 0.0);
         assert_eq!(t.target_clock_hz, 1.2e9);
         // Niagara's modest 1.2 GHz target is feasible at 90 nm.
-        assert!(t.clock_feasible(), "max {:e}", t.core_max_clock_hz);
+        assert!(
+            t.core_max_clock_hz >= t.target_clock_hz,
+            "max {:e}",
+            t.core_max_clock_hz
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! Human-readable report printing — the analog of McPAT's console
 //! output tree.
 
-use crate::power::ChipPower;
 use crate::processor::Processor;
 use std::fmt::Write as _;
 
@@ -129,37 +128,6 @@ impl Processor {
         ));
         out
     }
-
-    /// Renders a one-line summary suitable for tables.
-    #[must_use]
-    pub fn summary_line(&self) -> String {
-        let p = self.peak_power();
-        format!(
-            "{:<14} {:>6.1} W ({:>5.1} dyn / {:>5.1} leak)  {:>7.1} mm^2",
-            self.config.name,
-            p.total(),
-            p.dynamic(),
-            p.leakage().total(),
-            self.die_area_mm2()
-        )
-    }
-}
-
-/// Formats any [`ChipPower`] as a percentage table against its total.
-#[must_use]
-pub fn share_table(power: &ChipPower) -> String {
-    let total = power.total().max(1e-12);
-    let mut out = String::new();
-    for item in &power.items {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>6.1}%  ({:.2} W)",
-            item.name,
-            100.0 * item.total() / total,
-            item.total()
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -181,24 +149,6 @@ mod tests {
         ] {
             assert!(r.contains(needle), "report missing `{needle}`:\n{r}");
         }
-    }
-
-    #[test]
-    fn share_table_sums_to_100() {
-        let chip = Processor::build(&ProcessorConfig::niagara()).unwrap();
-        let table = super::share_table(&chip.peak_power());
-        let sum: f64 = table
-            .lines()
-            .filter_map(|l| {
-                l.split('%')
-                    .next()?
-                    .split_whitespace()
-                    .last()?
-                    .parse::<f64>()
-                    .ok()
-            })
-            .sum();
-        assert!((sum - 100.0).abs() < 1.0, "sum = {sum}\n{table}");
     }
 
     /// Benchmark harnesses read a build's solve-cache billing back from
@@ -224,11 +174,5 @@ mod tests {
             .lines()
             .find(|l| l.trim_start().starts_with("Build:"));
         assert_eq!(line.map(str::trim_start), Some(want.as_str()));
-    }
-
-    #[test]
-    fn summary_line_is_single_line() {
-        let chip = Processor::build(&ProcessorConfig::alpha21364()).unwrap();
-        assert_eq!(chip.summary_line().lines().count(), 1);
     }
 }

@@ -119,16 +119,6 @@ impl ChipStats {
         let last = self.cores.len().saturating_sub(1);
         self.cores.get(i.min(last)).copied().unwrap_or_default()
     }
-
-    /// Total committed instructions across all cores given the chip has
-    /// `num_cores` cores.
-    #[must_use]
-    pub fn total_commits(&self, num_cores: u32) -> u64 {
-        match self.cores.as_slice() {
-            [only] => only.commits.saturating_mul(u64::from(num_cores)),
-            _ => self.cores.iter().map(|c| c.commits).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,12 +184,6 @@ mod tests {
     fn core_broadcasts_single_entry() {
         let s = ChipStats::peak(1e-3, 4, 2e9, 2, 1);
         assert_eq!(s.core(0).cycles, s.core(3).cycles);
-    }
-
-    #[test]
-    fn total_commits_multiplies_broadcast() {
-        let s = ChipStats::peak(1e-3, 4, 2e9, 2, 1);
-        assert_eq!(s.total_commits(4), s.cores[0].commits * 4);
     }
 
     #[test]

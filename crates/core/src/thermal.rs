@@ -203,7 +203,9 @@ mod tests {
             ..Default::default()
         };
         let err = converge(&cfg, &stats, spec).unwrap_err();
-        let d = err.diagnostics().expect("a validation error");
+        let crate::McpatError::Invalid(d) = &err else {
+            panic!("a validation error, got {err}");
+        };
         let paths: Vec<&str> = d.iter().map(|f| f.path.as_str()).collect();
         for p in ["ambient_k", "tolerance_k", "max_iterations"] {
             assert!(paths.contains(&p), "missing {p} in {paths:?}");

@@ -131,26 +131,11 @@ impl Diagnostics {
         self.items.push(d);
     }
 
-    /// Absorbs every finding from `other`.
-    pub fn merge(&mut self, other: Diagnostics) {
-        self.items.extend(other.items);
-    }
-
     /// Absorbs `other` with every path re-rooted under `prefix`
     /// (used when a sub-config validates itself with relative paths).
     pub fn merge_under(&mut self, prefix: &str, other: Diagnostics) {
         self.items
             .extend(other.items.into_iter().map(|d| d.under(prefix)));
-    }
-
-    /// Errors if `v` is NaN or infinite. Returns whether the check passed.
-    pub fn require_finite(&mut self, path: impl Into<String>, label: &str, v: f64) -> bool {
-        if v.is_finite() {
-            true
-        } else {
-            self.error(path, format!("{label} must be finite, got {v}"));
-            false
-        }
     }
 
     /// Errors unless `v` is finite and strictly positive.
@@ -218,18 +203,6 @@ impl Diagnostics {
     /// All findings in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> {
         self.items.iter()
-    }
-
-    /// Only the errors.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.items.iter().filter(|d| d.severity == Severity::Error)
-    }
-
-    /// Only the warnings.
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.items
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
     }
 
     /// `Ok(self)` when there are no errors (warnings may remain),
@@ -387,13 +360,11 @@ mod tests {
     #[test]
     fn numeric_checks_catch_non_finite() {
         let mut d = Diagnostics::new();
-        assert!(d.require_finite("x", "x", 1.0));
-        assert!(!d.require_finite("x", "x", f64::NAN));
         assert!(!d.require_positive("y", "y", 0.0));
         assert!(!d.require_positive("y", "y", f64::INFINITY));
         assert!(!d.require_nonnegative("z", "z", -1.0));
         assert!(d.require_nonnegative("z", "z", 0.0));
-        assert_eq!(d.error_count(), 4);
+        assert_eq!(d.error_count(), 3);
     }
 
     #[test]

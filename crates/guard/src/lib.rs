@@ -223,6 +223,7 @@ impl Budget {
     /// chaos harness cancel deterministically at a randomized
     /// checkpoint without timing races.
     #[doc(hidden)]
+    // lint: allow(L013, the chaos tests cancel at a randomized checkpoint with it)
     pub fn cancel_after_checks(&self, n: u64) {
         self.inner.cancel_after_checks.store(n, Ordering::SeqCst);
     }

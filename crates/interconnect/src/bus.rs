@@ -45,12 +45,6 @@ impl Bus {
             + 0.5 * f64::from(self.width_bits) * self.wire.metrics.energy_per_op
     }
 
-    /// Transfer latency (arbitration + flight time), s.
-    #[must_use]
-    pub fn latency(&self) -> f64 {
-        self.arbiter.delay + self.wire.metrics.delay
-    }
-
     /// Bus area (repeaters + wiring tracks + arbiter), m².
     #[must_use]
     pub fn area(&self) -> f64 {

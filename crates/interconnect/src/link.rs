@@ -34,12 +34,6 @@ impl Link {
         0.5 * f64::from(self.flit_bits) * self.wire.metrics.energy_per_op
     }
 
-    /// One-way traversal latency, s.
-    #[must_use]
-    pub fn latency(&self) -> f64 {
-        self.wire.metrics.delay
-    }
-
     /// Repeater area of all wires, m².
     #[must_use]
     pub fn area(&self) -> f64 {
@@ -69,7 +63,6 @@ mod tests {
         let short = Link::new(&t, 128, 1e-3);
         let long = Link::new(&t, 128, 4e-3);
         assert!(long.energy_per_flit() > 2.0 * short.energy_per_flit());
-        assert!(long.latency() > short.latency());
     }
 
     #[test]
@@ -78,11 +71,5 @@ mod tests {
         let narrow = Link::new(&t, 64, 2e-3);
         let wide = Link::new(&t, 256, 2e-3);
         assert!((wide.energy_per_flit() / narrow.energy_per_flit() - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn millimeter_link_latency_is_sub_ns() {
-        let l = Link::new(&tech(), 128, 1e-3);
-        assert!(l.latency() < 1e-9);
     }
 }

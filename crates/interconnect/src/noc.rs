@@ -278,30 +278,6 @@ impl NocModel {
         };
         stats.flits as f64 * hops * self.energy_per_flit_hop() / stats.interval_s
     }
-
-    /// Per-hop latency (router pipeline + wire flight), s.
-    #[must_use]
-    pub fn hop_latency(&self) -> f64 {
-        match (&self.router, &self.link, &self.bus, &self.crossbar) {
-            (_, Some(l), _, Some(x)) => x.delay + 2.0 * l.latency(),
-            (Some(r), Some(l), _, _) => {
-                r.cycle_time().max(1.0 / self.config.clock_hz) + l.latency()
-            }
-            (_, _, Some(b), _) => b.latency(),
-            (_, _, _, Some(x)) => x.delay,
-            _ => 0.0,
-        }
-    }
-
-    /// Peak dynamic power with every router accepting one flit per cycle, W.
-    #[must_use]
-    pub fn peak_dynamic_power(&self) -> f64 {
-        let agents = match self.config.topology {
-            Topology::Bus { n } | Topology::Crossbar { n } => n,
-            t => t.router_count(),
-        };
-        f64::from(agents) * self.energy_per_flit_hop() * self.config.clock_hz * 0.5
-    }
 }
 
 #[cfg(test)]
@@ -393,7 +369,6 @@ mod tests {
         assert!(xbar.energy_per_flit_hop() > 0.0);
         assert!(xbar.area() > 0.0);
         assert!(xbar.leakage().total() > 0.0);
-        assert!(xbar.hop_latency() > 0.0);
         // A 12-agent crossbar is wire-dominated: bigger than a 4-agent bus.
         let bus = NocConfig {
             topology: Topology::Bus { n: 4 },
@@ -434,12 +409,5 @@ mod tests {
         ] {
             assert!(paths.contains(&p), "missing {p} in {paths:?}");
         }
-    }
-
-    #[test]
-    fn hop_latency_includes_wire_flight() {
-        let t = tech();
-        let noc = mesh(4, 4).build(&t).unwrap();
-        assert!(noc.hop_latency() > noc.link.as_ref().unwrap().latency());
     }
 }

@@ -132,16 +132,6 @@ impl Router {
             + self.vc_allocator.leakage.scaled(p)
             + self.switch_allocator.leakage
     }
-
-    /// Minimum cycle time of the router pipeline, s.
-    #[must_use]
-    pub fn cycle_time(&self) -> f64 {
-        self.input_buffer
-            .cycle_time
-            .max(self.crossbar.delay)
-            .max(self.vc_allocator.delay)
-            .max(self.switch_allocator.delay)
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +150,6 @@ mod tests {
         assert!(r.energy_per_flit() > 0.0);
         assert!(r.area() > 0.0);
         assert!(r.leakage().total() > 0.0);
-        assert!(r.cycle_time() > 0.0);
     }
 
     #[test]

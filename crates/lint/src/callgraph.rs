@@ -1,7 +1,10 @@
-//! The cross-crate call graph and budget-checkpoint reachability.
+//! The cross-crate call graph: budget-checkpoint reachability and
+//! public-API reachability.
 //!
 //! Built from per-file function summaries (name, enclosing impl type,
-//! call sites), the graph answers one question for L012: *starting
+//! call sites), the graph answers two questions. For L013: *which fns
+//! does a walk from the entry points reach?* (see
+//! [`CallGraph::reachable`]). For L012: *starting
 //! from this call, can execution reach an `mcpat-guard` checkpoint
 //! within a bounded number of frames?* PR 6 wired checkpoints into
 //! every long path; L008 could only see a checkpoint spelled out in
@@ -23,7 +26,7 @@
 //! Test functions are never candidates — a test helper sharing a
 //! production name must not vouch for reachability.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Checkpoint idents that satisfy budget reachability when called:
 /// the `mcpat_guard` entry points and the crate-local wrappers that
@@ -72,6 +75,13 @@ pub struct FnNode {
     pub line: usize,
     /// Whether the fn lives in a test region (never a candidate).
     pub is_test: bool,
+    /// Whether the fn is declared plain `pub` (L013's subject).
+    pub public: bool,
+    /// Whether this is an entry point: a binary's `main` or any fn of
+    /// a root-only source (examples, perfbench).
+    pub entry: bool,
+    /// Whether L013's walk starts here: an entry point or a trait item.
+    pub root: bool,
     /// Every call expression in the body.
     pub calls: Vec<CallRef>,
 }
@@ -149,7 +159,7 @@ impl CallGraph {
                     .unwrap_or_default();
                 let mut best = current;
                 for call in &calls {
-                    for cand in graph.resolve(&from_crate, call) {
+                    for cand in graph.resolve(Some(&from_crate), call) {
                         if let Some(d) = graph.depth.get(cand).copied().flatten() {
                             let through = d.saturating_add(1);
                             if through < MAX_CHECKPOINT_DEPTH && best.is_none_or(|b| through < b) {
@@ -178,11 +188,17 @@ impl CallGraph {
         &self.nodes
     }
 
-    /// Candidate node indices for a call, hint-narrowed per the module
-    /// docs. Empty when the callee is opaque (closure parameters,
-    /// std/vendored functions).
+    /// Candidate node indices for a call. Empty when the callee is
+    /// opaque (closure parameters, std/vendored functions).
+    ///
+    /// Called from a crate, the binding is hint-narrowed per the
+    /// module docs. With `from_crate: None` it is the over-approximation
+    /// L013 walks: only an impl-type hint narrows, and otherwise every
+    /// fn bearing the name is a candidate, since a re-export
+    /// (`mcpat::tech::…`) or an unknown receiver type may name any of
+    /// them.
     #[must_use]
-    pub fn resolve(&self, from_crate: &str, call: &CallRef) -> Vec<usize> {
+    pub fn resolve(&self, from_crate: Option<&str>, call: &CallRef) -> Vec<usize> {
         let Some(all) = self.by_name.get(&call.name) else {
             return Vec::new();
         };
@@ -201,7 +217,8 @@ impl CallGraph {
             if !by_impl.is_empty() {
                 return by_impl;
             }
-            if let Some(crate_name) = call.path.first().and_then(|s| crate_of_segment(s)) {
+            let crate_hint = call.path.first().and_then(|s| crate_of_segment(s));
+            if let (Some(crate_name), Some(_)) = (crate_hint, from_crate) {
                 let by_crate: Vec<usize> = all
                     .iter()
                     .copied()
@@ -217,6 +234,9 @@ impl CallGraph {
             }
         }
         // Same-crate preference, then the whole workspace.
+        let Some(from_crate) = from_crate else {
+            return all.clone();
+        };
         let same: Vec<usize> = all
             .iter()
             .copied()
@@ -233,6 +253,31 @@ impl CallGraph {
         }
     }
 
+    /// Which nodes a breadth-first walk from the roots reaches over
+    /// [`CallGraph::resolve`]'s type-unknown binding, by node index.
+    /// A fn reached only from itself or from tests stays unreached.
+    #[must_use]
+    pub fn reachable(&self) -> Vec<bool> {
+        let mut seen: Vec<bool> = self.nodes.iter().map(|n| n.root && !n.is_test).collect();
+        let mut queue: VecDeque<usize> = (0..seen.len())
+            .filter(|&i| seen.get(i).copied().unwrap_or(false))
+            .collect();
+        while let Some(i) = queue.pop_front() {
+            let Some(node) = self.nodes.get(i) else {
+                continue;
+            };
+            for call in &node.calls {
+                for cand in self.resolve(None, call) {
+                    if let Some(flag) = seen.get_mut(cand).filter(|f| !**f) {
+                        *flag = true;
+                        queue.push_back(cand);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
     /// Minimum checkpoint depth of a node, when reachable.
     #[must_use]
     pub fn checkpoint_depth(&self, node: usize) -> Option<usize> {
@@ -247,7 +292,7 @@ impl CallGraph {
         if call.is_checkpoint() {
             return true;
         }
-        self.resolve(from_crate, call).iter().any(|&i| {
+        self.resolve(Some(from_crate), call).iter().any(|&i| {
             self.checkpoint_depth(i)
                 .is_some_and(|d| d.saturating_add(1) <= MAX_CHECKPOINT_DEPTH)
         })
@@ -256,7 +301,7 @@ impl CallGraph {
     /// Whether the call resolves to at least one known function.
     #[must_use]
     pub fn resolves(&self, from_crate: &str, call: &CallRef) -> bool {
-        !self.resolve(from_crate, call).is_empty()
+        !self.resolve(Some(from_crate), call).is_empty()
     }
 }
 
@@ -273,6 +318,9 @@ mod tests {
             impl_type: impl_type.map(str::to_owned),
             line: 1,
             is_test: false,
+            public: true,
+            entry: false,
+            root: false,
             calls: calls
                 .iter()
                 .map(|c| CallRef {
@@ -355,6 +403,30 @@ mod tests {
             path: Vec::new(),
         };
         assert!(!g.call_reaches_checkpoint("a", &call));
+    }
+
+    #[test]
+    fn reachability_walks_from_roots_and_binds_across_crates() {
+        let mut main = node("serve", "main", None, &["run"]);
+        main.root = true;
+        let mut test = node("a", "t", None, &["seam"]);
+        test.is_test = true;
+        let g = CallGraph::build(vec![
+            main,
+            // A same-named fn in the caller's crate must not shadow
+            // the other crate's: the walk binds every `run`.
+            node("serve", "run", None, &["solve"]),
+            node("array", "run", None, &["helper"]),
+            node("array", "helper", None, &[]),
+            node("array", "solve", None, &[]),
+            node("array", "countdown", None, &["countdown"]),
+            node("a", "seam", None, &[]),
+            test,
+        ]);
+        assert_eq!(
+            g.reachable(),
+            [true, true, true, true, true, false, false, false]
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! there a `[` after an identifier" but not for anything that needs to
 //! know *which function* a token lives in, *what* a loop body calls, or
 //! *where* a call might lead. This IR is the minimal structure those
-//! questions need: items (functions, impls, structs, `use` decls),
+//! questions need: items (functions, impls, traits),
 //! loops, and call expressions, all carrying token-index spans back
 //! into the lexed stream so rules can still drop down to tokens when
 //! they want to.
@@ -54,10 +54,11 @@ pub enum CallKind {
     Method,
     /// `a::b::name(...)` — a path call; `CallIr::path` carries the
     /// leading segments (e.g. `["mcpat_guard"]` for
-    /// `mcpat_guard::check()`).
+    /// `mcpat_guard::check()`). A lower-case path used as a value
+    /// (`.map(PointRepr::from_point)`) is recorded the same way: the
+    /// callee may invoke it.
     Path,
-    /// `name(...)` — a bare call, resolved through the file's `use`
-    /// map first, then by name.
+    /// `name(...)` — a bare call, resolved by name.
     Bare,
     /// `f(..., name, ...)` — not a call at all, but a bare identifier
     /// passed as an argument: a *potential* callee handed to a
@@ -106,6 +107,12 @@ pub struct FnIr {
     pub impl_type: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Whether the fn is declared plain `pub` (`pub(crate)` and
+    /// narrower are not public API).
+    pub public: bool,
+    /// Whether the fn sits in a trait impl or a trait declaration's
+    /// default body: reached by dispatch, not by a nameable call.
+    pub in_trait: bool,
     /// Token span of the braced body (`{`..`}` inclusive). Body-less
     /// declarations (trait methods, externs) are not represented.
     pub body: TokSpan,
@@ -128,48 +135,29 @@ impl FnIr {
     }
 }
 
-/// One `impl` block (inherent or trait) with its subject type.
+/// One `impl` block (inherent or trait) or `trait` declaration with
+/// its subject type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImplIr {
     /// The implementing type's name (`impl Foo` and
-    /// `impl Trait for Foo` both yield `Foo`).
+    /// `impl Trait for Foo` both yield `Foo`; `trait Foo` yields
+    /// `Foo`).
     pub type_name: String,
+    /// Whether this is `impl Trait for Foo` or `trait Foo` rather than
+    /// an inherent `impl Foo`.
+    pub of_trait: bool,
     /// 1-based line of the `impl` keyword.
     pub line: usize,
     /// Token span of the impl body.
     pub body: TokSpan,
 }
 
-/// One `use` declaration leaf: a local name and the full path it binds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseIr {
-    /// The name visible in this file (the last segment, or the `as`
-    /// alias).
-    pub local: String,
-    /// Full path segments, e.g. `["std", "collections", "HashMap"]`.
-    pub path: Vec<String>,
-}
-
 /// The structural IR of one source file.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FileIr {
-    /// Every `use` leaf, in source order.
-    pub uses: Vec<UseIr>,
-    /// Every `impl` block, in source order.
+    /// Every `impl` block and `trait` declaration, in source order.
     pub impls: Vec<ImplIr>,
     /// Every `fn` with a body, in source order (nested fns included,
     /// each with its own entry).
     pub functions: Vec<FnIr>,
-}
-
-impl FileIr {
-    /// Resolves a bare name through the file's `use` map: the full
-    /// path it was imported as, if any.
-    #[must_use]
-    pub fn resolve_use(&self, name: &str) -> Option<&[String]> {
-        self.uses
-            .iter()
-            .find(|u| u.local == name)
-            .map(|u| u.path.as_slice())
-    }
 }

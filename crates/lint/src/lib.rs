@@ -5,8 +5,8 @@
 //! project-specific ones clippy cannot express. It tokenizes every
 //! `crates/*/src` file with a small hand-rolled lexer ([`lexer`]) — no
 //! rustc plumbing, no network — builds a per-file structural IR
-//! ([`parse`], [`ir`]: items, impls, functions, loops, calls, `use`
-//! resolution) and a cross-crate call graph ([`callgraph`]), and checks
+//! ([`parse`], [`ir`]: impls, traits, functions, loops, calls) and a
+//! cross-crate call graph ([`callgraph`]), and checks
 //! the project invariants as named rules ([`rules`]) with `file:line`
 //! diagnostics that reuse [`mcpat_diag::Severity`].
 //!
@@ -20,8 +20,8 @@
 //! The pipeline has two stages. Per file: lex → parse → single-file
 //! rules → *facts* (allow annotations, L004 struct/validate evidence,
 //! L008/L012 function summaries). Globally: the per-crate L004 pass,
-//! the call-graph build and checkpoint-reachability pass, allow
-//! application.
+//! the call-graph build, the checkpoint-reachability and
+//! public-API-reachability passes, allow application.
 //!
 //! See `DESIGN.md` § "Static analysis & invariants" for the rationale
 //! behind each rule.
@@ -163,13 +163,23 @@ pub struct Source {
     pub crate_name: String,
     /// File contents.
     pub text: String,
+    /// A caller outside the linted crates (examples, perfbench): its
+    /// fns are L013 roots, and it is not itself linted or counted.
+    pub root_only: bool,
 }
 
 /// Analyzes one source through the per-file stage:
-/// lex → parse → single-file rules → facts.
+/// lex → parse → single-file rules → facts. A root-only source
+/// contributes its function summaries and nothing else.
 fn analyze_one(src: &Source) -> FileAnalysis {
     let lexed = lexer::lex(&src.text);
     let file_ir = parse::parse(&lexed);
+    if src.root_only {
+        return FileAnalysis {
+            fns: rules::collect_fn_facts(&file_ir),
+            ..FileAnalysis::default()
+        };
+    }
     rules::analyze(
         &src.path,
         &lexed,
@@ -183,8 +193,10 @@ fn analyze_one(src: &Source) -> FileAnalysis {
 }
 
 /// Lints a set of in-memory sources. This is the whole pipeline:
-/// per-file analysis, per-crate L004, the call-graph L008/L012 pass,
-/// allow suppression.
+/// per-file analysis, per-crate L004, the call-graph L008/L012/L013
+/// passes, allow suppression. L013 runs only when the set has an entry
+/// point (a `fn main` or a root-only source): a library linted alone
+/// has nothing to be reachable from.
 #[must_use]
 pub fn lint_sources(sources: &[Source]) -> Report {
     let analyses: Vec<FileAnalysis> = sources.iter().map(analyze_one).collect();
@@ -192,7 +204,6 @@ pub fn lint_sources(sources: &[Source]) -> Report {
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows_by_file: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
     let mut crates: BTreeMap<String, CrateValidation> = BTreeMap::new();
-    let mut nodes: Vec<FnNode> = Vec::new();
 
     for (src, analysis) in sources.iter().zip(&analyses) {
         findings.extend(analysis.findings.iter().cloned());
@@ -205,19 +216,16 @@ pub fn lint_sources(sources: &[Source]) -> Report {
             .entry(src.crate_name.clone())
             .or_default()
             .absorb(analysis);
-        nodes.extend(analysis.fns.iter().map(|f| FnNode {
-            crate_name: src.crate_name.clone(),
-            file: src.path.clone(),
-            name: f.name.clone(),
-            impl_type: f.impl_type.clone(),
-            line: f.line,
-            is_test: f.is_test,
-            calls: f.calls.clone(),
-        }));
     }
 
-    let graph = CallGraph::build(nodes);
+    let graph = graph_of(sources, &analyses);
+    if graph.nodes().iter().any(|n| n.entry) {
+        rules::check_public_reachability(&graph, &mut findings);
+    }
     for (src, analysis) in sources.iter().zip(&analyses) {
+        if src.root_only {
+            continue;
+        }
         rules::check_loop_reachability(
             &src.path,
             &src.crate_name,
@@ -235,23 +243,58 @@ pub fn lint_sources(sources: &[Source]) -> Report {
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Report {
         findings,
-        files_scanned: sources.len(),
+        files_scanned: sources.iter().filter(|s| !s.root_only).count(),
     }
+}
+
+/// The workspace call graph over `sources`, with L013's roots marked:
+/// what the DESIGN.md backing-symbol test walks.
+#[must_use]
+// lint: allow(L013, the DESIGN.md backing-symbol test asks it which symbols an entry point reaches)
+pub fn call_graph(sources: &[Source]) -> CallGraph {
+    let analyses: Vec<FileAnalysis> = sources.iter().map(analyze_one).collect();
+    graph_of(sources, &analyses)
+}
+
+fn graph_of(sources: &[Source], analyses: &[FileAnalysis]) -> CallGraph {
+    let mut nodes: Vec<FnNode> = Vec::new();
+    for (src, analysis) in sources.iter().zip(analyses) {
+        nodes.extend(analysis.fns.iter().map(|f| {
+            // A binary's entry point: a free, non-test `fn main`.
+            let main = f.name == "main" && f.impl_type.is_none() && !f.is_test;
+            FnNode {
+                crate_name: src.crate_name.clone(),
+                file: src.path.clone(),
+                name: f.name.clone(),
+                impl_type: f.impl_type.clone(),
+                line: f.line,
+                is_test: f.is_test,
+                public: f.public,
+                entry: main || src.root_only,
+                root: main || src.root_only || f.in_trait,
+                calls: f.calls.clone(),
+            }
+        }));
+    }
+    CallGraph::build(nodes)
 }
 
 /// Lints one in-memory source as its own single-file crate — the
 /// entry point the fixture tests use.
 #[must_use]
+// lint: allow(L013, the fixture and report-format tests lint single files through it)
 pub fn lint_source(path: &str, text: &str) -> Report {
     lint_sources(&[Source {
         path: path.to_owned(),
         crate_name: String::from("fixture"),
         text: text.to_owned(),
+        root_only: false,
     }])
 }
 
 /// Collects every `.rs` file under `crates/*/src` plus the umbrella
-/// package's `src/`, in sorted (deterministic) order.
+/// package's `src/`, then the root-only `examples/` and
+/// `perfbench/src/`, in sorted (deterministic) order.
 ///
 /// # Errors
 ///
@@ -273,13 +316,19 @@ pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<Source>> {
             .unwrap_or_default();
         let src = dir.join("src");
         if src.is_dir() {
-            collect_rs_files(root, &src, &crate_name, &mut sources)?;
+            collect_rs_files(root, &src, &crate_name, false, &mut sources)?;
         }
     }
 
-    let umbrella = root.join("src");
-    if umbrella.is_dir() {
-        collect_rs_files(root, &umbrella, "mcpat-suite", &mut sources)?;
+    for (dir, crate_name, root_only) in [
+        ("src", "mcpat-suite", false),
+        ("examples", "examples", true),
+        ("perfbench/src", "perfbench", true),
+    ] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs_files(root, &dir, crate_name, root_only, &mut sources)?;
+        }
     }
 
     Ok(sources)
@@ -289,6 +338,7 @@ fn collect_rs_files(
     root: &Path,
     dir: &Path,
     crate_name: &str,
+    root_only: bool,
     out: &mut Vec<Source>,
 ) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
@@ -298,7 +348,7 @@ fn collect_rs_files(
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_rs_files(root, &path, crate_name, out)?;
+            collect_rs_files(root, &path, crate_name, root_only, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -309,6 +359,7 @@ fn collect_rs_files(
                 path: rel,
                 crate_name: crate_name.to_owned(),
                 text: std::fs::read_to_string(&path)?,
+                root_only,
             });
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! The parser is a single forward pass with balanced-delimiter
 //! tracking. It recognizes exactly the structure the rules need —
-//! `use` declarations, `impl` blocks, `fn` items with their bodies,
+//! `impl` blocks, `trait` declarations, `fn` items with their bodies,
 //! loops, and call expressions — and skips everything else. Like the
 //! lexer it is **total**: any byte sequence produces *some* IR, never
 //! a panic or an error (the fuzz tests in `tests/fuzz.rs` mutate every
@@ -13,7 +13,7 @@
 //! live here so the token-level rules and the parser agree on what a
 //! body is.
 
-use crate::ir::{CallIr, CallKind, FileIr, FnIr, ImplIr, LoopIr, TokSpan, UseIr};
+use crate::ir::{CallIr, CallKind, FileIr, FnIr, ImplIr, LoopIr, TokSpan};
 use crate::lexer::{is_keyword, Kind, Lexed, Token};
 
 fn tok(tokens: &[Token], idx: usize) -> Option<&Token> {
@@ -59,9 +59,11 @@ pub(crate) fn fn_body_span(tokens: &[Token], fn_idx: usize) -> Option<(usize, us
     let mut angle_depth = 0usize;
     while let Some(t) = tok(tokens, i) {
         if t.kind == Kind::Punct {
+            // `[` counts with `(`: an array return type `[T; N]` holds
+            // a `;` that does not end the signature.
             match t.text.as_str() {
-                "(" => paren_depth = paren_depth.saturating_add(1),
-                ")" => paren_depth = paren_depth.saturating_sub(1),
+                "(" | "[" => paren_depth = paren_depth.saturating_add(1),
+                ")" | "]" => paren_depth = paren_depth.saturating_sub(1),
                 "<" => angle_depth = angle_depth.saturating_add(1),
                 ">" => angle_depth = angle_depth.saturating_sub(1),
                 ">>" => angle_depth = angle_depth.saturating_sub(2),
@@ -80,7 +82,8 @@ pub(crate) fn fn_body_span(tokens: &[Token], fn_idx: usize) -> Option<(usize, us
 /// Token-index spans covered by `#[cfg(test)]` / `#[test]` items.
 ///
 /// After a test attribute, every further attribute is skipped and the
-/// next braced block (the `mod`/`fn` body) is the span. An attribute
+/// span runs from the attribute to the end of the next braced block
+/// (the `mod`/`fn` body). An attribute
 /// mentioning `test` on a `mod tests;` external declaration has no
 /// brace and contributes nothing.
 pub(crate) fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
@@ -124,8 +127,10 @@ pub(crate) fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
                     j = j.saturating_add(1);
                 }
                 if let Some(start) = body_start {
+                    // The span opens at the attribute, so the item's own
+                    // signature (`#[cfg(test)] pub fn helper`) is in it.
                     let end = match_close(tokens, start, "{", "}");
-                    spans.push((start, end));
+                    spans.push((i, end));
                     i = end.saturating_add(1);
                     continue;
                 }
@@ -172,7 +177,6 @@ pub fn parse(lexed: &Lexed) -> FileIr {
     let in_test = |idx: usize| spans.iter().any(|&(a, b)| idx >= a && idx <= b);
 
     let mut ir = FileIr {
-        uses: parse_uses(tokens),
         impls: parse_impls(tokens),
         functions: Vec::new(),
     };
@@ -192,16 +196,17 @@ pub fn parse(lexed: &Lexed) -> FileIr {
         let Some((body_start, body_end)) = fn_body_span(tokens, i) else {
             continue;
         };
-        let impl_type = ir
+        let owner = ir
             .impls
             .iter()
             .filter(|im| im.body.contains(i))
-            .min_by_key(|im| im.body.len())
-            .map(|im| im.type_name.clone());
+            .min_by_key(|im| im.body.len());
         fns.push(FnIr {
             name: name_tok.text.clone(),
-            impl_type,
+            impl_type: owner.map(|im| im.type_name.clone()),
             line: t.line,
+            public: is_public(tokens, i),
+            in_trait: owner.is_some_and(|im| im.of_trait),
             body: TokSpan {
                 start: body_start,
                 end: body_end.saturating_add(1),
@@ -245,12 +250,20 @@ pub fn parse(lexed: &Lexed) -> FileIr {
             }
             continue;
         }
-        // Calls: an identifier directly followed by `(`.
+        // Calls: an identifier followed by `(` or a turbofish `::<`,
+        // or a lower-case path used as a value (`.map(Self::rebuild)`).
         if is_keyword(&t.text) || t.text == "self" {
             continue;
         }
-        let next_is_open = tok(tokens, i.saturating_add(1)).is_some_and(|n| is_punct(n, "("));
-        if !next_is_open {
+        let next = tok(tokens, i.saturating_add(1));
+        let next_is_open = next.is_some_and(|n| is_punct(n, "("));
+        let turbofish = next.is_some_and(|n| is_punct(n, "::"))
+            && tok(tokens, i.saturating_add(2)).is_some_and(|n| is_punct(n, "<"));
+        let path_value = prev(tokens, i).is_some_and(|p| is_punct(p, "::"))
+            && t.text
+                .starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+            && !next.is_some_and(|n| ["::", "!", "{", "("].iter().any(|s| is_punct(n, s)));
+        if !(next_is_open || turbofish || path_value) {
             continue;
         }
         // `fn name(` is a definition, not a call.
@@ -273,7 +286,11 @@ pub fn parse(lexed: &Lexed) -> FileIr {
                     if seg.kind != Kind::Ident {
                         break;
                     }
-                    segs.push(seg.text.clone());
+                    // `Self::f` names the enclosing impl's type.
+                    let self_type = (seg.text == "Self")
+                        .then(|| fns.get(owner).and_then(|f| f.impl_type.clone()))
+                        .flatten();
+                    segs.push(self_type.unwrap_or_else(|| seg.text.clone()));
                     let Some(before) = k.checked_sub(2).and_then(|j| tokens.get(j)) else {
                         break;
                     };
@@ -295,6 +312,9 @@ pub fn parse(lexed: &Lexed) -> FileIr {
                 line: t.line,
                 tok: i,
             });
+        }
+        if !next_is_open {
+            continue;
         }
         // Callback edges: a bare identifier passed as a *direct*
         // argument to this call may be a function value the callee
@@ -341,11 +361,48 @@ pub fn parse(lexed: &Lexed) -> FileIr {
     ir
 }
 
-/// Collects every `impl` block with a nameable subject type.
+/// Whether the `fn` at `fn_idx` is declared plain `pub`, looking back
+/// over `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn is_public(tokens: &[Token], fn_idx: usize) -> bool {
+    let mut j = fn_idx;
+    while let Some(p) = prev(tokens, j) {
+        let qualifier = p.kind == Kind::Str
+            || ["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| is_ident(p, q));
+        if !qualifier {
+            return is_ident(p, "pub");
+        }
+        j = j.saturating_sub(1);
+    }
+    false
+}
+
+/// Collects every `impl` block with a nameable subject type, and every
+/// `trait` declaration (its default bodies are trait items too).
 fn parse_impls(tokens: &[Token]) -> Vec<ImplIr> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while let Some(t) = tok(tokens, i) {
+        if is_ident(t, "trait") {
+            let name = tok(tokens, i.saturating_add(1)).filter(|n| n.kind == Kind::Ident);
+            let body = (i.saturating_add(2)..tokens.len())
+                .find(|&j| tok(tokens, j).is_some_and(|b| is_punct(b, "{") || is_punct(b, ";")))
+                .filter(|&j| tok(tokens, j).is_some_and(|b| is_punct(b, "{")));
+            if let (Some(name), Some(start)) = (name, body) {
+                out.push(ImplIr {
+                    type_name: name.text.clone(),
+                    of_trait: true,
+                    line: t.line,
+                    body: TokSpan {
+                        start,
+                        end: match_close(tokens, start, "{", "}").saturating_add(1),
+                    },
+                });
+            }
+            i = i.saturating_add(1);
+            continue;
+        }
         if !is_ident(t, "impl") {
             i = i.saturating_add(1);
             continue;
@@ -356,6 +413,7 @@ fn parse_impls(tokens: &[Token]) -> Vec<ImplIr> {
         let mut j = i.saturating_add(1);
         let mut angle = 0usize;
         let mut subject: Option<String> = None;
+        let mut of_trait = false;
         let mut body_start: Option<usize> = None;
         while let Some(h) = tok(tokens, j) {
             match h.kind {
@@ -371,7 +429,10 @@ fn parse_impls(tokens: &[Token]) -> Vec<ImplIr> {
                     _ => {}
                 },
                 Kind::Ident if angle == 0 => match h.text.as_str() {
-                    "for" => subject = None,
+                    "for" => {
+                        subject = None;
+                        of_trait = true;
+                    }
                     "where" => {}
                     "dyn" | "mut" => {}
                     name if !is_keyword(name) => subject = Some(name.to_owned()),
@@ -388,6 +449,7 @@ fn parse_impls(tokens: &[Token]) -> Vec<ImplIr> {
         let end = match_close(tokens, start, "{", "}");
         out.push(ImplIr {
             type_name,
+            of_trait,
             line: t.line,
             body: TokSpan {
                 start,
@@ -399,128 +461,6 @@ fn parse_impls(tokens: &[Token]) -> Vec<ImplIr> {
         i = start.saturating_add(1);
     }
     out
-}
-
-/// Collects every `use` declaration leaf into (local name, full path)
-/// pairs, expanding one level of `{...}` groups (nested groups recurse
-/// through the same stack-free scan).
-fn parse_uses(tokens: &[Token]) -> Vec<UseIr> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while let Some(t) = tok(tokens, i) {
-        if !is_ident(t, "use") {
-            i = i.saturating_add(1);
-            continue;
-        }
-        // A `use` keyword opens a declaration only at item position;
-        // we accept any and rely on the `;` terminator.
-        let end = {
-            let mut j = i.saturating_add(1);
-            loop {
-                match tok(tokens, j) {
-                    None => break j,
-                    Some(t) if is_punct(t, ";") => break j,
-                    Some(_) => j = j.saturating_add(1),
-                }
-            }
-        };
-        let decl = tokens.get(i.saturating_add(1)..end).unwrap_or_default();
-        expand_use_tree(decl, &mut Vec::new(), &mut out);
-        i = end.saturating_add(1);
-    }
-    out
-}
-
-/// Recursively expands one use-tree token slice under `prefix`.
-fn expand_use_tree(decl: &[Token], prefix: &mut Vec<String>, out: &mut Vec<UseIr>) {
-    let depth_before = prefix.len();
-    let mut i = 0usize;
-    let mut last_seg: Option<String> = None;
-    while let Some(t) = decl.get(i) {
-        match t.kind {
-            Kind::Ident if t.text == "as" => {
-                // `path as alias`: the next ident is the local name.
-                if let (Some(alias), Some(seg)) = (decl.get(i.saturating_add(1)), last_seg.take()) {
-                    if alias.kind == Kind::Ident {
-                        prefix.push(seg);
-                        out.push(UseIr {
-                            local: alias.text.clone(),
-                            path: prefix.clone(),
-                        });
-                        prefix.pop();
-                    }
-                }
-                i = i.saturating_add(2);
-                continue;
-            }
-            Kind::Ident => {
-                // Flush a pending segment that turned out to be a full
-                // leaf (happens in groups: `{a, b}`).
-                last_seg = Some(t.text.clone());
-            }
-            Kind::Punct => match t.text.as_str() {
-                "::" => {
-                    if let Some(seg) = last_seg.take() {
-                        prefix.push(seg);
-                    }
-                }
-                "," => {
-                    if let Some(seg) = last_seg.take() {
-                        prefix.push(seg);
-                        out.push(UseIr {
-                            local: prefix.last().cloned().unwrap_or_default(),
-                            path: prefix.clone(),
-                        });
-                        prefix.pop();
-                    }
-                    prefix.truncate(depth_before);
-                }
-                "{" => {
-                    let close = {
-                        let mut depth = 0usize;
-                        let mut j = i;
-                        loop {
-                            match decl.get(j) {
-                                None => break j,
-                                Some(t) if is_punct(t, "{") => {
-                                    depth = depth.saturating_add(1);
-                                    j = j.saturating_add(1);
-                                }
-                                Some(t) if is_punct(t, "}") => {
-                                    depth = depth.saturating_sub(1);
-                                    if depth == 0 {
-                                        break j;
-                                    }
-                                    j = j.saturating_add(1);
-                                }
-                                Some(_) => j = j.saturating_add(1),
-                            }
-                        }
-                    };
-                    let inner = decl.get(i.saturating_add(1)..close).unwrap_or_default();
-                    expand_use_tree(inner, prefix, out);
-                    i = close.saturating_add(1);
-                    continue;
-                }
-                "*" => {
-                    // Glob import: no single local name to record.
-                    last_seg = None;
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-        i = i.saturating_add(1);
-    }
-    if let Some(seg) = last_seg {
-        prefix.push(seg);
-        out.push(UseIr {
-            local: prefix.last().cloned().unwrap_or_default(),
-            path: prefix.clone(),
-        });
-        prefix.pop();
-    }
-    prefix.truncate(depth_before);
 }
 
 #[cfg(test)]
@@ -631,34 +571,71 @@ mod tests {
     }
 
     #[test]
-    fn use_trees_expand_groups_and_aliases() {
+    fn fns_record_visibility_and_trait_membership() {
         let ir = ir_of(
-            "use std::collections::{HashMap, HashSet};\n\
-             use mcpat_guard::check as guard_check;\n\
-             use mcpat_diag::Severity;\n",
+            "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\n\
+             impl Foo { pub fn d() {} }\nimpl Display for Foo { fn e() {} }\n\
+             trait T { fn f(&self) { g(); } }\nfn h() -> [u8; 4] { k() }\n",
         );
-        let find = |local: &str| ir.resolve_use(local).map(|p| p.join("::"));
+        let by_name = |n: &str| ir.functions.iter().find(|f| f.name == n).unwrap();
+        let public: Vec<&str> = ir
+            .functions
+            .iter()
+            .filter(|f| f.public)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(public, ["a", "c", "d"]);
+        assert!(!by_name("d").in_trait);
+        assert!(by_name("e").in_trait);
+        assert!(
+            by_name("f").in_trait,
+            "a trait's default body is a trait item"
+        );
+        // An array return type's `;` does not end the signature.
+        assert_eq!(by_name("h").calls.len(), 1);
+    }
+
+    #[test]
+    fn fn_paths_used_as_values_and_turbofish_calls_are_calls() {
+        let ir = ir_of(
+            "impl P { fn f(v: V) { v.map(Point::from_raw); v.map(Self::g); Kind::Ident; parse::<u8>(s); } }",
+        );
+        let f = ir.functions.first().unwrap();
+        let got: Vec<(&str, &[String])> = f
+            .calls
+            .iter()
+            .filter(|c| c.kind != CallKind::Callback)
+            .map(|c| (c.name.as_str(), c.path.as_slice()))
+            .collect();
+        let (point, this) = (["Point".to_owned()], ["P".to_owned()]);
+        // `map` twice, the two fn-path values (`Self` named as the
+        // impl's type), `parse`; the `Kind::Ident` variant is not a fn.
         assert_eq!(
-            find("HashMap").as_deref(),
-            Some("std::collections::HashMap")
+            got,
+            [
+                ("map", &[][..]),
+                ("from_raw", &point[..]),
+                ("map", &[][..]),
+                ("g", &this[..]),
+                ("parse", &[][..]),
+            ]
         );
-        assert_eq!(
-            find("HashSet").as_deref(),
-            Some("std::collections::HashSet")
-        );
-        assert_eq!(find("guard_check").as_deref(), Some("mcpat_guard::check"));
-        assert_eq!(find("Severity").as_deref(), Some("mcpat_diag::Severity"));
-        assert_eq!(find("missing"), None);
     }
 
     #[test]
     fn test_regions_mark_fns() {
-        let ir =
-            ir_of("fn lib() {}\n#[cfg(test)]\nmod tests { fn helper() {} #[test] fn t() {} }\n");
+        let ir = ir_of(
+            "fn lib() {}\n#[cfg(test)]\nmod tests { fn helper() {} #[test] fn t() {} }\n\
+             #[cfg(test)]\n#[must_use]\npub fn narrowed() {}\n",
+        );
         let by_name = |n: &str| ir.functions.iter().find(|f| f.name == n).unwrap();
         assert!(!by_name("lib").is_test);
         assert!(by_name("helper").is_test);
         assert!(by_name("t").is_test);
+        assert!(
+            by_name("narrowed").is_test,
+            "the attribute covers the signature"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The project-invariant rules, L002–L005 and L007–L012.
+//! The project-invariant rules, L002–L005 and L007–L013.
 //!
 //! The generic panic-freedom invariants are clippy denies in the root
 //! `Cargo.toml` (`indexing_slicing`, `unwrap_used`, `expect_used`,
@@ -7,7 +7,7 @@
 //! rules those denies replaced; rule ids are never reused.
 //!
 //! Most rules are pure functions over one file's token stream; L004
-//! adds a per-crate accumulation step, and L008/L012 run over the
+//! adds a per-crate accumulation step, and L008/L012/L013 run over the
 //! cross-crate call graph ([`crate::callgraph`]) built from the
 //! per-file IR ([`crate::parse`]). Rules never look inside strings or
 //! comments — the lexer already hid those — and every rule skips
@@ -26,6 +26,7 @@
 //! | L010 | no mixing unit-suffixed identifiers across dimensions/scales |
 //! | L011 | no hash-ordered iteration, thread-dependence, or unordered float reduction |
 //! | L012 | solver/build loops *reach* an `mcpat-guard` checkpoint (call graph) |
+//! | L013 | every `pub fn` is reachable from an entry point (call graph) |
 //!
 //! L008 and L012 split one invariant by evidence: a loop whose callees
 //! resolve in the call graph but provably never reach a checkpoint
@@ -77,6 +78,8 @@ pub enum Rule {
     /// A solver/build loop whose resolved callees provably never reach
     /// an `mcpat-guard` checkpoint within the bounded call depth.
     L012,
+    /// A `pub fn` that no entry point reaches over the call graph.
+    L013,
     /// A `lint: allow` annotation that silenced nothing, or is
     /// malformed (missing its mandatory reason).
     Allowance,
@@ -97,6 +100,7 @@ impl Rule {
             Rule::L010 => "L010",
             Rule::L011 => "L011",
             Rule::L012 => "L012",
+            Rule::L013 => "L013",
             Rule::Allowance => "allow",
         }
     }
@@ -116,6 +120,7 @@ impl Rule {
             "L010" => Some(Rule::L010),
             "L011" => Some(Rule::L011),
             "L012" => Some(Rule::L012),
+            "L013" => Some(Rule::L013),
             _ => None,
         }
     }
@@ -144,6 +149,7 @@ impl Rule {
             Rule::L010,
             Rule::L011,
             Rule::L012,
+            Rule::L013,
             Rule::Allowance,
         ]
     }
@@ -162,6 +168,7 @@ impl Rule {
             Rule::L010 => "no mixing unit-suffixed identifiers across dimensions or scales",
             Rule::L011 => "no hash-ordered iteration or thread-dependent values in results",
             Rule::L012 => "solver/build loops must reach an mcpat-guard checkpoint",
+            Rule::L013 => "every pub fn is reachable from an entry point",
             Rule::Allowance => "lint allow annotations must be well-formed and in use",
         }
     }
@@ -245,6 +252,10 @@ pub struct FnFact {
     pub line: usize,
     /// Whether the fn lives in a test region.
     pub is_test: bool,
+    /// Whether the fn is declared plain `pub`.
+    pub public: bool,
+    /// Whether the fn is a trait item (impl method or default body).
+    pub in_trait: bool,
     /// Every call expression in the body.
     pub calls: Vec<CallRef>,
     /// Loops in the body.
@@ -613,6 +624,8 @@ pub fn collect_fn_facts(ir: &FileIr) -> Vec<FnFact> {
                 impl_type: f.impl_type.clone(),
                 line: f.line,
                 is_test: f.is_test,
+                public: f.public,
+                in_trait: f.in_trait,
                 calls: f.calls.iter().map(to_ref).collect(),
                 loops,
             }
@@ -690,6 +703,36 @@ pub fn check_loop_reachability(
                 message,
             });
         }
+    }
+}
+
+/// L013 — every `pub fn` outside tests must be reachable from an
+/// entry point: a binary's `main`, any fn of a root-only source
+/// (examples, perfbench), or a trait item (reached by dispatch and
+/// derive macros). The walk binds by name wherever the receiver type
+/// is unknown ([`CallGraph::reachable`]), so it may miss dead code but
+/// never flags a fn some root calls.
+pub fn check_public_reachability(graph: &CallGraph, findings: &mut Vec<Finding>) {
+    for (node, reached) in graph.nodes().iter().zip(graph.reachable()) {
+        if !node.public || node.is_test || reached {
+            continue;
+        }
+        let name = match &node.impl_type {
+            Some(ty) => format!("{ty}::{}", node.name),
+            None => node.name.clone(),
+        };
+        findings.push(Finding {
+            rule: Rule::L013,
+            severity: Rule::L013.severity(),
+            file: node.file.clone(),
+            line: node.line,
+            alt_line: None,
+            message: format!(
+                "pub fn {name} is reached from no entry point (a binary's main, an example, \
+                 perfbench, a trait item); delete it, narrow it to pub(crate) or \
+                 #[cfg(test)], or justify with `// lint: allow(L013, reason)`"
+            ),
+        });
     }
 }
 

@@ -2,7 +2,10 @@
 //! The linter's two ground truths: every fixture trips exactly the rule
 //! it demonstrates, and the workspace itself is clean under a self-run.
 
-use mcpat_lint::{default_root, lint_source, lint_workspace};
+use mcpat_lint::callgraph::FnNode;
+use mcpat_lint::{
+    call_graph, collect_workspace_sources, default_root, lint_source, lint_workspace,
+};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -27,6 +30,7 @@ fn every_fixture_trips_its_rule() {
         ("l011_nondeterminism.rs", "L011"),
         ("l012_unreachable_checkpoint.rs", "L012"),
         ("l012_unguarded_dse_loop.rs", "L012"),
+        ("l013_unreachable_pub_fn.rs", "L013"),
     ] {
         let report = lint_source(file, &fixture(file));
         assert!(
@@ -126,8 +130,32 @@ fn new_rules_are_silenced_by_reasoned_allows() {
 }
 
 #[test]
+fn l013_flags_exactly_the_unreached_pub_fns() {
+    let file = "l013_unreachable_pub_fn.rs";
+    let src = fixture(file);
+    let flagged: Vec<usize> = lint_source(file, &src)
+        .findings
+        .iter()
+        .filter(|f| f.rule.id() == "L013")
+        .map(|f| f.line)
+        .collect();
+    // Each BAD marker sits on the line above the fn it names.
+    let bad: Vec<usize> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("BAD (L013)"))
+        .map(|(n, _)| n + 2)
+        .collect();
+    assert_eq!(flagged, bad, "{src}");
+    // Without an entry point there is nothing to be reachable from.
+    let library = src.replace("fn main()", "fn not_main()");
+    let report = lint_source(file, &library);
+    assert!(!report.findings.iter().any(|f| f.rule.id() == "L013"));
+}
+
+#[test]
 fn the_linter_lints_its_own_sources() {
-    let sources = mcpat_lint::collect_workspace_sources(&default_root()).unwrap();
+    let sources = collect_workspace_sources(&default_root()).unwrap();
     let own: Vec<&str> = sources
         .iter()
         .map(|s| s.path.as_str())
@@ -161,4 +189,76 @@ fn workspace_is_lint_clean() {
         "workspace must stay lint-clean (errors AND warnings):\n{}",
         report.render()
     );
+}
+
+/// Examples and perfbench are read for L013's roots only: they yield
+/// root fns and are not counted as scanned. A moved
+/// perfbench directory would otherwise let L013 delete what the frozen
+/// benchmark calls.
+#[test]
+fn examples_and_perfbench_are_root_only_sources() {
+    let sources = collect_workspace_sources(&default_root()).unwrap();
+    let graph = call_graph(&sources);
+    for dir in ["examples/", "perfbench/src/"] {
+        let roots = graph
+            .nodes()
+            .iter()
+            .filter(|n| n.entry && n.file.starts_with(dir))
+            .count();
+        assert!(roots > 0, "no root fn read from {dir}");
+    }
+    let report = mcpat_lint::lint_sources(&sources);
+    let linted = sources.iter().filter(|s| !s.root_only).count();
+    assert_eq!(report.files_scanned, linted);
+    assert!(linted < sources.len());
+}
+
+/// Whether `node` backs the DESIGN.md symbol `sym`: a module path
+/// (`mcpat::dvfs`, `mcpat_sim::trace`) names a file, `Type::f` a
+/// method, and a bare name a free fn or a type with any method.
+fn backs(node: &FnNode, sym: &str) -> bool {
+    match sym.split_once("::") {
+        Some((krate, module)) if krate.starts_with("mcpat") => {
+            let dir = krate.strip_prefix("mcpat_").unwrap_or("core");
+            node.file == format!("crates/{dir}/src/{module}.rs")
+        }
+        Some((ty, name)) => node.impl_type.as_deref() == Some(ty) && node.name == name,
+        None => node.name == sym || node.impl_type.as_deref() == Some(sym),
+    }
+}
+
+/// Every system DESIGN.md §3 calls modeled names its backing symbols,
+/// and each must be reachable from L013's roots: deleting one fails
+/// here instead of leaving the prose stale.
+#[test]
+fn every_modeled_system_has_reachable_backing_symbols() {
+    let root = default_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let graph = call_graph(&collect_workspace_sources(&root).unwrap());
+    let live: Vec<&FnNode> = graph
+        .nodes()
+        .iter()
+        .zip(graph.reachable())
+        .filter_map(|(n, reached)| reached.then_some(n))
+        .collect();
+    let mut rows = 0;
+    for line in design.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let Some(id) = cells.get(1).filter(|c| {
+            c.strip_prefix('S')
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+        }) else {
+            continue;
+        };
+        rows += 1;
+        let symbols: Vec<&str> = cells[4].split('`').skip(1).step_by(2).collect();
+        assert!(!symbols.is_empty(), "{id} names no backing symbol");
+        for sym in symbols {
+            assert!(
+                live.iter().any(|n| backs(n, sym)),
+                "{id}: `{sym}` names no fn an entry point reaches"
+            );
+        }
+    }
+    assert!(rows >= 12, "found {rows} system rows in DESIGN.md");
 }

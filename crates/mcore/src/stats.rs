@@ -108,16 +108,6 @@ impl CoreStats {
         }
     }
 
-    /// Committed instructions per cycle.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.commits as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of cycles the core was active.
     #[must_use]
     #[inline]
@@ -126,40 +116,6 @@ impl CoreStats {
             0.0
         } else {
             1.0 - self.idle_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Element-wise sum of two intervals.
-    #[must_use]
-    pub fn merged(&self, other: &CoreStats) -> CoreStats {
-        CoreStats {
-            cycles: self.cycles + other.cycles,
-            idle_cycles: self.idle_cycles + other.idle_cycles,
-            fetches: self.fetches + other.fetches,
-            decodes: self.decodes + other.decodes,
-            renames: self.renames + other.renames,
-            issues: self.issues + other.issues,
-            commits: self.commits + other.commits,
-            int_ops: self.int_ops + other.int_ops,
-            fp_ops: self.fp_ops + other.fp_ops,
-            mul_ops: self.mul_ops + other.mul_ops,
-            loads: self.loads + other.loads,
-            stores: self.stores + other.stores,
-            branches: self.branches + other.branches,
-            branch_mispredicts: self.branch_mispredicts + other.branch_mispredicts,
-            icache_accesses: self.icache_accesses + other.icache_accesses,
-            icache_misses: self.icache_misses + other.icache_misses,
-            dcache_reads: self.dcache_reads + other.dcache_reads,
-            dcache_writes: self.dcache_writes + other.dcache_writes,
-            dcache_misses: self.dcache_misses + other.dcache_misses,
-            itlb_accesses: self.itlb_accesses + other.itlb_accesses,
-            dtlb_accesses: self.dtlb_accesses + other.dtlb_accesses,
-            window_accesses: self.window_accesses + other.window_accesses,
-            rob_accesses: self.rob_accesses + other.rob_accesses,
-            int_regfile_reads: self.int_regfile_reads + other.int_regfile_reads,
-            int_regfile_writes: self.int_regfile_writes + other.int_regfile_writes,
-            fp_regfile_reads: self.fp_regfile_reads + other.fp_regfile_reads,
-            fp_regfile_writes: self.fp_regfile_writes + other.fp_regfile_writes,
         }
     }
 }
@@ -175,22 +131,12 @@ mod tests {
         assert_eq!(s.issues, 4000);
         assert_eq!(s.fp_ops, 2000);
         assert!((s.duty() - 1.0).abs() < 1e-12);
-        assert!((s.ipc() - 4.0).abs() < 1e-12);
+        assert_eq!(s.commits, 4000);
     }
 
     #[test]
     fn zero_cycles_is_safe() {
         let s = CoreStats::default();
-        assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.duty(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let a = CoreStats::peak(100, 2, 1);
-        let b = CoreStats::peak(300, 2, 1);
-        let m = a.merged(&b);
-        assert_eq!(m.cycles, 400);
-        assert_eq!(m.issues, 800);
     }
 }

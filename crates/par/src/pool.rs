@@ -282,6 +282,7 @@ pub struct WorkerKill;
 /// never die.
 #[doc(hidden)]
 #[allow(clippy::panic)] // the panic IS the chaos injection: it must unwind the worker
+                        // lint: allow(L013, the chaos tests kill pool workers mid-task with it)
 pub fn chaos_kill_worker() {
     if is_pool_worker() {
         std::panic::panic_any(WorkerKill);

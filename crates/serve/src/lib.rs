@@ -71,6 +71,7 @@ pub fn drain_requested() -> bool {
 static EVAL_HOLD_MS: AtomicU64 = AtomicU64::new(0);
 
 #[doc(hidden)]
+// lint: allow(L013, the daemon tests hold a build open to overlap requests with it)
 pub fn set_eval_hold_ms(ms: u64) {
     EVAL_HOLD_MS.store(ms, Ordering::SeqCst);
 }

@@ -166,6 +166,7 @@ impl ServerHandle {
 
     /// Currently admitted `evaluate` requests.
     #[must_use]
+    // lint: allow(L013, the daemon tests wait on it to know a build is admitted)
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::SeqCst)
     }

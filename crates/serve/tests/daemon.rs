@@ -104,7 +104,10 @@ fn evaluate_line(cfg: &ProcessorConfig, id: u64) -> String {
 }
 
 /// A config no other test (or CLI preset default) builds, so hold-based
-/// tests own their coalesce key.
+/// tests own their coalesce key. Its array solves are not cold:
+/// niagara's solves do not depend on the clock, so another test's
+/// niagara build warms them. A test that needs cold solves also sets a
+/// temperature no other test in this file uses.
 fn distinct_config(name: &str, clock_hz: f64) -> ProcessorConfig {
     let mut cfg = ProcessorConfig::niagara();
     cfg.name = name.to_owned();
@@ -298,10 +301,15 @@ fn identical_concurrent_requests_coalesce_onto_one_build() {
     let _reset = HoldReset;
     let (handle, join) = start_server(8);
 
-    // Distinct clock so no other test pre-warmed these solves; the hold
-    // keeps A's build in flight long enough for B to provably overlap.
-    let cfg_a = distinct_config("herd-a", 1.19e9);
-    let cfg_b = distinct_config("herd-b", 1.19e9);
+    // A temperature no other test here uses keeps A's solves cold (see
+    // `distinct_config`); the hold keeps A's build in flight long
+    // enough for B to provably overlap.
+    let herd = |name: &str| ProcessorConfig {
+        temperature_k: 352.5,
+        ..distinct_config(name, 1.19e9)
+    };
+    let cfg_a = herd("herd-a");
+    let cfg_b = herd("herd-b");
     mcpat_serve::set_eval_hold_ms(400);
     let mut a = Client::connect(&handle);
     let mut b = Client::connect(&handle);

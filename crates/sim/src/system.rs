@@ -128,93 +128,6 @@ impl SystemModel {
         }
     }
 
-    /// Runs a phased execution: each `(workload, instructions)` phase is
-    /// simulated in sequence, producing one result per phase — the input
-    /// for runtime power *traces* (power vs time).
-    #[must_use]
-    pub fn simulate_phases(&self, phases: &[(WorkloadProfile, u64)]) -> Vec<SimResult> {
-        phases
-            .iter()
-            .map(|(wl, insts)| self.simulate(wl, *insts))
-            .collect()
-    }
-
-    /// Runs a multiprogrammed mix: core `i` runs `workloads[i %
-    /// workloads.len()]`. Each core retires `insts_per_core`
-    /// instructions; the interval ends when the slowest core finishes
-    /// (others idle-wait, which the power model sees as idle cycles).
-    ///
-    /// An empty `workloads` slice falls back to the balanced preset on
-    /// every core.
-    #[must_use]
-    pub fn simulate_multiprogram(
-        &self,
-        workloads: &[WorkloadProfile],
-        insts_per_core: u64,
-    ) -> SimResult {
-        if workloads.is_empty() {
-            return self.simulate_multiprogram(&[WorkloadProfile::balanced()], insts_per_core);
-        }
-        let cfg = &self.config;
-        let n = cfg.num_cores as usize;
-        // Evaluate each distinct workload once.
-        let runs: Vec<SimResult> = workloads
-            .iter()
-            .map(|wl| self.simulate(wl, insts_per_core))
-            .collect();
-        let slowest = runs.iter().map(|r| r.seconds).fold(0.0f64, f64::max);
-        let total_cycles = (slowest * cfg.clock_hz).ceil() as u64;
-
-        // Per-core stats: each core keeps its own event counts but is
-        // padded with idle cycles to the common interval.
-        let mut cores = Vec::with_capacity(n);
-        let mut agg = workloads.first().map_or_else(Default::default, |wl| {
-            self.simulate(wl, insts_per_core).stats
-        });
-        agg.cores.clear();
-        agg.duration_s = slowest;
-        agg.l2 = Default::default();
-        agg.l3 = Default::default();
-        agg.noc = Default::default();
-        agg.mc = Default::default();
-        let per_core_weight = 1.0 / n as f64;
-        let mut total_ips = 0.0;
-        let mut bw_util: f64 = 0.0;
-        for i in 0..n {
-            let Some(r) = runs.get(i % runs.len().max(1)) else {
-                continue;
-            };
-            let mut cs = r.stats.core(0);
-            cs.idle_cycles += total_cycles.saturating_sub(cs.cycles);
-            cs.cycles = total_cycles;
-            cores.push(cs);
-            // Shared-resource traffic accumulates per core share.
-            let share = per_core_weight;
-            agg.l2.reads += (r.stats.l2.reads as f64 * share) as u64;
-            agg.l2.writes += (r.stats.l2.writes as f64 * share) as u64;
-            agg.l2.misses += (r.stats.l2.misses as f64 * share) as u64;
-            agg.l2.writebacks += (r.stats.l2.writebacks as f64 * share) as u64;
-            agg.noc.flits += (r.stats.noc.flits as f64 * share) as u64;
-            agg.mc.bytes_read += (r.stats.mc.bytes_read as f64 * share) as u64;
-            agg.mc.bytes_written += (r.stats.mc.bytes_written as f64 * share) as u64;
-            total_ips += insts_per_core as f64 / slowest;
-            bw_util = bw_util.max(r.mem_bw_utilization);
-        }
-        agg.l2.interval_s = slowest;
-        agg.l3.interval_s = slowest;
-        agg.noc.interval_s = slowest;
-        agg.mc.interval_s = slowest;
-        agg.cores = cores;
-
-        SimResult {
-            seconds: slowest,
-            ipc_per_core: insts_per_core as f64 / total_cycles.max(1) as f64,
-            aggregate_ips: total_ips,
-            mem_bw_utilization: bw_util,
-            stats: agg,
-        }
-    }
-
     #[allow(clippy::cast_sign_loss)]
     fn build_stats(
         &self,
@@ -376,52 +289,6 @@ mod tests {
         assert!(c.dcache_misses <= c.dcache_reads + c.dcache_writes);
         assert!(c.idle_cycles <= c.cycles);
         assert!(r.stats.l2.misses <= r.stats.l2.reads + r.stats.l2.writes);
-    }
-
-    #[test]
-    fn phased_simulation_produces_one_result_per_phase() {
-        let cfg = ProcessorConfig::niagara2();
-        let sys = SystemModel::new(&cfg);
-        let phases = [
-            (WorkloadProfile::compute_bound(), 2_000_000u64),
-            (WorkloadProfile::memory_bound(), 2_000_000),
-            (WorkloadProfile::server_transactional(), 2_000_000),
-        ];
-        let results = sys.simulate_phases(&phases);
-        assert_eq!(results.len(), 3);
-        // The memory phase takes longest.
-        assert!(results[1].seconds > results[0].seconds);
-    }
-
-    #[test]
-    fn multiprogram_interval_is_the_slowest_workload() {
-        let cfg = ProcessorConfig::niagara2();
-        let sys = SystemModel::new(&cfg);
-        let fast = WorkloadProfile::compute_bound();
-        let slow = WorkloadProfile::memory_bound();
-        let mix = sys.simulate_multiprogram(&[fast, slow], 5_000_000);
-        let slow_alone = sys.simulate(&slow, 5_000_000);
-        assert!((mix.seconds - slow_alone.seconds).abs() < slow_alone.seconds * 0.01);
-        // Per-core stats are heterogeneous: fast cores idle-wait.
-        assert_eq!(mix.stats.cores.len(), 8);
-        assert!(mix.stats.cores[0].idle_cycles > 0 || mix.stats.cores[1].idle_cycles > 0);
-    }
-
-    #[test]
-    fn multiprogram_power_evaluates_per_core() {
-        let cfg = ProcessorConfig::niagara2();
-        let chip = mcpat::Processor::build(&cfg).unwrap();
-        let sys = SystemModel::new(&cfg);
-        let mix = sys.simulate_multiprogram(
-            &[
-                WorkloadProfile::compute_bound(),
-                WorkloadProfile::memory_bound(),
-            ],
-            2_000_000,
-        );
-        let p = chip.runtime_power(&mix.stats);
-        assert!(p.total() > 0.0);
-        assert!(p.total() < chip.peak_power().total() * 1.2);
     }
 
     #[test]

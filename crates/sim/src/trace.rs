@@ -72,16 +72,9 @@ impl TraceGenerator {
             profile: *profile,
             timing: CoreTiming::default(),
             l1d_mr: miss_rate(cfg.dcache.capacity, profile.data_working_set),
-            l2_mr: 0.3, // default shared-cache pressure; override via `with_l2_miss_rate`
+            l2_mr: 0.3, // default shared-cache pressure
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Overrides the L2 miss rate (computed at system level).
-    #[must_use]
-    pub fn with_l2_miss_rate(mut self, mr: f64) -> TraceGenerator {
-        self.l2_mr = mr.clamp(0.0, 1.0);
-        self
     }
 
     /// Samples the next instruction.

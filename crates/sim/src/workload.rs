@@ -5,7 +5,6 @@
 //! parallelism, branch behavior, and memory locality (expressed as a
 //! working-set size that the cache model turns into miss-rate curves).
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A statistical description of one workload.
@@ -196,19 +195,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// A randomized perturbation of this profile (±`spread` relative on
-    /// the continuous fields), for sensitivity sweeps.
-    #[must_use]
-    pub fn perturbed<R: Rng>(&self, rng: &mut R, spread: f64) -> WorkloadProfile {
-        let mut p = *self;
-        let mut jitter = |v: f64| v * (1.0 + rng.gen_range(-spread..=spread));
-        p.ilp = jitter(p.ilp).max(1.0);
-        p.mispredict_rate = jitter(p.mispredict_rate).clamp(0.0, 0.5);
-        p.data_working_set = (jitter(p.data_working_set as f64) as u64).max(1024);
-        p.l2_miss_locality = jitter(p.l2_miss_locality).clamp(0.0, 1.0);
-        p
-    }
-
     /// The total memory-operation fraction.
     #[must_use]
     pub fn frac_mem(&self) -> f64 {
@@ -262,8 +248,6 @@ impl WorkloadProfile {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn preset_mixes_sum_to_one() {
@@ -291,18 +275,6 @@ mod tests {
             WorkloadProfile::hpc_stencil(),
         ] {
             assert!(a.data_working_set > other.data_working_set);
-        }
-    }
-
-    #[test]
-    fn perturbation_stays_in_bounds() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let base = WorkloadProfile::balanced();
-        for _ in 0..100 {
-            let p = base.perturbed(&mut rng, 0.3);
-            assert!(p.ilp >= 1.0);
-            assert!(p.mispredict_rate <= 0.5);
-            assert!((0.0..=1.0).contains(&p.l2_miss_locality));
         }
     }
 

@@ -6,6 +6,7 @@ use mcpat_mcore::config::CoreConfig;
 use mcpat_sim::{SystemModel, WorkloadProfile};
 use mcpat_tech::TechNode;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn any_workload() -> impl Strategy<Value = WorkloadProfile> {
     prop::sample::select(vec![
@@ -15,6 +16,18 @@ fn any_workload() -> impl Strategy<Value = WorkloadProfile> {
         WorkloadProfile::server_transactional(),
         WorkloadProfile::splash_like(),
     ])
+}
+
+/// `base` with its continuous fields jittered by up to ±`spread`
+/// (relative), clamped back into their valid ranges.
+fn perturbed(base: WorkloadProfile, rng: &mut impl Rng, spread: f64) -> WorkloadProfile {
+    let mut p = base;
+    let mut jitter = |v: f64| v * (1.0 + rng.gen_range(-spread..=spread));
+    p.ilp = jitter(p.ilp).max(1.0);
+    p.mispredict_rate = jitter(p.mispredict_rate).clamp(0.0, 0.5);
+    p.data_working_set = (jitter(p.data_working_set as f64) as u64).max(1024);
+    p.l2_miss_locality = jitter(p.l2_miss_locality).clamp(0.0, 1.0);
+    p
 }
 
 fn manycore(cores: u32, cluster: u32) -> ProcessorConfig {
@@ -93,7 +106,7 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(seed);
-        let wl = WorkloadProfile::balanced().perturbed(&mut rng, 0.4);
+        let wl = perturbed(WorkloadProfile::balanced(), &mut rng, 0.4);
         let cfg = manycore(4, 2);
         let run = SystemModel::new(&cfg).simulate(&wl, 2_000_000);
         prop_assert!(run.seconds > 0.0 && run.seconds.is_finite());

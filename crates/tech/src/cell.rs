@@ -17,7 +17,7 @@ use crate::node::TechNode;
 /// use mcpat_tech::{SramCell, TechNode};
 /// let cell = SramCell::new(TechNode::N65);
 /// let f = TechNode::N65.feature_m();
-/// assert!((cell.area_m2() / (f * f) - 146.0).abs() < 1.0);
+/// assert!((cell.height * cell.width / (f * f) - 146.0).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramCell {
@@ -49,12 +49,6 @@ impl SramCell {
             w_pulldown: 2.0 * f,
             w_pullup: 1.23 * f,
         }
-    }
-
-    /// Cell area, m².
-    #[must_use]
-    pub fn area_m2(&self) -> f64 {
-        self.height * self.width
     }
 
     /// Subthreshold + gate leakage power of one cell, W.
@@ -124,12 +118,6 @@ impl CamCell {
         }
     }
 
-    /// Cell area, m².
-    #[must_use]
-    pub fn area_m2(&self) -> f64 {
-        self.height * self.width
-    }
-
     /// Leakage power of one CAM cell, W (storage plus comparator stack).
     #[must_use]
     pub fn leakage_power(&self, dev: &DeviceParams, t_kelvin: f64) -> f64 {
@@ -179,12 +167,6 @@ impl EdramCell {
             c_storage: 20e-15,
             retention_s: 40e-6,
         }
-    }
-
-    /// Cell area, m².
-    #[must_use]
-    pub fn area_m2(&self) -> f64 {
-        self.height * self.width
     }
 
     /// Retention time at an arbitrary temperature, s.
@@ -257,24 +239,31 @@ mod tests {
     use super::*;
     use crate::device::DeviceType;
 
+    fn sram_area(node: TechNode) -> f64 {
+        let c = SramCell::new(node);
+        c.height * c.width
+    }
+
     #[test]
     fn sram_cell_area_scales_quadratically() {
-        let a90 = SramCell::new(TechNode::N90).area_m2();
-        let a45 = SramCell::new(TechNode::N45).area_m2();
+        let a90 = sram_area(TechNode::N90);
+        let a45 = sram_area(TechNode::N45);
         assert!((a90 / a45 - 4.0).abs() < 0.01);
     }
 
     #[test]
     fn cam_cell_is_bigger_than_sram_cell() {
         for node in TechNode::ALL {
-            assert!(CamCell::new(node).area_m2() > 2.0 * SramCell::new(node).area_m2());
+            let cam = CamCell::new(node);
+            assert!(cam.height * cam.width > 2.0 * sram_area(node));
         }
     }
 
     #[test]
     fn edram_cell_is_denser_than_sram() {
         for node in TechNode::ALL {
-            assert!(EdramCell::new(node).area_m2() < SramCell::new(node).area_m2() / 4.0);
+            let edram = EdramCell::new(node);
+            assert!(edram.height * edram.width < sram_area(node) / 4.0);
         }
     }
 

@@ -42,7 +42,7 @@ pub use cell::{CamCell, DffStorage, EdramCell, SramCell};
 pub use device::{DeviceParams, DeviceType};
 pub use node::TechNode;
 pub use params::TechParams;
-pub use wire::{LowSwingWire, WireParams, WireProjection, WireType};
+pub use wire::{WireParams, WireProjection, WireType};
 
 /// Vacuum permittivity, F/m.
 pub const EPS0: f64 = 8.854e-12;

@@ -84,14 +84,6 @@ impl TechNode {
     pub fn scale_from_90nm(self) -> f64 {
         self.feature_nm() / 90.0
     }
-
-    /// The next smaller node, if any.
-    #[must_use]
-    pub fn next_smaller(self) -> Option<TechNode> {
-        let all = TechNode::ALL;
-        let idx = all.iter().position(|&n| n == self)?;
-        all.get(idx + 1).copied()
-    }
 }
 
 impl fmt::Display for TechNode {
@@ -153,12 +145,6 @@ mod tests {
         }
         assert_eq!("45".parse::<TechNode>().unwrap(), TechNode::N45);
         assert!("14nm".parse::<TechNode>().is_err());
-    }
-
-    #[test]
-    fn next_smaller_walks_the_ladder() {
-        assert_eq!(TechNode::N180.next_smaller(), Some(TechNode::N90));
-        assert_eq!(TechNode::N22.next_smaller(), None);
     }
 
     #[test]

@@ -144,15 +144,6 @@ impl TechParams {
         self.refreshed()
     }
 
-    /// Returns the same corner with a different device flavor
-    /// (e.g. LSTP for a cache array inside an HP chip).
-    #[must_use]
-    pub fn with_device_type(mut self, device_type: DeviceType) -> TechParams {
-        self.device_type = device_type;
-        self.device = DeviceParams::lookup(self.node, device_type);
-        self.refreshed()
-    }
-
     /// Minimum NMOS width in this process, m.
     #[must_use]
     pub fn min_w_nmos(&self) -> f64 {
@@ -210,12 +201,6 @@ impl TechParams {
     #[must_use]
     pub fn gate_leakage(&self, w_n: f64, w_p: f64) -> f64 {
         0.5 * self.device.i_g_n * (w_n + w_p / 2.0) * self.device.vdd
-    }
-
-    /// Total static power of a gate (subthreshold + gate leakage), W.
-    #[must_use]
-    pub fn static_power(&self, w_n: f64, w_p: f64) -> f64 {
-        self.subthreshold_leakage(w_n, w_p) + self.gate_leakage(w_n, w_p)
     }
 
     /// Wire parameters for a wire class under this corner's projection.
@@ -307,14 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn device_type_swap_changes_vdd() {
-        let hp = TechParams::new(TechNode::N45, DeviceType::Hp, 360.0);
-        let as_lstp = hp.with_device_type(DeviceType::Lstp);
-        assert!(as_lstp.device.vdd > hp.device.vdd);
-        assert_eq!(as_lstp.node, hp.node);
-    }
-
-    #[test]
     fn switch_energy_matches_half_cv2() {
         let t = TechParams::new(TechNode::N65, DeviceType::Hp, 360.0);
         let c = 1e-15;
@@ -339,7 +316,6 @@ mod tests {
                 for t in [
                     TechParams::new(node, dt, 340.0),
                     TechParams::new(node, dt, 380.0).with_vdd_scale(0.9),
-                    TechParams::new(node, DeviceType::Hp, 360.0).with_device_type(dt),
                     TechParams::new(node, dt, 360.0).with_projection(WireProjection::Conservative),
                 ] {
                     let d = &t.derived;
@@ -370,13 +346,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn static_power_scale_is_sane() {
-        // One minimum inverter at 32 nm HP, 360 K should leak nW-scale.
-        let t = TechParams::new(TechNode::N32, DeviceType::Hp, 360.0);
-        let p = t.static_power(t.min_w_nmos(), t.min_w_pmos());
-        assert!(p > 1e-10 && p < 1e-6, "p = {p:e}");
     }
 }

@@ -185,68 +185,6 @@ impl WireParams {
             c_per_m,
         }
     }
-
-    /// Unrepeated (quadratic) Elmore delay of a wire of length `len_m`, s.
-    ///
-    /// Long wires should instead be driven through the repeater optimizer in
-    /// `mcpat-circuit`; this is the raw distributed-RC bound `0.38·R·C·L²`.
-    #[must_use]
-    pub fn unrepeated_delay(&self, len_m: f64) -> f64 {
-        0.38 * self.r_per_m * self.c_per_m * len_m * len_m
-    }
-
-    /// Switching energy of a full-swing transition on a wire of length
-    /// `len_m` at supply `vdd`, J.
-    #[must_use]
-    pub fn switching_energy(&self, len_m: f64, vdd: f64) -> f64 {
-        0.5 * self.c_per_m * len_m * vdd * vdd
-    }
-}
-
-/// Parameters of a low-swing differential interconnect.
-///
-/// McPAT (via CACTI 6) models long, latency-tolerant buses as low-swing
-/// differential pairs: the driver swings the pair by `v_swing` instead of
-/// the full supply, and a sense amplifier recovers the value. Energy per
-/// bit is roughly `C·ΔV·Vdd` plus the sense-amp energy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LowSwingWire {
-    /// Underlying full-swing wire parameters (doubled for the pair).
-    pub wire: WireParams,
-    /// Differential voltage swing, V.
-    pub v_swing: f64,
-    /// Energy consumed by the sense amplifier per transition, J.
-    pub sense_energy: f64,
-    /// Sense amplifier resolution delay, s.
-    pub sense_delay: f64,
-}
-
-impl LowSwingWire {
-    /// Builds a low-swing differential global wire at a node.
-    #[must_use]
-    pub fn new(node: TechNode, projection: WireProjection) -> LowSwingWire {
-        let wire = WireParams::new(node, WireType::Global, projection);
-        LowSwingWire {
-            wire,
-            v_swing: 0.1,
-            sense_energy: 2.0e-15 * node.scale_from_90nm(),
-            sense_delay: 100e-12 * node.scale_from_90nm().max(0.3),
-        }
-    }
-
-    /// Energy per transmitted bit over `len_m`, J.
-    ///
-    /// Both wires of the pair are charged by `v_swing` from the `vdd` rail.
-    #[must_use]
-    pub fn energy_per_bit(&self, len_m: f64, vdd: f64) -> f64 {
-        2.0 * self.wire.c_per_m * len_m * self.v_swing * vdd + self.sense_energy
-    }
-
-    /// End-to-end delay over `len_m`, s (RC flight time plus sensing).
-    #[must_use]
-    pub fn delay(&self, len_m: f64) -> f64 {
-        self.wire.unrepeated_delay(len_m) + self.sense_delay
-    }
 }
 
 #[cfg(test)]
@@ -309,27 +247,5 @@ mod tests {
             c_per_mm > 0.1e-12 && c_per_mm < 0.5e-12,
             "c = {c_per_mm:e} F/mm"
         );
-    }
-
-    #[test]
-    fn low_swing_saves_energy_on_long_wires() {
-        let node = TechNode::N32;
-        let vdd = 0.9;
-        let len = 5e-3;
-        let fs = WireParams::new(node, WireType::Global, WireProjection::Aggressive);
-        let ls = LowSwingWire::new(node, WireProjection::Aggressive);
-        assert!(ls.energy_per_bit(len, vdd) < fs.switching_energy(len, vdd));
-    }
-
-    #[test]
-    fn unrepeated_delay_is_quadratic() {
-        let w = WireParams::new(
-            TechNode::N45,
-            WireType::Intermediate,
-            WireProjection::Aggressive,
-        );
-        let d1 = w.unrepeated_delay(1e-3);
-        let d2 = w.unrepeated_delay(2e-3);
-        assert!((d2 / d1 - 4.0).abs() < 1e-9);
     }
 }

@@ -56,19 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn wire_energy_scales_linearly_with_length(
-        node in any_node(),
-        wt in any_wire_type(),
-        len in 1e-6..1e-2f64,
-        k in 1.5..10.0f64,
-    ) {
-        let w = WireParams::new(node, wt, WireProjection::Aggressive);
-        let e1 = w.switching_energy(len, 1.0);
-        let e2 = w.switching_energy(len * k, 1.0);
-        prop_assert!((e2 / e1 - k).abs() < 1e-9);
-    }
-
-    #[test]
     fn static_power_scales_linearly_with_width(
         node in any_node(),
         flavor in any_flavor(),

@@ -214,18 +214,6 @@ impl MemCtrl {
         let bits = (stats.bytes_read + stats.bytes_written) as f64 * 8.0;
         (queue_e + bits * self.phy_energy_per_bit) / stats.interval_s
     }
-
-    /// Peak dynamic power with every channel saturated, W.
-    #[must_use]
-    pub fn peak_dynamic_power(&self) -> f64 {
-        let ch = f64::from(self.config.channels);
-        let bytes = self.config.peak_bw_per_channel * ch;
-        self.dynamic_power(&MemCtrlStats {
-            interval_s: 1.0,
-            bytes_read: (bytes * 0.6) as u64,
-            bytes_written: (bytes * 0.4) as u64,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -243,14 +231,18 @@ mod tests {
         let mc = MemCtrl::build(&tech(), &MemCtrlConfig::default()).unwrap();
         assert!(mc.area() > 0.0);
         assert!(mc.leakage().total() > 0.0);
-        assert!(mc.peak_dynamic_power() > 0.1);
     }
 
     #[test]
     fn saturated_channel_burns_watts() {
         // 6.4 GB/s × 2 channels at ~20 pJ/bit ≈ 2 W of PHY power.
         let mc = MemCtrl::build(&tech(), &MemCtrlConfig::default()).unwrap();
-        let p = mc.peak_dynamic_power();
+        let bytes = mc.config.peak_bw_per_channel * f64::from(mc.config.channels);
+        let p = mc.dynamic_power(&MemCtrlStats {
+            interval_s: 1.0,
+            bytes_read: (bytes * 0.6) as u64,
+            bytes_written: (bytes * 0.4) as u64,
+        });
         assert!(p > 0.5 && p < 20.0, "{p} W");
     }
 

@@ -245,12 +245,6 @@ impl SharedCache {
             + stats.snoops as f64 * snoop_e;
         total / stats.interval_s
     }
-
-    /// Peak dynamic power at one access per `cycle_s`, W.
-    #[must_use]
-    pub fn peak_dynamic_power(&self, cycle_s: f64) -> f64 {
-        self.cache.read_hit_energy / cycle_s.max(1e-12)
-    }
 }
 
 #[cfg(test)]
