@@ -681,8 +681,8 @@ mod tests {
                     }),
                     Mode::Budget => Err(ArrayError::Budget {
                         name: s.name.clone(),
-                        reason: mcpat_guard::GuardError::Cancelled {
-                            progress: mcpat_guard::Progress::default(),
+                        reason: mcpat_obs::guard::GuardError::Cancelled {
+                            progress: mcpat_obs::guard::Progress::default(),
                         },
                     }),
                     Mode::Real => crate::solve::solve_uncached(t, s, tg),

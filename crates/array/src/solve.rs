@@ -49,7 +49,7 @@ pub enum ArrayError {
         detail: String,
     },
     /// A resource budget tripped at one of the solver's cooperative
-    /// checkpoints (deadline or cancellation — see `mcpat-guard`).
+    /// checkpoints (deadline or cancellation — see `mcpat_obs::guard`).
     /// Never cached: a timed-out solve is a fact about this call, not
     /// about the array. The `mcpat` crate converts it to its own budget
     /// error at the array's path, so it never surfaces as a solver
@@ -58,7 +58,7 @@ pub enum ArrayError {
         /// Array name from the spec.
         name: String,
         /// The budget violation, with partial-progress metadata.
-        reason: mcpat_guard::GuardError,
+        reason: mcpat_obs::guard::GuardError,
     },
 }
 
@@ -335,7 +335,7 @@ const PAR_SWEEP_MIN_BITS: u64 = 1 << 20;
 
 /// Maps a tripped budget to the solver's typed error for `spec`.
 fn budget_check(spec: &ArraySpec) -> Result<(), ArrayError> {
-    mcpat_guard::check().map_err(|reason| ArrayError::Budget {
+    mcpat_obs::guard::check().map_err(|reason| ArrayError::Budget {
         name: spec.name.clone(),
         reason,
     })
@@ -729,7 +729,7 @@ fn sweep_cell(
         };
         lanes.push(geom.ndwl, evaluate_fast(inv, row, col, geom, cell));
     }
-    mcpat_guard::note_candidates(lanes.n as u64);
+    mcpat_obs::guard::note_candidates(lanes.n as u64);
     lanes.score(target);
 
     let mut best = BestSet::empty();
@@ -1177,7 +1177,7 @@ pub mod reference {
                 best_cycle_seen = best_cycle_seen.min(cand.eval.cycle_time);
                 reduce_into(&mut best, thresholds, cand);
             }
-            mcpat_guard::note_candidate();
+            mcpat_obs::guard::note_candidate();
         }
         Ok((best, best_cycle_seen))
     }

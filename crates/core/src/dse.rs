@@ -34,7 +34,7 @@
 //! pool task would, so fanning them out lost to walking the row in
 //! place (DESIGN.md §12 has the measurements). The frontier
 //! plus the generator cursor serialize to JSON ([`DseCheckpoint`]) at
-//! chunk boundaries, so a sweep killed by the `mcpat-guard`
+//! chunk boundaries, so a sweep killed by the `mcpat_obs::guard`
 //! deadline/cancel machinery resumes where it stopped with a
 //! bit-identical final frontier.
 
@@ -836,7 +836,7 @@ fn write_candidate_name(name: &mut String, cursor: u64) {
 ///
 /// [`McpatError::Invalid`] for a malformed grid or a resume checkpoint
 /// whose grid echo does not match; [`McpatError::Budget`] when the
-/// active `mcpat-guard` budget trips (the sweep can be resumed from the
+/// active `mcpat_obs::guard` budget trips (the sweep can be resumed from the
 /// last emitted checkpoint); any build error from a candidate,
 /// propagated in cursor order within the failing chunk.
 pub fn dse_streaming<E, S>(
@@ -894,7 +894,7 @@ where
         )?;
         since_checkpoint += end - cursor;
         cursor = end;
-        mcpat_guard::note_span();
+        mcpat_obs::guard::note_span();
         if opts.checkpoint_every > 0 && since_checkpoint >= opts.checkpoint_every {
             since_checkpoint = 0;
             on_checkpoint(&DseCheckpoint::capture(grid, cursor, &frontier, perf))?;
@@ -1028,7 +1028,7 @@ fn run_chunk<E: DseEvaluator>(
             chip.retarget_clock(p.clock_hz)?;
         }
         if !duplicate {
-            mcpat_guard::note_candidate();
+            mcpat_obs::guard::note_candidate();
         }
         // A full build re-picks array partitions for the new cycle
         // time, so only a retargeted chip keeps the row's area and

@@ -2,7 +2,7 @@
 
 use mcpat_array::ArrayError;
 use mcpat_diag::{AtPath, Diagnostic, Diagnostics};
-use mcpat_guard::GuardError;
+use mcpat_obs::guard::GuardError;
 use std::fmt;
 
 /// Errors produced while building or evaluating a processor model.
@@ -24,7 +24,7 @@ pub enum McpatError {
     /// [`McpatError::Budget`] at the array's path.
     Array(AtPath<ArrayError>),
     /// A resource budget (deadline or cooperative cancellation — see
-    /// [`mcpat_guard`]) tripped at the named build stage or array.
+    /// [`mcpat_obs::guard`]) tripped at the named build stage or array.
     /// Carries partial-progress metadata; the build leaves no poisoned
     /// state behind and can simply be retried.
     Budget(AtPath<GuardError>),
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn budget_errors_locate_and_expose_the_guard_reason() {
         let ge = GuardError::Cancelled {
-            progress: mcpat_guard::Progress::default(),
+            progress: mcpat_obs::guard::Progress::default(),
         };
         let e: McpatError = AtPath::new("build.core", ge.clone()).into();
         assert_eq!(e.guard_error(), Some(&ge));
@@ -186,7 +186,7 @@ mod tests {
             McpatError::Array(AtPath::new("l2", ae)).kind(),
             "Infeasible"
         );
-        let progress = mcpat_guard::Progress::default();
+        let progress = mcpat_obs::guard::Progress::default();
         let cancelled: McpatError = AtPath::new("build", GuardError::Cancelled { progress }).into();
         assert_eq!(cancelled.kind(), "Cancelled");
         let late = GuardError::DeadlineExceeded {

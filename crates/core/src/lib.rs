@@ -84,10 +84,11 @@ pub use mcpat_obs as obs;
 /// Resource governance: deadlines and cooperative cancellation for
 /// long-running builds. Enter a [`guard::Budget`] around any build or
 /// sweep and every checkpointed loop underneath it honors the budget,
-/// surfacing trips as [`McpatError::Budget`]. Named `guard`
-/// because [`Budgets`] — the DSE area/power constraints — is an
-/// unrelated, older concept.
-pub use mcpat_guard as guard;
+/// surfacing trips as [`McpatError::Budget`]. Budgets ride the same
+/// scope chain as [`obs`] collectors, so pool tasks inherit both from
+/// their submitter. Named `guard` because [`Budgets`] — the DSE
+/// area/power constraints — is an unrelated, older concept.
+pub use mcpat_obs::guard;
 
 // Re-export the layers so downstream users need only one dependency.
 pub use mcpat_array as array;

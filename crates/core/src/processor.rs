@@ -138,7 +138,7 @@ pub struct BuildPerf {
 /// cancellation surfaces as [`McpatError::Budget`]
 /// located at `stage`. Free when no budget is in scope.
 pub(crate) fn checkpoint(stage: &str) -> Result<(), McpatError> {
-    mcpat_guard::check().map_err(|e| McpatError::Budget(AtPath::new(stage, e)))
+    mcpat_obs::guard::check().map_err(|e| McpatError::Budget(AtPath::new(stage, e)))
 }
 
 /// Locates a fan-out failure (a panicked pool task) at `stage`: the
@@ -285,7 +285,7 @@ impl Processor {
                 .into_result()
                 .map_err(McpatError::Invalid)?
         };
-        mcpat_guard::note_span();
+        mcpat_obs::guard::note_span();
         let mut tech = TechParams::new(config.node, config.device_type, config.temperature_k)
             .with_projection(config.projection)
             .with_long_channel_leakage(config.long_channel_leakage);
@@ -313,7 +313,7 @@ impl Processor {
                 });
                 if let Ok(core) = &r {
                     span.note_relaxations(core.relaxation_warnings().len() as u64);
-                    mcpat_guard::note_span();
+                    mcpat_obs::guard::note_span();
                 }
                 r
             },
@@ -329,7 +329,7 @@ impl Processor {
                     if let Some(l2) = r {
                         span.note_relaxations(l2.relaxation_warnings().len() as u64);
                     }
-                    mcpat_guard::note_span();
+                    mcpat_obs::guard::note_span();
                 }
                 r
             },
@@ -345,7 +345,7 @@ impl Processor {
                     if let Some(l3) = r {
                         span.note_relaxations(l3.relaxation_warnings().len() as u64);
                     }
-                    mcpat_guard::note_span();
+                    mcpat_obs::guard::note_span();
                 }
                 r
             },
@@ -361,7 +361,7 @@ impl Processor {
                     if let Some(mc) = r {
                         span.note_relaxations(mc.relaxation_warnings().len() as u64);
                     }
-                    mcpat_guard::note_span();
+                    mcpat_obs::guard::note_span();
                 }
                 r
             },
@@ -394,7 +394,7 @@ impl Processor {
             &shared_fpu,
         );
         drop(clock_span);
-        mcpat_guard::note_span();
+        mcpat_obs::guard::note_span();
 
         Ok(Processor {
             config: config.clone(),
@@ -559,7 +559,7 @@ impl Processor {
             .as_ref()
             .map(|c| c.build(&self.tech).at("l2").map_err(McpatError::from))
             .transpose()?;
-        mcpat_guard::note_span();
+        mcpat_obs::guard::note_span();
         // The fabric link spans one cluster tile, whose footprint just
         // changed with the L2.
         let noc = build_fabric(&config, &self.tech, &self.core, l2.as_ref())?;
@@ -996,7 +996,7 @@ fn build_fabric(
     .build(tech)
     .at("fabric")?;
     drop(span);
-    mcpat_guard::note_span();
+    mcpat_obs::guard::note_span();
     Ok(noc)
 }
 
@@ -1089,6 +1089,25 @@ mod tests {
             assert!(chip.peak_power().total() > 10.0, "{}", cfg.name);
             assert!(chip.die_area_mm2() > 50.0, "{}", cfg.name);
         }
+    }
+
+    #[test]
+    fn tulsa_l3_banks_reach_the_model() {
+        let read_hit = |banks: u32| {
+            let mut cfg = ProcessorConfig::tulsa();
+            let l3 = cfg.l3.as_mut().unwrap();
+            assert_eq!(l3.cache.banks, 8);
+            l3.cache.banks = banks;
+            Processor::build(&cfg)
+                .unwrap()
+                .l3
+                .unwrap()
+                .cache
+                .read_hit_energy
+        };
+        // Eight 2 MB banks: each access reaches one bank, not the whole 16 MB.
+        let (eight, one) = (read_hit(8), read_hit(1));
+        assert!(eight < one, "8 banks {eight} J vs 1 bank {one} J");
     }
 
     #[test]

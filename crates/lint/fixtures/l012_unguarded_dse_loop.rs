@@ -1,6 +1,6 @@
 //! L012 fixture: a DSE-style generator/pruning loop whose per-candidate
 //! work (`config_at` enumeration + `rebuild_with` delta probe) resolves
-//! in the call graph and provably never reaches an `mcpat_guard`
+//! in the call graph and provably never reaches an `mcpat_obs::guard`
 //! checkpoint. Million-candidate sweeps iterate exactly this shape, so
 //! a missing budget checkpoint here means deadlines and cooperative
 //! cancellation cannot interrupt the sweep.

@@ -1,6 +1,6 @@
 //! L012 fixture: a sweep whose solver call *resolves* in the call
 //! graph — and the resolved callee provably never reaches an
-//! `mcpat_guard` checkpoint. Unlike L008 (opaque callee, syntactic
+//! `mcpat_obs::guard` checkpoint. Unlike L008 (opaque callee, syntactic
 //! fallback) this is hard interprocedural evidence.
 
 pub struct Candidate {

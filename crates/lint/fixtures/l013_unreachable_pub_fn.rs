@@ -41,6 +41,12 @@ pub fn countdown(n: u32) -> u32 {
     }
 }
 
+// A pattern binding (`let Some(active) =`) passes nothing.
+// BAD (L013): its name appears only in a pattern.
+pub fn active() -> bool {
+    true
+}
+
 /// A private fn is not public API: never an L013 finding.
 fn helper() -> f64 {
     2.0
@@ -51,4 +57,6 @@ fn main() {
     for p in &points {
         println!("{p}");
     }
+    let Some(active) = points.first() else { return };
+    println!("{active}");
 }

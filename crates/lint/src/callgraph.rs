@@ -5,7 +5,7 @@
 //! call sites), the graph answers two questions. For L013: *which fns
 //! does a walk from the entry points reach?* (see
 //! [`CallGraph::reachable`]). For L012: *starting
-//! from this call, can execution reach an `mcpat-guard` checkpoint
+//! from this call, can execution reach an `mcpat_obs::guard` checkpoint
 //! within a bounded number of frames?* PR 6 wired checkpoints into
 //! every long path; L008 could only see a checkpoint spelled out in
 //! the loop body itself, which forced audited allows on every loop
@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 /// Checkpoint idents that satisfy budget reachability when called:
-/// the `mcpat_guard` entry points and the crate-local wrappers that
+/// the `mcpat_obs::guard` entry points and the crate-local wrappers that
 /// forward to them.
 pub const BUDGET_CHECKS: &[&str] = &["check", "check_self", "budget_check", "checkpoint"];
 
@@ -52,7 +52,7 @@ pub struct CallRef {
 impl CallRef {
     /// Whether this call *is* a checkpoint invocation, directly: the
     /// name is one of [`BUDGET_CHECKS`] (optionally qualified through
-    /// `mcpat_guard`). Matches L008's historical syntactic test, so a
+    /// `mcpat_obs::guard`). Matches L008's historical syntactic test, so a
     /// crate-local wrapper named `checkpoint` still counts.
     #[must_use]
     pub fn is_checkpoint(&self) -> bool {
@@ -99,7 +99,7 @@ pub struct CallGraph {
 }
 
 /// Normalizes a crate-path segment to the workspace directory name:
-/// `mcpat_guard` / `mcpat-guard` → `guard`, `mcpat` → `core` (the
+/// `mcpat_obs` / `mcpat-obs` → `obs`, `mcpat` → `core` (the
 /// umbrella modeling crate lives in `crates/core`).
 fn crate_of_segment(seg: &str) -> Option<&str> {
     let norm = seg
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn crate_path_hints_narrow() {
         let g = CallGraph::build(vec![
-            node("guard", "enter", None, &["check"]),
+            node("par", "enter", None, &["check"]),
             node("obs", "enter", None, &["noop"]),
         ]);
         let hinted = CallRef {
@@ -441,10 +441,10 @@ mod tests {
         };
         // Narrowed to the obs crate, which does not checkpoint.
         assert!(!g.call_reaches_checkpoint("bench", &hinted));
-        let guard_hinted = CallRef {
+        let par_hinted = CallRef {
             name: String::from("enter"),
-            path: vec![String::from("mcpat_guard")],
+            path: vec![String::from("mcpat_par")],
         };
-        assert!(g.call_reaches_checkpoint("bench", &guard_hinted));
+        assert!(g.call_reaches_checkpoint("bench", &par_hinted));
     }
 }

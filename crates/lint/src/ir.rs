@@ -53,8 +53,8 @@ pub enum CallKind {
     /// unknown, so resolution is by name with same-crate preference.
     Method,
     /// `a::b::name(...)` — a path call; `CallIr::path` carries the
-    /// leading segments (e.g. `["mcpat_guard"]` for
-    /// `mcpat_guard::check()`). A lower-case path used as a value
+    /// leading segments (e.g. `["mcpat_obs", "guard"]` for
+    /// `mcpat_obs::guard::check()`). A lower-case path used as a value
     /// (`.map(PointRepr::from_point)`) is recorded the same way: the
     /// callee may invoke it.
     Path,

@@ -323,6 +323,12 @@ pub fn parse(lexed: &Lexed) -> FileIr {
         // resolve to nothing downstream and are harmless.
         let open = i.saturating_add(1);
         let close = match_close(tokens, open, "(", ")");
+        // A pattern (`let Some(x) = …`, `Some(x) =>`, `Err(e) if …`)
+        // binds its identifiers; it passes nothing.
+        let after = tok(tokens, close.saturating_add(1));
+        if after.is_some_and(|n| is_punct(n, "=") || is_punct(n, "=>") || is_ident(n, "if")) {
+            continue;
+        }
         let mut depth = 0usize;
         let mut j = open.saturating_add(1);
         while j < close {
@@ -497,8 +503,9 @@ mod tests {
 
     #[test]
     fn calls_classify_method_path_bare() {
-        let ir =
-            ir_of("fn f() { g(); x.h(); mcpat_guard::check(); a::b::c(); mac!(no); }\nfn g() {}");
+        let ir = ir_of(
+            "fn f() { g(); x.h(); mcpat_obs::guard::check(); a::b::c(); mac!(no); }\nfn g() {}",
+        );
         let f = ir.functions.first().unwrap();
         let got: Vec<(&str, CallKind, &[String])> = f
             .calls
@@ -511,7 +518,7 @@ mod tests {
         assert_eq!(got[1].0, "h");
         assert_eq!(got[1].1, CallKind::Method);
         assert_eq!(got[2].0, "check");
-        assert_eq!(got[2].2, ["mcpat_guard"]);
+        assert_eq!(got[2].2, ["mcpat_obs", "guard"]);
         assert_eq!(got[3].2, ["a", "b"]);
     }
 
@@ -553,21 +560,34 @@ mod tests {
         assert_eq!(got, [("solve", CallKind::Bare), ("i", CallKind::Callback)]);
     }
 
+    /// The callback edges recorded for the first fn of `src`.
+    fn callbacks(src: &str) -> Vec<String> {
+        let ir = ir_of(src);
+        let f = ir.functions.first().unwrap();
+        let edges = f.calls.iter().filter(|c| c.kind == CallKind::Callback);
+        edges.map(|c| c.name.clone()).collect()
+    }
+
     #[test]
     fn bare_ident_arguments_become_callback_edges() {
-        let ir = ir_of(
+        let got = callbacks(
             "fn f() { lookup_or_solve(tech, &spec, g(x), solve_uncached); t.h(Foo { a }, cb); }",
         );
-        let f = ir.functions.first().unwrap();
-        let callbacks: Vec<&str> = f
-            .calls
-            .iter()
-            .filter(|c| c.kind == CallKind::Callback)
-            .map(|c| c.name.as_str())
-            .collect();
         // Direct bare-ident args only: nested-call args (`x`) belong to
         // the nested call, struct-literal fields (`a`) are skipped.
-        assert_eq!(callbacks, ["tech", "spec", "solve_uncached", "x", "cb"]);
+        assert_eq!(got, ["tech", "spec", "solve_uncached", "x", "cb"]);
+    }
+
+    #[test]
+    fn pattern_bindings_are_not_callback_edges() {
+        let got = callbacks(
+            "fn f() { let Some(active) = g() else { return }; \
+             if let Ok(v) = h() {} match r { Some(x) => {} Err(e) if x == y => {} } \
+             if Some(cb) == k { run(cb); } }",
+        );
+        // Bound names (`active`, `v`, `x`, `e`) are not passed; a
+        // comparison (`==`) is not a pattern, so `cb` still counts twice.
+        assert_eq!(got, ["cb", "cb"]);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | L009 | no per-iteration heap allocation in `lint: hot` regions |
 //! | L010 | no mixing unit-suffixed identifiers across dimensions/scales |
 //! | L011 | no hash-ordered iteration, thread-dependence, or unordered float reduction |
-//! | L012 | solver/build loops *reach* an `mcpat-guard` checkpoint (call graph) |
+//! | L012 | solver/build loops *reach* an `mcpat_obs::guard` checkpoint (call graph) |
 //! | L013 | every `pub fn` is reachable from an entry point (call graph) |
 //!
 //! L008 and L012 split one invariant by evidence: a loop whose callees
@@ -76,7 +76,7 @@ pub enum Rule {
     /// float reduction.
     L011,
     /// A solver/build loop whose resolved callees provably never reach
-    /// an `mcpat-guard` checkpoint within the bounded call depth.
+    /// an `mcpat_obs::guard` checkpoint within the bounded call depth.
     L012,
     /// A `pub fn` that no entry point reaches over the call graph.
     L013,
@@ -167,7 +167,7 @@ impl Rule {
             Rule::L009 => "no per-iteration heap allocation in lint:hot regions",
             Rule::L010 => "no mixing unit-suffixed identifiers across dimensions or scales",
             Rule::L011 => "no hash-ordered iteration or thread-dependent values in results",
-            Rule::L012 => "solver/build loops must reach an mcpat-guard checkpoint",
+            Rule::L012 => "solver/build loops must reach an mcpat_obs::guard checkpoint",
             Rule::L013 => "every pub fn is reachable from an entry point",
             Rule::Allowance => "lint allow annotations must be well-formed and in use",
         }
@@ -633,7 +633,7 @@ pub fn collect_fn_facts(ir: &FileIr) -> Vec<FnFact> {
         .collect()
 }
 
-/// L008/L012 — every solver/build loop must *reach* an `mcpat-guard`
+/// L008/L012 — every solver/build loop must *reach* an `mcpat_obs::guard`
 /// checkpoint: syntactically in its body, or through its callees
 /// within [`MAX_CHECKPOINT_DEPTH`] frames of the call graph. A loop
 /// that fails splits by evidence:
@@ -676,7 +676,7 @@ pub fn check_loop_reachability(
                     Rule::L012,
                     format!(
                         "loop's solver/build calls resolve in the call graph but none \
-                         reaches an mcpat_guard checkpoint within {MAX_CHECKPOINT_DEPTH} \
+                         reaches an mcpat_obs::guard checkpoint within {MAX_CHECKPOINT_DEPTH} \
                          frames; checkpoint inside the callee or the loop body so deadlines \
                          and cancellation stay responsive — or justify with \
                          `// lint: allow(L012, reason)`"
@@ -687,7 +687,7 @@ pub fn check_loop_reachability(
                     Rule::L008,
                     String::from(
                         "loop calls solver/build APIs that are opaque to the call graph \
-                         and has no budget checkpoint; add an mcpat_guard::check() (or a \
+                         and has no budget checkpoint; add an mcpat_obs::guard::check() (or a \
                          wrapper forwarding to it) in the body so deadlines and \
                          cancellation stay responsive — or justify with \
                          `// lint: allow(L008, reason)`",

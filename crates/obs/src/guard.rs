@@ -1,19 +1,18 @@
-//! # mcpat-guard — deadlines and cooperative cancellation
+//! Deadlines and cooperative cancellation.
 //!
 //! The modeling stack is embedded in outer control loops (design-space
-//! exploration, DVFS governors, a future `mcpat-serve` daemon) that
-//! need predictable *worst-case* latency, not just good medians. This
-//! crate provides the resource-governance primitive those loops share:
+//! exploration, DVFS governors, the `mcpat-serve` daemon) that need
+//! predictable *worst-case* latency, not just good medians. This
+//! module provides the resource-governance primitive those loops share:
 //! a cheap-clone [`Budget`] handle carrying an optional deadline and a
 //! cooperative cancel flag.
 //!
-//! Budgets thread through the **same scope-chain mechanism** that
-//! `mcpat-obs` collectors use: [`Budget::enter`] pushes the budget onto
-//! a thread-local chain, [`current_chain`] captures the chain so a work
-//! item submitted to the `mcpat-par` pool can re-activate it on
-//! whichever worker steals the task ([`BudgetChain::activate`]). Every
+//! Budgets ride the crate's one scope chain next to the collectors:
+//! [`Budget::enter`] pushes a budget frame, and the
+//! [`ScopeChain`](crate::ScopeChain) the `mcpat-par` pool captures at
+//! submission carries it to whichever worker runs the task. Every
 //! long-running loop in the stack calls the free function [`check`] at
-//! its checkpoints; when no budget is active the call is a single
+//! its checkpoints; when no budget is on the chain the call is a single
 //! thread-local load, and benchline gates a fully live chain (an
 //! entered unbounded budget, every checkpoint walking it) at ≤ 3% of a
 //! cold build (~1% measured; the array solver checks once per outer
@@ -33,7 +32,7 @@
 //! call from a signal handler — the CLI's `--cancel-on-signal` does
 //! exactly that.
 
-use std::cell::RefCell;
+use crate::{budgets, push, with_head, Frame, ScopeGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -268,99 +267,10 @@ impl Budget {
 
     /// Pushes this budget onto the calling thread's scope chain; the
     /// guard pops it on drop. Guards are `!Send` and must drop in LIFO
-    /// order (enforced by scoping, exactly like `mcpat-obs` scopes).
+    /// order (enforced by scoping, exactly like collector scopes).
     #[must_use]
-    pub fn enter(&self) -> BudgetGuard {
-        let node = HEAD.with(|head| {
-            let mut head = head.borrow_mut();
-            let node = Arc::new(Node {
-                budget: self.clone(),
-                parent: head.take(),
-            });
-            *head = Some(Arc::clone(&node));
-            node
-        });
-        BudgetGuard {
-            node,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-}
-
-/// One link in a thread's budget chain (persistent linked list — the
-/// same shape `mcpat-obs` uses for collector scopes).
-struct Node {
-    budget: Budget,
-    parent: Option<Arc<Node>>,
-}
-
-thread_local! {
-    /// The calling thread's innermost active budget scope.
-    static HEAD: RefCell<Option<Arc<Node>>> = const { RefCell::new(None) };
-}
-
-/// Scope guard returned by [`Budget::enter`]; pops the budget on drop.
-pub struct BudgetGuard {
-    node: Arc<Node>,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        HEAD.with(|head| {
-            *head.borrow_mut() = self.node.parent.clone();
-        });
-    }
-}
-
-/// A captured budget chain: `Send + Sync`, cheap to clone, re-activated
-/// on another thread with [`BudgetChain::activate`]. The `mcpat-par`
-/// pool captures the submitter's chain at submission so stolen tasks
-/// inherit the submitter's budget, exactly like collector chains.
-#[derive(Clone, Default)]
-pub struct BudgetChain {
-    head: Option<Arc<Node>>,
-}
-
-impl BudgetChain {
-    /// Installs this chain as the calling thread's active chain until
-    /// the returned guard drops (restoring the previous chain).
-    #[must_use]
-    pub fn activate(&self) -> ChainGuard {
-        let prev = HEAD.with(|head| head.replace(self.head.clone()));
-        ChainGuard {
-            prev,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    /// True when the chain carries no budget at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.head.is_none()
-    }
-}
-
-/// Captures the calling thread's current budget chain.
-#[must_use]
-pub fn current_chain() -> BudgetChain {
-    BudgetChain {
-        head: HEAD.with(|head| head.borrow().clone()),
-    }
-}
-
-/// Guard returned by [`BudgetChain::activate`]; restores the previous
-/// chain on drop.
-pub struct ChainGuard {
-    prev: Option<Arc<Node>>,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ChainGuard {
-    fn drop(&mut self) {
-        HEAD.with(|head| {
-            *head.borrow_mut() = self.prev.take();
-        });
+    pub fn enter(&self) -> ScopeGuard {
+        push(Frame::Budget(self.clone()))
     }
 }
 
@@ -374,22 +284,7 @@ impl Drop for ChainGuard {
 ///
 /// The first [`GuardError`] raised by any budget on the chain.
 pub fn check() -> Result<(), GuardError> {
-    HEAD.with(|head| {
-        let head = head.borrow();
-        let mut node = head.as_deref();
-        while let Some(n) = node {
-            n.budget.check_self()?;
-            node = n.parent.as_ref().map(Arc::as_ref);
-        }
-        Ok(())
-    })
-}
-
-/// True when at least one budget is active on this thread — lets hot
-/// paths skip per-item bookkeeping entirely when unguarded.
-#[must_use]
-pub fn active() -> bool {
-    HEAD.with(|head| head.borrow().is_some())
+    with_head(|head| budgets(head).try_for_each(Budget::check_self))
 }
 
 /// Records one completed candidate (partition block, exploration
@@ -401,25 +296,18 @@ pub fn note_candidate() {
 /// Records `n` completed candidates at once — the array solver bills
 /// each outer cell's batch after sweeping it.
 pub fn note_candidates(n: u64) {
-    bill(|b| {
-        b.inner.candidates_done.fetch_add(n, Ordering::Relaxed);
+    with_head(|head| {
+        for b in budgets(head) {
+            b.inner.candidates_done.fetch_add(n, Ordering::Relaxed);
+        }
     });
 }
 
 /// Records one finished build span on every budget in the active chain.
 pub fn note_span() {
-    bill(|b| {
-        b.inner.spans_done.fetch_add(1, Ordering::Relaxed);
-    });
-}
-
-fn bill(f: impl Fn(&Budget)) {
-    HEAD.with(|head| {
-        let head = head.borrow();
-        let mut node = head.as_deref();
-        while let Some(n) = node {
-            f(&n.budget);
-            node = n.parent.as_ref().map(Arc::as_ref);
+    with_head(|head| {
+        for b in budgets(head) {
+            b.inner.spans_done.fetch_add(1, Ordering::Relaxed);
         }
     });
 }
@@ -432,7 +320,7 @@ mod tests {
     #[test]
     fn no_budget_means_check_passes() {
         assert!(check().is_ok());
-        assert!(!active());
+        assert!(crate::chain_head().is_none());
     }
 
     #[test]
@@ -464,25 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn scopes_nest_and_restore() {
-        let outer = Budget::unbounded();
-        {
-            let _o = outer.enter();
-            let inner = Budget::with_deadline(Duration::from_secs(3600));
-            {
-                let _i = inner.enter();
-                assert!(check().is_ok());
-                note_candidate();
-            }
-            // Inner popped; outer still records.
-            note_candidate();
-        }
-        assert!(!active());
-        assert_eq!(outer.progress().candidates_done, 2);
-        // The inner budget saw only the note made while it was active.
-    }
-
-    #[test]
     fn batched_notes_count_every_candidate_on_every_budget() {
         let outer = Budget::unbounded();
         let inner = Budget::unbounded();
@@ -498,27 +367,6 @@ mod tests {
         // With no budget active a batch is a no-op.
         note_candidates(5);
         assert_eq!(outer.progress().candidates_done, 8);
-    }
-
-    #[test]
-    fn chain_activates_across_threads() {
-        let b = Budget::unbounded();
-        let chain = {
-            let _scope = b.enter();
-            current_chain()
-        };
-        let b2 = b.clone();
-        std::thread::spawn(move || {
-            let _active = chain.activate();
-            assert!(check().is_ok());
-            note_candidate();
-            b2.cancel();
-            assert!(matches!(check(), Err(GuardError::Cancelled { .. })));
-        })
-        .join()
-        .unwrap();
-        assert_eq!(b.progress().candidates_done, 1);
-        assert!(!active());
     }
 
     #[test]

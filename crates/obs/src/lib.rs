@@ -1,23 +1,28 @@
-//! # mcpat-obs — span-scoped tracing and metrics for the mcpat stack
+//! # mcpat-obs — the scope chain: span-scoped tracing, metrics and budgets
 //!
 //! The modeling layers (solve cache, work-stealing pool) maintain
 //! process-global monotonic counters that are useful for
 //! whole-process dashboards but **wrong** for per-call attribution:
 //! two concurrent `Processor::build` calls differencing the same global
 //! counter each see the other's traffic. This crate provides the scoped
-//! alternative:
+//! alternative, and the one thread-local **scope chain** that carries
+//! both of a build's contexts — who gets billed, and when to stop:
 //!
 //! * [`Collector`] — a cheap-to-clone, thread-safe bag of counters.
-//!   [`Collector::enter`] pushes it onto a **thread-local scope chain**;
-//!   every event recorded while the chain is active bills *every*
-//!   collector on the chain, so nested scopes (a build inside an
-//!   exploration) each see exactly the traffic that happened inside
-//!   them.
+//!   [`Collector::enter`] pushes it onto the chain; every event
+//!   recorded while the chain is active bills *every* collector on the
+//!   chain, so nested scopes (a build inside an exploration) each see
+//!   exactly the traffic that happened inside them.
+//! * [`guard::Budget`] — a deadline and cancel flag.
+//!   [`guard::Budget::enter`] pushes it onto the same chain;
+//!   [`guard::check`] walks only the budget frames, and events never
+//!   bill them. See [`guard`].
 //! * [`ScopeChain`] / [`current_chain`] — a `Send + Sync` snapshot of
 //!   the chain, captured when work is handed to another thread (the
 //!   `mcpat-par` pool captures it at task submission). Activating the
 //!   chain on the executing thread makes stolen work bill the
-//!   *submitting* scope, not the thief.
+//!   *submitting* scope, not the thief, and honor the submitter's
+//!   budgets.
 //! * Event seams — [`record_solve`], [`record_pool_submitted`],
 //!   [`record_pool_steal`], [`record_pool_inline`] — called by
 //!   `mcpat-array`'s memo cache and `mcpat-par`'s pool next to their
@@ -46,6 +51,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+pub mod guard;
 
 /// Counter totals observed by one [`Collector`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,17 +134,7 @@ impl Collector {
     /// The scope's own chain node is billed to the enclosing scope.
     #[must_use]
     pub fn enter(&self) -> ScopeGuard {
-        let prev = chain_head();
-        let node = Arc::new(Node {
-            collector: self.clone(),
-            parent: prev.clone(),
-        });
-        flush_allocs();
-        set_chain_head(Some(node));
-        ScopeGuard {
-            prev,
-            _not_send: PhantomData,
-        }
+        push(Frame::Collector(self.clone()))
     }
 
     /// Current counter totals.
@@ -180,8 +177,18 @@ impl Collector {
     }
 }
 
+/// What one chain frame holds: a collector to bill, or a budget to
+/// check.
+enum Frame {
+    Collector(Collector),
+    Budget(guard::Budget),
+}
+
 struct Node {
-    collector: Collector,
+    frame: Frame,
+    /// Whether a budget frame sits at this node or any parent, so a
+    /// checkpoint on a chain with no budget never walks it.
+    budgeted: bool,
     parent: Option<Arc<Node>>,
 }
 
@@ -192,34 +199,75 @@ thread_local! {
     static UNFLUSHED_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn chain_head() -> Option<Arc<Node>> {
+/// Runs `f` on the current thread's chain head.
+fn with_head<R>(f: impl FnOnce(Option<&Arc<Node>>) -> R) -> R {
     HEAD.with(|h| {
         let head = h.take();
-        let copy = head.clone();
+        let r = f(head.as_ref());
         h.set(head);
-        copy
+        r
     })
 }
 
-fn set_chain_head(head: Option<Arc<Node>>) {
-    HEAD.with(|h| h.set(head));
+fn chain_head() -> Option<Arc<Node>> {
+    with_head(|head| head.cloned())
+}
+
+/// Installs `head` as the current thread's chain until the returned
+/// guard drops. Allocation deltas are flushed on both switches so they
+/// bill the right scope.
+fn switch_to(head: Option<Arc<Node>>) -> ScopeGuard {
+    flush_allocs();
+    ScopeGuard {
+        prev: HEAD.with(|h| h.replace(head)),
+        _not_send: PhantomData,
+    }
+}
+
+fn nodes(head: Option<&Arc<Node>>) -> impl Iterator<Item = &Node> {
+    std::iter::successors(head.map(|n| &**n), |n| n.parent.as_deref())
+}
+
+/// The collectors on a chain, innermost first.
+fn collectors(head: Option<&Arc<Node>>) -> impl Iterator<Item = &Collector> {
+    nodes(head).filter_map(|n| match &n.frame {
+        Frame::Collector(c) => Some(c),
+        Frame::Budget(_) => None,
+    })
+}
+
+/// The budgets on a chain, innermost first; stops at the first node
+/// with no budget at or below it.
+fn budgets(head: Option<&Arc<Node>>) -> impl Iterator<Item = &guard::Budget> {
+    nodes(head)
+        .take_while(|n| n.budgeted)
+        .filter_map(|n| match &n.frame {
+            Frame::Budget(b) => Some(b),
+            Frame::Collector(_) => None,
+        })
 }
 
 /// Applies `f` to every collector on the current thread's chain.
 fn bill(f: impl Fn(&Inner)) {
-    HEAD.with(|h| {
-        let head = h.take();
-        let mut cur = head.as_ref();
-        while let Some(node) = cur {
-            f(&node.collector.inner);
-            cur = node.parent.as_ref();
-        }
-        h.set(head);
-    });
+    with_head(|head| collectors(head).for_each(|c| f(&c.inner)));
 }
 
-/// Drop guard returned by [`Collector::enter`]. `!Send`; drop in LIFO
-/// order (ordinary scoping).
+/// Pushes `frame` onto the current thread's chain until the returned
+/// guard drops. The node is allocated before the switch, so it bills
+/// the enclosing scope.
+fn push(frame: Frame) -> ScopeGuard {
+    let parent = chain_head();
+    let budgeted = matches!(frame, Frame::Budget(_)) || parent.as_ref().is_some_and(|p| p.budgeted);
+    switch_to(Some(Arc::new(Node {
+        frame,
+        budgeted,
+        parent,
+    })))
+}
+
+/// Drop guard returned by [`Collector::enter`], [`guard::Budget::enter`]
+/// and [`ScopeChain::activate`]: restores the previous chain on drop.
+/// `!Send`; drop in LIFO order (ordinary scoping).
 pub struct ScopeGuard {
     prev: Option<Arc<Node>>,
     _not_send: PhantomData<*const ()>,
@@ -228,33 +276,27 @@ pub struct ScopeGuard {
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         flush_allocs();
-        set_chain_head(self.prev.take());
+        HEAD.with(|h| h.set(self.prev.take()));
     }
 }
 
-/// A `Send + Sync` snapshot of a thread's scope chain, captured with
-/// [`current_chain`] when work is handed to another thread.
+/// A `Send + Sync` snapshot of a thread's scope chain — collectors and
+/// budgets alike — captured with [`current_chain`] when work is handed
+/// to another thread.
 #[derive(Clone, Default)]
 pub struct ScopeChain {
     head: Option<Arc<Node>>,
 }
 
-// SAFETY-free: Arc<Node> is Send + Sync because Collector's interior is
-// atomics plus a Mutex; the auto traits propagate. (No unsafe impls —
-// this comment documents why the derive-free struct is still shareable.)
+// No unsafe impls: Arc<Node> is Send + Sync because collectors and
+// budgets hold only atomics, a Mutex and plain data.
 impl ScopeChain {
     /// Installs this chain on the current thread until the guard drops,
     /// restoring whatever chain was active before. Allocation deltas
     /// are flushed on both switches so they bill the right scope.
     #[must_use]
-    pub fn activate(&self) -> ChainGuard {
-        flush_allocs();
-        let prev = chain_head();
-        set_chain_head(self.head.clone());
-        ChainGuard {
-            prev,
-            _not_send: PhantomData,
-        }
+    pub fn activate(&self) -> ScopeGuard {
+        switch_to(self.head.clone())
     }
 }
 
@@ -262,19 +304,6 @@ impl ScopeChain {
 #[must_use]
 pub fn current_chain() -> ScopeChain {
     ScopeChain { head: chain_head() }
-}
-
-/// Drop guard returned by [`ScopeChain::activate`].
-pub struct ChainGuard {
-    prev: Option<Arc<Node>>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for ChainGuard {
-    fn drop(&mut self) {
-        flush_allocs();
-        set_chain_head(self.prev.take());
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,28 +442,18 @@ pub fn tracing_enabled() -> bool {
 #[must_use]
 pub fn span(path: &str) -> SpanGuard {
     if !tracing_enabled() {
-        return SpanGuard {
-            active: None,
-            _not_send: PhantomData,
-        };
+        return SpanGuard { active: None };
     }
-    flush_allocs();
     let collector = Collector::new();
-    let prev = chain_head();
-    let node = Arc::new(Node {
-        collector: collector.clone(),
-        parent: prev.clone(),
-    });
-    set_chain_head(Some(node));
+    let scope = push(Frame::Collector(collector.clone()));
     SpanGuard {
         active: Some(ActiveSpan {
             path: path.to_owned(),
             start: Instant::now(),
             collector,
-            prev,
+            scope,
             relaxations: Cell::new(0),
         }),
-        _not_send: PhantomData,
     }
 }
 
@@ -442,14 +461,14 @@ struct ActiveSpan {
     path: String,
     start: Instant,
     collector: Collector,
-    prev: Option<Arc<Node>>,
+    scope: ScopeGuard,
     relaxations: Cell<u64>,
 }
 
-/// Drop guard returned by [`span`]. `!Send`; drop in LIFO order.
+/// Drop guard returned by [`span`]. `!Send` (it may hold a
+/// [`ScopeGuard`]); drop in LIFO order.
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
-    _not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
@@ -469,8 +488,7 @@ impl Drop for SpanGuard {
         let Some(active) = self.active.take() else {
             return;
         };
-        flush_allocs();
-        set_chain_head(active.prev.clone());
+        drop(active.scope);
         let snap = active.collector.snapshot();
         let rec = SpanRecord {
             path: active.path,
@@ -483,11 +501,7 @@ impl Drop for SpanGuard {
         // Every enclosing collector gets the record: the build's own
         // collector exports it via `trace()`, and an outer benchmark
         // scope can summarize spans across many builds.
-        let mut cur = active.prev.as_ref();
-        while let Some(node) = cur {
-            node.collector.push_span(rec.clone());
-            cur = node.parent.as_ref();
-        }
+        with_head(|head| collectors(head).for_each(|c| c.push_span(rec.clone())));
     }
 }
 
@@ -568,7 +582,9 @@ impl Trace {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use guard::{Budget, GuardError};
     use std::sync::Mutex as StdMutex;
+    use std::time::Duration;
 
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
@@ -582,20 +598,32 @@ mod tests {
     }
 
     #[test]
-    fn events_bill_every_collector_on_the_chain() {
+    fn scopes_nest_bill_and_restore() {
         let _l = lock();
         let outer = Collector::new();
         let inner = Collector::new();
+        let outer_budget = Budget::unbounded();
         {
             let _o = outer.enter();
+            let _ob = outer_budget.enter();
             record_solve(false);
+            let inner_budget = Budget::with_deadline(Duration::from_secs(3600));
             {
                 let _i = inner.enter();
+                let _ib = inner_budget.enter();
+                assert!(guard::check().is_ok());
+                guard::note_candidate();
                 record_solve(true);
                 record_pool_inline(2);
             }
+            // Inner popped; outer still records.
+            guard::note_candidate();
             record_pool_submitted(3);
+            // The inner budget saw only the note made while it was active.
+            assert_eq!(inner_budget.progress().candidates_done, 1);
         }
+        assert!(chain_head().is_none());
+        assert_eq!(outer_budget.progress().candidates_done, 2);
         let o = outer.snapshot();
         let i = inner.snapshot();
         assert_eq!(o.solve_cache_misses, 1);
@@ -618,25 +646,94 @@ mod tests {
     }
 
     #[test]
-    fn captured_chain_bills_from_another_thread() {
+    fn captured_chain_bills_and_checks_from_another_thread() {
         let _l = lock();
         let c = Collector::new();
+        let b = Budget::unbounded();
         let chain = {
             let _s = c.enter();
+            let _b = b.enter();
             current_chain()
         };
-        // The scope has exited on this thread, but the captured chain
-        // still routes events recorded by the "worker".
+        // The scopes have exited on this thread, but the captured chain
+        // still routes events recorded by the "worker" and carries the
+        // budget.
+        let b2 = b.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 let _g = chain.activate();
                 record_pool_steal();
                 record_solve(false);
+                assert!(guard::check().is_ok());
+                guard::note_candidate();
+                b2.cancel();
+                assert!(matches!(guard::check(), Err(GuardError::Cancelled { .. })));
             });
         });
         let snap = c.snapshot();
         assert_eq!(snap.pool_steals, 1);
         assert_eq!(snap.solve_cache_misses, 1);
+        assert_eq!(b.progress().candidates_done, 1);
+        assert!(chain_head().is_none());
+    }
+
+    fn head() -> Option<*const Node> {
+        chain_head().as_ref().map(Arc::as_ptr)
+    }
+
+    #[test]
+    fn mixed_chain_bills_collectors_and_checks_budgets_on_any_thread() {
+        let _l = lock();
+        let (outer, inner) = (Collector::new(), Collector::new());
+        // Trips at every checkpoint, so a failed check shows the walk
+        // reached the budget.
+        let budget = Budget::with_deadline(Duration::ZERO);
+        // Under a span atop collector → budget → collector: one miss,
+        // one check, and the head restored when the span closes.
+        let under_a_span = || {
+            let before = head();
+            let sp = span("mixed");
+            record_solve(false);
+            let tripped = guard::check();
+            assert!(matches!(tripped, Err(GuardError::DeadlineExceeded { .. })));
+            drop(sp);
+            assert_eq!(head(), before);
+        };
+        set_tracing(true);
+        let chain = {
+            let mut heads = vec![head()];
+            let o = outer.enter();
+            heads.push(head());
+            let b = budget.enter();
+            heads.push(head());
+            let i = inner.enter();
+            under_a_span();
+            let chain = current_chain();
+            for guard in [i, b, o] {
+                drop(guard);
+                assert_eq!(head(), heads.pop().flatten());
+            }
+            chain
+        };
+        assert!(guard::check().is_ok());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let g = chain.activate();
+                under_a_span();
+                drop(g);
+                assert_eq!(head(), None);
+            });
+        });
+        set_tracing(false);
+        // Each thread's miss and span billed both collectors.
+        for c in [&outer, &inner] {
+            let trace = c.trace();
+            assert_eq!(trace.totals.solve_cache_misses, 2);
+            assert_eq!(trace.spans.len(), 2);
+            assert!(trace.spans.iter().all(|s| s.solve_cache_misses == 1));
+        }
+        // No event billed the budget frame: it counts only guard notes.
+        assert_eq!(budget.progress(), guard::Progress::default());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! tests, it would cancel the budgets their parallel threads hold, so
 //! it lives in its own test binary and therefore its own process.
 
-use mcpat_guard::{cancel_all, Budget};
+use mcpat_obs::guard::{cancel_all, Budget};
 
 #[test]
 fn cancel_all_hits_live_budgets_only() {

@@ -498,14 +498,14 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 
 /// Shared state of one `par_map` call, borrowed by its tasks. The
 /// submitter's scope chain rides along so that a task executed (or
-/// stolen) by any thread still bills the submitting scope.
+/// stolen) by any thread still bills the submitting scope and honors
+/// its budgets.
 struct MapCall<'a, I, T, F> {
     items: &'a [I],
     f: &'a F,
     slots: &'a [Slot<T>],
     remaining: &'a AtomicUsize,
     chain: mcpat_obs::ScopeChain,
-    budget: mcpat_guard::BudgetChain,
 }
 
 /// One item-task of a `par_map` call.
@@ -541,10 +541,9 @@ where
     let task = unsafe { &*data.cast::<MapTask<'_, I, T, F>>() };
     let call = task.call;
     // Declared before the latch so the latch (the final touch of
-    // caller memory) drops first; the chain guards own only Arcs and
-    // thread-local state, so their later drops never touch the caller.
+    // caller memory) drops first; the chain guard owns only Arcs and
+    // thread-local state, so its later drop never touches the caller.
     let _chain = call.chain.activate();
-    let _budget = call.budget.activate();
     if stolen {
         mcpat_obs::record_pool_steal();
     }
@@ -587,7 +586,6 @@ where
         slots: &slots,
         remaining: &remaining,
         chain: mcpat_obs::current_chain(),
-        budget: mcpat_guard::current_chain(),
     };
     let tasks: Vec<MapTask<'_, I, T, F>> = (0..items.len())
         .map(|index| MapTask { call: &call, index })
@@ -619,7 +617,6 @@ pub(crate) struct StackJob<R, F> {
     result: UnsafeCell<Option<Result<R, ParError>>>,
     done: AtomicBool,
     chain: mcpat_obs::ScopeChain,
-    budget: mcpat_guard::BudgetChain,
 }
 
 // SAFETY: `f`/`result` are touched by exactly one executing thread
@@ -638,7 +635,6 @@ where
             result: UnsafeCell::new(None),
             done: AtomicBool::new(false),
             chain: mcpat_obs::current_chain(),
-            budget: mcpat_guard::current_chain(),
         }
     }
 
@@ -680,10 +676,9 @@ where
     // SAFETY: `data` points at a live `StackJob` per the submission
     // contract (owner helps until `done` flips).
     let job = unsafe { &*data.cast::<StackJob<R, F>>() };
-    // Chain guards before the latch: the latch must stay the final
+    // Chain guard before the latch: the latch must stay the final
     // touch of caller memory (see `exec_map_task`).
     let _chain = job.chain.activate();
-    let _budget = job.budget.activate();
     if stolen {
         mcpat_obs::record_pool_steal();
     }

@@ -1,5 +1,5 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! Chaos harness for `mcpat-guard` and the worker pool.
+//! Chaos harness for `mcpat::guard` budgets and the worker pool.
 //!
 //! Injects the three failure modes the guard layer promises to survive —
 //! worker-thread kills, forced solve-cache evictions, and mid-build
