@@ -56,8 +56,8 @@
 //! agrees.
 
 use mcpat::{
-    max_clock_under_power_budget, AxisGrid, DseEvaluator, DseOptions, DsePerf, FrontierPoint,
-    ParetoFrontier, Processor, ProcessorConfig, WorkloadModel,
+    max_clock_under_power_budget, AxisGrid, DseOptions, DsePerf, FrontierPoint, ParetoFrontier,
+    Processor, ProcessorConfig, WorkloadModel,
 };
 use mcpat_array::{memo, ArraySpec, OptTarget};
 use mcpat_mcore::config::CoreConfig;
@@ -970,7 +970,7 @@ fn main() {
     let naive_grid = dse_axes(10); // 10^3-candidate full-build sample
     rows.push(bench("dse_naive_1k_fullbuild", explore_reps, || {
         let mut frontier = ParetoFrontier::new();
-        let mut eval = WorkloadModel::default();
+        let eval = WorkloadModel::default();
         for cursor in 0..naive_grid.total() {
             if let Err(e) = mcpat::guard::check() {
                 die(&format!("naive sweep budget error: {e}"));

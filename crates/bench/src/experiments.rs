@@ -8,7 +8,7 @@ use mcpat_circuit::repeater::RepeatedWire;
 use mcpat_interconnect::router::{Router, RouterConfig};
 use mcpat_mcore::config::CoreConfig;
 use mcpat_mcore::core::CoreModel;
-use mcpat_sim::{SystemModel, WorkloadProfile};
+use mcpat_sim::{SimEvaluator, SystemModel, WorkloadProfile};
 use mcpat_tech::{DeviceType, TechNode, TechParams, WireProjection, WireType};
 
 // ---------------------------------------------------------------------------
@@ -101,12 +101,15 @@ pub fn runtime_validation() -> Vec<RuntimeRow> {
     .into_iter()
     .filter_map(|(cfg, published_ratio)| {
         let chip = Processor::build(&cfg).ok()?;
-        let run = SystemModel::new(&cfg).simulate(&wl, 500_000_000);
-        let runtime = chip.runtime_power(&run.stats).total();
+        let sim = SimEvaluator {
+            workload: wl,
+            total_insts: 500_000_000 * u64::from(cfg.num_cores),
+        };
+        let (_, power) = sim.run(&chip);
         Some(RuntimeRow {
             name: cfg.name.clone(),
             peak_w: chip.peak_power().total(),
-            runtime_w: runtime,
+            runtime_w: power.total(),
             published_ratio,
         })
     })
@@ -183,7 +186,10 @@ pub fn case_study_points_with_tlp(node: TechNode, tlp: f64) -> Vec<CaseStudyPoin
         wl.tlp = tlp;
     }
     // Fixed total work so that delay/energy are comparable across points.
-    let total_insts: u64 = 3_200_000_000;
+    let sim = SimEvaluator {
+        workload: wl,
+        total_insts: 3_200_000_000,
+    };
     let total_l2: u64 = 16 * 1024 * 1024; // equal cache budget for all points
     let mut out = Vec::new();
     for (kind, cores) in [("inorder", 16u32), ("inorder", 32u32), ("ooo", 16u32)] {
@@ -200,8 +206,7 @@ pub fn case_study_points_with_tlp(node: TechNode, tlp: f64) -> Vec<CaseStudyPoin
             let Ok(chip) = Processor::build(&cfg) else {
                 continue;
             };
-            let run = SystemModel::new(&cfg).simulate(&wl, total_insts / u64::from(cores));
-            let power = chip.runtime_power(&run.stats);
+            let (run, power) = sim.run(&chip);
             out.push(CaseStudyPoint {
                 name: cfg.name.clone(),
                 kind,

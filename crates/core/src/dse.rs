@@ -28,11 +28,13 @@
 //!    of peak power, adds the row's leakage, and hands the total to the
 //!    evaluator ([`ChipTotals`]).
 //!
-//! Work streams in bounded chunks, deduped by configuration identity up
-//! to the name, so peak candidate storage is
-//! O(frontier + chunk). Probes run serially: each costs about what a
-//! pool task would, so fanning them out lost to walking the row in
-//! place (DESIGN.md §12 has the measurements). The frontier
+//! Work streams in bounded chunks, so peak candidate storage is
+//! O(frontier + chunk). Candidates whose configurations match up to the
+//! name are counted once as probes, the rest as deduped; every one of
+//! them is still retargeted, evaluated and offered. Probes run
+//! serially: each costs about what a pool task would, so fanning them
+//! out lost to walking the row in place (DESIGN.md §12 has the
+//! measurements). The frontier
 //! plus the generator cursor serialize to JSON ([`DseCheckpoint`]) at
 //! chunk boundaries, so a sweep killed by the `mcpat_obs::guard`
 //! deadline/cancel machinery resumes where it stopped with a
@@ -363,7 +365,8 @@ pub struct DsePerf {
     /// Candidates whose configuration (up to the name) an earlier
     /// candidate of the same chunk already probed: the same clock in a
     /// row whose base equals that candidate's row base. Counted here
-    /// instead of in `probes`/`full_builds`.
+    /// instead of in `probes`/`full_builds`; the candidate is still
+    /// retargeted, evaluated and offered, so dedupe saves no work.
     pub deduped: u64,
 }
 
@@ -446,82 +449,46 @@ pub struct RowCandidate<'a> {
     pub facts: RowFacts,
     /// The candidate's clock, Hz.
     pub clock_hz: f64,
-    /// The candidate's grid cursor.
-    pub cursor: u64,
-}
-
-impl RowCandidate<'_> {
-    /// The candidate's configuration, equal to [`AxisGrid::config_at`]
-    /// of its cursor (name included): the row base's, renamed and
-    /// retargeted. One clone per call; [`WorkloadModel`] never asks.
-    #[must_use]
-    pub fn config(&self) -> ProcessorConfig {
-        let mut cfg = self.base.config.clone();
-        write_candidate_name(&mut cfg.name, self.cursor);
-        cfg.clock_hz = self.clock_hz;
-        cfg.core.clock_hz = self.clock_hz;
-        cfg
-    }
 }
 
 /// Workload evaluation injected into the streaming engine.
 ///
 /// Implementations must be deterministic: the frontier spot-check tests
-/// and checkpoint/resume bit-identity both rely on `evaluate` producing
-/// the same bits for the same chip.
+/// and checkpoint/resume bit-identity both rely on `evaluate_probe`
+/// producing the same bits for the same chip.
 ///
-/// An implementation writes the two `(&Processor, …)` forms. The engine
-/// calls the two row forms, whose defaults forward to them; an
-/// evaluator overrides a row form to use what the engine has already
-/// computed. Per row, the engine walks the base chip once for its
-/// [`RowFacts`] (die area and total leakage); per probe, it totals peak
-/// power once for the budget check ([`ChipTotals`]). The probe's
-/// totals are the exact bits the [`Processor`] methods return on the
-/// probed chip. The row facts are the base's exact bits, and equal
-/// the candidate's because a retarget leaves area and leakage alone;
-/// under [`CoreConfig::enforce_timing`] a probe is a full build, so
-/// [`ChipTotals::area`] is walked on it, and the engine asks for no
-/// bound at all.
+/// The engine hands each method what it has already computed. Per row,
+/// it walks the base chip once for its [`RowFacts`] (die area and total
+/// leakage); per probe, it totals peak power once for the budget check
+/// ([`ChipTotals`]). The probe's totals are the exact bits the
+/// [`Processor`] methods return on the probed chip. The row facts are
+/// the base's exact bits, and equal the candidate's because a retarget
+/// leaves area and leakage alone; under [`CoreConfig::enforce_timing`]
+/// a probe is a full build, so [`ChipTotals::area`] is walked on it,
+/// and the engine asks for no prune decision at all.
 pub trait DseEvaluator {
-    /// Workload metrics of a built chip.
+    /// The workload metrics of a probed candidate, given its `totals`.
     ///
     /// The engine hands over the row base retargeted in place
     /// ([`Processor::retarget_clock`]): its configuration
     /// (name included), components, warnings and every modeled number
     /// are those of a full build of the candidate, but its
     /// [`Processor::perf`] and [`Processor::trace`] describe the build
-    /// of the row base. Prefer the allocation-free totals
-    /// ([`Processor::peak_power_total`], [`Processor::die_area`]) on
+    /// of the row base. Prefer `totals` to walking the chip again on
     /// this per-candidate path.
-    fn evaluate(&mut self, chip: &Processor) -> MetricSet;
-
-    /// A certified lower bound on the metrics of the (unbuilt)
-    /// candidate at `cfg`, given its row `base` — a built chip
-    /// identical to the candidate except for the clock. Every field
-    /// must be ≤ the value [`DseEvaluator::evaluate`] would produce,
-    /// and positive. Return `None` to skip pruning for this candidate.
-    fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet>;
-
-    /// What the engine calls for each probed candidate: the metrics of
-    /// `chip` (the same full-fidelity candidate
-    /// [`DseEvaluator::evaluate`] describes), given its `totals`. The
-    /// default ignores the totals and calls `evaluate`.
-    fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
-        let _ = totals;
-        self.evaluate(chip)
-    }
+    fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet;
 
     /// What the prune pass calls for each candidate: true if the
     /// frontier already beats it, that is, if
-    /// [`ParetoFrontier::would_prune`] holds for its
-    /// [`DseEvaluator::lower_bound`]. The default forwards the row base
-    /// and the candidate's configuration to `lower_bound`. An override
-    /// must decide exactly as that does; it may test cheaper, looser
-    /// bounds first, because `would_prune` is monotone: a bound that
-    /// prunes proves that every higher one does.
+    /// [`ParetoFrontier::would_prune`] holds for a certified lower
+    /// bound on its metrics: every field ≤ the value
+    /// [`DseEvaluator::evaluate_probe`] would produce, and positive. An
+    /// implementation may test cheaper, looser bounds first, because
+    /// `would_prune` is monotone: a bound that prunes proves that every
+    /// higher one does. The default never prunes.
     fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
-        self.lower_bound(candidate.base, &candidate.config())
-            .is_some_and(|lb| frontier.would_prune(&lb))
+        let _ = (candidate, frontier);
+        false
     }
 }
 
@@ -557,7 +524,7 @@ impl WorkloadModel {
     /// (the uncore's dynamic power plus the row's leakage; see
     /// [`Processor::peak_power_floor_at`]), and energy is that floor
     /// times the same delay, through the same multiplication as
-    /// [`DseEvaluator::evaluate`]'s: monotone rounding keeps it a
+    /// [`WorkloadModel::evaluate`]'s: monotone rounding keeps it a
     /// bound. `None` where the probe would not take that walk, under
     /// [`CoreConfig::enforce_timing`] and where the clock moves the
     /// cores' leakage scale (a power-gated chip below 1 kHz).
@@ -571,10 +538,12 @@ impl WorkloadModel {
         let power = base.peak_power_floor_at(clock_hz, &facts.peak)?;
         Some(self.metrics(power, facts.area, num_cores, clock_hz))
     }
-}
 
-impl DseEvaluator for WorkloadModel {
-    fn evaluate(&mut self, chip: &Processor) -> MetricSet {
+    /// The metrics of a built chip, walking its totals: the reference
+    /// the engine's [`DseEvaluator::evaluate_probe`] must match bit for
+    /// bit.
+    #[must_use]
+    pub fn evaluate(&self, chip: &Processor) -> MetricSet {
         let c = &chip.config;
         self.metrics(
             chip.peak_power_total(),
@@ -584,10 +553,17 @@ impl DseEvaluator for WorkloadModel {
         )
     }
 
-    fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
+    /// A certified lower bound on [`WorkloadModel::evaluate`] of the
+    /// unbuilt candidate at `cfg`, given its row `base` (a built chip
+    /// identical to the candidate except for the clock), walking the
+    /// base's facts: the reference for [`DseEvaluator::prunes_in_row`].
+    #[must_use]
+    pub fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
         self.bound(base, &RowFacts::of(base), cfg.num_cores, cfg.clock_hz)
     }
+}
 
+impl DseEvaluator for WorkloadModel {
     fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
         let c = &chip.config;
         self.metrics(totals.peak_power, totals.area, c.num_cores, c.clock_hz)
@@ -598,7 +574,6 @@ impl DseEvaluator for WorkloadModel {
             base,
             facts,
             clock_hz,
-            ..
         } = *candidate;
         let num_cores = base.config.num_cores;
         // Where the row's leakage alone lies under the floor, it is a
@@ -979,7 +954,6 @@ fn run_chunk<E: DseEvaluator>(
                 base: &base.chip,
                 facts: base.facts,
                 clock_hz,
-                cursor,
             };
             if evaluator.prunes_in_row(&candidate, frontier) {
                 perf.pruned += 1;
@@ -996,7 +970,8 @@ fn run_chunk<E: DseEvaluator>(
     // Dedupe by configuration identity: configurations that match up
     // to the name are the same clock in rows of one class. The first
     // of them counts as a probe, the rest as deduped; each is still
-    // retargeted, which costs no more than looking up a shared result.
+    // retargeted, evaluated and offered (a retarget costs no more than
+    // looking up a shared result), so the count changes no work.
     // Without a repeated clock or two rows of one class there is
     // nothing to find, so no set is built.
     let shared_class = rows.iter().enumerate().any(|(slot, r)| r.class != slot);
@@ -1262,8 +1237,7 @@ mod tests {
                     prune,
                     ..DseOptions::default()
                 };
-                let (perf, _) =
-                    assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+                let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
                 // The capped x4 two-core rows repeat the x2 ones, and
                 // are deduped only when both land in one chunk.
                 assert_eq!(perf.deduped > 0, chunk == 256, "{perf:?}");
@@ -1517,32 +1491,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn patched_row_templates_equal_config_at() {
-        let grid = tiny_grid();
-        let clocks = grid.clocks_len();
-        for cursor in 0..grid.total() {
-            let base = Processor::build(&grid.config_at(cursor - cursor % clocks).unwrap())
-                .expect("row base");
-            let candidate = RowCandidate {
-                base: &base,
-                facts: RowFacts::of(&base),
-                clock_hz: grid.clocks_hz[(cursor % clocks) as usize],
-                cursor,
-            };
-            assert_eq!(
-                Some(candidate.config()),
-                grid.config_at(cursor),
-                "cursor {cursor}"
-            );
-        }
-    }
-
     /// The engine's decisions replayed naively: every row base and
-    /// every candidate full-built from its own configuration, bounds
-    /// and metrics from the `(&Processor, …)` forms, duplicates found
-    /// by comparing configurations, chunk by chunk. The streaming
-    /// engine must reach the same frontier and the same counters.
+    /// every candidate full-built from its own configuration, prune
+    /// decisions asked on the from-scratch base with its facts walked
+    /// afresh, totals walked on the from-scratch candidate, duplicates
+    /// found by comparing configurations, chunk by chunk. The
+    /// streaming engine must reach the same frontier and the same
+    /// counters.
     fn reference_sweep<E: DseEvaluator>(
         grid: &AxisGrid,
         opts: &DseOptions,
@@ -1578,10 +1533,12 @@ mod tests {
                     perf.rejected += 1;
                     continue;
                 }
-                let lb = (opts.prune && on_base)
-                    .then(|| evaluator.lower_bound(&base, &cfg))
-                    .flatten();
-                if lb.is_some_and(|lb| frontier.would_prune(&lb)) {
+                let candidate = RowCandidate {
+                    base: &base,
+                    facts: RowFacts::of(&base),
+                    clock_hz: cfg.clock_hz,
+                };
+                if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
                     perf.pruned += 1;
                     continue;
                 }
@@ -1600,17 +1557,20 @@ mod tests {
                     probed.push(cfg.clone());
                 }
                 let chip = Processor::build(&cfg).unwrap();
-                let (area, peak_power) = (chip.die_area(), chip.peak_power().total());
-                if area > budgets.max_area || peak_power > budgets.max_peak_power {
+                let totals = ChipTotals {
+                    peak_power: chip.peak_power().total(),
+                    area: chip.die_area(),
+                };
+                if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
                     perf.rejected += 1;
                     continue;
                 }
-                let metrics = evaluator.evaluate(&chip);
+                let metrics = evaluator.evaluate_probe(&chip, &totals);
                 frontier.offer(FrontierPoint {
                     name: cfg.name,
                     cursor,
-                    area,
-                    peak_power,
+                    area: totals.area,
+                    peak_power: totals.peak_power,
                     metrics,
                 });
             }
@@ -1620,43 +1580,30 @@ mod tests {
 
     /// Runs the engine and the naive reference with fresh evaluators
     /// from `make` and requires the same frontier bits, winners and
-    /// counters. Returns the engine's counters and evaluator.
+    /// counters. Returns the engine's counters.
     fn assert_engine_matches_reference<E: DseEvaluator>(
         grid: &AxisGrid,
         opts: &DseOptions,
         make: impl Fn() -> E,
-    ) -> (DsePerf, E) {
-        let mut evaluator = make();
-        let engine = dse(grid, opts, &mut evaluator).expect("streaming sweep");
+    ) -> DsePerf {
+        let engine = dse(grid, opts, &mut make()).expect("streaming sweep");
         let reference = reference_sweep(grid, opts, &mut make());
         assert_frontiers_bit_identical(&engine.frontier, &reference.frontier);
         assert_eq!(engine.perf, reference.perf);
-        (engine.perf, evaluator)
+        engine.perf
     }
 
     /// Never bounds a candidate: nothing may be pruned.
     struct Unbounded;
 
     impl DseEvaluator for Unbounded {
-        fn evaluate(&mut self, chip: &Processor) -> MetricSet {
-            MetricSet::from_power(
-                chip.peak_power().total(),
-                1.0 / chip.config.clock_hz,
-                chip.die_area(),
-            )
-        }
-
-        fn lower_bound(&self, _: &Processor, _: &ProcessorConfig) -> Option<MetricSet> {
-            None
+        fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
+            MetricSet::from_power(totals.peak_power, 1.0 / chip.config.clock_hz, totals.area)
         }
     }
 
-    /// Scores a chip by its warnings and its name, and checks every
-    /// configuration it is asked to bound against the grid.
-    struct NameAndWarnings {
-        grid: AxisGrid,
-        wrong_configs: std::cell::Cell<u32>,
-    }
+    /// Scores a chip by its warnings and its name.
+    struct NameAndWarnings;
 
     fn cursor_of(name: &str) -> u64 {
         name.strip_prefix("dse-")
@@ -1665,8 +1612,8 @@ mod tests {
     }
 
     impl DseEvaluator for NameAndWarnings {
-        fn evaluate(&mut self, chip: &Processor) -> MetricSet {
-            let m = WorkloadModel::default().evaluate(chip);
+        fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
+            let m = WorkloadModel::default().evaluate_probe(chip, totals);
             let warned = chip.warnings.len() as f64;
             let tag = (cursor_of(&chip.config.name) % 5) as f64;
             MetricSet {
@@ -1676,11 +1623,8 @@ mod tests {
             }
         }
 
-        fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
-            if self.grid.config_at(cursor_of(&cfg.name)).as_ref() != Some(cfg) {
-                self.wrong_configs.set(self.wrong_configs.get() + 1);
-            }
-            WorkloadModel::default().lower_bound(base, cfg)
+        fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
+            WorkloadModel::default().prunes_in_row(candidate, frontier)
         }
     }
 
@@ -1713,14 +1657,9 @@ mod tests {
                     },
                     ..DseOptions::default()
                 };
-                let (perf, _) = assert_engine_matches_reference(&grid, &opts, || Unbounded);
+                let perf = assert_engine_matches_reference(&grid, &opts, || Unbounded);
                 assert_eq!(perf.pruned, 0);
-                let (perf, checked) =
-                    assert_engine_matches_reference(&grid, &opts, || NameAndWarnings {
-                        grid: grid.clone(),
-                        wrong_configs: std::cell::Cell::new(0),
-                    });
-                assert_eq!(checked.wrong_configs.get(), 0);
+                let perf = assert_engine_matches_reference(&grid, &opts, || NameAndWarnings);
                 // A single chunk prunes against the empty frontier it
                 // started with; smaller chunks must prune something.
                 let single_chunk = chunk as u64 >= grid.total();
@@ -1751,8 +1690,7 @@ mod tests {
                     chunk,
                     ..DseOptions::default()
                 };
-                let (perf, _) =
-                    assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+                let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
                 assert!(perf.deduped > 0, "{perf:?}");
             }
         }
@@ -1785,7 +1723,7 @@ mod tests {
                 chunk,
                 ..DseOptions::default()
             };
-            let (perf, _) = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+            let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
             assert_eq!(perf.probes, 0, "{perf:?}");
         }
     }
@@ -1839,7 +1777,7 @@ mod tests {
         let admitted = areas.iter().filter(|&&a| a <= opts.budgets.max_area);
         assert_eq!(admitted.count(), 4);
         // The engine admits the same four: two rejected, none pruned.
-        let (perf, _) = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+        let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
         assert_eq!((perf.rejected, perf.pruned), (2, 0), "{perf:?}");
     }
 

@@ -465,7 +465,7 @@ proptest! {
             prop_assert!(lb.area <= exact.area, "area: {}", step);
             let leakage_only = facts.leakage * lb.delay;
             prop_assert!(lb.energy > leakage_only, "no uncore floor: {}", step);
-            let row = RowCandidate { base: &base, facts, clock_hz: hz, cursor: 0 };
+            let row = RowCandidate { base: &base, facts, clock_hz: hz };
             for energy in [leakage_only * 0.5, (leakage_only + lb.energy) / 2.0, lb.energy * 1.02] {
                 let mut frontier = ParetoFrontier::new();
                 frontier.offer(FrontierPoint {

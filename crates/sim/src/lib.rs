@@ -16,6 +16,9 @@
 //! hiding, multithreading, cache miss-rate curves vs capacity, NoC hop
 //! latency, and memory-bandwidth saturation across many cores.
 //!
+//! [`SimEvaluator`] turns one such run into the case study's metrics, so
+//! `mcpat::dse` sweeps can rank chips on simulated delay and energy.
+//!
 //! ```
 //! use mcpat::ProcessorConfig;
 //! use mcpat_sim::{SystemModel, WorkloadProfile};
@@ -29,12 +32,14 @@
 
 pub mod cachesim;
 pub mod cpu;
+pub mod evaluator;
 pub mod system;
 pub mod trace;
 pub mod workload;
 
 pub use cachesim::miss_rate;
 pub use cpu::{CoreTiming, CpuModel};
+pub use evaluator::SimEvaluator;
 pub use system::{SimResult, SystemModel};
 pub use trace::{run_trace, TraceGenerator, TraceOp, TraceResult};
 pub use workload::WorkloadProfile;

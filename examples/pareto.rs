@@ -7,33 +7,11 @@
 //!
 //! Run with: `cargo run --release --example pareto`
 
-use mcpat::metrics::{Metric, MetricSet};
-use mcpat::{dse, AxisGrid, Budgets, DseEvaluator, DseOptions, Processor, ProcessorConfig};
+use mcpat::metrics::Metric;
+use mcpat::{dse, AxisGrid, Budgets, DseOptions, ProcessorConfig};
 use mcpat_mcore::config::{CoreConfig, MachineType};
-use mcpat_sim::{SystemModel, WorkloadProfile};
+use mcpat_sim::{SimEvaluator, WorkloadProfile};
 use mcpat_tech::{DeviceType, TechNode};
-
-/// Scores a chip by simulating a fixed amount of work on it: delay is
-/// the simulated time, energy the runtime power of the simulated
-/// activity times that time.
-struct Simulated {
-    workload: WorkloadProfile,
-    total_insts: u64,
-}
-
-impl DseEvaluator for Simulated {
-    fn evaluate(&mut self, chip: &Processor) -> MetricSet {
-        let cores = u64::from(chip.config.num_cores.max(1));
-        let run = SystemModel::new(&chip.config).simulate(&self.workload, self.total_insts / cores);
-        let power = chip.runtime_power(&run.stats);
-        MetricSet::from_power(power.total(), run.seconds, chip.die_area())
-    }
-
-    /// No cheap bound on a simulated run: every candidate is built.
-    fn lower_bound(&self, _: &Processor, _: &ProcessorConfig) -> Option<MetricSet> {
-        None
-    }
-}
 
 /// `io-8c-x4-2M`: core kind, core count, cores per L2 cluster, and L2
 /// capacity per cluster.
@@ -67,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..DseOptions::default()
     };
-    let mut evaluator = Simulated {
+    let mut evaluator = SimEvaluator {
         workload: WorkloadProfile::balanced(),
         total_insts: 1_600_000_000,
     };

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example power_trace`
 
 use mcpat::{Processor, ProcessorConfig};
-use mcpat_sim::{SystemModel, WorkloadProfile};
+use mcpat_sim::{SimEvaluator, WorkloadProfile};
 
 fn bar(width: usize, frac: f64) -> String {
     let n = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
@@ -17,7 +17,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ProcessorConfig::niagara2();
     let chip = Processor::build(&cfg)?;
     let peak = chip.peak_power().total();
-    let sys = SystemModel::new(&cfg);
 
     let phases = [
         (
@@ -37,9 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("phase         t(ms)    W     of peak {peak:.1} W");
     let mut t = 0.0;
-    for (name, wl, insts) in phases {
-        let run = sys.simulate(&wl, insts);
-        let p = chip.runtime_power(&run.stats).total();
+    for (name, workload, insts) in phases {
+        let sim = SimEvaluator {
+            workload,
+            total_insts: insts * u64::from(cfg.num_cores),
+        };
+        let (run, power) = sim.run(&chip);
+        let p = power.total();
         t += run.seconds * 1e3;
         println!("{name:<12} {t:>6.1} {p:>6.1}  |{}|", bar(40, p / peak));
     }

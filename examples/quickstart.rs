@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use mcpat::{Processor, ProcessorConfig};
-use mcpat_sim::{SystemModel, WorkloadProfile};
+use mcpat_sim::{SimEvaluator, WorkloadProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Describe the chip. Presets exist for the paper's validation
@@ -21,11 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", chip.report());
 
     // 4. Runtime analysis: pair the power model with the bundled
-    //    analytic performance simulator (the M5 stand-in).
-    let workload = WorkloadProfile::server_transactional();
-    let sim = SystemModel::new(&config);
-    let run = sim.simulate(&workload, 1_000_000_000);
-    let power = chip.runtime_power(&run.stats);
+    //    analytic performance simulator (the M5 stand-in), which runs
+    //    10^9 instructions per core and prices the simulated activity
+    //    with `chip.runtime_power`.
+    let sim = SimEvaluator {
+        workload: WorkloadProfile::server_transactional(),
+        total_insts: 1_000_000_000 * u64::from(config.num_cores),
+    };
+    let (run, power) = sim.run(&chip);
 
     println!(
         "server workload: {:.2} IPC/core, {:.1} W runtime ({:.1} W peak), {:.0}% DRAM bandwidth",

@@ -3,12 +3,18 @@
 //! scaling, clustering, in-order vs out-of-order tradeoffs, and the
 //! area-aware metric flip that is the paper's headline result.
 
+mod support;
+
 use mcpat::metrics::{best_index, Metric, MetricSet};
 use mcpat::tech::DeviceType;
-use mcpat::{dse, AxisGrid, DseEvaluator, DseOptions, Processor, ProcessorConfig, WorkloadModel};
+use mcpat::{
+    dse, AxisGrid, Budgets, ChipTotals, DseEvaluator, DseOptions, DsePerf, DseResult,
+    FrontierPoint, ParetoFrontier, Processor, ProcessorConfig, WorkloadModel,
+};
 use mcpat_mcore::config::CoreConfig;
-use mcpat_sim::{SystemModel, WorkloadProfile};
+use mcpat_sim::{SimEvaluator, SystemModel, WorkloadProfile};
 use mcpat_tech::TechNode;
+use support::sweep_fingerprint;
 
 fn manycore(kind: &str, node: TechNode, cores: u32, cluster: u32) -> ProcessorConfig {
     let core = match kind {
@@ -165,6 +171,84 @@ fn streaming_dse_survivors_are_bit_identical_to_from_scratch_builds() {
         "sweep did not lean on delta rebuilds: {:?}",
         result.perf
     );
+}
+
+/// The case study's simulated scorer through the engine, with budgets
+/// on, pruned or not: the same frontier bits, winners, `candidates`
+/// and `rejected` as a naive loop that full-builds every candidate,
+/// holds it to the same budgets, scores it with the same
+/// `SimEvaluator` and offers it in cursor order.
+#[test]
+fn simulated_sweeps_match_a_naive_full_build_loop() {
+    let grid = AxisGrid {
+        core_templates: vec![CoreConfig::generic_inorder(), CoreConfig::generic_ooo()],
+        cores_per_cluster: vec![2, 4],
+        ..AxisGrid::manycore(
+            vec![TechNode::N32],
+            vec![DeviceType::Hp],
+            vec![4, 8],
+            vec![1 << 20],
+            vec![1.5e9, 2.5e9],
+        )
+    };
+    let mut sim = SimEvaluator {
+        workload: WorkloadProfile::splash_like(),
+        total_insts: 400_000_000,
+    };
+    let chips: Vec<Processor> = (0..grid.total())
+        .map(|c| Processor::build(&grid.config_at(c).unwrap()).unwrap())
+        .collect();
+    // Budgets that each reject about a quarter of the grid.
+    let upper_quartile = |of: fn(&Processor) -> f64| {
+        let mut v: Vec<f64> = chips.iter().map(of).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() * 3 / 4]
+    };
+    let budgets = Budgets {
+        max_area: upper_quartile(Processor::die_area),
+        max_peak_power: upper_quartile(|c| c.peak_power().total()),
+    };
+    let mut naive = DseResult {
+        frontier: ParetoFrontier::new(),
+        perf: DsePerf::default(),
+    };
+    for (cursor, chip) in (0..).zip(&chips) {
+        naive.perf.candidates += 1;
+        let totals = ChipTotals {
+            peak_power: chip.peak_power().total(),
+            area: chip.die_area(),
+        };
+        if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
+            naive.perf.rejected += 1;
+            continue;
+        }
+        naive.frontier.offer(FrontierPoint {
+            name: chip.config.name.clone(),
+            cursor,
+            area: totals.area,
+            peak_power: totals.peak_power,
+            metrics: sim.evaluate_probe(chip, &totals),
+        });
+    }
+    assert!(naive.perf.rejected > 0, "{:?}", naive.perf);
+    assert!(
+        naive.frontier.len() > 1,
+        "a one-point frontier shows nothing"
+    );
+    for prune in [true, false] {
+        let opts = DseOptions {
+            budgets,
+            prune,
+            chunk: 3, // rows cross chunk boundaries
+            ..DseOptions::default()
+        };
+        let engine = dse(&grid, &opts, &mut sim).unwrap();
+        assert_eq!(
+            sweep_fingerprint(&engine),
+            sweep_fingerprint(&naive),
+            "prune: {prune}"
+        );
+    }
 }
 
 #[test]

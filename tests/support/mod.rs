@@ -1,12 +1,13 @@
 //! Per-candidate references shared by the bit-identity suites
-//! (`tests/perf_identity.rs`, `crates/core/tests/properties.rs`): every
+//! (`tests/perf_identity.rs`, `tests/design_space.rs`,
+//! `crates/core/tests/properties.rs`): every
 //! fast path — streaming exploration, delta rebuilds, in-place clock
 //! retargeting — is checked against chips built one at a time from
 //! scratch.
 #![allow(dead_code)] // each suite uses a subset
 
 use mcpat::{
-    AxisGrid, DseEvaluator, DsePerf, DseResult, FrontierPoint, Metric, ParetoFrontier, Processor,
+    AxisGrid, DsePerf, DseResult, FrontierPoint, Metric, ParetoFrontier, Processor,
     ProcessorConfig, WorkloadModel,
 };
 
