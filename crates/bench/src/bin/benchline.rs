@@ -63,7 +63,7 @@ use mcpat_array::{memo, ArraySpec, OptTarget};
 use mcpat_mcore::config::CoreConfig;
 use mcpat_mcore::core::CoreModel;
 use mcpat_tech::{DeviceType, TechNode, TechParams};
-use std::fmt::Write as _;
+use serde_json::json;
 use std::time::Instant;
 
 /// Counts each thread's heap allocations, so the benchmark can report
@@ -1149,99 +1149,83 @@ fn main() {
         lint_srcs.len()
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mcpat-benchline-v1\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"reps_per_mode\": {reps},");
-    let _ = writeln!(json, "  \"revision\": \"{revision}\",");
-    let _ = writeln!(json, "  \"worktree\": \"{worktree}\",");
-    let _ = writeln!(
-        json,
-        "  \"host\": {{ \"available_parallelism\": {host_threads}, \"label\": \"{host_threads}cpu\" }},"
-    );
-    let _ = writeln!(json, "  \"units\": \"milliseconds, median of reps\",");
-    let _ = writeln!(
-        json,
-        "  \"trace\": {{ \"disabled_overhead_ratio\": {trace_overhead_ratio:.4}, \
-         \"max_allowed_ratio\": {MAX_TRACE_DISABLED_OVERHEAD} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"guard\": {{ \"disabled_overhead_ratio\": {guard_overhead_ratio:.4}, \
-         \"max_allowed_ratio\": {MAX_GUARD_DISABLED_OVERHEAD} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"lint\": {{ \"files\": {}, \"cold_ms\": {lint_cold_ms:.4} }},",
-        lint_srcs.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"serve\": {{ \"cold_request_ms\": {:.4}, \
-         \"warm_request_ms\": {:.4}, \
-         \"warm_vs_cold_speedup\": {serve_warm_vs_cold:.2}, \
-         \"warm_server_ms\": {:.4}, \"warm_build_ms\": {:.4}, \
-         \"warm_server_vs_build_ratio\": {serve_warm_vs_build:.2}, \
-         \"max_allowed_server_vs_build_ratio\": {MAX_SERVE_WARM_VS_BUILD}, \
-         \"warm_misses\": {}, \"max_allowed_warm_misses\": {MAX_SERVE_WARM_MISSES}, \
-         \"round_trips\": {SERVE_ROUND_TRIPS} }},",
-        serve.cold_ms, serve.warm_ms, serve.warm_server_ms, serve.warm_build_ms, serve.warm_misses
-    );
-    let _ = writeln!(
-        json,
-        "  \"pool\": {{ \"warm_niagara2_build_wakeups\": {warm_wakeups}, \
-         \"max_allowed\": {MAX_WARM_BUILD_WAKEUPS} }},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"dse\": {{ \"candidates\": {}, \"prune_rate\": {dse_prune_rate:.4}, \
-         \"min_allowed_prune_rate\": {MIN_DSE_PRUNE_RATE}, \
-         \"probes\": {}, \"cache_rebuilds\": {}, \"full_builds\": {}, \
-         \"probe_vs_full_build_ratio\": {dse_probe_vs_full:.2}, \
-         \"allocs_per_candidate\": {dse_allocs_per_candidate:.2}, \
-         \"max_allowed_allocs_per_candidate\": {MAX_DSE_ALLOCS_PER_CANDIDATE}, \
-         \"candidates_per_sec_serial\": {dse_cands_per_sec:.0}, \
-         \"naive_candidates_per_sec_serial\": {naive_cands_per_sec:.0}, \
-         \"streaming_vs_naive_speedup\": {dse_streaming_vs_naive:.2}, \
-         \"min_allowed_streaming_speedup\": {MIN_DSE_STREAMING_SPEEDUP}, \
-         \"explore_pool_submissions_on_host\": {explore_pool_submissions}, \
-         \"sweep_100k_candidates\": {sweep_100k_cands}, \"sweep_100k_wall_ms\": {sweep_100k_ms:.1} }},",
-        dse_perf.candidates, dse_perf.probes, dse_perf.cache_rebuilds, dse_perf.full_builds
-    );
-    let _ = writeln!(json, "  \"benchmarks\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"name\": \"{}\", \"serial_ms\": {:.4}, \"parallel_ms\": {:.4}, \"warm_cache_ms\": {:.4}, \"allocs_serial\": {}, \"allocs_parallel\": {}, \"allocs_warm\": {} }}{comma}",
-            r.name, r.serial_ms, r.parallel_ms, r.warm_cache_ms, r.allocs_serial, r.allocs_parallel, r.allocs_warm
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedups\": {{");
-    let _ = writeln!(
-        json,
-        "    \"cold_build_speedup_vs_baseline\": {cold_build_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"chip_build_parallel_vs_serial\": {chip_parallel_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"explore_parallel_vs_serial\": {explore_parallel_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"chip_build_warm_cache_vs_cold\": {chip_warm_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"bisection_incremental_vs_full\": {bisection_speedup:.3}"
-    );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
+    let label = format!("{host_threads}cpu");
+    let benchmarks: Vec<serde_json::Value> = rows
+        .iter()
+        .map(|r| {
+            json!({
+                "name": r.name,
+                "serial_ms": r.serial_ms,
+                "parallel_ms": r.parallel_ms,
+                "warm_cache_ms": r.warm_cache_ms,
+                "allocs_serial": r.allocs_serial,
+                "allocs_parallel": r.allocs_parallel,
+                "allocs_warm": r.allocs_warm,
+            })
+        })
+        .collect();
+    let record = json!({
+        "schema": "mcpat-benchline-v1",
+        "quick": quick,
+        "reps_per_mode": reps,
+        "revision": revision,
+        "worktree": worktree,
+        "host": {"available_parallelism": host_threads, "label": label},
+        "units": "milliseconds, median of reps",
+        "trace": {
+            "disabled_overhead_ratio": trace_overhead_ratio,
+            "max_allowed_ratio": MAX_TRACE_DISABLED_OVERHEAD,
+        },
+        "guard": {
+            "disabled_overhead_ratio": guard_overhead_ratio,
+            "max_allowed_ratio": MAX_GUARD_DISABLED_OVERHEAD,
+        },
+        "lint": {"files": lint_srcs.len(), "cold_ms": lint_cold_ms},
+        "serve": {
+            "cold_request_ms": serve.cold_ms,
+            "warm_request_ms": serve.warm_ms,
+            "warm_vs_cold_speedup": serve_warm_vs_cold,
+            "warm_server_ms": serve.warm_server_ms,
+            "warm_build_ms": serve.warm_build_ms,
+            "warm_server_vs_build_ratio": serve_warm_vs_build,
+            "max_allowed_server_vs_build_ratio": MAX_SERVE_WARM_VS_BUILD,
+            "warm_misses": serve.warm_misses,
+            "max_allowed_warm_misses": MAX_SERVE_WARM_MISSES,
+            "round_trips": SERVE_ROUND_TRIPS,
+        },
+        "pool": {
+            "warm_niagara2_build_wakeups": warm_wakeups,
+            "max_allowed": MAX_WARM_BUILD_WAKEUPS,
+        },
+        "dse": {
+            "candidates": dse_perf.candidates,
+            "prune_rate": dse_prune_rate,
+            "min_allowed_prune_rate": MIN_DSE_PRUNE_RATE,
+            "probes": dse_perf.probes,
+            "cache_rebuilds": dse_perf.cache_rebuilds,
+            "full_builds": dse_perf.full_builds,
+            "probe_vs_full_build_ratio": dse_probe_vs_full,
+            "allocs_per_candidate": dse_allocs_per_candidate,
+            "max_allowed_allocs_per_candidate": MAX_DSE_ALLOCS_PER_CANDIDATE,
+            "candidates_per_sec_serial": dse_cands_per_sec,
+            "naive_candidates_per_sec_serial": naive_cands_per_sec,
+            "streaming_vs_naive_speedup": dse_streaming_vs_naive,
+            "min_allowed_streaming_speedup": MIN_DSE_STREAMING_SPEEDUP,
+            "explore_pool_submissions_on_host": explore_pool_submissions,
+            "sweep_100k_candidates": sweep_100k_cands,
+            "sweep_100k_wall_ms": sweep_100k_ms,
+        },
+        "benchmarks": benchmarks,
+        "speedups": {
+            "cold_build_speedup_vs_baseline": cold_build_speedup,
+            "chip_build_parallel_vs_serial": chip_parallel_speedup,
+            "explore_parallel_vs_serial": explore_parallel_speedup,
+            "chip_build_warm_cache_vs_cold": chip_warm_speedup,
+            "bisection_incremental_vs_full": bisection_speedup,
+        },
+    });
+    let mut json = serde_json::to_string_pretty(&record).unwrap_or_default();
+    json.push('\n');
 
     if let Err(e) = std::fs::write(out_path, &json) {
         die(&format!("cannot write {out_path}: {e}"));
@@ -1253,7 +1237,6 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("cannot read gate baseline {gate_path}: {e}")));
         let baseline: serde_json::Value = serde_json::from_str(&text)
             .unwrap_or_else(|e| die(&format!("gate baseline {gate_path} is not JSON: {e}")));
-        let label = format!("{host_threads}cpu");
         let failures = gate_failures(
             &baseline,
             &rows,

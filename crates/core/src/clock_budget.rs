@@ -3,7 +3,7 @@
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Processor};
+use crate::processor::{checkpoint, Processor, Retarget};
 
 /// Probe accounting of [`max_clock_under_power_budget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,12 +46,10 @@ pub fn max_clock_under_power_budget(
     let mut power_at = |clock: f64| -> Result<f64, McpatError> {
         // One budget checkpoint per bisection probe.
         checkpoint("clock_bisection")?;
-        if clock_delta_rebuilds_fully(config) {
-            perf.full_builds += 1;
-        } else {
-            perf.incremental_probes += 1;
+        match chip.retarget_clock(clock)? {
+            Retarget::FullBuild => perf.full_builds += 1,
+            Retarget::Patched => perf.incremental_probes += 1,
         }
-        chip.retarget_clock(clock)?;
         Ok(chip.peak_power_total())
     };
     if power_at(lo_hz)? > budget_w {
@@ -120,6 +118,18 @@ mod tests {
         // incrementally.
         assert_eq!(perf.full_builds, 1);
         assert_eq!(perf.incremental_probes, 14);
+    }
+
+    #[test]
+    fn enforced_timing_bills_every_probe_as_a_full_build() {
+        let mut cfg = four_core_chip();
+        cfg.core.enforce_timing = true;
+        let (clock, perf) = max_clock_under_power_budget(&cfg, 25.0, 0.5e9, 6.0e9).unwrap();
+        assert!(clock.is_some());
+        // The anchoring build, then lo, hi and all 12 midpoints rebuilt
+        // from scratch: the retarget reports the path it took.
+        assert_eq!(perf.full_builds, 15);
+        assert_eq!(perf.incremental_probes, 0);
     }
 
     #[test]

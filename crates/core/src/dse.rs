@@ -1048,7 +1048,9 @@ fn run_chunk<E: DseEvaluator>(
 fn reset_row_base(grid: &AxisGrid, row: u64, chip: &mut Processor) -> Result<(), McpatError> {
     write_candidate_name(&mut chip.config.name, row * grid.clocks_len());
     match grid.clocks_hz.first() {
-        Some(&hz) if hz.to_bits() != chip.config.clock_hz.to_bits() => chip.retarget_clock(hz),
+        Some(&hz) if hz.to_bits() != chip.config.clock_hz.to_bits() => {
+            chip.retarget_clock(hz).map(drop)
+        }
         _ => Ok(()),
     }
 }

@@ -62,7 +62,7 @@ pub use floorplan::{Floorplan, Tile};
 pub use frontier::{FrontierPoint, ParetoFrontier};
 pub use metrics::{Metric, MetricSet};
 pub use power::{ChipPower, ChipPowerItem};
-pub use processor::{BuildPerf, Delta, Processor};
+pub use processor::{BuildPerf, Delta, Processor, Retarget};
 pub use stats::ChipStats;
 pub use thermal::{converge, ThermalResult, ThermalSpec};
 

@@ -158,10 +158,21 @@ pub(crate) fn worker_failure(stage: &'static str) -> impl FnOnce(ParError) -> Mc
 /// True if a [`Delta::Clock`] rebuild of a chip configured as `config`
 /// runs as a full build: under `core.enforce_timing` the solver sizes
 /// arrays to the target cycle time, so no solved geometry survives a
-/// clock change. Probe counters consult this to bill the work they
-/// asked for.
+/// clock change. The DSE engine's probe counters consult this to bill
+/// the work they asked for; [`Processor::retarget_clock`] reports the
+/// path it took.
 pub(crate) fn clock_delta_rebuilds_fully(config: &ProcessorConfig) -> bool {
     config.core.enforce_timing
+}
+
+/// The path [`Processor::retarget_clock`] took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retarget {
+    /// The clock fields were patched in place; no array was re-solved.
+    Patched,
+    /// `core.enforce_timing` ties the solved geometry to the clock, so
+    /// the chip was replaced by a full build.
+    FullBuild,
 }
 
 /// A single-axis change applied to an already-built chip by
@@ -489,8 +500,8 @@ impl Processor {
     /// [`McpatError::Invalid`] if the retargeted configuration fails
     /// validation, [`McpatError::Budget`] when the active budget trips,
     /// or any build error of the enforce-timing fallback. On error the
-    /// chip is left unchanged.
-    pub fn retarget_clock(&mut self, hz: f64) -> Result<(), McpatError> {
+    /// chip is left unchanged. On success, which of the two paths ran.
+    pub fn retarget_clock(&mut self, hz: f64) -> Result<Retarget, McpatError> {
         checkpoint("retarget_clock")?;
         let prev = (self.config.clock_hz, self.config.core.clock_hz);
         let findings_stand = [prev.0, prev.1, hz]
@@ -500,10 +511,13 @@ impl Processor {
         self.config.clock_hz = hz;
         self.config.core.clock_hz = hz;
         let result = if clock_delta_rebuilds_fully(&self.config) {
-            Processor::build(&self.config).map(|chip| *self = chip)
+            Processor::build(&self.config).map(|chip| {
+                *self = chip;
+                Retarget::FullBuild
+            })
         } else if findings_stand {
             self.patch_component_clocks(hz);
-            Ok(())
+            Ok(Retarget::Patched)
         } else {
             self.config
                 .validate()
@@ -520,6 +534,7 @@ impl Processor {
                         self.mc.as_ref(),
                         &self.noc,
                     );
+                    Retarget::Patched
                 })
         };
         if result.is_err() {
@@ -1285,7 +1300,7 @@ mod tests {
         let mut cfg = ProcessorConfig::niagara();
         cfg.core.enforce_timing = true;
         let mut chip = Processor::build(&cfg).unwrap();
-        chip.retarget_clock(2.4e9).unwrap();
+        assert_eq!(chip.retarget_clock(2.4e9).unwrap(), Retarget::FullBuild);
         let full = Processor::build(&Delta::Clock(2.4e9).apply(&cfg)).unwrap();
         assert_eq!(
             chip.peak_power_total().to_bits(),

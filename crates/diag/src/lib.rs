@@ -324,22 +324,6 @@ impl<T, E> ResultExt<T, E> for Result<T, E> {
     }
 }
 
-/// Re-attaches an outer prefix to an [`AtPath`] result.
-pub trait NestExt<T, E> {
-    /// Prepends `prefix` to the error's existing path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the original error with the extended path.
-    fn nested(self, prefix: &str) -> Result<T, AtPath<E>>;
-}
-
-impl<T, E> NestExt<T, E> for Result<T, AtPath<E>> {
-    fn nested(self, prefix: &str) -> Result<T, AtPath<E>> {
-        self.map_err(|e| e.under(prefix))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -409,7 +393,9 @@ mod tests {
             }
         }
         let r: Result<(), Boom> = Err(Boom);
-        let e = r.at("tag_array").nested("l2[1]").unwrap_err();
+        let e = r.at("tag_array").unwrap_err();
+        assert_eq!(e.path, "tag_array");
+        let e = e.under("l2[1]");
         assert_eq!(e.path, "l2[1].tag_array");
         assert_eq!(e.to_string(), "l2[1].tag_array: boom");
     }

@@ -35,6 +35,7 @@ mod sarif;
 
 use callgraph::{CallGraph, FnNode};
 use rules::{Allow, AnalyzeOptions, CrateValidation, FileAnalysis, Finding};
+use serde_json::json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -71,36 +72,28 @@ impl Report {
         self.findings.len().saturating_sub(self.error_count())
     }
 
-    /// Renders the report as a JSON document (hand-rolled — the linter
-    /// deliberately depends on nothing but `mcpat-diag`).
+    /// Renders the report as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"files_scanned\": {},\n  \"errors\": {},\n  \"warnings\": {},\n  \"findings\": [",
-            self.files_scanned,
-            self.error_count(),
-            self.warning_count()
-        ));
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \
-                 \"line\": {}, \"message\": \"{}\"}}",
-                f.rule.id(),
-                f.severity,
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let findings: Vec<serde_json::Value> = self
+            .findings
+            .iter()
+            .map(|f| {
+                json!({
+                    "rule": f.rule.id(),
+                    "severity": f.severity.to_string(),
+                    "file": f.file,
+                    "line": f.line,
+                    "message": f.message,
+                })
+            })
+            .collect();
+        pretty(&json!({
+            "files_scanned": self.files_scanned,
+            "errors": self.error_count(),
+            "warnings": self.warning_count(),
+            "findings": findings,
+        }))
     }
 
     /// Renders the report as a SARIF 2.1.0 document for code-scanning
@@ -135,20 +128,11 @@ impl Report {
     }
 }
 
-/// Escapes `s` for use inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `doc` as indented JSON with a final newline, the form both report
+/// files take.
+fn pretty(doc: &serde_json::Value) -> String {
+    let mut out = serde_json::to_string_pretty(doc).unwrap_or_default();
+    out.push('\n');
     out
 }
 
@@ -391,12 +375,6 @@ pub fn default_root() -> PathBuf {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn clean_source_yields_empty_report() {

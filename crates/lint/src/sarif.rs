@@ -5,57 +5,54 @@
 //! accepts: one run, a tool driver carrying the rule table (id + one
 //! line invariant), and one result per finding with a physical
 //! location. Severities map 1:1 (`error` → `error`, warnings —
-//! annotation hygiene — → `warning`). Written with the same
-//! `json_escape` + `format!` writer as [`Report::to_json`].
+//! annotation hygiene — → `warning`). Built with `serde_json::json!`,
+//! like [`Report::to_json`].
 
 use crate::rules::Rule;
-use crate::{json_escape, Report};
+use crate::{pretty, Report};
 use mcpat_diag::Severity;
+use serde_json::{json, Value};
 
 /// Renders a report as a SARIF 2.1.0 document.
 #[must_use]
 pub fn to_sarif(report: &Report) -> String {
-    let rules: Vec<String> = Rule::all()
+    let rules: Vec<Value> = Rule::all()
         .iter()
         .map(|r| {
-            format!(
-                "{{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
-                 \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
-                r.id(),
-                json_escape(r.summary()),
-                level(r.severity())
-            )
+            json!({
+                "id": r.id(),
+                "shortDescription": {"text": r.summary()},
+                "defaultConfiguration": {"level": level(r.severity())},
+            })
         })
         .collect();
-    let results: Vec<String> = report
+    let results: Vec<Value> = report
         .findings
         .iter()
         .map(|f| {
-            format!(
-                "{{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \
-                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-                 {{\"uri\": \"{}\", \"uriBaseId\": \"%SRCROOT%\"}}, \
-                 \"region\": {{\"startLine\": {}}}}}}}]}}",
-                f.rule.id(),
-                level(f.severity),
-                json_escape(&f.message),
-                json_escape(&f.file),
-                f.line
-            )
+            json!({
+                "ruleId": f.rule.id(),
+                "level": level(f.severity),
+                "message": {"text": f.message},
+                "locations": [{"physicalLocation": {
+                    "artifactLocation": {"uri": f.file, "uriBaseId": "%SRCROOT%"},
+                    "region": {"startLine": f.line},
+                }}],
+            })
         })
         .collect();
-    format!(
-        "{{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [{{\n    \"tool\": {{\"driver\": {{\
-         \"name\": \"mcpat-lint\", \"informationUri\": \"https://github.com/mcpat-rs/mcpat-rs\", \
-         \"rules\": [\n      {}\n    ]}}}},\n    \"results\": [{}]\n  }}]\n}}\n",
-        rules.join(",\n      "),
-        if results.is_empty() {
-            String::new()
-        } else {
-            format!("\n      {}\n    ", results.join(",\n      "))
-        }
-    )
+    pretty(&json!({
+        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+        "version": "2.1.0",
+        "runs": [{
+            "tool": {"driver": {
+                "name": "mcpat-lint",
+                "informationUri": "https://github.com/mcpat-rs/mcpat-rs",
+                "rules": rules,
+            }},
+            "results": results,
+        }],
+    }))
 }
 
 fn level(severity: Severity) -> &'static str {

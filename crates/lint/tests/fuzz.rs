@@ -195,11 +195,33 @@ fn full_pipeline_survives_hostile_mutants() {
         for _ in 0..20 {
             mutant = mutate(&mut rng, &mutant);
         }
-        // Must not panic; findings on garbage are fine.
+        // Must not panic; findings on garbage are fine, but both
+        // machine-readable reports must parse and list every finding.
         let report = lint_source(&src.path, &mutant);
         let _ = report.render();
-        let _ = report.to_json();
-        let _ = report.to_sarif();
+        let json: serde_json::Value = serde_json::from_str(&report.to_json())
+            .unwrap_or_else(|e| panic!("{}: report JSON does not parse: {e}", src.path));
+        let findings = json.get("findings").and_then(serde_json::Value::as_seq);
+        assert_eq!(
+            findings.map(<[_]>::len),
+            Some(report.findings.len()),
+            "{}",
+            src.path
+        );
+        let sarif: serde_json::Value = serde_json::from_str(&report.to_sarif())
+            .unwrap_or_else(|e| panic!("{}: SARIF does not parse: {e}", src.path));
+        let results = sarif
+            .get("runs")
+            .and_then(serde_json::Value::as_seq)
+            .and_then(<[_]>::first)
+            .and_then(|run| run.get("results"))
+            .and_then(serde_json::Value::as_seq);
+        assert_eq!(
+            results.map(<[_]>::len),
+            Some(report.findings.len()),
+            "{}",
+            src.path
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-//! The machine-readable reports: `Report::to_json` and
-//! `Report::to_sarif` are hand-written, so these tests parse them with
-//! `serde_json` and check the documents' shape and string escaping.
+//! The machine-readable reports: these tests parse `Report::to_json`
+//! and `Report::to_sarif` back with `serde_json` and check the
+//! documents' shape and string escaping.
 
 use mcpat_lint::rules::{Finding, Rule};
 use mcpat_lint::{lint_source, Report};

@@ -39,12 +39,14 @@
 //!   collector, but **only** when tracing is enabled via
 //!   [`set_tracing`]; when disabled (the default) a span is a single
 //!   relaxed atomic load. [`Trace`] bundles the span list with counter
-//!   totals and exports hand-rolled JSON for `--trace FILE`.
+//!   totals and exports it as JSON (through `serde_json`) for
+//!   `--trace FILE`.
 //!
 //! Scope guards are `!Send` and must drop in LIFO order (ordinary Rust
 //! scoping guarantees this); the chain itself is a persistent linked
 //! list of `Arc` nodes, so capturing it is O(1).
 
+use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -519,61 +521,41 @@ pub struct Trace {
     pub totals: Snapshot,
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl Trace {
     /// Serializes the trace as a stable, self-describing JSON document
     /// (`schema: "mcpat-trace-v1"`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 160);
-        out.push_str("{\n  \"schema\": \"mcpat-trace-v1\",\n  \"totals\": {");
         let t = self.totals;
-        out.push_str(&format!(
-            "\n    \"solve_cache_hits\": {},\n    \"solve_cache_misses\": {},\n    \
-             \"solve_cache_evictions\": {},\n    \
-             \"pool_submitted\": {},\n    \
-             \"pool_steals\": {},\n    \"pool_inline\": {},\n    \"allocs\": {}\n  }},",
-            t.solve_cache_hits,
-            t.solve_cache_misses,
-            t.solve_cache_evictions,
-            t.pool_submitted,
-            t.pool_steals,
-            t.pool_inline,
-            t.allocs
-        ));
-        out.push_str("\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    { \"path\": \"");
-            escape_json(&s.path, &mut out);
-            out.push_str(&format!(
-                "\", \"wall_s\": {:.9}, \"solve_cache_hits\": {}, \"solve_cache_misses\": {}, \
-                 \"allocs\": {}, \"relaxations\": {} }}",
-                s.wall_s, s.solve_cache_hits, s.solve_cache_misses, s.allocs, s.relaxations
-            ));
-        }
-        if self.spans.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
+        let spans: Vec<serde_json::Value> = self
+            .spans
+            .iter()
+            .map(|s| {
+                json!({
+                    "path": s.path,
+                    "wall_s": s.wall_s,
+                    "solve_cache_hits": s.solve_cache_hits,
+                    "solve_cache_misses": s.solve_cache_misses,
+                    "allocs": s.allocs,
+                    "relaxations": s.relaxations,
+                })
+            })
+            .collect();
+        let doc = json!({
+            "schema": "mcpat-trace-v1",
+            "totals": {
+                "solve_cache_hits": t.solve_cache_hits,
+                "solve_cache_misses": t.solve_cache_misses,
+                "solve_cache_evictions": t.solve_cache_evictions,
+                "pool_submitted": t.pool_submitted,
+                "pool_steals": t.pool_steals,
+                "pool_inline": t.pool_inline,
+                "allocs": t.allocs,
+            },
+            "spans": spans,
+        });
+        let mut out = serde_json::to_string_pretty(&doc).unwrap_or_default();
+        out.push('\n');
         out
     }
 }
@@ -802,9 +784,13 @@ mod tests {
     #[test]
     fn trace_json_is_well_formed_and_escaped() {
         let _l = lock();
+        // Every control character, both JSON metacharacters, the line
+        // separator U+2028 and non-ASCII text.
+        let mut path: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        path.push_str("a\"b\\c \u{2028} é 中 🦀");
         let trace = Trace {
             spans: vec![SpanRecord {
-                path: String::from("a\"b\\c"),
+                path: path.clone(),
                 wall_s: 0.25,
                 solve_cache_hits: 1,
                 solve_cache_misses: 2,
@@ -813,23 +799,67 @@ mod tests {
             }],
             totals: Snapshot {
                 solve_cache_hits: 1,
-                ..Snapshot::default()
+                solve_cache_misses: 2,
+                solve_cache_evictions: 3,
+                pool_submitted: 4,
+                pool_steals: 5,
+                pool_inline: 6,
+                allocs: 7,
             },
         };
-        let json = trace.to_json();
-        assert!(json.contains("\"schema\": \"mcpat-trace-v1\""));
-        assert!(json.contains("a\\\"b\\\\c"));
-        assert!(json.contains("\"wall_s\": 0.250000000"));
-        assert!(json.contains("\"solve_cache_hits\": 1"));
-        // Balanced braces/brackets (cheap well-formedness check).
+        let doc: serde_json::Value = serde_json::from_str(&trace.to_json()).unwrap();
+        let num = |v: &serde_json::Value, key: &str| v.get(key).and_then(serde_json::Value::as_u64);
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in {json}"
+            doc.get("schema").and_then(serde_json::Value::as_str),
+            Some("mcpat-trace-v1")
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let empty = Trace::default().to_json();
-        assert!(empty.contains("\"spans\": []"));
+        let totals = doc.get("totals").unwrap();
+        let keys: Vec<&str> = totals
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "solve_cache_hits",
+                "solve_cache_misses",
+                "solve_cache_evictions",
+                "pool_submitted",
+                "pool_steals",
+                "pool_inline",
+                "allocs"
+            ]
+        );
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(num(totals, key), Some(i as u64 + 1), "{key}");
+        }
+        let spans = doc
+            .get("spans")
+            .and_then(serde_json::Value::as_seq)
+            .unwrap();
+        assert_eq!(spans.len(), 1);
+        let span = &spans[0];
+        assert_eq!(
+            span.get("path").and_then(serde_json::Value::as_str),
+            Some(path.as_str())
+        );
+        assert_eq!(
+            span.get("wall_s").and_then(serde_json::Value::as_f64),
+            Some(0.25)
+        );
+        assert_eq!(num(span, "solve_cache_hits"), Some(1));
+        assert_eq!(num(span, "solve_cache_misses"), Some(2));
+        assert_eq!(num(span, "allocs"), Some(3));
+        assert_eq!(num(span, "relaxations"), Some(4));
+        assert_eq!(span.as_map().map(<[_]>::len), Some(6));
+
+        let empty: serde_json::Value = serde_json::from_str(&Trace::default().to_json()).unwrap();
+        assert_eq!(
+            empty.get("spans").and_then(serde_json::Value::as_seq),
+            Some(&[][..])
+        );
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! One request per line, one response line per request, in order.
 //! Requests are parsed leniently through [`serde_json::Value`] so
-//! optional fields (`id`, `deadline_ms`, `preset`) stay optional;
-//! responses are rendered by hand so field presence is explicit and
-//! the output is one stable line regardless of the vendored
-//! serializer's conventions.
+//! optional fields (`id`, `deadline_ms`, `preset`) stay optional.
+//! Responses are built with [`serde_json::json!`] and written compact,
+//! one line each; `id` (and an error's `perf`) is present only when
+//! set.
 //!
 //! Request envelopes:
 //!
@@ -34,8 +34,7 @@
 use mcpat::array::memo::SolveCacheStats;
 use mcpat::par::pool::PoolStats;
 use mcpat::ProcessorConfig;
-use serde_json::Value;
-use std::fmt::Write as _;
+use serde_json::{json, Value};
 
 /// Upper bound on one buffered request line; a client that streams
 /// more than this without a newline is answered with `InvalidRequest`
@@ -226,77 +225,38 @@ pub struct ServerStatsView {
     pub draining: bool,
 }
 
-/// Appends a JSON string literal (quoted, escaped) to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// One response line: `body` written compact, with the request's `id`
+/// (when it carried one) as the first key.
+fn response(id: Option<u64>, mut body: Value) -> String {
+    if let (Some(id), Some(map)) = (id, body.as_map_mut()) {
+        map.insert(0, (String::from("id"), json!(id)));
     }
-    out.push('"');
+    serde_json::to_string(&body).unwrap_or_default()
 }
 
-/// Appends the leading `"id":N,` when the request carried an id.
-fn push_id(out: &mut String, id: Option<u64>) {
-    if let Some(id) = id {
-        let _ = write!(out, "\"id\":{id},");
-    }
-}
-
-/// Renders a finite, non-negative JSON number from an `f64` ratio;
-/// non-finite values (which the guarded stat constructors never
-/// produce) degrade to `0` rather than emitting invalid JSON.
-fn push_ratio(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push('0');
-    }
-}
-
-fn push_perf(out: &mut String, p: &RequestPerf) {
-    let _ = write!(
-        out,
-        "{{\"wall_ms\":{:.3},\"built\":{},\"coalesced\":{},\
-         \"solve_cache_hits\":{},\"solve_cache_misses\":{},\
-         \"solve_cache_evictions\":{},\
-         \"pool_submitted\":{},\"pool_steals\":{},\"pool_inline\":{},\
-         \"allocs\":{}}}",
-        p.wall_ms,
-        p.built,
-        p.coalesced,
-        p.solve_cache_hits,
-        p.solve_cache_misses,
-        p.solve_cache_evictions,
-        p.pool_submitted,
-        p.pool_steals,
-        p.pool_inline,
-        p.allocs,
-    );
+fn perf_json(p: &RequestPerf) -> Value {
+    json!({
+        "wall_ms": p.wall_ms,
+        "built": p.built,
+        "coalesced": p.coalesced,
+        "solve_cache_hits": p.solve_cache_hits,
+        "solve_cache_misses": p.solve_cache_misses,
+        "solve_cache_evictions": p.solve_cache_evictions,
+        "pool_submitted": p.pool_submitted,
+        "pool_steals": p.pool_steals,
+        "pool_inline": p.pool_inline,
+        "allocs": p.allocs,
+    })
 }
 
 /// A successful `evaluate` response. The `report` field is exactly the
 /// text the one-shot CLI prints for the same configuration.
 #[must_use]
 pub fn evaluate_response(id: Option<u64>, report: &str, perf: &RequestPerf) -> String {
-    let mut out = String::with_capacity(report.len() + 320);
-    out.push('{');
-    push_id(&mut out, id);
-    out.push_str("\"status\":\"ok\",\"type\":\"evaluate\",\"report\":");
-    push_json_str(&mut out, report);
-    out.push_str(",\"perf\":");
-    push_perf(&mut out, perf);
-    out.push('}');
-    out
+    response(
+        id,
+        json!({"status": "ok", "type": "evaluate", "report": report, "perf": perf_json(perf)}),
+    )
 }
 
 /// A typed error response; `perf` is attached when the request got far
@@ -308,38 +268,26 @@ pub fn error_response(
     message: &str,
     perf: Option<&RequestPerf>,
 ) -> String {
-    let mut out = String::with_capacity(message.len() + 256);
-    out.push('{');
-    push_id(&mut out, id);
-    out.push_str("\"status\":\"error\",\"error\":{\"kind\":");
-    push_json_str(&mut out, kind);
-    out.push_str(",\"message\":");
-    push_json_str(&mut out, message);
-    out.push('}');
-    if let Some(p) = perf {
-        out.push_str(",\"perf\":");
-        push_perf(&mut out, p);
+    let mut body = json!({"status": "error", "error": {"kind": kind, "message": message}});
+    if let (Some(p), Some(map)) = (perf, body.as_map_mut()) {
+        map.push((String::from("perf"), perf_json(p)));
     }
-    out.push('}');
-    out
+    response(id, body)
 }
 
 /// A `ping` response.
 #[must_use]
 pub fn pong_response(id: Option<u64>) -> String {
-    let mut out = String::from("{");
-    push_id(&mut out, id);
-    out.push_str("\"status\":\"ok\",\"type\":\"pong\"}");
-    out
+    response(id, json!({"status": "ok", "type": "pong"}))
 }
 
 /// A `shutdown` acknowledgment; the server drains after sending it.
 #[must_use]
 pub fn shutdown_response(id: Option<u64>) -> String {
-    let mut out = String::from("{");
-    push_id(&mut out, id);
-    out.push_str("\"status\":\"ok\",\"type\":\"shutdown\",\"draining\":true}");
-    out
+    response(
+        id,
+        json!({"status": "ok", "type": "shutdown", "draining": true}),
+    )
 }
 
 /// A `stats` response: cumulative solve-cache, pool, and server
@@ -353,45 +301,38 @@ pub fn stats_response(
     pool: &PoolStats,
     server: &ServerStatsView,
 ) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    push_id(&mut out, id);
-    out.push_str("\"status\":\"ok\",\"type\":\"stats\",\"stats\":{");
-    let _ = write!(
-        out,
-        "\"solve_cache\":{{\"hits\":{},\"misses\":{},\
-         \"entries\":{},\"evictions\":{},\"bytes\":{},\"lookups\":{},\"hit_rate\":",
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        cache.evictions,
-        cache.bytes,
-        cache.lookups(),
-    );
-    push_ratio(&mut out, cache.hit_rate());
-    let _ = write!(
-        out,
-        "}},\"pool\":{{\"workers\":{},\"submitted\":{},\"steals\":{},\
-         \"inline_execs\":{},\"workers_respawned\":{}}}",
-        pool.workers, pool.submitted, pool.steals, pool.inline_execs, pool.workers_respawned,
-    );
-    let _ = write!(
-        out,
-        ",\"server\":{{\"requests\":{},\"ok\":{},\"errors\":{},\
-         \"overloaded\":{},\"deadline_exceeded\":{},\"coalesced_requests\":{},\
-         \"in_flight\":{},\"max_inflight\":{},\"draining\":{}}}",
-        server.requests,
-        server.ok,
-        server.errors,
-        server.overloaded,
-        server.deadline_exceeded,
-        server.coalesced_requests,
-        server.in_flight,
-        server.max_inflight,
-        server.draining,
-    );
-    out.push_str("}}");
-    out
+    response(
+        id,
+        json!({"status": "ok", "type": "stats", "stats": {
+            "solve_cache": {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "entries": cache.entries,
+                "evictions": cache.evictions,
+                "bytes": cache.bytes,
+                "lookups": cache.lookups(),
+                "hit_rate": cache.hit_rate(),
+            },
+            "pool": {
+                "workers": pool.workers,
+                "submitted": pool.submitted,
+                "steals": pool.steals,
+                "inline_execs": pool.inline_execs,
+                "workers_respawned": pool.workers_respawned,
+            },
+            "server": {
+                "requests": server.requests,
+                "ok": server.ok,
+                "errors": server.errors,
+                "overloaded": server.overloaded,
+                "deadline_exceeded": server.deadline_exceeded,
+                "coalesced_requests": server.coalesced_requests,
+                "in_flight": server.in_flight,
+                "max_inflight": server.max_inflight,
+                "draining": server.draining,
+            },
+        }}),
+    )
 }
 
 #[cfg(test)]
@@ -457,35 +398,49 @@ mod tests {
         ));
     }
 
+    /// Every control character, both JSON metacharacters, the line
+    /// separator U+2028 and non-ASCII text.
+    fn hostile() -> String {
+        let mut s: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        s.push_str("\"quoted\" back\\slash \u{2028} é 中 🦀");
+        s
+    }
+
     #[test]
     fn responses_are_single_line_json_with_escaped_reports() {
+        let hostile = hostile();
         let perf = RequestPerf {
             wall_ms: 1.25,
             built: true,
             ..RequestPerf::default()
         };
-        let line = evaluate_response(Some(4), "two\nlines \"quoted\"", &perf);
+        let line = evaluate_response(Some(4), &hostile, &perf);
         assert!(!line.contains('\n'), "{line}");
         let v: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(v.get("id").and_then(Value::as_u64), Some(4));
         assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
         assert_eq!(
             v.get("report").and_then(Value::as_str),
-            Some("two\nlines \"quoted\"")
+            Some(hostile.as_str())
         );
         let p = v.get("perf").unwrap();
+        assert_eq!(p.get("wall_ms").and_then(Value::as_f64), Some(1.25));
         assert_eq!(p.get("built").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("solve_cache_misses").and_then(Value::as_u64), Some(0));
 
-        let err = error_response(None, "Overloaded", "cap", None);
+        let err = error_response(None, &hostile, &hostile, Some(&perf));
+        assert!(!err.contains('\n'), "{err}");
         let v: Value = serde_json::from_str(&err).unwrap();
         assert!(v.get("id").is_none());
-        assert_eq!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Value::as_str),
-            Some("Overloaded")
-        );
+        let e = v.get("error").unwrap();
+        for key in ["kind", "message"] {
+            assert_eq!(e.get(key).and_then(Value::as_str), Some(hostile.as_str()));
+        }
+        assert!(v.get("perf").is_some());
+        let bare = error_response(Some(1), "Overloaded", "cap", None);
+        let v: Value = serde_json::from_str(&bare).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(1));
+        assert!(v.get("perf").is_none());
     }
 
     #[test]

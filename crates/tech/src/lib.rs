@@ -47,12 +47,6 @@ pub use wire::{WireParams, WireProjection, WireType};
 /// Vacuum permittivity, F/m.
 pub const EPS0: f64 = 8.854e-12;
 
-/// Boltzmann constant, J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
-
-/// Elementary charge, C.
-pub const Q_CHARGE: f64 = 1.602_176_634e-19;
-
 /// Reference temperature for the tabulated leakage currents, kelvin.
 pub const T_REF: f64 = 300.0;
 
@@ -65,8 +59,6 @@ mod tests {
     #[allow(clippy::assertions_on_constants)]
     fn constants_are_physical() {
         assert!(EPS0 > 8.8e-12 && EPS0 < 8.9e-12);
-        assert!(BOLTZMANN > 0.0);
-        assert!(Q_CHARGE > 0.0);
     }
 
     #[test]
