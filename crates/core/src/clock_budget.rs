@@ -3,17 +3,16 @@
 
 use crate::config::ProcessorConfig;
 use crate::error::McpatError;
-use crate::processor::{checkpoint, Processor, Retarget};
+use crate::processor::{checkpoint, Delta, Processor, Retarget};
 
 /// Probe accounting of [`max_clock_under_power_budget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BisectionPerf {
     /// Full `Processor::build` runs: the anchoring base build, plus one
-    /// per probe when `core.enforce_timing` forces the fallback.
+    /// per probe that [`Processor::retarget`] answered with
+    /// [`Retarget::FullBuild`] (under `core.enforce_timing`).
     pub full_builds: u64,
-    /// Probes served by the incremental clock-only rebuild
-    /// ([`Processor::retarget_clock`], the body of a
-    /// [`crate::Delta::Clock`] rebuild).
+    /// Probes [`Processor::retarget`] served in place.
     pub incremental_probes: u64,
 }
 
@@ -24,8 +23,8 @@ pub struct BisectionPerf {
 ///
 /// One full build anchors the clock-invariant array geometry; every
 /// probe — `lo`, `hi`, and all midpoints — then retargets that chip in
-/// place ([`Processor::retarget_clock`], the primitive behind
-/// [`crate::Delta::Clock`]) instead of re-solving it.
+/// place (a [`Delta::Clock`] [`Processor::retarget`]) instead of
+/// re-solving it.
 ///
 /// # Errors
 ///
@@ -46,9 +45,9 @@ pub fn max_clock_under_power_budget(
     let mut power_at = |clock: f64| -> Result<f64, McpatError> {
         // One budget checkpoint per bisection probe.
         checkpoint("clock_bisection")?;
-        match chip.retarget_clock(clock)? {
+        match chip.retarget(Delta::Clock(clock))? {
             Retarget::FullBuild => perf.full_builds += 1,
-            Retarget::Patched => perf.incremental_probes += 1,
+            Retarget::Patched | Retarget::L2Resolved => perf.incremental_probes += 1,
         }
         Ok(chip.peak_power_total())
     };

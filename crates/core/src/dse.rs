@@ -11,9 +11,9 @@
 //! 2. **In-place probes** — the clock axis is innermost and the L2 axis
 //!    second-innermost, so the candidates of a row differ from its base
 //!    chip only in the clock: the base itself is retargeted in place
-//!    per candidate ([`Processor::retarget_clock`], no clone, no
+//!    per candidate ([`Processor::retarget`], no clone, no
 //!    allocation), and consecutive rows advance the base by a
-//!    [`Delta::CacheSize`] rebuild instead of a full build.
+//!    [`Delta::CacheSize`] retarget instead of a full build.
 //! 3. **Lower-bound pruning** — before a candidate is built, the
 //!    evaluator produces a certified lower bound on its metrics; if the
 //!    incremental [`ParetoFrontier`] already dominates the bound, the
@@ -44,7 +44,7 @@ use crate::config::ProcessorConfig;
 use crate::error::McpatError;
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
-use crate::processor::{checkpoint, clock_delta_rebuilds_fully, Delta, PeakLeakage, Processor};
+use crate::processor::{checkpoint, Delta, PeakLeakage, Processor, Retarget};
 use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
@@ -341,7 +341,7 @@ pub struct DsePerf {
     pub candidates: u64,
     /// Candidates discarded by the frontier's lower-bound prune before
     /// any build ran ([`DseEvaluator::prunes_in_row`]). Never counted
-    /// on rows under [`CoreConfig::enforce_timing`], where nothing is
+    /// on rows whose facts do not hold across clocks, where nothing is
     /// pruned. With [`WorkloadModel`] the count depends on how tight
     /// its bound is, while the frontier and the `candidates` and
     /// `rejected` counts do not: a tighter bound moves candidates from
@@ -349,18 +349,18 @@ pub struct DsePerf {
     pub pruned: u64,
     /// Candidates outside [`DseOptions::budgets`] (rejected before the
     /// build when the exact clock-invariant area already exceeds the
-    /// area budget, after it otherwise; always after it under
-    /// [`CoreConfig::enforce_timing`], where the row base's area is not
-    /// the candidate's).
+    /// area budget, after it otherwise; always after it on rows whose
+    /// facts do not hold across clocks, where the row base's area is
+    /// not the candidate's).
     pub rejected: u64,
-    /// Candidates served by an in-place clock probe
-    /// ([`Processor::retarget_clock`]) off a row base.
+    /// Candidates whose clock [`Processor::retarget`] patched into
+    /// their row base in place ([`Retarget::Patched`]).
     pub probes: u64,
-    /// Row bases advanced with an L2 resize ([`Delta::CacheSize`])
-    /// instead of a full build.
+    /// Row bases advanced with an L2 re-solve
+    /// ([`Retarget::L2Resolved`]) instead of a full build.
     pub cache_rebuilds: u64,
     /// Full [`Processor::build`] runs (row-base anchors, plus probes
-    /// forced through the fallback by `core.enforce_timing`).
+    /// answered with [`Retarget::FullBuild`]).
     pub full_builds: u64,
     /// Candidates whose configuration (up to the name) an earlier
     /// candidate of the same chunk already probed: the same clock in a
@@ -368,6 +368,18 @@ pub struct DsePerf {
     /// instead of in `probes`/`full_builds`; the candidate is still
     /// retargeted, evaluated and offered, so dedupe saves no work.
     pub deduped: u64,
+}
+
+impl DsePerf {
+    /// Counts a row base or a probe by the path [`Processor::retarget`]
+    /// took for it.
+    fn bill(&mut self, how: Retarget) {
+        match how {
+            Retarget::Patched => self.probes += 1,
+            Retarget::L2Resolved => self.cache_rebuilds += 1,
+            Retarget::FullBuild => self.full_builds += 1,
+        }
+    }
 }
 
 /// The outcome of a completed sweep.
@@ -396,10 +408,10 @@ impl DseResult {
 /// from switched capacitance, not frequency) nor leakage: a probe
 /// retargets the base's solved components in place, so both totals
 /// keep the base's bits (property-tested per preset, with and without
-/// power gating). Under [`CoreConfig::enforce_timing`] a probe is a
-/// full build instead, which may re-partition arrays for the new cycle
-/// time; there the facts are the row base's, not the candidate's, and
-/// the engine neither rejects nor prunes on them.
+/// power gating). Under enforced timing a probe that moves the clock is
+/// a full build instead, which may re-partition arrays for the new
+/// cycle time; there the facts are the row base's, not the
+/// candidate's, and the engine neither rejects nor prunes on them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowFacts {
     /// Die area, m² ([`Processor::die_area`]).
@@ -408,6 +420,9 @@ pub struct RowFacts {
     pub leakage: f64,
     /// The base's peak leakage, which its retargeted probes share.
     peak: PeakLeakage,
+    /// True if the facts hold for every clock of the row
+    /// ([`Processor::clock_keeps_geometry`] on the base).
+    hold_across_clocks: bool,
 }
 
 impl RowFacts {
@@ -419,6 +434,7 @@ impl RowFacts {
             area: base.die_area(),
             leakage: peak.total,
             peak,
+            hold_across_clocks: base.clock_keeps_geometry(),
         }
     }
 }
@@ -463,14 +479,14 @@ pub struct RowCandidate<'a> {
 /// ([`ChipTotals`]). The probe's totals are the exact bits the
 /// [`Processor`] methods return on the probed chip. The row facts are
 /// the base's exact bits, and equal the candidate's because a retarget
-/// leaves area and leakage alone; under [`CoreConfig::enforce_timing`]
-/// a probe is a full build, so [`ChipTotals::area`] is walked on it,
-/// and the engine asks for no prune decision at all.
+/// leaves area and leakage alone; where they do not hold across clocks
+/// (enforced timing), [`ChipTotals::area`] is walked on the probe, and
+/// the engine asks for no prune decision at all.
 pub trait DseEvaluator {
     /// The workload metrics of a probed candidate, given its `totals`.
     ///
     /// The engine hands over the row base retargeted in place
-    /// ([`Processor::retarget_clock`]): its configuration
+    /// ([`Processor::retarget`]): its configuration
     /// (name included), components, warnings and every modeled number
     /// are those of a full build of the candidate, but its
     /// [`Processor::perf`] and [`Processor::trace`] describe the build
@@ -525,9 +541,9 @@ impl WorkloadModel {
     /// [`Processor::peak_power_floor_at`]), and energy is that floor
     /// times the same delay, through the same multiplication as
     /// [`WorkloadModel::evaluate`]'s: monotone rounding keeps it a
-    /// bound. `None` where the probe would not take that walk, under
-    /// [`CoreConfig::enforce_timing`] and where the clock moves the
-    /// cores' leakage scale (a power-gated chip below 1 kHz).
+    /// bound. `None` where the probe would not take that walk: where
+    /// the row's facts do not hold across clocks and where the clock
+    /// moves the cores' leakage scale (a power-gated chip below 1 kHz).
     fn bound(
         &self,
         base: &Processor,
@@ -940,16 +956,16 @@ fn run_chunk<E: DseEvaluator>(
         let Some(base) = rows.get(row_slot) else {
             continue;
         };
-        // Where every probe is a full build, the row's facts are not the
-        // candidate's: no early reject and no prune there.
-        let full_build = clock_delta_rebuilds_fully(&base.chip.config);
+        // Where the row's facts are not the candidate's, neither reject
+        // nor prune on them.
+        let facts_hold = base.facts.hold_across_clocks;
         // Exact early budget rejection: die area is clock-invariant, so
         // the row's area IS this candidate's area.
-        if !full_build && base.facts.area > opts.budgets.max_area {
+        if facts_hold && base.facts.area > opts.budgets.max_area {
             perf.rejected += 1;
             continue;
         }
-        if opts.prune && !full_build {
+        if opts.prune && facts_hold {
             let candidate = RowCandidate {
                 base: &base.chip,
                 facts: base.facts,
@@ -987,36 +1003,28 @@ fn run_chunk<E: DseEvaluator>(
         let duplicate = probed
             .as_mut()
             .is_some_and(|set| !set.insert((row.class, p.clock_hz.to_bits())));
-        let full_build = clock_delta_rebuilds_fully(&row.chip.config);
-        if duplicate {
-            perf.deduped += 1;
-        } else if full_build {
-            perf.full_builds += 1;
-        } else {
-            perf.probes += 1;
-        }
         // The candidate's own name, then its clock: the row's chip is
         // now bit-identical to a full build of the candidate.
         let chip = &mut row.chip;
         write_candidate_name(&mut chip.config.name, p.cursor);
-        if chip.config.clock_hz.to_bits() != p.clock_hz.to_bits() {
-            chip.retarget_clock(p.clock_hz)?;
-        }
-        if !duplicate {
+        let how = chip.retarget(Delta::Clock(p.clock_hz))?;
+        if duplicate {
+            perf.deduped += 1;
+        } else {
+            perf.bill(how);
             mcpat_obs::guard::note_candidate();
         }
-        // A full build re-picks array partitions for the new cycle
-        // time, so only a retargeted chip keeps the row's area and
-        // leakage.
-        let totals = if full_build {
-            ChipTotals {
-                peak_power: chip.peak_power_total(),
-                area: chip.die_area(),
-            }
-        } else {
+        // Where a clock move re-picks array partitions, the row's area
+        // and leakage are not the candidate's.
+        let totals = if row.facts.hold_across_clocks {
             ChipTotals {
                 peak_power: chip.peak_power_total_with(&row.facts.peak),
                 area: row.facts.area,
+            }
+        } else {
+            ChipTotals {
+                peak_power: chip.peak_power_total(),
+                area: chip.die_area(),
             }
         };
         if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
@@ -1034,7 +1042,10 @@ fn run_chunk<E: DseEvaluator>(
     }
     *last_base = match rows.pop() {
         Some(RowBase { row, mut chip, .. }) => {
-            reset_row_base(grid, row, &mut chip)?;
+            write_candidate_name(&mut chip.config.name, row * clocks_len);
+            if let Some(&hz) = grid.clocks_hz.first() {
+                chip.retarget(Delta::Clock(hz))?;
+            }
             Some((row, chip))
         }
         None => carried,
@@ -1042,23 +1053,10 @@ fn run_chunk<E: DseEvaluator>(
     Ok(())
 }
 
-/// Moves `chip`, the base of `row` that probes retargeted in place,
-/// back to the row's first clock and name: a retarget leaves the chip
-/// bit-identical to a full build of its configuration.
-fn reset_row_base(grid: &AxisGrid, row: u64, chip: &mut Processor) -> Result<(), McpatError> {
-    write_candidate_name(&mut chip.config.name, row * grid.clocks_len());
-    match grid.clocks_hz.first() {
-        Some(&hz) if hz.to_bits() != chip.config.clock_hz.to_bits() => {
-            chip.retarget_clock(hz).map(drop)
-        }
-        _ => Ok(()),
-    }
-}
-
 /// Produces the base chip for `row` (the row's configuration at its
-/// first clock point) from `prev`, the base of an earlier row: a
-/// [`Delta::CacheSize`] rebuild of it when only the L2 axis moved, a
-/// full build otherwise.
+/// first clock point) from `prev`, the base of an earlier row: a copy
+/// of it moved by a [`Delta::CacheSize`] retarget when only the L2 axis
+/// moved, a full build otherwise.
 fn advance_base(
     grid: &AxisGrid,
     row: u64,
@@ -1070,16 +1068,14 @@ fn advance_base(
     let base_cfg = grid
         .config_at(row * clocks_len)
         .ok_or_else(|| McpatError::config("dse.base", format!("row {row} is outside the grid")))?;
-    if let Some((prev_row, chip)) = prev {
-        let same_group = l2_len > 0 && prev_row / l2_len == row / l2_len;
-        if same_group && !base_cfg.core.enforce_timing {
-            if let Some(l2) = &base_cfg.l2 {
-                perf.cache_rebuilds += 1;
-                return chip.rebuild_with(Delta::CacheSize(l2.cache.capacity));
-            }
+    if let (Some((prev_row, prev)), Some(l2)) = (prev, &base_cfg.l2) {
+        if l2_len > 0 && prev_row / l2_len == row / l2_len {
+            let mut chip = prev.clone();
+            perf.bill(chip.retarget(Delta::CacheSize(l2.cache.capacity))?);
+            return Ok(chip);
         }
     }
-    perf.full_builds += 1;
+    perf.bill(Retarget::FullBuild);
     Processor::build(&base_cfg)
 }
 
@@ -1087,6 +1083,7 @@ fn advance_base(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::processor::tests::timing_closed;
 
     fn tiny_grid() -> AxisGrid {
         AxisGrid::manycore(
@@ -1187,10 +1184,11 @@ mod tests {
     /// Two templates (one under enforced timing) and two cluster sizes,
     /// one of them above the smallest core count.
     fn two_template_grid() -> AxisGrid {
-        let mut enforced = CoreConfig::generic_ooo();
-        enforced.enforce_timing = true;
         AxisGrid {
-            core_templates: vec![CoreConfig::generic_inorder(), enforced],
+            core_templates: vec![
+                CoreConfig::generic_inorder(),
+                timing_closed(CoreConfig::generic_ooo()),
+            ],
             cores_per_cluster: vec![2, 4],
             ..AxisGrid::manycore(
                 vec![TechNode::N32],
@@ -1224,7 +1222,8 @@ mod tests {
         // The template axis moves last.
         for cursor in 0..grid.total() {
             let cfg = grid.config_at(cursor).unwrap();
-            assert_eq!(cfg.core.enforce_timing, cursor >= 2 * block, "{cursor}");
+            let template = &grid.core_templates[usize::from(cursor >= 2 * block)];
+            assert_eq!(cfg.core.name, template.name, "{cursor}");
             assert_eq!(cfg.core.clock_hz.to_bits(), cfg.clock_hz.to_bits());
         }
     }
@@ -1516,11 +1515,11 @@ mod tests {
             for &cursor in chunk {
                 perf.candidates += 1;
                 let row = cursor / clocks;
-                let base_cfg = grid.config_at(row * clocks).unwrap();
-                let base = Processor::build(&base_cfg).unwrap();
+                let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
+                let facts = RowFacts::of(&base);
                 if prev_row != Some(row) {
-                    let same_group = prev_row.is_some_and(|p| p / l2_len == row / l2_len);
-                    if same_group && !base_cfg.core.enforce_timing {
+                    // Inside one group the L2 is re-solved.
+                    if prev_row.is_some_and(|p| p / l2_len == row / l2_len) {
                         perf.cache_rebuilds += 1;
                     } else {
                         perf.full_builds += 1;
@@ -1528,30 +1527,41 @@ mod tests {
                     prev_row = Some(row);
                 }
                 let cfg = grid.config_at(cursor).unwrap();
-                // Where every probe is a full build, nothing is decided
-                // on the row base.
-                let on_base = !cfg.core.enforce_timing;
+                // Where the facts do not hold across clocks, nothing is
+                // decided on the row base.
+                let on_base = facts.hold_across_clocks;
                 if on_base && base.die_area() > budgets.max_area {
                     perf.rejected += 1;
                     continue;
                 }
                 let candidate = RowCandidate {
                     base: &base,
-                    facts: RowFacts::of(&base),
+                    facts,
                     clock_hz: cfg.clock_hz,
                 };
                 if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
                     perf.pruned += 1;
                     continue;
                 }
-                survivors.push((cursor, cfg));
+                survivors.push((cursor, cfg, on_base));
             }
             let mut probed: Vec<ProcessorConfig> = Vec::new();
-            for (cursor, cfg) in survivors {
+            for (cursor, cfg, on_base) in survivors {
                 if probed.iter().any(|c| eq_ignoring_name(c, &cfg)) {
                     perf.deduped += 1;
                 } else {
-                    if cfg.core.enforce_timing {
+                    // Where the facts do not hold, every candidate is
+                    // probed, and one that moves the row's chip off the
+                    // previous candidate's clock (the row's first, at a
+                    // chunk start) is a full build.
+                    let first = cursor % clocks == 0 || !chunk.contains(&(cursor - 1));
+                    let at = if first {
+                        cursor - cursor % clocks
+                    } else {
+                        cursor - 1
+                    };
+                    let from = grid.config_at(at).unwrap().clock_hz;
+                    if !on_base && from.to_bits() != cfg.clock_hz.to_bits() {
                         perf.full_builds += 1;
                     } else {
                         perf.probes += 1;
@@ -1677,14 +1687,15 @@ mod tests {
     #[test]
     fn dedupe_counts_equal_the_naive_reference() {
         let mut grid = tiny_grid();
-        for (enforce_timing, l2, clocks) in [
+        for (timed, l2, clocks) in [
             (false, vec![1 << 20, 1 << 20], vec![1.0e9, 1.5e9, 2.0e9]),
             (false, vec![1 << 20, 2 << 20], vec![1.0e9, 1.0e9, 2.0e9]),
             (false, vec![1 << 20, 1 << 20], vec![2.0e9, 1.0e9, 2.0e9]),
-            // Every probe and every row base is a full build.
+            // Every probe that moves the clock is a full build.
             (true, vec![1 << 20, 1 << 20], vec![2.0e9, 1.0e9, 2.0e9]),
         ] {
-            grid.core_templates[0].enforce_timing = enforce_timing;
+            let core = CoreConfig::generic_inorder();
+            grid.core_templates = vec![if timed { timing_closed(core) } else { core }];
             grid.l2_bytes = l2;
             grid.clocks_hz = clocks;
             for chunk in [256, 5, 4] {
@@ -1703,8 +1714,8 @@ mod tests {
         // A generic OoO core at N32 meets 20 GHz and 50 GHz only with
         // other array partitions, so under enforced timing those
         // probes' die area moves away from their row base's.
-        let mut grid = AxisGrid {
-            core_templates: vec![CoreConfig::generic_ooo()],
+        let grid = AxisGrid {
+            core_templates: vec![timing_closed(CoreConfig::generic_ooo())],
             ..AxisGrid::manycore(
                 vec![TechNode::N32],
                 vec![DeviceType::Hp],
@@ -1713,7 +1724,6 @@ mod tests {
                 vec![1.0e9, 20.0e9, 50.0e9, 20.0e9],
             )
         };
-        grid.core_templates[0].enforce_timing = true;
         let area_at = |cursor| {
             Processor::build(&grid.config_at(cursor).unwrap())
                 .unwrap()
@@ -1726,7 +1736,8 @@ mod tests {
                 ..DseOptions::default()
             };
             let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
-            assert_eq!(perf.probes, 0, "{perf:?}");
+            // Only the first candidate of each row keeps its base's clock.
+            assert_eq!(perf.probes, 2, "{perf:?}");
         }
     }
 
@@ -1756,7 +1767,7 @@ mod tests {
             vec![1 << 20],
             vec![30.0e9, 1.0e9, 25.0e9, 2.0e9, 20.0e9, 3.0e9],
         );
-        grid.core_templates[0].enforce_timing = true;
+        grid.core_templates = vec![timing_closed(CoreConfig::generic_inorder())];
         let areas: Vec<f64> = (0..grid.total())
             .map(|c| {
                 Processor::build(&grid.config_at(c).unwrap())

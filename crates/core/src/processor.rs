@@ -16,7 +16,7 @@ use mcpat_tech::TechParams;
 use mcpat_uncore::clock::ClockNetwork;
 use mcpat_uncore::io::OffChipIo;
 use mcpat_uncore::memctrl::MemCtrl;
-use mcpat_uncore::shared_cache::SharedCache;
+use mcpat_uncore::shared_cache::{SharedCache, SharedCacheConfig};
 
 /// Layout overhead multiplying the sum of component areas to obtain the
 /// core die area (global routing, power grid, whitespace).
@@ -155,28 +155,21 @@ pub(crate) fn worker_failure(stage: &'static str) -> impl FnOnce(ParError) -> Mc
     }
 }
 
-/// True if a [`Delta::Clock`] rebuild of a chip configured as `config`
-/// runs as a full build: under `core.enforce_timing` the solver sizes
-/// arrays to the target cycle time, so no solved geometry survives a
-/// clock change. The DSE engine's probe counters consult this to bill
-/// the work they asked for; [`Processor::retarget_clock`] reports the
-/// path it took.
-pub(crate) fn clock_delta_rebuilds_fully(config: &ProcessorConfig) -> bool {
-    config.core.enforce_timing
-}
-
-/// The path [`Processor::retarget_clock`] took.
+/// The path [`Processor::retarget`] took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retarget {
-    /// The clock fields were patched in place; no array was re-solved.
+    /// Patched in place; no array was re-solved.
     Patched,
-    /// `core.enforce_timing` ties the solved geometry to the clock, so
-    /// the chip was replaced by a full build.
+    /// The L2 and the fabric were re-solved and the clock network
+    /// re-sized; every other component was kept.
+    L2Resolved,
+    /// The clock moved under `core.enforce_timing`, which ties the
+    /// solved geometry to it, so the chip was replaced by a full build.
     FullBuild,
 }
 
-/// A single-axis change applied to an already-built chip by
-/// [`Processor::rebuild_with`].
+/// A single-axis change to an already-built chip, applied in place by
+/// [`Processor::retarget`] or to a copy by [`Processor::rebuild_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delta {
     /// Retarget the chip (and core) clock, Hz.
@@ -188,8 +181,15 @@ pub enum Delta {
 impl Delta {
     /// The configuration `base` describes after this delta is applied.
     #[must_use]
+    // lint: allow(L013, the bit-identity property tests build it as the reference a retarget must equal)
     pub fn apply(self, base: &ProcessorConfig) -> ProcessorConfig {
         let mut config = base.clone();
+        self.patch(&mut config);
+        config
+    }
+
+    /// Writes this delta into `config`.
+    fn patch(self, config: &mut ProcessorConfig) {
         match self {
             Delta::Clock(hz) => {
                 config.clock_hz = hz;
@@ -201,7 +201,6 @@ impl Delta {
                 }
             }
         }
-        config
     }
 }
 
@@ -288,15 +287,7 @@ impl Processor {
     }
 
     fn build_inner(config: &ProcessorConfig) -> Result<Processor, McpatError> {
-        checkpoint("build.validate")?;
-        let mut warnings = {
-            let _span = mcpat_obs::span("build.validate");
-            config
-                .validate()
-                .into_result()
-                .map_err(McpatError::Invalid)?
-        };
-        mcpat_obs::guard::note_span();
+        let mut warnings = component("build.validate", || findings(config), |_| 0)?;
         let mut tech = TechParams::new(config.node, config.device_type, config.temperature_k)
             .with_projection(config.projection)
             .with_long_channel_leakage(config.long_channel_leakage);
@@ -312,101 +303,50 @@ impl Processor {
         // l2, l3, mc — the same order the serial build reported in.
         let (core, l2, l3, mc) = mcpat_par::join4(
             || {
-                checkpoint("build.core")?;
-                let span = mcpat_obs::span("build.core");
-                let r = CoreModel::build(&tech, &core_cfg).map_err(|e| match e {
-                    CoreBuildError::Invalid(d) => {
-                        let mut all = Diagnostics::new();
-                        all.merge_under("core", d);
-                        McpatError::Invalid(all)
-                    }
-                    CoreBuildError::Array(e) => e.under("core").into(),
-                });
-                if let Ok(core) = &r {
-                    span.note_relaxations(core.relaxation_warnings().len() as u64);
-                    mcpat_obs::guard::note_span();
-                }
-                r
+                let build = || {
+                    CoreModel::build(&tech, &core_cfg).map_err(|e| match e {
+                        CoreBuildError::Invalid(d) => {
+                            let mut all = Diagnostics::new();
+                            all.merge_under("core", d);
+                            McpatError::Invalid(all)
+                        }
+                        CoreBuildError::Array(e) => e.under("core").into(),
+                    })
+                };
+                component("build.core", build, |core| core.relaxation_warnings().len())
             },
+            || cache_stage("build.l2", "l2", config.l2.as_ref(), &tech),
+            || cache_stage("build.l3", "l3", config.l3.as_ref(), &tech),
             || {
-                checkpoint("build.l2")?;
-                let span = mcpat_obs::span("build.l2");
-                let r = config
-                    .l2
-                    .as_ref()
-                    .map(|c| c.build(&tech).at("l2").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(l2) = r {
-                        span.note_relaxations(l2.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_obs::guard::note_span();
-                }
-                r
-            },
-            || {
-                checkpoint("build.l3")?;
-                let span = mcpat_obs::span("build.l3");
-                let r = config
-                    .l3
-                    .as_ref()
-                    .map(|c| c.build(&tech).at("l3").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(l3) = r {
-                        span.note_relaxations(l3.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_obs::guard::note_span();
-                }
-                r
-            },
-            || {
-                checkpoint("build.mc")?;
-                let span = mcpat_obs::span("build.mc");
-                let r = config
-                    .mc
-                    .as_ref()
-                    .map(|c| MemCtrl::build(&tech, c).at("mc").map_err(McpatError::from))
-                    .transpose();
-                if let Ok(r) = &r {
-                    if let Some(mc) = r {
-                        span.note_relaxations(mc.relaxation_warnings().len() as u64);
-                    }
-                    mcpat_obs::guard::note_span();
-                }
-                r
+                let build = |c| MemCtrl::build(&tech, c).at("mc");
+                let mc = || {
+                    config
+                        .mc
+                        .as_ref()
+                        .map(build)
+                        .transpose()
+                        .map_err(McpatError::from)
+                };
+                component("build.mc", mc, |mc| {
+                    mc.as_ref().map_or(0, |c| c.relaxation_warnings().len())
+                })
             },
         )
         .map_err(worker_failure("chip"))?;
         let (core, l2, l3, mc) = (core?, l2?, l3?, mc?);
         let io = OffChipIo::new(&tech, config.io_bandwidth);
         let shared_fpu = FunctionalUnit::new(&tech, FuKind::Fpu);
-        let noc = build_fabric(config, &tech, &core, l2.as_ref())?;
-        merge_relaxations(
-            &mut warnings,
-            &core,
-            l2.as_ref(),
-            l3.as_ref(),
-            mc.as_ref(),
-            &noc,
-        );
-
-        checkpoint("build.clock")?;
-        let clock_span = mcpat_obs::span("build.clock");
-        let clock = clock_network(
+        let (noc, clock) = assemble(
             config,
             &tech,
             &core,
             l2.as_ref(),
             l3.as_ref(),
-            &noc,
             mc.as_ref(),
             &io,
             &shared_fpu,
-        );
-        drop(clock_span);
-        mcpat_obs::guard::note_span();
-
+            &mut warnings,
+        )?;
         Ok(Processor {
             config: config.clone(),
             tech,
@@ -425,130 +365,116 @@ impl Processor {
         })
     }
 
-    /// Re-evaluates this chip under a clock or L2-size change, reusing
-    /// every component whose inputs the delta leaves untouched. (A supply
-    /// or temperature change re-solves every array: build it instead.)
+    /// A copy of this chip moved along `delta` by
+    /// [`Processor::retarget`], inside its own collector scope, so its
+    /// [`Processor::perf`] counts only the work the delta took.
     ///
-    /// The reuse matrix (DESIGN.md §12 argues each row):
+    /// # Errors
     ///
-    /// * [`Delta::Clock`] — a clone of this chip, retargeted in place
-    ///   by [`Processor::retarget_clock`]: no array re-solves and no
-    ///   re-sizing. Under `core.enforce_timing` the solved geometry
-    ///   depends on the clock, so this falls back to a full build.
-    /// * [`Delta::CacheSize`] — re-solves only the L2 (its geometry is
-    ///   the input that changed) and the fabric (whose link length
-    ///   follows the cluster footprint); the core, L3, memory
-    ///   controller, I/O and shared FPU are reused as-is.
+    /// Any error of [`Processor::retarget`].
+    pub fn rebuild_with(&self, delta: Delta) -> Result<Processor, McpatError> {
+        Self::scoped("rebuild_with", || {
+            let mut next = self.clone();
+            next.retarget(delta)?;
+            Ok(next)
+        })
+    }
+
+    /// Moves this chip along `delta` in place, reusing every component
+    /// whose inputs the delta leaves untouched, and says which path it
+    /// took: the one place that decides how a delta is rebuilt. (A
+    /// supply or temperature change re-solves every array: build it
+    /// instead.) DESIGN.md §8.2 and §12 argue each path:
     ///
-    /// Whichever path runs, the result is bit-identical to a full build
-    /// of `delta.apply(&self.config)` (property-tested per preset).
+    /// * [`Delta::Clock`] — [`Retarget::Patched`]. Without a cycle-time
+    ///   constraint no solved geometry depends on the clock, which
+    ///   enters only query-time power math; the clock network's
+    ///   geometry follows from the floorplan and the sink load. So the
+    ///   five clock fields are patched (chip and core config, the core
+    ///   model's and the fabric's config echoes, the clock network).
+    ///   The findings stand while the old and the new clock are quiet
+    ///   (`ProcessorConfig::clock_is_quiet`) and the name rule reads as
+    ///   it did; otherwise the configuration is re-validated and the
+    ///   unchanged relaxations re-merged. Under `core.enforce_timing`
+    ///   the arrays were sized to the old cycle time, so a clock that
+    ///   moves is a [`Retarget::FullBuild`].
+    /// * [`Delta::CacheSize`] — [`Retarget::L2Resolved`]: the L2 stage
+    ///   of a full build, then its assembly tail (fabric, relaxations,
+    ///   clock network) over the kept core, L3, memory controller, I/O
+    ///   and shared FPU. Enforced timing changes nothing here: the
+    ///   clock, and with it every cycle-time target, stays put. Without
+    ///   an L2 the resize changes nothing: [`Retarget::Patched`].
+    ///
+    /// Afterwards the chip is bit-identical to a full build of
+    /// `delta.apply(&config)` (property-tested per preset, with and
+    /// without enforced timing), except for [`Processor::perf`] and
+    /// [`Processor::trace`], which describe the build that produced it.
     ///
     /// # Errors
     ///
     /// [`McpatError::Invalid`] if the patched configuration fails
-    /// validation, or any build error from the re-solved components.
-    pub fn rebuild_with(&self, delta: Delta) -> Result<Processor, McpatError> {
-        match delta {
-            Delta::Clock(hz) if !clock_delta_rebuilds_fully(&self.config) => {
-                Self::scoped("rebuild_with.clock", || {
-                    let mut next = self.clone();
-                    next.retarget_clock(hz)?;
-                    Ok(next)
-                })
-            }
-            // Without an L2 the resize is a no-op patch.
-            Delta::CacheSize(_) if self.config.l2.is_some() => {
-                Self::scoped("rebuild_with.cache", || {
-                    self.rebuild_cache(delta.apply(&self.config))
-                })
-            }
-            _ => Processor::build(&delta.apply(&self.config)),
-        }
-    }
-
-    /// Moves this chip to `hz` in place: the primitive behind every
-    /// clock probe ([`Delta::Clock`] rebuilds, DSE candidates, and
-    /// [`crate::clock_budget::max_clock_under_power_budget`]'s bisection).
-    ///
-    /// Without a cycle-time constraint (`core.enforce_timing == false`,
-    /// the default everywhere) the solved geometry of every array is
-    /// independent of the target clock: the clock enters only
-    /// query-time power math. The clock network's geometry, drivers,
-    /// area and leakage follow from the floorplan and the sink load,
-    /// not from the frequency, so only its `clock_hz` moves. This
-    /// patches the five clock fields (chip and core config, the core
-    /// model's and the fabric's config echoes, the clock network).
-    /// Nothing is cloned, re-sized or re-solved, so the solver
-    /// relaxations stand. The findings stand too when the old and the
-    /// new clock are both quiet (`ProcessorConfig::clock_is_quiet`)
-    /// and the name rule still reads as it did; otherwise the
-    /// configuration is re-validated — advisories such as the
-    /// aggressive-clock warning depend on the clock — and the
-    /// relaxations are re-merged under the new findings. Under
-    /// `core.enforce_timing` the geometry does depend on the clock, so
-    /// the chip is replaced by a full build of the patched
-    /// configuration.
-    ///
-    /// Afterwards the chip is bit-identical to a full build of its
-    /// configuration with the clock patched (property-tested per
-    /// preset), except for [`Processor::perf`] and
-    /// [`Processor::trace`], which still describe the build that
-    /// produced the chip.
-    ///
-    /// # Errors
-    ///
-    /// [`McpatError::Invalid`] if the retargeted configuration fails
     /// validation, [`McpatError::Budget`] when the active budget trips,
-    /// or any build error of the enforce-timing fallback. On error the
-    /// chip is left unchanged. On success, which of the two paths ran.
-    pub fn retarget_clock(&mut self, hz: f64) -> Result<Retarget, McpatError> {
-        checkpoint("retarget_clock")?;
-        let prev = (self.config.clock_hz, self.config.core.clock_hz);
-        let findings_stand = [prev.0, prev.1, hz]
-            .into_iter()
-            .all(|clock| self.config.clock_is_quiet(clock))
-            && self.name_finding_is_current();
-        self.config.clock_hz = hz;
-        self.config.core.clock_hz = hz;
-        let result = if clock_delta_rebuilds_fully(&self.config) {
-            Processor::build(&self.config).map(|chip| {
-                *self = chip;
-                Retarget::FullBuild
-            })
-        } else if findings_stand {
-            self.patch_component_clocks(hz);
-            Ok(Retarget::Patched)
-        } else {
-            self.config
-                .validate()
-                .into_result()
-                .map_err(McpatError::Invalid)
-                .map(|validation| {
-                    self.patch_component_clocks(hz);
-                    self.warnings = validation;
-                    merge_relaxations(
-                        &mut self.warnings,
-                        &self.core,
-                        self.l2.as_ref(),
-                        self.l3.as_ref(),
-                        self.mc.as_ref(),
-                        &self.noc,
-                    );
-                    Retarget::Patched
-                })
+    /// or any build error of a re-solved component. On error the chip
+    /// is left unchanged.
+    pub fn retarget(&mut self, delta: Delta) -> Result<Retarget, McpatError> {
+        checkpoint("retarget")?;
+        let from = (self.config.clock_hz, self.config.core.clock_hz);
+        let capacity = self.config.l2.as_ref().map(|l2| l2.cache.capacity);
+        delta.patch(&mut self.config);
+        let result = match delta {
+            Delta::Clock(hz) => self.move_clock(from, hz),
+            Delta::CacheSize(_) if capacity.is_none() => Ok(Retarget::Patched),
+            Delta::CacheSize(_) => self.resolve_l2(),
         };
         if result.is_err() {
-            (self.config.clock_hz, self.config.core.clock_hz) = prev;
+            (self.config.clock_hz, self.config.core.clock_hz) = from;
+            if let (Some(l2), Some(bytes)) = (&mut self.config.l2, capacity) {
+                l2.cache.capacity = bytes;
+            }
         }
         result
     }
 
-    /// The clock echoes of the components [`Processor::retarget_clock`]
-    /// keeps.
-    fn patch_component_clocks(&mut self, hz: f64) {
+    /// [`Processor::retarget`]'s clock path, after the patch; `from`
+    /// holds the chip and core clocks before it.
+    fn move_clock(&mut self, from: (f64, f64), hz: f64) -> Result<Retarget, McpatError> {
+        if from.0.to_bits() != hz.to_bits() && !self.clock_keeps_geometry() {
+            *self = Processor::build(&self.config)?;
+            return Ok(Retarget::FullBuild);
+        }
+        let findings_stand = [from.0, from.1, hz]
+            .into_iter()
+            .all(|clock| self.config.clock_is_quiet(clock))
+            && self.name_finding_is_current();
+        if !findings_stand {
+            let mut findings = findings(&self.config)?;
+            let (l2, l3, mc) = (self.l2.as_ref(), self.l3.as_ref(), self.mc.as_ref());
+            merge_relaxations(&mut findings, &self.core, l2, l3, mc, &self.noc);
+            self.warnings = findings;
+        }
         self.core.config.clock_hz = hz;
         self.noc.config.clock_hz = hz;
         self.clock.clock_hz = hz;
+        Ok(Retarget::Patched)
+    }
+
+    /// [`Processor::retarget`]'s L2 path, after the patch.
+    fn resolve_l2(&mut self) -> Result<Retarget, McpatError> {
+        let mut warnings = findings(&self.config)?;
+        let l2 = cache_stage("build.l2", "l2", self.config.l2.as_ref(), &self.tech)?;
+        let (noc, clock) = assemble(
+            &self.config,
+            &self.tech,
+            &self.core,
+            l2.as_ref(),
+            self.l3.as_ref(),
+            self.mc.as_ref(),
+            &self.io,
+            &self.shared_fpu,
+            &mut warnings,
+        )?;
+        (self.l2, self.noc, self.clock, self.warnings) = (l2, noc, clock, warnings);
+        Ok(Retarget::L2Resolved)
     }
 
     /// True if [`Processor::warnings`] carries the unnamed-configuration
@@ -557,54 +483,6 @@ impl Processor {
     fn name_finding_is_current(&self) -> bool {
         let flagged = self.warnings.iter().any(|f| f.path == UNNAMED_FINDING_PATH);
         flagged == self.config.name.is_empty()
-    }
-
-    /// The incremental body of the [`Delta::CacheSize`] path: re-solve
-    /// the L2 and the fabric, reuse everything else, and re-size the
-    /// clock network with the functions `build` uses, so the result is
-    /// bit-identical to a full build of `config`.
-    fn rebuild_cache(&self, config: ProcessorConfig) -> Result<Processor, McpatError> {
-        checkpoint("rebuild_with.cache")?;
-        let mut warnings = config
-            .validate()
-            .into_result()
-            .map_err(McpatError::Invalid)?;
-        let l2 = config
-            .l2
-            .as_ref()
-            .map(|c| c.build(&self.tech).at("l2").map_err(McpatError::from))
-            .transpose()?;
-        mcpat_obs::guard::note_span();
-        // The fabric link spans one cluster tile, whose footprint just
-        // changed with the L2.
-        let noc = build_fabric(&config, &self.tech, &self.core, l2.as_ref())?;
-        merge_relaxations(
-            &mut warnings,
-            &self.core,
-            l2.as_ref(),
-            self.l3.as_ref(),
-            self.mc.as_ref(),
-            &noc,
-        );
-        let clock = clock_network(
-            &config,
-            &self.tech,
-            &self.core,
-            l2.as_ref(),
-            self.l3.as_ref(),
-            &noc,
-            self.mc.as_ref(),
-            &self.io,
-            &self.shared_fpu,
-        );
-        Ok(Processor {
-            config,
-            l2,
-            noc,
-            clock,
-            warnings,
-            ..self.clone()
-        })
     }
 
     /// The area items of the floorplan summary in fixed slots: the one
@@ -887,7 +765,7 @@ impl Processor {
 
     /// A floor under what [`Processor::peak_power_total_with`] returns,
     /// given `leakage`, on this chip retargeted to `hz`
-    /// ([`Processor::retarget_clock`]): the same walk at `hz` with the
+    /// ([`Processor::retarget`]): the same walk at `hz` with the
     /// cores' dynamic term priced at zero. The retargeted chip walks
     /// these very components: only the cores and the clock network
     /// read their clock, and the network is walked at `hz` here. Every
@@ -895,11 +773,11 @@ impl Processor {
     /// is monotone, so the fold with one term zeroed cannot exceed the
     /// probe's.
     ///
-    /// `None` where the probe would not take that walk: under
-    /// `core.enforce_timing` (a full build) and where `hz` moves the
-    /// cores' leakage scale.
+    /// `None` where the probe would not take that walk: where the
+    /// solved geometry follows the clock (a full build) and where `hz`
+    /// moves the cores' leakage scale.
     pub(crate) fn peak_power_floor_at(&self, hz: f64, leakage: &PeakLeakage) -> Option<f64> {
-        if clock_delta_rebuilds_fully(&self.config) {
+        if !self.clock_keeps_geometry() {
             return None;
         }
         let (stats, core) = self.peak_stats_at(hz);
@@ -910,11 +788,23 @@ impl Processor {
 
     /// True if every clock retarget keeps this chip's peak leakage, so
     /// that its total alone is a floor under the probe's peak power at
-    /// any clock: no enforced timing (where a probe is a full build)
-    /// and no power gating (without it, [`Processor::dynamic_walk`]
-    /// counts every core's leakage in full, whatever the clock).
+    /// any clock: the geometry survives clock moves (where it does not,
+    /// a probe is a full build) and no power gating (without it,
+    /// [`Processor::dynamic_walk`] counts every core's leakage in full,
+    /// whatever the clock).
     pub(crate) fn peak_leakage_is_clock_invariant(&self) -> bool {
-        !(self.config.power_gating || clock_delta_rebuilds_fully(&self.config))
+        !self.config.power_gating && self.clock_keeps_geometry()
+    }
+
+    /// True if a clock move keeps this chip's solved geometry, so that
+    /// a [`Delta::Clock`] retarget patches it and its die area and
+    /// leakage hold at every clock. Under `core.enforce_timing` the
+    /// solver sizes arrays to the target cycle time, so none survives.
+    /// The one predicate behind [`Processor::retarget`]'s choice between
+    /// a patch and a full build, the peak-power floors, and a DSE row's
+    /// facts.
+    pub(crate) fn clock_keeps_geometry(&self) -> bool {
+        !self.config.core.enforce_timing
     }
 
     /// The dynamic half of the peak power walk, pricing the core with
@@ -988,33 +878,6 @@ pub(crate) struct PeakLeakage {
     cores_scale: f64,
 }
 
-/// The on-chip fabric; its link length ≈ the pitch of one cluster tile.
-fn build_fabric(
-    config: &ProcessorConfig,
-    tech: &TechParams,
-    core: &CoreModel,
-    l2: Option<&SharedCache>,
-) -> Result<NocModel, McpatError> {
-    let cluster_area =
-        core.area() * f64::from(config.cores_per_cluster()) + l2.map_or(0.0, SharedCache::area);
-    let link_length = cluster_area.max(1e-12).sqrt();
-    checkpoint("build.fabric")?;
-    let span = mcpat_obs::span("build.fabric");
-    let noc = NocConfig {
-        topology: config.fabric.topology,
-        flit_bits: config.fabric.flit_bits,
-        vcs_per_port: config.fabric.vcs_per_port,
-        buffers_per_vc: config.fabric.buffers_per_vc,
-        link_length,
-        clock_hz: config.clock_hz,
-    }
-    .build(tech)
-    .at("fabric")?;
-    drop(span);
-    mcpat_obs::guard::note_span();
-    Ok(noc)
-}
-
 /// Appends every array the solver could only place by degrading to
 /// `warnings`, rooted at the owning component.
 fn merge_relaxations(
@@ -1044,42 +907,116 @@ fn merge_relaxations(
     }
 }
 
-/// The clock network over the die the components occupy: die area from
-/// the component sum plus layout overhead, load from the cores' clocked
-/// pipeline plus the periphery's sinks.
+/// The findings of validating `config`, or its errors.
+fn findings(config: &ProcessorConfig) -> Result<Diagnostics, McpatError> {
+    config.validate().into_result().map_err(McpatError::Invalid)
+}
+
+/// One stage of a build: a budget checkpoint and a span named `stage`
+/// around `build`, whose result, on success, notes its solver
+/// relaxations (`relaxations`) on the span.
+fn component<T>(
+    stage: &str,
+    build: impl FnOnce() -> Result<T, McpatError>,
+    relaxations: impl FnOnce(&T) -> usize,
+) -> Result<T, McpatError> {
+    checkpoint(stage)?;
+    let span = mcpat_obs::span(stage);
+    let built = build()?;
+    span.note_relaxations(relaxations(&built) as u64);
+    mcpat_obs::guard::note_span();
+    Ok(built)
+}
+
+/// The stage of a shared cache (the L2 or the L3) whose errors are
+/// rooted at `path`; an L2 resize re-runs the L2's alone.
+fn cache_stage(
+    stage: &str,
+    path: &str,
+    config: Option<&SharedCacheConfig>,
+    tech: &TechParams,
+) -> Result<Option<SharedCache>, McpatError> {
+    component(
+        stage,
+        || (config.map(|c| c.build(tech).at(path)).transpose()).map_err(McpatError::from),
+        |cache| cache.as_ref().map_or(0, |c| c.relaxation_warnings().len()),
+    )
+}
+
+/// The assembly tail every build path runs after its component stages:
+/// the fabric, whose link length ≈ the pitch of one cluster tile; every
+/// component's solver relaxations, merged into `warnings`; and the clock
+/// network over the die the components occupy, with the die area from
+/// the component sum plus layout overhead and the load from the cores'
+/// clocked pipeline plus the periphery's sinks.
 #[allow(clippy::too_many_arguments)]
-fn clock_network(
+fn assemble(
     config: &ProcessorConfig,
     tech: &TechParams,
     core: &CoreModel,
     l2: Option<&SharedCache>,
     l3: Option<&SharedCache>,
-    noc: &NocModel,
     mc: Option<&MemCtrl>,
     io: &OffChipIo,
     shared_fpu: &FunctionalUnit,
-) -> ClockNetwork {
-    let component_area = core.area() * f64::from(config.num_cores)
-        + l2.map_or(0.0, SharedCache::area) * f64::from(config.num_l2s)
-        + l3.map_or(0.0, SharedCache::area)
-        + noc.area()
-        + mc.map_or(0.0, MemCtrl::area)
-        + io.area
-        + shared_fpu.area * f64::from(config.num_shared_fpus);
-    let die_area = component_area * DIE_AREA_OVERHEAD;
-    let die_edge = die_area.sqrt();
-    let vdd = tech.device.vdd;
-    let core_sink_cap =
-        f64::from(config.num_cores) * 2.0 * core.pipeline.clock_energy_per_cycle / (vdd * vdd);
-    let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
-    ClockNetwork::new(tech, die_edge, die_edge, config.clock_hz, sink_cap)
+    warnings: &mut Diagnostics,
+) -> Result<(NocModel, ClockNetwork), McpatError> {
+    let fabric = || {
+        let cluster_area =
+            core.area() * f64::from(config.cores_per_cluster()) + l2.map_or(0.0, SharedCache::area);
+        NocConfig {
+            topology: config.fabric.topology,
+            flit_bits: config.fabric.flit_bits,
+            vcs_per_port: config.fabric.vcs_per_port,
+            buffers_per_vc: config.fabric.buffers_per_vc,
+            link_length: cluster_area.max(1e-12).sqrt(),
+            clock_hz: config.clock_hz,
+        }
+        .build(tech)
+        .at("fabric")
+        .map_err(McpatError::from)
+    };
+    let noc = component("build.fabric", fabric, |_| 0)?;
+    merge_relaxations(warnings, core, l2, l3, mc, &noc);
+    let clock_network = || {
+        let component_area = core.area() * f64::from(config.num_cores)
+            + l2.map_or(0.0, SharedCache::area) * f64::from(config.num_l2s)
+            + l3.map_or(0.0, SharedCache::area)
+            + noc.area()
+            + mc.map_or(0.0, MemCtrl::area)
+            + io.area
+            + shared_fpu.area * f64::from(config.num_shared_fpus);
+        let die_area = component_area * DIE_AREA_OVERHEAD;
+        let die_edge = die_area.sqrt();
+        let vdd = tech.device.vdd;
+        let core_sink_cap =
+            f64::from(config.num_cores) * 2.0 * core.pipeline.clock_energy_per_cycle / (vdd * vdd);
+        let sink_cap = core_sink_cap + CLOCK_SINK_CAP_PER_M2 * die_area * 0.5;
+        Ok(ClockNetwork::new(
+            tech,
+            die_edge,
+            die_edge,
+            config.clock_hz,
+            sink_cap,
+        ))
+    };
+    let clock = component("build.clock", clock_network, |_| 0)?;
+    Ok((noc, clock))
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use mcpat_mcore::config::CoreConfig;
     use mcpat_tech::DeviceType;
+
+    /// `core`, with its arrays sized to the target cycle time: the
+    /// configurations under which a clock move is a full build.
+    pub(crate) fn timing_closed(mut core: CoreConfig) -> CoreConfig {
+        core.enforce_timing = true;
+        core
+    }
 
     #[test]
     fn niagara_builds_and_is_plausible() {
@@ -1274,15 +1211,26 @@ mod tests {
         let base = Processor::build(&ProcessorConfig::niagara2()).unwrap();
         let fast = base.rebuild_with(Delta::Clock(2.1e9)).unwrap();
         assert_eq!(fast.perf.solve_cache_hits + fast.perf.solve_cache_misses, 0);
-        assert!(!clock_delta_rebuilds_fully(&base.config));
+        assert!(base.clock_keeps_geometry());
+    }
+
+    #[test]
+    fn rebuild_with_cache_size_on_an_l2_less_chip_solves_no_arrays() {
+        let mut cfg = ProcessorConfig::niagara2();
+        cfg.l2 = None;
+        let mut chip = Processor::build(&cfg).unwrap();
+        let fast = chip.rebuild_with(Delta::CacheSize(8 << 20)).unwrap();
+        assert_eq!(fast.perf.solve_cache_hits + fast.perf.solve_cache_misses, 0);
+        let resized = chip.retarget(Delta::CacheSize(8 << 20));
+        assert_eq!(resized.unwrap(), Retarget::Patched);
     }
 
     #[test]
     fn rebuild_with_clock_delta_falls_back_under_enforced_timing() {
         let mut cfg = ProcessorConfig::niagara();
         cfg.core.enforce_timing = true;
-        assert!(clock_delta_rebuilds_fully(&cfg));
         let base = Processor::build(&cfg).unwrap();
+        assert!(!base.clock_keeps_geometry());
         let fast = base.rebuild_with(Delta::Clock(2.4e9)).unwrap();
         let mut at = cfg.clone();
         at.clock_hz = 2.4e9;
@@ -1296,12 +1244,20 @@ mod tests {
     }
 
     #[test]
-    fn retarget_clock_falls_back_to_a_full_build_under_enforced_timing() {
+    fn retarget_falls_back_to_a_full_build_only_when_enforced_timing_moves_the_clock() {
         let mut cfg = ProcessorConfig::niagara();
         cfg.core.enforce_timing = true;
         let mut chip = Processor::build(&cfg).unwrap();
-        assert_eq!(chip.retarget_clock(2.4e9).unwrap(), Retarget::FullBuild);
-        let full = Processor::build(&Delta::Clock(2.4e9).apply(&cfg)).unwrap();
+        let bytes = 2 * cfg.l2.as_ref().unwrap().cache.capacity;
+        for (delta, path) in [
+            (Delta::Clock(2.4e9), Retarget::FullBuild),
+            (Delta::Clock(2.4e9), Retarget::Patched),
+            (Delta::CacheSize(bytes), Retarget::L2Resolved),
+        ] {
+            assert_eq!(chip.retarget(delta).unwrap(), path, "{delta:?}");
+            cfg = delta.apply(&cfg);
+        }
+        let full = Processor::build(&cfg).unwrap();
         assert_eq!(
             chip.peak_power_total().to_bits(),
             full.peak_power_total().to_bits()
@@ -1313,13 +1269,20 @@ mod tests {
     #[test]
     fn a_rejected_retarget_leaves_the_chip_unchanged() {
         let mut chip = Processor::build(&ProcessorConfig::niagara2()).unwrap();
-        let (clock, power) = (chip.config.clock_hz, chip.peak_power_total());
-        for bad in [-1.0, f64::NAN] {
-            let err = chip.retarget_clock(bad).expect_err("invalid clock");
+        let before = chip.clone();
+        for delta in [
+            Delta::Clock(-1.0),
+            Delta::Clock(f64::NAN),
+            Delta::CacheSize(0),
+        ] {
+            let err = chip.retarget(delta).expect_err("invalid delta");
             assert!(matches!(err, McpatError::Invalid(_)), "{err}");
-            assert_eq!(chip.config.clock_hz.to_bits(), clock.to_bits());
-            assert_eq!(chip.config.core.clock_hz.to_bits(), clock.to_bits());
-            assert_eq!(chip.peak_power_total().to_bits(), power.to_bits());
+            assert_eq!(chip.config, before.config, "{delta:?}");
+            assert_eq!(
+                chip.peak_power_total().to_bits(),
+                before.peak_power_total().to_bits()
+            );
+            assert_eq!(chip.die_area().to_bits(), before.die_area().to_bits());
         }
     }
 
@@ -1342,7 +1305,7 @@ mod tests {
                 ("x", 1.4e9),
             ] {
                 chip.config.name = name.into();
-                chip.retarget_clock(hz).unwrap();
+                chip.retarget(Delta::Clock(hz)).unwrap();
                 let full = Processor::build(&chip.config).unwrap();
                 assert_eq!(
                     chip.warnings, full.warnings,
@@ -1373,7 +1336,7 @@ mod tests {
                 // At 500 Hz the 1 ms peak window holds no whole cycle,
                 // which moves a gated chip's leakage: the fallback.
                 for hz in [cfg.clock_hz, 0.7e9, 2.9e9, 500.0, 12.0e9, 1.1e9] {
-                    chip.retarget_clock(hz).unwrap();
+                    chip.retarget(Delta::Clock(hz)).unwrap();
                     assert_eq!(
                         chip.peak_power_total_with(&leakage).to_bits(),
                         chip.peak_power_total().to_bits(),

@@ -307,7 +307,7 @@ proptest! {
     /// A `rebuild_with` result must be indistinguishable — report bits,
     /// warning set and all — from a from-scratch build of the
     /// delta-patched configuration, on both delta axes and every
-    /// shipped preset.
+    /// shipped preset, with and without enforced timing.
     #[test]
     fn rebuild_with_delta_equals_full_build(
         preset in prop::sample::select(vec![
@@ -316,10 +316,13 @@ proptest! {
             ProcessorConfig::alpha21364(),
             ProcessorConfig::tulsa(),
         ]),
+        enforce_timing in prop::bool::ANY,
         clock_axis in prop::bool::ANY,
         l2_shift in 1u32..4,
         clock_scale in 0.5..2.0f64,
     ) {
+        let mut preset = preset;
+        preset.core.enforce_timing = enforce_timing;
         let delta = if clock_axis {
             Delta::Clock(preset.clock_hz * clock_scale)
         } else {
@@ -386,7 +389,7 @@ proptest! {
         let mut chip = Processor::build(&cfg).unwrap();
         let f = cfg.clock_hz;
         for hz in [f * a, f * b, f * a, 1.8e9, 12.0e9, 12.0e9, f * b, f] {
-            chip.retarget_clock(hz).unwrap();
+            chip.retarget(Delta::Clock(hz)).unwrap();
             prop_assert_eq!(chip.config.clock_hz.to_bits(), hz.to_bits());
             prop_assert_eq!(chip.config.core.clock_hz.to_bits(), hz.to_bits());
             let diff = differs_from_full_build(&chip);
@@ -411,7 +414,7 @@ proptest! {
                 let mut chip = base.clone();
                 let f = cfg.clock_hz;
                 for hz in [f * a, f * a * 2.0, f * b, f * b * 0.5, 12.0e9, f * a, f] {
-                    chip.retarget_clock(hz).unwrap();
+                    chip.retarget(Delta::Clock(hz)).unwrap();
                     let at = RowFacts::of(&chip);
                     let step = format!("{} (gating {gating}) at {hz:e} Hz", cfg.name);
                     prop_assert_eq!(at.area.to_bits(), facts.area.to_bits(), "area: {}", step);

@@ -1,9 +1,10 @@
-//! L012 fixture: a DSE-style generator/pruning loop whose per-candidate
-//! work (`config_at` enumeration + `rebuild_with` delta probe) resolves
-//! in the call graph and provably never reaches an `mcpat_obs::guard`
-//! checkpoint. Million-candidate sweeps iterate exactly this shape, so
-//! a missing budget checkpoint here means deadlines and cooperative
-//! cancellation cannot interrupt the sweep.
+//! L012 fixture: DSE-style generator/pruning loops whose per-candidate
+//! work (`config_at` enumeration + `rebuild_with` delta probe, or an
+//! in-place `retarget`) resolves in the call graph and provably never
+//! reaches an `mcpat_obs::guard` checkpoint. Million-candidate sweeps
+//! iterate exactly these shapes, so a missing budget checkpoint here
+//! means deadlines and cooperative cancellation cannot interrupt the
+//! sweep.
 
 pub struct Grid {
     pub clocks: Vec<f64>,
@@ -25,6 +26,11 @@ pub fn rebuild_with(base: &Chip, clock: f64) -> Chip {
     }
 }
 
+/// Resolvable but checkpoint-free in-place move.
+pub fn retarget(chip: &mut Chip, clock: f64) {
+    chip.power = clock / 1.0e9;
+}
+
 pub fn sweep(grid: &Grid, base: &Chip) -> f64 {
     let mut best = f64::INFINITY;
     let mut cursor = 0;
@@ -39,4 +45,12 @@ pub fn sweep(grid: &Grid, base: &Chip) -> f64 {
         cursor += 1;
     }
     best
+}
+
+// BAD (L012): this probe loop moves one chip in place through the
+// checkpoint-free `retarget` above.
+pub fn sweep_in_place(clocks: &[f64], chip: &mut Chip) {
+    for &clock in clocks {
+        retarget(chip, clock);
+    }
 }

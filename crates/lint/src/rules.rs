@@ -584,6 +584,7 @@ const BUDGETED_CALLS: &[&str] = &[
     "evaluate_raw",
     "sweep_cell",
     "rebuild_with",
+    "retarget",
     "config_at",
     "build",
     "build_inner",

@@ -109,6 +109,11 @@ fn new_rules_are_silenced_by_reasoned_allows() {
             "L012",
             "while let Some(clock) = config_at(grid, cursor) {",
         ),
+        (
+            "l012_unguarded_dse_loop.rs",
+            "L012",
+            "for &clock in clocks {",
+        ),
     ] {
         let count = |report: &mcpat_lint::Report| {
             report
