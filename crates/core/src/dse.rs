@@ -8,19 +8,20 @@
 //!    set ({core template × cluster size × tech node × device flavor ×
 //!    core count × L2 size × clock}) and candidates are generated from a
 //!    cursor, never materialized.
-//! 2. **In-place probes** — the clock axis is innermost and the L2 axis
-//!    second-innermost, so the candidates of a row differ from its base
-//!    chip only in the clock: the base itself is retargeted in place
-//!    per candidate ([`Processor::retarget`], no clone, no
-//!    allocation), and consecutive rows advance the base by a
-//!    [`Delta::CacheSize`] retarget instead of a full build.
-//! 3. **Lower-bound pruning** — before a candidate is built, the
+//! 2. **One row chip, moved in place** — the clock axis is innermost and
+//!    the L2 axis second-innermost, so the candidates of a row differ
+//!    only in the clock: the sweep holds one chip and retargets it in
+//!    place per candidate ([`Processor::retarget`], no clone, no
+//!    allocation), and enters the next row of a (template, cluster,
+//!    node, flavor, cores) group by a [`Delta::CacheSize`] retarget of
+//!    the same chip instead of a full build.
+//! 3. **Lower-bound pruning** — before a candidate is probed, the
 //!    evaluator produces a certified lower bound on its metrics; if the
-//!    incremental [`ParetoFrontier`] already dominates the bound, the
-//!    build never runs (see [`ParetoFrontier::would_prune`] for the
-//!    soundness argument).
+//!    live [`ParetoFrontier`] (every candidate offered before it)
+//!    already dominates the bound, the probe never runs (see
+//!    [`ParetoFrontier::would_prune`] for the soundness argument).
 //! 4. **Row facts** — die area and total leakage do not depend on the
-//!    clock, so they are taken once per row from its base chip
+//!    clock, so they are taken once per row from its chip
 //!    ([`RowFacts`]) and shared by every candidate of the row: the
 //!    area budget check reads them, [`WorkloadModel`]'s lower bound
 //!    adds the row's leakage to the uncore's dynamic power at the
@@ -28,15 +29,15 @@
 //!    of peak power, adds the row's leakage, and hands the total to the
 //!    evaluator ([`ChipTotals`]).
 //!
-//! Work streams in bounded chunks, so peak candidate storage is
-//! O(frontier + chunk). Candidates whose configurations match up to the
-//! name are counted once as probes, the rest as deduped; every one of
-//! them is still retargeted, evaluated and offered. Probes run
+//! The sweep is one pass in cursor order, so peak candidate storage is
+//! O(frontier). Probes whose configuration repeats an earlier cursor's
+//! up to the name are counted as deduped, decided from the axes alone;
+//! every probe is still retargeted, evaluated and offered. Probes run
 //! serially: each costs about what a pool task would, so fanning them
 //! out lost to walking the row in place (DESIGN.md §12 has the
-//! measurements). The frontier
-//! plus the generator cursor serialize to JSON ([`DseCheckpoint`]) at
-//! chunk boundaries, so a sweep killed by the `mcpat_obs::guard`
+//! measurements). The frontier plus the generator cursor serialize to
+//! JSON ([`DseCheckpoint`]) every [`DseOptions::checkpoint_every`]
+//! candidates, so a sweep killed by the `mcpat_obs::guard`
 //! deadline/cancel machinery resumes where it stopped with a
 //! bit-identical final frontier.
 
@@ -68,54 +69,6 @@ impl Default for Budgets {
             max_peak_power: f64::INFINITY,
         }
     }
-}
-
-/// True if two configurations describe the same chip, ignoring the
-/// report name.
-pub(crate) fn eq_ignoring_name(a: &ProcessorConfig, b: &ProcessorConfig) -> bool {
-    // Exhaustive destructure: adding a field to `ProcessorConfig`
-    // breaks this compile, forcing the dedup key to be revisited — a
-    // silently stale key would merge genuinely different candidates.
-    let ProcessorConfig {
-        name,
-        node,
-        device_type,
-        temperature_k,
-        projection,
-        long_channel_leakage,
-        clock_hz,
-        num_cores,
-        core,
-        l2,
-        num_l2s,
-        l3,
-        fabric,
-        mc,
-        io_bandwidth,
-        num_shared_fpus,
-        power_gating,
-        vdd_scale,
-    } = a;
-    // An empty name changes validation warnings, so emptiness (though
-    // not the name itself) must match for the builds to be identical.
-    name.is_empty() == b.name.is_empty()
-        && *node == b.node
-        && *device_type == b.device_type
-        && *temperature_k == b.temperature_k
-        && *projection == b.projection
-        && *long_channel_leakage == b.long_channel_leakage
-        && *clock_hz == b.clock_hz
-        && *num_cores == b.num_cores
-        && *core == b.core
-        && *l2 == b.l2
-        && *num_l2s == b.num_l2s
-        && *l3 == b.l3
-        && *fabric == b.fabric
-        && *mc == b.mc
-        && *io_bandwidth == b.io_bandwidth
-        && *num_shared_fpus == b.num_shared_fpus
-        && *power_gating == b.power_gating
-        && *vdd_scale == b.vdd_scale
 }
 
 /// A declarative candidate grid: the cross product of seven axes.
@@ -256,34 +209,71 @@ impl AxisGrid {
         self.clocks_hz.len() as u64
     }
 
+    /// The axis indices of `cursor`, outermost axis first (template,
+    /// cluster size, node, flavor, core count, L2 size, clock), or
+    /// `None` past the end of the grid.
+    fn indices(&self, cursor: u64) -> Option<[usize; 7]> {
+        if cursor >= self.total() {
+            return None;
+        }
+        let lens = [
+            self.core_templates.len(),
+            self.cores_per_cluster.len(),
+            self.nodes.len(),
+            self.device_types.len(),
+            self.core_counts.len(),
+            self.l2_bytes.len(),
+            self.clocks_hz.len(),
+        ];
+        let mut indices = [0; 7];
+        let mut rest = cursor;
+        for (index, len) in indices.iter_mut().zip(lens).rev() {
+            *index = (rest % len as u64) as usize;
+            rest /= len as u64;
+        }
+        Some(indices)
+    }
+
+    /// True if the row that holds `cursor` builds the same chip, up to
+    /// the name and the clock, as an earlier row: exactly when one of
+    /// its axis values (the template apart from its clock, which the
+    /// clock axis replaces; the cluster size as capped at the row's
+    /// core count) appears earlier on its axis. Moving that index back
+    /// to the value's first position names such an earlier row; where
+    /// every index is its value's first position, each row that builds
+    /// the same chip has no lower index on any axis, so it comes later.
+    fn row_repeats(&self, cursor: u64) -> bool {
+        let Some([template, cluster, node, device, cores, l2, _]) = self.indices(cursor) else {
+            return false;
+        };
+        let n = self.core_counts.get(cores).copied().unwrap_or(0);
+        let same_template = |a: &CoreConfig, b: &CoreConfig| {
+            CoreConfig {
+                clock_hz: b.clock_hz,
+                ..a.clone()
+            } == *b
+        };
+        let same_cluster = |a: &u32, b: &u32| a.min(&n) == b.min(&n);
+        repeats_earlier(&self.core_templates, template, same_template)
+            || repeats_earlier(&self.cores_per_cluster, cluster, same_cluster)
+            || repeats_earlier(&self.nodes, node, PartialEq::eq)
+            || repeats_earlier(&self.device_types, device, PartialEq::eq)
+            || repeats_earlier(&self.core_counts, cores, PartialEq::eq)
+            || repeats_earlier(&self.l2_bytes, l2, PartialEq::eq)
+    }
+
     /// The configuration at `cursor` (named `dse-<cursor>`), or `None`
     /// past the end of the grid.
     #[must_use]
     pub fn config_at(&self, cursor: u64) -> Option<ProcessorConfig> {
-        if cursor >= self.total() {
-            return None;
-        }
-        let clock = *self.clocks_hz.get((cursor % self.clocks_len()) as usize)?;
-        let mut rest = cursor / self.clocks_len();
-        let l2 = *self
-            .l2_bytes
-            .get((rest % self.l2_bytes.len() as u64) as usize)?;
-        rest /= self.l2_bytes.len() as u64;
-        let cores = *self
-            .core_counts
-            .get((rest % self.core_counts.len() as u64) as usize)?;
-        rest /= self.core_counts.len() as u64;
-        let device = *self
-            .device_types
-            .get((rest % self.device_types.len() as u64) as usize)?;
-        rest /= self.device_types.len() as u64;
-        let node = *self.nodes.get((rest % self.nodes.len() as u64) as usize)?;
-        rest /= self.nodes.len() as u64;
-        let cluster = *self
-            .cores_per_cluster
-            .get((rest % self.cores_per_cluster.len() as u64) as usize)?;
-        rest /= self.cores_per_cluster.len() as u64;
-        let template = self.core_templates.get(rest as usize)?;
+        let [template, cluster, node, device, cores, l2, clock] = self.indices(cursor)?;
+        let template = self.core_templates.get(template)?;
+        let cluster = *self.cores_per_cluster.get(cluster)?;
+        let node = *self.nodes.get(node)?;
+        let device = *self.device_types.get(device)?;
+        let cores = *self.core_counts.get(cores)?;
+        let l2 = *self.l2_bytes.get(l2)?;
+        let clock = *self.clocks_hz.get(clock)?;
         let mut cfg = ProcessorConfig::manycore(
             &format!("dse-{cursor}"),
             node,
@@ -304,11 +294,8 @@ impl AxisGrid {
 pub struct DseOptions {
     /// Physical budgets a candidate must respect to reach the frontier.
     pub budgets: Budgets,
-    /// Candidates streamed per pool batch; peak candidate storage is
-    /// O(frontier + chunk).
-    pub chunk: usize,
-    /// Emit a checkpoint to the sink roughly every this many candidates
-    /// (rounded up to chunk boundaries); 0 disables periodic
+    /// Emit a checkpoint to the sink after every cursor that is a
+    /// multiple of this many candidates; 0 disables periodic
     /// checkpoints.
     pub checkpoint_every: u64,
     /// Lower-bound pruning. Disable to build every candidate — the
@@ -320,7 +307,6 @@ impl Default for DseOptions {
     fn default() -> DseOptions {
         DseOptions {
             budgets: Budgets::default(),
-            chunk: 256,
             checkpoint_every: 0,
             prune: true,
         }
@@ -330,49 +316,54 @@ impl Default for DseOptions {
 /// How a sweep spent its candidates. Serialized into checkpoints so a
 /// resumed sweep's totals continue from the interrupted run's.
 ///
-/// After a resume, `full_builds`/`cache_rebuilds` can differ slightly
-/// from an uninterrupted run (the first row after the resume point
-/// re-anchors with a full build instead of a cache delta); the frontier
-/// and every decision-relevant counter (`candidates`, `pruned`,
-/// `rejected`) stay bit-identical.
+/// Every candidate is rejected on its row's area, pruned, or probed:
+/// retargeted to its clock ([`Delta::Clock`]), then rejected on its own
+/// totals or offered to the frontier. `probes`, `cache_rebuilds` and
+/// `full_builds` count each retarget and build by the path it took, so
+/// they follow the work done. After a resume they can differ from an
+/// uninterrupted run's (the resumed row is entered with a full build at
+/// the resume cursor), while the frontier and `candidates`, `pruned`,
+/// `rejected` and `deduped` stay bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DsePerf {
     /// Candidates enumerated (the cursor advanced past them).
     pub candidates: u64,
-    /// Candidates discarded by the frontier's lower-bound prune before
-    /// any build ran ([`DseEvaluator::prunes_in_row`]). Never counted
-    /// on rows whose facts do not hold across clocks, where nothing is
-    /// pruned. With [`WorkloadModel`] the count depends on how tight
-    /// its bound is, while the frontier and the `candidates` and
-    /// `rejected` counts do not: a tighter bound moves candidates from
-    /// `probes` to `pruned` only.
+    /// Candidates discarded by the lower-bound prune before any build
+    /// ran ([`DseEvaluator::prunes_in_row`]), against the live frontier:
+    /// every candidate offered before them in cursor order. Never
+    /// counted on rows whose facts do not hold across clocks, where
+    /// nothing is pruned. With [`WorkloadModel`] the count depends on
+    /// how tight its bound is, while the frontier and the `candidates`
+    /// and `rejected` counts do not: a tighter bound moves candidates
+    /// from `probes` to `pruned` only.
     pub pruned: u64,
     /// Candidates outside [`DseOptions::budgets`] (rejected before the
-    /// build when the exact clock-invariant area already exceeds the
+    /// probe when the exact clock-invariant area already exceeds the
     /// area budget, after it otherwise; always after it on rows whose
-    /// facts do not hold across clocks, where the row base's area is
-    /// not the candidate's).
+    /// facts do not hold across clocks, where the row's area is not the
+    /// candidate's).
     pub rejected: u64,
-    /// Candidates whose clock [`Processor::retarget`] patched into
-    /// their row base in place ([`Retarget::Patched`]).
+    /// Retargets that [`Processor::retarget`] patched in place
+    /// ([`Retarget::Patched`]): one per probe whose clock keeps the
+    /// chip's geometry, deduped probes included.
     pub probes: u64,
-    /// Row bases advanced with an L2 re-solve
+    /// Rows entered by an L2 re-solve of the previous row's chip
     /// ([`Retarget::L2Resolved`]) instead of a full build.
     pub cache_rebuilds: u64,
-    /// Full [`Processor::build`] runs (row-base anchors, plus probes
-    /// answered with [`Retarget::FullBuild`]).
+    /// Full [`Processor::build`] runs: the first row of each (template,
+    /// cluster, node, flavor, cores) group and the row a resumed sweep
+    /// starts in, plus probes answered with [`Retarget::FullBuild`].
     pub full_builds: u64,
-    /// Candidates whose configuration (up to the name) an earlier
-    /// candidate of the same chunk already probed: the same clock in a
-    /// row whose base equals that candidate's row base. Counted here
-    /// instead of in `probes`/`full_builds`; the candidate is still
-    /// retargeted, evaluated and offered, so dedupe saves no work.
+    /// Probes whose configuration, up to the name, repeats an earlier
+    /// cursor's: decided from the axes, as a row whose values repeat an
+    /// earlier row's or a clock whose bits appear earlier on the clock
+    /// axis. A deduped probe is still retargeted, billed, evaluated and
+    /// offered, so dedupe saves no work.
     pub deduped: u64,
 }
 
 impl DsePerf {
-    /// Counts a row base or a probe by the path [`Processor::retarget`]
-    /// took for it.
+    /// Counts a build or a retarget by the path it took.
     fn bill(&mut self, how: Retarget) {
         match how {
             Retarget::Patched => self.probes += 1,
@@ -401,27 +392,29 @@ impl DseResult {
     }
 }
 
-/// The clock-invariant facts of one row, taken once from its base chip.
+/// The clock-invariant facts of one row, taken once from the row's chip
+/// when the sweep enters the row.
 ///
-/// A row's candidates differ from its base only in the clock, and the
+/// A row's candidates differ from its chip only in the clock, and the
 /// clock moves neither die area (the clock network sizes its drivers
 /// from switched capacitance, not frequency) nor leakage: a probe
-/// retargets the base's solved components in place, so both totals
-/// keep the base's bits (property-tested per preset, with and without
+/// retargets the chip's solved components in place, so both totals
+/// keep their bits (property-tested per preset, with and without
 /// power gating). Under enforced timing a probe that moves the clock is
 /// a full build instead, which may re-partition arrays for the new
-/// cycle time; there the facts are the row base's, not the
-/// candidate's, and the engine neither rejects nor prunes on them.
+/// cycle time; there the facts are those of the chip as the row was
+/// entered, not the candidate's, and the engine neither rejects nor
+/// prunes on them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowFacts {
     /// Die area, m² ([`Processor::die_area`]).
     pub area: f64,
     /// Total leakage, W ([`Processor::total_leakage`]).
     pub leakage: f64,
-    /// The base's peak leakage, which its retargeted probes share.
+    /// The chip's peak leakage, which its retargeted probes share.
     peak: PeakLeakage,
     /// True if the facts hold for every clock of the row
-    /// ([`Processor::clock_keeps_geometry`] on the base).
+    /// ([`Processor::clock_keeps_geometry`] on the chip).
     hold_across_clocks: bool,
 }
 
@@ -458,7 +451,7 @@ pub struct ChipTotals {
 /// ([`DseEvaluator::prunes_in_row`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RowCandidate<'a> {
-    /// The row base: a built chip identical to the candidate except
+    /// The row's chip: a built chip identical to the candidate except
     /// for the clock and the name.
     pub base: &'a Processor,
     /// The row's facts.
@@ -474,24 +467,24 @@ pub struct RowCandidate<'a> {
 /// producing the same bits for the same chip.
 ///
 /// The engine hands each method what it has already computed. Per row,
-/// it walks the base chip once for its [`RowFacts`] (die area and total
+/// it walks the row's chip once for its [`RowFacts`] (die area and total
 /// leakage); per probe, it totals peak power once for the budget check
 /// ([`ChipTotals`]). The probe's totals are the exact bits the
 /// [`Processor`] methods return on the probed chip. The row facts are
-/// the base's exact bits, and equal the candidate's because a retarget
+/// the row chip's exact bits, and equal the candidate's because a retarget
 /// leaves area and leakage alone; where they do not hold across clocks
 /// (enforced timing), [`ChipTotals::area`] is walked on the probe, and
 /// the engine asks for no prune decision at all.
 pub trait DseEvaluator {
     /// The workload metrics of a probed candidate, given its `totals`.
     ///
-    /// The engine hands over the row base retargeted in place
+    /// The engine hands over the row's chip retargeted in place
     /// ([`Processor::retarget`]): its configuration
     /// (name included), components, warnings and every modeled number
     /// are those of a full build of the candidate, but its
-    /// [`Processor::perf`] and [`Processor::trace`] describe the build
-    /// of the row base. Prefer `totals` to walking the chip again on
-    /// this per-candidate path.
+    /// [`Processor::perf`] and [`Processor::trace`] describe the last
+    /// full build the chip came from. Prefer `totals` to walking the
+    /// chip again on this per-candidate path.
     fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet;
 
     /// What the prune pass calls for each candidate: true if the
@@ -651,7 +644,7 @@ impl PointRepr {
 const CHECKPOINT_SCHEMA: &str = "mcpat-dse-checkpoint-v2";
 
 /// A resumable image of an in-flight sweep: the grid (echoed for
-/// validation), the generator cursor (always a chunk boundary), the
+/// validation), the generator cursor (the next candidate to retire), the
 /// counters, and the frontier with its tracked winners.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DseCheckpoint {
@@ -788,27 +781,6 @@ pub fn dse<E: DseEvaluator>(
     dse_streaming(grid, opts, evaluator, None, |_| Ok(()))
 }
 
-/// One in-flight candidate of a chunk, between enumeration and its
-/// probe.
-struct Pending {
-    cursor: u64,
-    clock_hz: f64,
-    /// Index into the chunk's row table.
-    row_slot: usize,
-}
-
-/// The base chip of one row of a chunk, with what every candidate of
-/// the row shares.
-struct RowBase {
-    row: u64,
-    chip: Processor,
-    facts: RowFacts,
-    /// Slot of the chunk's first row whose base configuration equals
-    /// this one up to the name; candidates of rows in one class with
-    /// the same clock are duplicates.
-    class: usize,
-}
-
 /// Writes the name [`AxisGrid::config_at`] gives `cursor` into `name`,
 /// reusing its buffer.
 fn write_candidate_name(name: &mut String, cursor: u64) {
@@ -816,20 +788,146 @@ fn write_candidate_name(name: &mut String, cursor: u64) {
     let _ = write!(name, "dse-{cursor}");
 }
 
-/// The streaming engine: enumerates `grid` from the resume cursor (or
-/// 0) in `opts.chunk`-sized chunks, probes the candidates that survive
-/// pruning, offers them to the incremental frontier, and emits a
-/// [`DseCheckpoint`] to `on_checkpoint` at the configured cadence
-/// (chunk-aligned, so a resumed sweep replays no partial chunk and its
-/// final frontier is bit-identical to an uninterrupted run's).
+/// True if `axis[i]` is `same` as a value before it on `axis`.
+fn repeats_earlier<T>(axis: &[T], i: usize, same: impl Fn(&T, &T) -> bool) -> bool {
+    let Some((earlier, [value, ..])) = axis.split_at_checked(i) else {
+        return false;
+    };
+    earlier.iter().any(|e| same(e, value))
+}
+
+/// The chip of the row a sweep is walking. It is retargeted in place
+/// from candidate to candidate, and carried into the next row of its
+/// (template, cluster, node, flavor, cores) group.
+struct RowChip {
+    row: u64,
+    chip: Processor,
+    facts: RowFacts,
+    /// The row repeats an earlier row ([`AxisGrid::row_repeats`]).
+    repeats: bool,
+}
+
+impl RowChip {
+    /// Enters the row that holds `cursor` from `prev`, the chip of the
+    /// row before it: moved by an in-place [`Delta::CacheSize`]
+    /// retarget when only the L2 axis moved, replaced by a full build of
+    /// the candidate at `cursor` otherwise. Takes the row's facts.
+    fn enter(
+        grid: &AxisGrid,
+        cursor: u64,
+        prev: Option<RowChip>,
+        perf: &mut DsePerf,
+    ) -> Result<RowChip, McpatError> {
+        let row = cursor / grid.clocks_len();
+        let l2_len = grid.l2_bytes.len() as u64;
+        let l2 = grid.l2_bytes.get((row % l2_len) as usize);
+        let same_group = prev
+            .as_ref()
+            .is_some_and(|p| p.row / l2_len == row / l2_len);
+        let chip = match (prev, l2) {
+            (Some(RowChip { mut chip, .. }), Some(&bytes)) if same_group => {
+                perf.bill(chip.retarget(Delta::CacheSize(bytes))?);
+                chip
+            }
+            _ => {
+                let cfg = grid.config_at(cursor).ok_or_else(|| {
+                    McpatError::config("dse.row", format!("cursor {cursor} is outside the grid"))
+                })?;
+                perf.bill(Retarget::FullBuild);
+                Processor::build(&cfg)?
+            }
+        };
+        Ok(RowChip {
+            row,
+            facts: RowFacts::of(&chip),
+            repeats: grid.row_repeats(cursor),
+            chip,
+        })
+    }
+
+    /// Retires the candidate at `cursor`, whose clock is `clock_hz`:
+    /// rejects it on the row's area, prunes it against the live
+    /// frontier, or retargets the chip to it, evaluates it and offers
+    /// it. Returns true if it was probed.
+    fn retire<E: DseEvaluator>(
+        &mut self,
+        opts: &DseOptions,
+        evaluator: &mut E,
+        cursor: u64,
+        clock_hz: f64,
+        frontier: &mut ParetoFrontier,
+        perf: &mut DsePerf,
+    ) -> Result<bool, McpatError> {
+        let facts = self.facts;
+        // Where the row's facts are not the candidate's, neither reject
+        // nor prune on them. Elsewhere die area is clock-invariant, so
+        // the row's area IS the candidate's: an exact early reject.
+        if facts.hold_across_clocks {
+            if facts.area > opts.budgets.max_area {
+                perf.rejected += 1;
+                return Ok(false);
+            }
+            let candidate = RowCandidate {
+                base: &self.chip,
+                facts,
+                clock_hz,
+            };
+            if opts.prune && evaluator.prunes_in_row(&candidate, frontier) {
+                perf.pruned += 1;
+                return Ok(false);
+            }
+        }
+        // The candidate's own name, then its clock: the row's chip is
+        // now bit-identical to a full build of the candidate.
+        let chip = &mut self.chip;
+        write_candidate_name(&mut chip.config.name, cursor);
+        perf.bill(chip.retarget(Delta::Clock(clock_hz))?);
+        mcpat_obs::guard::note_candidate();
+        // Where a clock move re-picks array partitions, the row's area
+        // and leakage are not the candidate's.
+        let totals = if facts.hold_across_clocks {
+            ChipTotals {
+                peak_power: chip.peak_power_total_with(&facts.peak),
+                area: facts.area,
+            }
+        } else {
+            ChipTotals {
+                peak_power: chip.peak_power_total(),
+                area: chip.die_area(),
+            }
+        };
+        if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
+            perf.rejected += 1;
+            return Ok(true);
+        }
+        let metrics = evaluator.evaluate_probe(chip, &totals);
+        frontier.offer(FrontierPoint {
+            name: chip.config.name.clone(),
+            cursor,
+            area: totals.area,
+            peak_power: totals.peak_power,
+            metrics,
+        });
+        Ok(true)
+    }
+}
+
+/// The streaming engine: walks `grid` in cursor order from the resume
+/// cursor (or 0) on one held row chip ([`Processor::retarget`] moves
+/// it from candidate to candidate and, inside a group, from row to
+/// row), prunes each candidate against the live frontier, probes and
+/// offers the rest, and emits a [`DseCheckpoint`] to `on_checkpoint`
+/// after every multiple of `opts.checkpoint_every` candidates. A
+/// resumed sweep's final frontier is bit-identical to an uninterrupted
+/// run's.
 ///
 /// # Errors
 ///
 /// [`McpatError::Invalid`] for a malformed grid or a resume checkpoint
 /// whose grid echo does not match; [`McpatError::Budget`] when the
 /// active `mcpat_obs::guard` budget trips (the sweep can be resumed from the
-/// last emitted checkpoint); any build error from a candidate,
-/// propagated in cursor order within the failing chunk.
+/// last emitted checkpoint); any build error from a candidate, at the
+/// first failing cursor.
 pub fn dse_streaming<E, S>(
     grid: &AxisGrid,
     opts: &DseOptions,
@@ -843,7 +941,7 @@ where
 {
     let _span = mcpat_obs::span("dse");
     grid.validate().into_result().map_err(McpatError::Invalid)?;
-    let (mut cursor, mut frontier, mut perf) = match resume {
+    let (start, mut frontier, mut perf) = match resume {
         Some(cp) => {
             if cp.grid != *grid {
                 return Err(McpatError::config(
@@ -855,228 +953,42 @@ where
         }
         None => (0, ParetoFrontier::new(), DsePerf::default()),
     };
-
-    let total = grid.total();
-    let chunk = opts.chunk.max(1) as u64;
-    // Two candidates of one row are duplicates only if the clock axis
-    // repeats a value.
-    let mut clock_bits: Vec<u64> = grid.clocks_hz.iter().map(|c| c.to_bits()).collect();
-    clock_bits.sort_unstable();
-    let clocks_repeat = clock_bits.windows(2).any(|w| matches!(w, [a, b] if a == b));
-    // Base chips always sit at the row's first clock point; within one
-    // (node, flavor, cores) group consecutive rows differ only in L2
-    // size, so the base advances by a CacheSize delta instead of a full
-    // build. `(row, chip)`, carried across chunks.
-    let mut last_base: Option<(u64, Processor)> = None;
-    let mut since_checkpoint = 0u64;
-
-    while cursor < total {
+    // Per clock: its bits appear earlier on the clock axis. With a row
+    // that repeats an earlier row, this decides whether a probe's
+    // configuration repeats an earlier cursor's.
+    let mut seen = HashSet::with_capacity(grid.clocks_hz.len());
+    let clock_repeats: Vec<bool> = grid
+        .clocks_hz
+        .iter()
+        .map(|c| !seen.insert(c.to_bits()))
+        .collect();
+    let mut held: Option<RowChip> = None;
+    for cursor in start..grid.total() {
         checkpoint("dse")?;
-        let end = (cursor + chunk).min(total);
-        run_chunk(
-            grid,
-            opts,
-            evaluator,
-            cursor..end,
-            clocks_repeat,
-            &mut last_base,
-            &mut frontier,
-            &mut perf,
-        )?;
-        since_checkpoint += end - cursor;
-        cursor = end;
-        mcpat_obs::guard::note_span();
-        if opts.checkpoint_every > 0 && since_checkpoint >= opts.checkpoint_every {
-            since_checkpoint = 0;
-            on_checkpoint(&DseCheckpoint::capture(grid, cursor, &frontier, perf))?;
+        perf.candidates += 1;
+        let row = match &mut held {
+            Some(row) if row.row == cursor / grid.clocks_len() => row,
+            slot => {
+                let prev = slot.take();
+                slot.insert(RowChip::enter(grid, cursor, prev, &mut perf)?)
+            }
+        };
+        let clock = (cursor % grid.clocks_len()) as usize;
+        let (Some(&clock_hz), Some(&repeated_clock)) =
+            (grid.clocks_hz.get(clock), clock_repeats.get(clock))
+        else {
+            continue;
+        };
+        let probed = row.retire(opts, evaluator, cursor, clock_hz, &mut frontier, &mut perf)?;
+        if probed && (row.repeats || repeated_clock) {
+            perf.deduped += 1;
+        }
+        let done = cursor + 1;
+        if opts.checkpoint_every > 0 && done % opts.checkpoint_every == 0 {
+            on_checkpoint(&DseCheckpoint::capture(grid, done, &frontier, perf))?;
         }
     }
     Ok(DseResult { frontier, perf })
-}
-
-/// Streams one chunk in two passes. The first enumerates and prunes
-/// every candidate against the frontier as it stood when the chunk
-/// began; the second probes the survivors in cursor order by
-/// retargeting their row base in place, and offers each to the
-/// frontier. The base carried into the next chunk is moved back to its
-/// row's first clock. `clocks_repeat` says whether the grid's clock
-/// axis holds a value twice.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<E: DseEvaluator>(
-    grid: &AxisGrid,
-    opts: &DseOptions,
-    evaluator: &mut E,
-    range: std::ops::Range<u64>,
-    clocks_repeat: bool,
-    last_base: &mut Option<(u64, Processor)>,
-    frontier: &mut ParetoFrontier,
-    perf: &mut DsePerf,
-) -> Result<(), McpatError> {
-    let clocks_len = grid.clocks_len();
-    let l2_len = grid.l2_bytes.len() as u64;
-    let mut rows: Vec<RowBase> = Vec::new();
-    let mut carried = last_base.take();
-    let mut pending: Vec<Pending> = Vec::new();
-
-    for cursor in range {
-        checkpoint("dse.enumerate")?;
-        perf.candidates += 1;
-        let Some(&clock_hz) = grid.clocks_hz.get((cursor % clocks_len) as usize) else {
-            continue;
-        };
-        let row = cursor / clocks_len;
-        let row_slot = match rows.iter().position(|r| r.row == row) {
-            Some(slot) => slot,
-            None => {
-                let chip = match carried.take() {
-                    // A row that spans a chunk boundary carries its
-                    // base over for free.
-                    Some((prev_row, chip)) if prev_row == row => chip,
-                    carried => {
-                        let prev = rows
-                            .last()
-                            .map(|r| (r.row, &r.chip))
-                            .or(carried.as_ref().map(|(r, chip)| (*r, chip)));
-                        advance_base(grid, row, clocks_len, l2_len, prev, perf)?
-                    }
-                };
-                let class = rows
-                    .iter()
-                    .find(|r| eq_ignoring_name(&r.chip.config, &chip.config))
-                    .map_or(rows.len(), |r| r.class);
-                rows.push(RowBase {
-                    row,
-                    facts: RowFacts::of(&chip),
-                    chip,
-                    class,
-                });
-                rows.len() - 1
-            }
-        };
-        let Some(base) = rows.get(row_slot) else {
-            continue;
-        };
-        // Where the row's facts are not the candidate's, neither reject
-        // nor prune on them.
-        let facts_hold = base.facts.hold_across_clocks;
-        // Exact early budget rejection: die area is clock-invariant, so
-        // the row's area IS this candidate's area.
-        if facts_hold && base.facts.area > opts.budgets.max_area {
-            perf.rejected += 1;
-            continue;
-        }
-        if opts.prune && facts_hold {
-            let candidate = RowCandidate {
-                base: &base.chip,
-                facts: base.facts,
-                clock_hz,
-            };
-            if evaluator.prunes_in_row(&candidate, frontier) {
-                perf.pruned += 1;
-                continue;
-            }
-        }
-        pending.push(Pending {
-            cursor,
-            clock_hz,
-            row_slot,
-        });
-    }
-
-    // Dedupe by configuration identity: configurations that match up
-    // to the name are the same clock in rows of one class. The first
-    // of them counts as a probe, the rest as deduped; each is still
-    // retargeted, evaluated and offered (a retarget costs no more than
-    // looking up a shared result), so the count changes no work.
-    // Without a repeated clock or two rows of one class there is
-    // nothing to find, so no set is built.
-    let shared_class = rows.iter().enumerate().any(|(slot, r)| r.class != slot);
-    let mut probed: Option<HashSet<(usize, u64)>> =
-        (clocks_repeat || shared_class).then(|| HashSet::with_capacity(pending.len()));
-    // Offer in cursor order so the frontier (ties, winners, counters)
-    // is deterministic.
-    for p in &pending {
-        checkpoint("dse.probe")?;
-        let row = rows.get_mut(p.row_slot).ok_or_else(|| {
-            McpatError::config("dse.probe", "candidate references a missing row base")
-        })?;
-        let duplicate = probed
-            .as_mut()
-            .is_some_and(|set| !set.insert((row.class, p.clock_hz.to_bits())));
-        // The candidate's own name, then its clock: the row's chip is
-        // now bit-identical to a full build of the candidate.
-        let chip = &mut row.chip;
-        write_candidate_name(&mut chip.config.name, p.cursor);
-        let how = chip.retarget(Delta::Clock(p.clock_hz))?;
-        if duplicate {
-            perf.deduped += 1;
-        } else {
-            perf.bill(how);
-            mcpat_obs::guard::note_candidate();
-        }
-        // Where a clock move re-picks array partitions, the row's area
-        // and leakage are not the candidate's.
-        let totals = if row.facts.hold_across_clocks {
-            ChipTotals {
-                peak_power: chip.peak_power_total_with(&row.facts.peak),
-                area: row.facts.area,
-            }
-        } else {
-            ChipTotals {
-                peak_power: chip.peak_power_total(),
-                area: chip.die_area(),
-            }
-        };
-        if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
-            perf.rejected += 1;
-            continue;
-        }
-        let metrics = evaluator.evaluate_probe(chip, &totals);
-        frontier.offer(FrontierPoint {
-            name: chip.config.name.clone(),
-            cursor: p.cursor,
-            area: totals.area,
-            peak_power: totals.peak_power,
-            metrics,
-        });
-    }
-    *last_base = match rows.pop() {
-        Some(RowBase { row, mut chip, .. }) => {
-            write_candidate_name(&mut chip.config.name, row * clocks_len);
-            if let Some(&hz) = grid.clocks_hz.first() {
-                chip.retarget(Delta::Clock(hz))?;
-            }
-            Some((row, chip))
-        }
-        None => carried,
-    };
-    Ok(())
-}
-
-/// Produces the base chip for `row` (the row's configuration at its
-/// first clock point) from `prev`, the base of an earlier row: a copy
-/// of it moved by a [`Delta::CacheSize`] retarget when only the L2 axis
-/// moved, a full build otherwise.
-fn advance_base(
-    grid: &AxisGrid,
-    row: u64,
-    clocks_len: u64,
-    l2_len: u64,
-    prev: Option<(u64, &Processor)>,
-    perf: &mut DsePerf,
-) -> Result<Processor, McpatError> {
-    let base_cfg = grid
-        .config_at(row * clocks_len)
-        .ok_or_else(|| McpatError::config("dse.base", format!("row {row} is outside the grid")))?;
-    if let (Some((prev_row, prev)), Some(l2)) = (prev, &base_cfg.l2) {
-        if l2_len > 0 && prev_row / l2_len == row / l2_len {
-            let mut chip = prev.clone();
-            perf.bill(chip.retarget(Delta::CacheSize(l2.cache.capacity))?);
-            return Ok(chip);
-        }
-    }
-    perf.bill(Retarget::FullBuild);
-    Processor::build(&base_cfg)
 }
 
 #[cfg(test)]
@@ -1231,18 +1143,14 @@ mod tests {
     #[test]
     fn sweeps_over_templates_and_clusters_match_the_naive_reference() {
         let grid = two_template_grid();
-        for chunk in [256, 5, 3] {
-            for prune in [true, false] {
-                let opts = DseOptions {
-                    chunk,
-                    prune,
-                    ..DseOptions::default()
-                };
-                let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
-                // The capped x4 two-core rows repeat the x2 ones, and
-                // are deduped only when both land in one chunk.
-                assert_eq!(perf.deduped > 0, chunk == 256, "{perf:?}");
-            }
+        for prune in [true, false] {
+            let opts = DseOptions {
+                prune,
+                ..DseOptions::default()
+            };
+            let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+            // The capped x4 two-core rows repeat the x2 ones.
+            assert!(perf.deduped > 0, "{perf:?}");
         }
     }
 
@@ -1312,10 +1220,7 @@ mod tests {
     #[test]
     fn streaming_sweep_matches_the_naive_full_build_sweep_bit_for_bit() {
         let grid = tiny_grid();
-        let opts = DseOptions {
-            chunk: 5, // force several chunks and base handoffs across them
-            ..DseOptions::default()
-        };
+        let opts = DseOptions::default();
         let result = dse(&grid, &opts, &mut WorkloadModel::default()).expect("streaming sweep");
         assert_eq!(result.perf.candidates, grid.total());
         // Every candidate either pruned, rejected, or offered.
@@ -1369,37 +1274,63 @@ mod tests {
         let grid = tiny_grid();
         let mut checkpoints: Vec<DseCheckpoint> = Vec::new();
         let opts = DseOptions {
-            chunk: 4,
             checkpoint_every: 8,
             ..DseOptions::default()
         };
-        let result = dse_streaming(&grid, &opts, &mut WorkloadModel::default(), None, |cp| {
+        dse_streaming(&grid, &opts, &mut WorkloadModel::default(), None, |cp| {
             checkpoints.push(cp.clone());
             Ok(())
         })
         .expect("sweep with checkpoints");
-        assert!(!checkpoints.is_empty());
+        assert_eq!(checkpoints.len(), 3);
         for cp in &checkpoints {
             let json = cp.to_json().expect("serialize");
             let back = DseCheckpoint::from_json(&json).expect("parse");
             assert_eq!(*cp, back);
             assert_frontiers_bit_identical(&cp.frontier(), &back.frontier());
         }
-        // Resuming the final run from each checkpoint converges on the
-        // same frontier bits as the uninterrupted sweep.
-        for cp in &checkpoints {
+    }
+
+    #[test]
+    fn a_sweep_resumes_from_a_checkpoint_at_any_cursor() {
+        // A repeated clock and an enforce-timing template: checkpoints
+        // fall mid-row, on rows whose facts hold across clocks and on
+        // rows whose facts do not.
+        let mut grid = two_template_grid();
+        grid.clocks_hz = vec![1.0e9, 2.0e9, 1.0e9];
+        let whole = dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).unwrap();
+        let decisions = |p: DsePerf| (p.candidates, p.pruned, p.rejected, p.deduped);
+        for every in 1..=grid.total() {
+            let opts = DseOptions {
+                checkpoint_every: every,
+                ..DseOptions::default()
+            };
+            // Stop at the first checkpoint, as a kill right after it
+            // would.
+            let mut first = None;
+            let stopped = dse_streaming(&grid, &opts, &mut WorkloadModel::default(), None, |cp| {
+                first = Some(cp.to_json()?);
+                Err(McpatError::config("dse.test", "stopped"))
+            });
+            assert!(stopped.is_err(), "at {every}");
+            let cp = DseCheckpoint::from_json(&first.unwrap()).unwrap();
+            assert_eq!(cp.cursor(), every);
             let resumed = dse_streaming(
                 &grid,
                 &opts,
                 &mut WorkloadModel::default(),
-                Some(cp),
+                Some(&cp),
                 |_| Ok(()),
             )
-            .expect("resumed sweep");
-            assert_frontiers_bit_identical(&resumed.frontier, &result.frontier);
-            assert_eq!(resumed.perf.candidates, result.perf.candidates);
-            assert_eq!(resumed.perf.pruned, result.perf.pruned);
-            assert_eq!(resumed.perf.rejected, result.perf.rejected);
+            .unwrap();
+            assert_frontiers_bit_identical(&resumed.frontier, &whole.frontier);
+            assert_eq!(
+                decisions(resumed.perf),
+                decisions(whole.perf),
+                "resumed at {every}: {:?} vs {:?}",
+                resumed.perf,
+                whole.perf
+            );
         }
     }
 
@@ -1408,7 +1339,6 @@ mod tests {
         let grid = tiny_grid();
         let mut checkpoints = Vec::new();
         let opts = DseOptions {
-            chunk: 6,
             checkpoint_every: 6,
             ..DseOptions::default()
         };
@@ -1469,36 +1399,47 @@ mod tests {
         // Both L2 rows of every (node, cores) group describe the same
         // chip, so the second row's candidates duplicate the first's.
         grid.l2_bytes = vec![1 << 20, 1 << 20];
-        let result =
-            dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).expect("sweep");
-        // One 256-candidate chunk, pruned against the empty frontier it
-        // started with: nothing is pruned, and the 12 candidates of the
-        // four duplicate rows are served by the first rows' probes.
-        assert_eq!(
-            result.perf,
-            DsePerf {
-                candidates: 24,
-                pruned: 0,
-                rejected: 0,
-                probes: 12,
-                cache_rebuilds: 4,
-                full_builds: 4,
-                deduped: 12,
-            }
-        );
-        assert_frontiers_bit_identical(
-            &result.frontier,
-            &naive_frontier(&grid, &mut WorkloadModel::default()),
-        );
+        // Unpruned, every candidate of the four duplicate rows is a
+        // probe that repeats one of the first rows'. Pruned against the
+        // live frontier, 11 candidates are never probed, and 4 of the
+        // 13 probes lie in the duplicate rows.
+        for (prune, probes, pruned, deduped) in [(false, 24, 0, 12), (true, 13, 11, 4)] {
+            let opts = DseOptions {
+                prune,
+                ..DseOptions::default()
+            };
+            let result = dse(&grid, &opts, &mut WorkloadModel::default()).expect("sweep");
+            assert_eq!(
+                result.perf,
+                DsePerf {
+                    candidates: 24,
+                    pruned,
+                    rejected: 0,
+                    probes,
+                    cache_rebuilds: 4,
+                    full_builds: 4,
+                    deduped,
+                }
+            );
+            assert_frontiers_bit_identical(
+                &result.frontier,
+                &naive_frontier(&grid, &mut WorkloadModel::default()),
+            );
+        }
     }
 
-    /// The engine's decisions replayed naively: every row base and
-    /// every candidate full-built from its own configuration, prune
-    /// decisions asked on the from-scratch base with its facts walked
-    /// afresh, totals walked on the from-scratch candidate, duplicates
-    /// found by comparing configurations, chunk by chunk. The
-    /// streaming engine must reach the same frontier and the same
-    /// counters.
+    /// The engine's decisions replayed naively, one cursor at a time:
+    /// every row base and every candidate full-built from its own
+    /// configuration, prune decisions asked on the from-scratch row
+    /// base with its facts walked afresh, totals walked on the
+    /// from-scratch candidate, duplicates found by comparing the
+    /// configuration with every earlier cursor's. Builds are billed
+    /// from configurations, never from a `Retarget`: a row entered from
+    /// the previous row of its group is an L2 re-solve, any other a
+    /// full build, and a probe is a full build exactly where the row's
+    /// facts do not hold and its clock differs from the one the row's
+    /// chip was last moved to. The streaming engine must reach the same
+    /// frontier and the same counters.
     fn reference_sweep<E: DseEvaluator>(
         grid: &AxisGrid,
         opts: &DseOptions,
@@ -1506,86 +1447,76 @@ mod tests {
     ) -> DseResult {
         let (clocks, l2_len) = (grid.clocks_len(), grid.l2_bytes.len() as u64);
         let budgets = opts.budgets;
+        let unnamed = |cursor| ProcessorConfig {
+            name: String::new(),
+            ..grid.config_at(cursor).unwrap()
+        };
         let mut frontier = ParetoFrontier::new();
         let mut perf = DsePerf::default();
-        let mut prev_row: Option<u64> = None;
-        let cursors: Vec<u64> = (0..grid.total()).collect();
-        for chunk in cursors.chunks(opts.chunk.max(1)) {
-            let mut survivors = Vec::new();
-            for &cursor in chunk {
-                perf.candidates += 1;
-                let row = cursor / clocks;
-                let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
-                let facts = RowFacts::of(&base);
-                if prev_row != Some(row) {
-                    // Inside one group the L2 is re-solved.
-                    if prev_row.is_some_and(|p| p / l2_len == row / l2_len) {
-                        perf.cache_rebuilds += 1;
-                    } else {
-                        perf.full_builds += 1;
-                    }
-                    prev_row = Some(row);
+        // The row the chip holds, and the clock it was last moved to.
+        let mut chip_at: Option<(u64, f64)> = None;
+        for cursor in 0..grid.total() {
+            perf.candidates += 1;
+            let row = cursor / clocks;
+            let cfg = grid.config_at(cursor).unwrap();
+            let chip_clock = match chip_at {
+                Some((held, clock)) if held == row => clock,
+                // Inside one group the L2 is re-solved at the clock the
+                // chip already has.
+                Some((held, clock)) if held / l2_len == row / l2_len => {
+                    perf.cache_rebuilds += 1;
+                    clock
                 }
-                let cfg = grid.config_at(cursor).unwrap();
-                // Where the facts do not hold across clocks, nothing is
-                // decided on the row base.
-                let on_base = facts.hold_across_clocks;
-                if on_base && base.die_area() > budgets.max_area {
-                    perf.rejected += 1;
-                    continue;
+                _ => {
+                    perf.full_builds += 1;
+                    cfg.clock_hz
                 }
-                let candidate = RowCandidate {
-                    base: &base,
-                    facts,
-                    clock_hz: cfg.clock_hz,
-                };
-                if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
-                    perf.pruned += 1;
-                    continue;
-                }
-                survivors.push((cursor, cfg, on_base));
+            };
+            chip_at = Some((row, chip_clock));
+            let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
+            let facts = RowFacts::of(&base);
+            // Where the facts do not hold across clocks, nothing is
+            // decided on the row base.
+            let on_base = facts.hold_across_clocks;
+            if on_base && base.die_area() > budgets.max_area {
+                perf.rejected += 1;
+                continue;
             }
-            let mut probed: Vec<ProcessorConfig> = Vec::new();
-            for (cursor, cfg, on_base) in survivors {
-                if probed.iter().any(|c| eq_ignoring_name(c, &cfg)) {
-                    perf.deduped += 1;
-                } else {
-                    // Where the facts do not hold, every candidate is
-                    // probed, and one that moves the row's chip off the
-                    // previous candidate's clock (the row's first, at a
-                    // chunk start) is a full build.
-                    let first = cursor % clocks == 0 || !chunk.contains(&(cursor - 1));
-                    let at = if first {
-                        cursor - cursor % clocks
-                    } else {
-                        cursor - 1
-                    };
-                    let from = grid.config_at(at).unwrap().clock_hz;
-                    if !on_base && from.to_bits() != cfg.clock_hz.to_bits() {
-                        perf.full_builds += 1;
-                    } else {
-                        perf.probes += 1;
-                    }
-                    probed.push(cfg.clone());
-                }
-                let chip = Processor::build(&cfg).unwrap();
-                let totals = ChipTotals {
-                    peak_power: chip.peak_power().total(),
-                    area: chip.die_area(),
-                };
-                if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
-                    perf.rejected += 1;
-                    continue;
-                }
-                let metrics = evaluator.evaluate_probe(&chip, &totals);
-                frontier.offer(FrontierPoint {
-                    name: cfg.name,
-                    cursor,
-                    area: totals.area,
-                    peak_power: totals.peak_power,
-                    metrics,
-                });
+            let candidate = RowCandidate {
+                base: &base,
+                facts,
+                clock_hz: cfg.clock_hz,
+            };
+            if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
+                perf.pruned += 1;
+                continue;
             }
+            if (0..cursor).any(|earlier| unnamed(earlier) == unnamed(cursor)) {
+                perf.deduped += 1;
+            }
+            if !on_base && chip_clock.to_bits() != cfg.clock_hz.to_bits() {
+                perf.full_builds += 1;
+            } else {
+                perf.probes += 1;
+            }
+            chip_at = Some((row, cfg.clock_hz));
+            let chip = Processor::build(&cfg).unwrap();
+            let totals = ChipTotals {
+                peak_power: chip.peak_power().total(),
+                area: chip.die_area(),
+            };
+            if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
+                perf.rejected += 1;
+                continue;
+            }
+            let metrics = evaluator.evaluate_probe(&chip, &totals);
+            frontier.offer(FrontierPoint {
+                name: cfg.name,
+                cursor,
+                area: totals.area,
+                peak_power: totals.peak_power,
+                metrics,
+            });
         }
         DseResult { frontier, perf }
     }
@@ -1659,24 +1590,18 @@ mod tests {
             peaks.sort_by(f64::total_cmp);
             peaks[peaks.len() * 3 / 4]
         };
-        for chunk in [256, 5] {
-            for max_peak_power in [f64::INFINITY, peak_budget] {
-                let opts = DseOptions {
-                    chunk,
-                    budgets: Budgets {
-                        max_peak_power,
-                        ..Budgets::default()
-                    },
-                    ..DseOptions::default()
-                };
-                let perf = assert_engine_matches_reference(&grid, &opts, || Unbounded);
-                assert_eq!(perf.pruned, 0);
-                let perf = assert_engine_matches_reference(&grid, &opts, || NameAndWarnings);
-                // A single chunk prunes against the empty frontier it
-                // started with; smaller chunks must prune something.
-                let single_chunk = chunk as u64 >= grid.total();
-                assert!(single_chunk || perf.pruned > 0, "{perf:?}");
-            }
+        for max_peak_power in [f64::INFINITY, peak_budget] {
+            let opts = DseOptions {
+                budgets: Budgets {
+                    max_peak_power,
+                    ..Budgets::default()
+                },
+                ..DseOptions::default()
+            };
+            let perf = assert_engine_matches_reference(&grid, &opts, || Unbounded);
+            assert_eq!(perf.pruned, 0);
+            let perf = assert_engine_matches_reference(&grid, &opts, || NameAndWarnings);
+            assert!(perf.pruned > 0, "{perf:?}");
         }
         let warned = (0..grid.total())
             .filter_map(|c| grid.config_at(c))
@@ -1698,15 +1623,26 @@ mod tests {
             grid.core_templates = vec![if timed { timing_closed(core) } else { core }];
             grid.l2_bytes = l2;
             grid.clocks_hz = clocks;
-            for chunk in [256, 5, 4] {
-                let opts = DseOptions {
-                    chunk,
-                    ..DseOptions::default()
-                };
-                let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
-                assert!(perf.deduped > 0, "{perf:?}");
-            }
+            let perf = assert_engine_matches_reference(
+                &grid,
+                &DseOptions::default(),
+                WorkloadModel::default,
+            );
+            assert!(perf.deduped > 0, "{perf:?}");
         }
+        // Two templates that differ only in the clock the clock axis
+        // replaces: every row of the second repeats one of the first.
+        let mut fast = CoreConfig::generic_inorder();
+        fast.clock_hz *= 2.0;
+        grid.core_templates = vec![CoreConfig::generic_inorder(), fast];
+        grid.l2_bytes = vec![1 << 20, 2 << 20];
+        grid.clocks_hz = vec![1.0e9, 2.0e9];
+        let opts = DseOptions {
+            prune: false,
+            ..DseOptions::default()
+        };
+        let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+        assert_eq!(perf.deduped, grid.total() / 2, "{perf:?}");
     }
 
     #[test]
@@ -1730,29 +1666,10 @@ mod tests {
                 .die_area()
         };
         assert_ne!(area_at(0).to_bits(), area_at(1).to_bits());
-        for chunk in [256, 3] {
-            let opts = DseOptions {
-                chunk,
-                ..DseOptions::default()
-            };
-            let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
-            // Only the first candidate of each row keeps its base's clock.
-            assert_eq!(perf.probes, 2, "{perf:?}");
-        }
-    }
-
-    #[test]
-    fn pruning_counts_and_dedupe_are_reported() {
-        let mut grid = tiny_grid();
-        // Duplicate clock points exercise the chunk dedupe.
-        grid.clocks_hz = vec![1.0e9, 1.0e9, 2.0e9];
-        let result =
-            dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).expect("sweep");
-        assert!(result.perf.deduped > 0);
-        assert_eq!(
-            result.frontier.offered() + result.perf.pruned + result.perf.rejected,
-            grid.total()
-        );
+        let perf =
+            assert_engine_matches_reference(&grid, &DseOptions::default(), WorkloadModel::default);
+        // Only the first candidate of each row keeps its chip's clock.
+        assert_eq!(perf.probes, 2, "{perf:?}");
     }
 
     #[test]

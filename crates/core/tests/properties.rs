@@ -95,22 +95,21 @@ fn bound_configs() -> Vec<ProcessorConfig> {
     configs
 }
 
-/// Runs the pruned and the unpruned engine over `grid` in `chunk`-sized
-/// chunks and compares both with per-candidate full builds: the same
-/// frontier bits, winners, `candidates`, `rejected` and `deduped`. A
-/// pruned candidate is never probed, so where pruning fired the pruned
-/// engine's `deduped` may only be lower.
-fn assert_engines_match_full_builds(grid: &AxisGrid, chunk: usize) {
-    let reference = per_candidate_sweep(grid, chunk);
+/// Runs the pruned and the unpruned engine over `grid` and compares both
+/// with per-candidate full builds: the same frontier bits, winners,
+/// `candidates`, `rejected` and `deduped`. A pruned candidate is never
+/// probed, so where pruning fired the pruned engine's `deduped` may
+/// only be lower.
+fn assert_engines_match_full_builds(grid: &AxisGrid) {
+    let reference = per_candidate_sweep(grid);
     let expected = sweep_fingerprint(&reference);
     for prune in [false, true] {
         let opts = DseOptions {
-            chunk,
             prune,
             ..DseOptions::default()
         };
         let engine = dse(grid, &opts, &mut WorkloadModel::default()).unwrap();
-        let what = format!("prune {prune}, chunk {chunk}, {:?}", engine.perf);
+        let what = format!("prune {prune}, {:?}", engine.perf);
         assert_eq!(sweep_fingerprint(&engine), expected, "{what}");
         if engine.perf.pruned == 0 {
             assert_eq!(engine.perf.deduped, reference.perf.deduped, "{what}");
@@ -182,9 +181,7 @@ fn engines_match_full_builds_on_mixed_enforced_timing_templates() {
             vec![1.0e9, 2.0e9, 1.0e9],
         )
     };
-    for chunk in [256, 5, 3] {
-        assert_engines_match_full_builds(&grid, chunk);
-    }
+    assert_engines_match_full_builds(&grid);
 }
 
 fn any_node() -> impl Strategy<Value = TechNode> {
@@ -280,11 +277,8 @@ proptest! {
     }
 
     #[test]
-    fn dse_over_every_axis_equals_per_candidate_builds(
-        grid in any_small_grid(),
-        chunk in prop::sample::select(vec![3usize, 256]),
-    ) {
-        assert_engines_match_full_builds(&grid, chunk);
+    fn dse_over_every_axis_equals_per_candidate_builds(grid in any_small_grid()) {
+        assert_engines_match_full_builds(&grid);
     }
 
     #[test]
@@ -424,6 +418,42 @@ proptest! {
                         "leakage: {}",
                         step
                     );
+                }
+            }
+        }
+    }
+
+    /// The premise of the DSE engine's in-place row entry: one chip
+    /// walked through interleaved clock and L2 retargets, on every
+    /// preset and a manycore LSTP chip, with and without enforced
+    /// timing, equals a full build of its own configuration after every
+    /// step. Each L2 re-solve starts from whatever clock the walk left
+    /// the chip at, as a row entered from the previous row's chip does.
+    #[test]
+    fn interleaved_clock_and_l2_retargets_equal_full_builds(
+        a in 0.5..2.0f64,
+        b in 0.5..2.0f64,
+        l2_shift in 1u32..3,
+    ) {
+        for enforce_timing in [false, true] {
+            for mut cfg in row_fact_configs() {
+                cfg.core.enforce_timing = enforce_timing;
+                let mut chip = Processor::build(&cfg).unwrap();
+                let f = cfg.clock_hz;
+                let l2 = cfg.l2.as_ref().map_or(1 << 20, |l2| l2.cache.capacity);
+                let walk = [
+                    Delta::Clock(f * a),
+                    Delta::CacheSize(l2 << l2_shift),
+                    Delta::Clock(f * b),
+                    Delta::CacheSize(l2),
+                    Delta::Clock(f * a),
+                    Delta::CacheSize(l2 << l2_shift),
+                    Delta::Clock(f),
+                ];
+                for delta in walk {
+                    chip.retarget(delta).unwrap();
+                    let step = format!("{} (timing {enforce_timing}) after {delta:?}", cfg.name);
+                    prop_assert_eq!(differs_from_full_build(&chip), None, "{}", step);
                 }
             }
         }

@@ -211,7 +211,6 @@ fn dse_usage() -> &'static str {
      \x20 clocks=1e9:3e9:100     clock linspace lo:hi:count, or a comma list in Hz\n\
      \n\
      options:\n\
-     \x20 --chunk <n>            candidates per streamed batch (default 256)\n\
      \x20 --checkpoint <file>    write a resumable checkpoint to <file> periodically\n\
      \x20 --checkpoint-every <n> checkpoint cadence in candidates (default 4096)\n\
      \x20 --resume <file>        resume from a checkpoint written by --checkpoint\n\
@@ -223,7 +222,7 @@ fn dse_usage() -> &'static str {
      \x20 --cancel-on-signal     SIGINT/SIGTERM cancels the sweep cooperatively\n\
      \n\
      Streams the cross product of the axes through delta rebuilds and an\n\
-     incremental Pareto frontier; memory stays O(frontier + chunk)."
+     incremental Pareto frontier; memory stays O(frontier)."
 }
 
 /// Parses a comma-separated list with a per-item parser.
@@ -382,7 +381,6 @@ fn run_dse(args: &[String]) -> Result<(), CliError> {
     while let Some(flag) = flags.next() {
         match flag {
             "--axes" => grid = Some(parse_axes(flags.value(flag)?)?),
-            "--chunk" => opts.chunk = flags.number(flag)?,
             "--checkpoint" => checkpoint_path = Some(flags.value(flag)?),
             "--checkpoint-every" => opts.checkpoint_every = flags.number(flag)?,
             "--resume" => resume_path = Some(flags.value(flag)?),

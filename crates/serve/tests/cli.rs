@@ -505,9 +505,9 @@ fn a_value_flag_given_last_is_a_usage_error_naming_the_flag() {
                 "dse",
                 "--axes",
                 "nodes=32;flavors=hp;cores=2;l2=1M;clocks=1e9",
-                "--chunk",
+                "--checkpoint-every",
             ],
-            "--chunk",
+            "--checkpoint-every",
         ),
         (&["serve", "--listen"], "--listen"),
     ];
@@ -517,4 +517,27 @@ fn a_value_flag_given_last_is_a_usage_error_naming_the_flag() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(flag), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn dse_has_no_chunk_flag() {
+    let out = mcpat_bin()
+        .args([
+            "dse",
+            "--axes",
+            "nodes=32;flavors=hp;cores=2;l2=1M;clocks=1e9",
+            "--chunk",
+            "256",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(exit_code(&out), 2);
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown argument `--chunk`"), "{err}");
+    let help = mcpat_bin().args(["dse", "--help"]).output().unwrap();
+    let usage = String::from_utf8(help.stdout).unwrap();
+    assert!(
+        usage.contains("O(frontier)") && !usage.contains("chunk"),
+        "{usage}"
+    );
 }

@@ -381,7 +381,6 @@ fn cancelled_dse_sweeps_resume_to_a_bit_identical_frontier() {
         (0..20).map(|i| 1.0e9 + 0.1e9 * f64::from(i)).collect(),
     );
     let opts = DseOptions {
-        chunk: 16,
         checkpoint_every: 32,
         ..DseOptions::default()
     };

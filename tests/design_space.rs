@@ -131,11 +131,8 @@ fn streaming_dse_survivors_are_bit_identical_to_from_scratch_builds() {
         vec![1 << 20, 2 << 20],
         (0..8).map(|i| 1.0e9 + 0.25e9 * f64::from(i)).collect(),
     );
-    let opts = DseOptions {
-        chunk: 48, // several chunks, rows crossing chunk boundaries
-        ..DseOptions::default()
-    };
-    let result = dse(&grid, &opts, &mut WorkloadModel::default()).expect("streaming sweep");
+    let result =
+        dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).expect("streaming sweep");
     assert!(!result.frontier.is_empty(), "sweep produced no frontier");
     assert_eq!(result.perf.candidates, grid.total());
 
@@ -239,7 +236,6 @@ fn simulated_sweeps_match_a_naive_full_build_loop() {
         let opts = DseOptions {
             budgets,
             prune,
-            chunk: 3, // rows cross chunk boundaries
             ..DseOptions::default()
         };
         let engine = dse(&grid, &opts, &mut sim).unwrap();

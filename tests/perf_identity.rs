@@ -207,7 +207,7 @@ fn explore_is_bit_identical_across_pool_thread_counts() {
     let grid = sixteen_chips();
     let opts = DseOptions::default();
     mcpat::par::set_thread_override(1);
-    let reference = support::per_candidate_sweep(&grid, opts.chunk);
+    let reference = support::per_candidate_sweep(&grid);
     assert_eq!(reference.perf.deduped, 0, "the sixteen chips are distinct");
     let ref_fp = support::sweep_fingerprint(&reference);
     for threads in [1, 2, 3, 8, 16] {
@@ -241,7 +241,7 @@ fn explore_batch_is_bit_identical_to_serial_explore() {
         ..DseOptions::default()
     };
     mcpat::par::set_thread_override(1);
-    let reference = support::per_candidate_sweep(&grid, opts.chunk);
+    let reference = support::per_candidate_sweep(&grid);
     assert_eq!(reference.perf.candidates, 12);
     assert_eq!(reference.perf.deduped, 4, "each repeated chip must dedupe");
     let ref_fp = support::sweep_fingerprint(&reference);

@@ -15,16 +15,13 @@ use mcpat::{
 /// default budgets: every candidate of `grid` built on its own with
 /// `Processor::build` and scored by [`WorkloadModel`], offered to a
 /// fresh frontier in cursor order. A candidate counts as deduped when
-/// an earlier candidate of its `chunk`-sized chunk has the same
-/// configuration up to the name, as the engine counts it.
-pub fn per_candidate_sweep(grid: &AxisGrid, chunk: usize) -> DseResult {
+/// an earlier candidate has the same configuration up to the name, as
+/// the engine counts an unpruned sweep's.
+pub fn per_candidate_sweep(grid: &AxisGrid) -> DseResult {
     let mut frontier = ParetoFrontier::new();
     let mut perf = DsePerf::default();
     let mut seen: Vec<ProcessorConfig> = Vec::new();
     for cursor in 0..grid.total() {
-        if cursor % chunk.max(1) as u64 == 0 {
-            seen.clear();
-        }
         let cfg = grid.config_at(cursor).unwrap();
         perf.candidates += 1;
         let mut unnamed = cfg.clone();
