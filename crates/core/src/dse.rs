@@ -19,7 +19,10 @@
 //!    evaluator produces a certified lower bound on its metrics; if the
 //!    live [`ParetoFrontier`] (every candidate offered before it)
 //!    already dominates the bound, the probe never runs (see
-//!    [`ParetoFrontier::would_prune`] for the soundness argument).
+//!    [`ParetoFrontier::would_prune`] for the soundness argument). Where
+//!    a candidate prunes, one bound over a run of the clocks after it
+//!    ([`RowCandidate`]) retires the whole run, its length doubling
+//!    while the run still prunes.
 //! 4. **Row facts** — die area and total leakage do not depend on the
 //!    clock, so they are taken once per row from its chip
 //!    ([`RowFacts`]) and shared by every candidate of the row: the
@@ -330,9 +333,10 @@ pub struct DsePerf {
     pub candidates: u64,
     /// Candidates discarded by the lower-bound prune before any build
     /// ran ([`DseEvaluator::prunes_in_row`]), against the live frontier:
-    /// every candidate offered before them in cursor order. Never
-    /// counted on rows whose facts do not hold across clocks, where
-    /// nothing is pruned. With [`WorkloadModel`] the count depends on
+    /// every candidate offered before them in cursor order. A pruned
+    /// run of a row counts each of its candidates, exactly those one
+    /// decision per candidate would prune. Never counted on rows whose
+    /// facts do not hold across clocks, where nothing is pruned. With [`WorkloadModel`] the count depends on
     /// how tight its bound is, while the frontier and the `candidates`
     /// and `rejected` counts do not: a tighter bound moves candidates
     /// from `probes` to `pruned` only.
@@ -447,17 +451,42 @@ pub struct ChipTotals {
     pub area: f64,
 }
 
-/// An unbuilt candidate of a row, as the prune pass sees it
-/// ([`DseEvaluator::prunes_in_row`]).
+/// A run of consecutive unbuilt candidates of one row, as the prune
+/// pass sees it ([`DseEvaluator::prunes_in_row`]): the row's chip and
+/// facts, and the slowest and fastest clock among the run's
+/// candidates. A single candidate is a run whose slowest and fastest
+/// clocks are both its own.
 #[derive(Debug, Clone, Copy)]
 pub struct RowCandidate<'a> {
-    /// The row's chip: a built chip identical to the candidate except
+    /// The row's chip: a built chip identical to each candidate except
     /// for the clock and the name.
     pub base: &'a Processor,
     /// The row's facts.
     pub facts: RowFacts,
-    /// The candidate's clock, Hz.
-    pub clock_hz: f64,
+    /// The slowest clock of the run, Hz.
+    pub slowest_hz: f64,
+    /// The fastest clock of the run, Hz.
+    pub fastest_hz: f64,
+}
+
+impl RowCandidate<'_> {
+    /// A floor under the peak power of every candidate of the run, W:
+    /// the probe's own walk at the slowest clock with the cores'
+    /// dynamic term priced at zero, plus the row's leakage. That floor
+    /// never falls as the clock rises: each uncore term is a
+    /// non-negative constant times activity that grows with the clock,
+    /// folded with monotone rounding. `None` unless every candidate's
+    /// probe would take that dynamic-only walk: the row's geometry must
+    /// survive clock moves, and the row's peak leakage must hold at both
+    /// ends of the run, and so at every clock between them (a
+    /// power-gated chip's cores' leakage scale steps up once, at 1 kHz).
+    #[must_use]
+    pub fn peak_power_floor(&self) -> Option<f64> {
+        let peak = &self.facts.peak;
+        let floor = self.base.peak_power_floor_at(self.slowest_hz, peak)?;
+        let one_clock = self.slowest_hz.to_bits() == self.fastest_hz.to_bits();
+        (one_clock || self.base.peak_leakage_holds_at(self.fastest_hz, peak)).then_some(floor)
+    }
 }
 
 /// Workload evaluation injected into the streaming engine.
@@ -487,14 +516,21 @@ pub trait DseEvaluator {
     /// chip again on this per-candidate path.
     fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet;
 
-    /// What the prune pass calls for each candidate: true if the
-    /// frontier already beats it, that is, if
-    /// [`ParetoFrontier::would_prune`] holds for a certified lower
-    /// bound on its metrics: every field ≤ the value
-    /// [`DseEvaluator::evaluate_probe`] would produce, and positive. An
-    /// implementation may test cheaper, looser bounds first, because
-    /// `would_prune` is monotone: a bound that prunes proves that every
-    /// higher one does. The default never prunes.
+    /// What the prune pass calls for a run of consecutive candidates of
+    /// one row: true only if the frontier already beats every candidate
+    /// of the run, that is, if [`ParetoFrontier::would_prune`] holds for
+    /// a certified lower bound on each candidate's metrics: every field
+    /// ≤ the value [`DseEvaluator::evaluate_probe`] would produce, and
+    /// positive. The engine asks first for a single candidate
+    /// (`slowest_hz == fastest_hz`); where that prunes, it asks for
+    /// longer runs from the same candidate on, doubling while they
+    /// prune, and retires a pruned run at once. A true answer for a run
+    /// must imply a true answer for each of its candidates alone, so
+    /// that a sweep's decisions do not depend on how the engine groups
+    /// them; a run may answer false where its candidates would each
+    /// prune. An implementation may test cheaper, looser bounds first,
+    /// because `would_prune` is monotone: a bound that prunes proves
+    /// that every higher one does. The default never prunes.
     fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
         let _ = (candidate, frontier);
         false
@@ -525,27 +561,19 @@ impl WorkloadModel {
         MetricSet::from_power(peak_power, self.delay(num_cores, clock_hz), area)
     }
 
-    /// The lower bound for the candidate at `clock_hz` of the row of
-    /// `base`, whose facts are `facts`. Delay is exact. Area is
-    /// clock-invariant, so the row's area is the candidate's exact
-    /// area. Peak power is bounded by the probe's own walk at the
-    /// candidate's clock with the cores' dynamic term priced at zero
-    /// (the uncore's dynamic power plus the row's leakage; see
-    /// [`Processor::peak_power_floor_at`]), and energy is that floor
-    /// times the same delay, through the same multiplication as
-    /// [`WorkloadModel::evaluate`]'s: monotone rounding keeps it a
-    /// bound. `None` where the probe would not take that walk: where
-    /// the row's facts do not hold across clocks and where the clock
-    /// moves the cores' leakage scale (a power-gated chip below 1 kHz).
-    fn bound(
-        &self,
-        base: &Processor,
-        facts: &RowFacts,
-        num_cores: u32,
-        clock_hz: f64,
-    ) -> Option<MetricSet> {
-        let power = base.peak_power_floor_at(clock_hz, &facts.peak)?;
-        Some(self.metrics(power, facts.area, num_cores, clock_hz))
+    /// The lower bound under every candidate of `run`. Delay is that of
+    /// the fastest clock, exact for the candidate there and below every
+    /// other's. Area is clock-invariant, so the row's area is each
+    /// candidate's exact area. Peak power is bounded by
+    /// [`RowCandidate::peak_power_floor`], the floor at the slowest
+    /// clock, and energy is that floor times the same delay, through the
+    /// same multiplication as [`WorkloadModel::evaluate`]'s: monotone
+    /// rounding keeps it a bound. For a single candidate this is its own
+    /// exact delay and floor. `None` where the floor is.
+    fn bound(&self, run: &RowCandidate<'_>) -> Option<MetricSet> {
+        let power = run.peak_power_floor()?;
+        let num_cores = run.base.config.num_cores;
+        Some(self.metrics(power, run.facts.area, num_cores, run.fastest_hz))
     }
 
     /// The metrics of a built chip, walking its totals: the reference
@@ -565,10 +593,17 @@ impl WorkloadModel {
     /// A certified lower bound on [`WorkloadModel::evaluate`] of the
     /// unbuilt candidate at `cfg`, given its row `base` (a built chip
     /// identical to the candidate except for the clock), walking the
-    /// base's facts: the reference for [`DseEvaluator::prunes_in_row`].
+    /// base's facts: the bound [`DseEvaluator::prunes_in_row`] decides a
+    /// single candidate on, and that a run's bound lies under for each
+    /// of its candidates.
     #[must_use]
     pub fn lower_bound(&self, base: &Processor, cfg: &ProcessorConfig) -> Option<MetricSet> {
-        self.bound(base, &RowFacts::of(base), cfg.num_cores, cfg.clock_hz)
+        self.bound(&RowCandidate {
+            base,
+            facts: RowFacts::of(base),
+            slowest_hz: cfg.clock_hz,
+            fastest_hz: cfg.clock_hz,
+        })
     }
 }
 
@@ -578,22 +613,22 @@ impl DseEvaluator for WorkloadModel {
         self.metrics(totals.peak_power, totals.area, c.num_cores, c.clock_hz)
     }
 
-    fn prunes_in_row(&self, candidate: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
+    fn prunes_in_row(&self, run: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
         let RowCandidate {
             base,
             facts,
-            clock_hz,
-        } = *candidate;
+            fastest_hz,
+            ..
+        } = *run;
         let num_cores = base.config.num_cores;
         // Where the row's leakage alone lies under the floor, it is a
         // looser bound that needs no walk: try it first.
         if base.peak_leakage_is_clock_invariant()
-            && frontier.would_prune(&self.metrics(facts.leakage, facts.area, num_cores, clock_hz))
+            && frontier.would_prune(&self.metrics(facts.leakage, facts.area, num_cores, fastest_hz))
         {
             return true;
         }
-        self.bound(base, &facts, num_cores, clock_hz)
-            .is_some_and(|lb| frontier.would_prune(&lb))
+        self.bound(run).is_some_and(|lb| frontier.would_prune(&lb))
     }
 }
 
@@ -810,8 +845,12 @@ struct RowChip {
 impl RowChip {
     /// Enters the row that holds `cursor` from `prev`, the chip of the
     /// row before it: moved by an in-place [`Delta::CacheSize`]
-    /// retarget when only the L2 axis moved, replaced by a full build of
-    /// the candidate at `cursor` otherwise. Takes the row's facts.
+    /// retarget when only the L2 axis moved and the chip's geometry
+    /// survives the move to the clock at `cursor` (it keeps its geometry
+    /// across clocks, or already sits at that clock), replaced by a full
+    /// build of the candidate at `cursor` otherwise: an enforce-timing
+    /// chip re-solved at another clock would be rebuilt by its first
+    /// probe anyway. Takes the row's facts.
     fn enter(
         grid: &AxisGrid,
         cursor: u64,
@@ -821,11 +860,14 @@ impl RowChip {
         let row = cursor / grid.clocks_len();
         let l2_len = grid.l2_bytes.len() as u64;
         let l2 = grid.l2_bytes.get((row % l2_len) as usize);
-        let same_group = prev
-            .as_ref()
-            .is_some_and(|p| p.row / l2_len == row / l2_len);
+        let clock = grid.clocks_hz.get((cursor % grid.clocks_len()) as usize);
+        let resolves = prev.as_ref().is_some_and(|p| {
+            p.row / l2_len == row / l2_len
+                && (p.chip.clock_keeps_geometry()
+                    || clock.is_some_and(|c| c.to_bits() == p.chip.config.clock_hz.to_bits()))
+        });
         let chip = match (prev, l2) {
-            (Some(RowChip { mut chip, .. }), Some(&bytes)) if same_group => {
+            (Some(RowChip { mut chip, .. }), Some(&bytes)) if resolves => {
                 perf.bill(chip.retarget(Delta::CacheSize(bytes))?);
                 chip
             }
@@ -845,36 +887,42 @@ impl RowChip {
         })
     }
 
-    /// Retires the candidate at `cursor`, whose clock is `clock_hz`:
-    /// rejects it on the row's area, prunes it against the live
-    /// frontier, or retargets the chip to it, evaluates it and offers
-    /// it. Returns true if it was probed.
+    /// Retires candidates from `cursor` on, whose clocks are `clocks`
+    /// (the rest of the row, cut at the next checkpoint): all of them,
+    /// rejected on the row's area; a run at the front, pruned against
+    /// the live frontier ([`pruned_run`]); or the candidate at `cursor`
+    /// alone, retargeted to, evaluated and offered. Returns how many
+    /// candidates it retired and whether it probed.
     fn retire<E: DseEvaluator>(
         &mut self,
         opts: &DseOptions,
         evaluator: &mut E,
         cursor: u64,
-        clock_hz: f64,
+        clocks: &[f64],
         frontier: &mut ParetoFrontier,
         perf: &mut DsePerf,
-    ) -> Result<bool, McpatError> {
+    ) -> Result<(u64, bool), McpatError> {
         let facts = self.facts;
+        let Some(&clock_hz) = clocks.first() else {
+            return Ok((0, false));
+        };
         // Where the row's facts are not the candidate's, neither reject
         // nor prune on them. Elsewhere die area is clock-invariant, so
-        // the row's area IS the candidate's: an exact early reject.
+        // the row's area IS each candidate's: an exact early reject.
         if facts.hold_across_clocks {
             if facts.area > opts.budgets.max_area {
-                perf.rejected += 1;
-                return Ok(false);
+                let run = clocks.len() as u64;
+                perf.rejected += run;
+                return Ok((run, false));
             }
-            let candidate = RowCandidate {
-                base: &self.chip,
-                facts,
-                clock_hz,
+            let run = if opts.prune {
+                pruned_run(evaluator, &self.chip, facts, clocks, frontier)
+            } else {
+                0
             };
-            if opts.prune && evaluator.prunes_in_row(&candidate, frontier) {
-                perf.pruned += 1;
-                return Ok(false);
+            if run > 0 {
+                perf.pruned += run;
+                return Ok((run, false));
             }
         }
         // The candidate's own name, then its clock: the row's chip is
@@ -898,7 +946,7 @@ impl RowChip {
         };
         if totals.area > opts.budgets.max_area || totals.peak_power > opts.budgets.max_peak_power {
             perf.rejected += 1;
-            return Ok(true);
+            return Ok((1, true));
         }
         let metrics = evaluator.evaluate_probe(chip, &totals);
         frontier.offer(FrontierPoint {
@@ -908,18 +956,61 @@ impl RowChip {
             peak_power: totals.peak_power,
             metrics,
         });
-        Ok(true)
+        Ok((1, true))
     }
+}
+
+/// How many candidates at the front of `clocks`, consecutive candidates
+/// of the row of `base`, `evaluator` prunes as runs: 0 if it does not
+/// prune the first one alone. From there the run doubles, up to the end
+/// of `clocks`, while the longer run still prunes. A run prunes only
+/// where each of its candidates would alone, and nothing is offered
+/// while a run is decided, so the count equals what one decision per
+/// candidate would prune before the first candidate it probes.
+fn pruned_run<E: DseEvaluator>(
+    evaluator: &E,
+    base: &Processor,
+    facts: RowFacts,
+    clocks: &[f64],
+    frontier: &ParetoFrontier,
+) -> u64 {
+    let Some(&first) = clocks.first() else {
+        return 0;
+    };
+    let run = |slowest_hz, fastest_hz| RowCandidate {
+        base,
+        facts,
+        slowest_hz,
+        fastest_hz,
+    };
+    if !evaluator.prunes_in_row(&run(first, first), frontier) {
+        return 0;
+    }
+    let (mut len, mut slowest, mut fastest) = (1, first, first);
+    while len < clocks.len() {
+        let longer = len.saturating_mul(2).min(clocks.len());
+        let (lo, hi) = clocks
+            .iter()
+            .take(longer)
+            .skip(len)
+            .fold((slowest, fastest), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+        if !evaluator.prunes_in_row(&run(lo, hi), frontier) {
+            break;
+        }
+        (len, slowest, fastest) = (longer, lo, hi);
+    }
+    len as u64
 }
 
 /// The streaming engine: walks `grid` in cursor order from the resume
 /// cursor (or 0) on one held row chip ([`Processor::retarget`] moves
 /// it from candidate to candidate and, inside a group, from row to
-/// row), prunes each candidate against the live frontier, probes and
-/// offers the rest, and emits a [`DseCheckpoint`] to `on_checkpoint`
-/// after every multiple of `opts.checkpoint_every` candidates. A
-/// resumed sweep's final frontier is bit-identical to an uninterrupted
-/// run's.
+/// row), rejects over-budget rows and prunes runs of candidates
+/// against the live frontier, probes and offers the rest, and emits a
+/// [`DseCheckpoint`] to `on_checkpoint` after every multiple of
+/// `opts.checkpoint_every` candidates; no run crosses a row's end or a
+/// checkpoint. The guard is polled once per run or probe. A resumed
+/// sweep's final frontier is bit-identical to an uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -962,30 +1053,41 @@ where
         .iter()
         .map(|c| !seen.insert(c.to_bits()))
         .collect();
+    let (total, clocks, every) = (grid.total(), grid.clocks_len(), opts.checkpoint_every);
     let mut held: Option<RowChip> = None;
-    for cursor in start..grid.total() {
+    let mut cursor = start;
+    while cursor < total {
         checkpoint("dse")?;
-        perf.candidates += 1;
         let row = match &mut held {
-            Some(row) if row.row == cursor / grid.clocks_len() => row,
+            Some(row) if row.row == cursor / clocks => row,
             slot => {
                 let prev = slot.take();
                 slot.insert(RowChip::enter(grid, cursor, prev, &mut perf)?)
             }
         };
-        let clock = (cursor % grid.clocks_len()) as usize;
-        let (Some(&clock_hz), Some(&repeated_clock)) =
-            (grid.clocks_hz.get(clock), clock_repeats.get(clock))
-        else {
-            continue;
-        };
-        let probed = row.retire(opts, evaluator, cursor, clock_hz, &mut frontier, &mut perf)?;
+        // A run stops at the row's end and at the next checkpoint.
+        let clock = cursor % clocks;
+        let mut len = clocks - clock;
+        if every > 0 {
+            len = len.min(every - cursor % every);
+        }
+        let run = grid
+            .clocks_hz
+            .get(clock as usize..(clock + len) as usize)
+            .unwrap_or_default();
+        let (retired, probed) =
+            row.retire(opts, evaluator, cursor, run, &mut frontier, &mut perf)?;
+        if retired == 0 {
+            break;
+        }
+        let repeated_clock = clock_repeats.get(clock as usize).copied().unwrap_or(false);
         if probed && (row.repeats || repeated_clock) {
             perf.deduped += 1;
         }
-        let done = cursor + 1;
-        if opts.checkpoint_every > 0 && done % opts.checkpoint_every == 0 {
-            on_checkpoint(&DseCheckpoint::capture(grid, done, &frontier, perf))?;
+        perf.candidates += retired;
+        cursor += retired;
+        if every > 0 && cursor % every == 0 {
+            on_checkpoint(&DseCheckpoint::capture(grid, cursor, &frontier, perf))?;
         }
     }
     Ok(DseResult { frontier, perf })
@@ -1151,6 +1253,12 @@ mod tests {
             let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
             // The capped x4 two-core rows repeat the x2 ones.
             assert!(perf.deduped > 0, "{perf:?}");
+            // Each of the eight groups enters its second row from its
+            // first row's chip at 2 GHz. The in-order groups re-solve
+            // the L2 there; the enforce-timing groups' second rows
+            // start at 1 GHz, so they are entered by a full build,
+            // whose first probe is a patch.
+            assert_eq!(perf.cache_rebuilds, 4, "{perf:?}");
         }
     }
 
@@ -1187,7 +1295,7 @@ mod tests {
             prune: false,
             ..DseOptions::default()
         };
-        reference_sweep(grid, &opts, evaluator).frontier
+        reference_sweep(grid, &opts, evaluator, |_| ()).frontier
     }
 
     fn assert_frontiers_bit_identical(a: &ParetoFrontier, b: &ParetoFrontier) {
@@ -1435,15 +1543,20 @@ mod tests {
     /// from-scratch candidate, duplicates found by comparing the
     /// configuration with every earlier cursor's. Builds are billed
     /// from configurations, never from a `Retarget`: a row entered from
-    /// the previous row of its group is an L2 re-solve, any other a
-    /// full build, and a probe is a full build exactly where the row's
-    /// facts do not hold and its clock differs from the one the row's
-    /// chip was last moved to. The streaming engine must reach the same
-    /// frontier and the same counters.
+    /// the previous row of its group is an L2 re-solve where the chip
+    /// keeps its geometry across clocks or already sits at the row's
+    /// first clock, any other row a full build, and a probe is a full
+    /// build exactly where the row's facts do not hold and its clock
+    /// differs from the one the row's chip was last moved to. Hands
+    /// `on_checkpoint` a checkpoint after every multiple of
+    /// `opts.checkpoint_every` candidates. The streaming engine must
+    /// reach the same frontier, the same counters and the same
+    /// checkpoints.
     fn reference_sweep<E: DseEvaluator>(
         grid: &AxisGrid,
         opts: &DseOptions,
         evaluator: &mut E,
+        mut on_checkpoint: impl FnMut(&DseCheckpoint),
     ) -> DseResult {
         let (clocks, l2_len) = (grid.clocks_len(), grid.l2_bytes.len() as u64);
         let budgets = opts.budgets;
@@ -1456,83 +1569,105 @@ mod tests {
         // The row the chip holds, and the clock it was last moved to.
         let mut chip_at: Option<(u64, f64)> = None;
         for cursor in 0..grid.total() {
-            perf.candidates += 1;
-            let row = cursor / clocks;
-            let cfg = grid.config_at(cursor).unwrap();
-            let chip_clock = match chip_at {
-                Some((held, clock)) if held == row => clock,
-                // Inside one group the L2 is re-solved at the clock the
-                // chip already has.
-                Some((held, clock)) if held / l2_len == row / l2_len => {
-                    perf.cache_rebuilds += 1;
-                    clock
+            'retire: {
+                perf.candidates += 1;
+                let row = cursor / clocks;
+                let cfg = grid.config_at(cursor).unwrap();
+                let keeps_geometry = !cfg.core.enforce_timing;
+                let chip_clock = match chip_at {
+                    Some((held, clock)) if held == row => clock,
+                    // Inside one group the L2 is re-solved at the clock the
+                    // chip already has, where that clock is kept or is the
+                    // row's first.
+                    Some((held, clock))
+                        if held / l2_len == row / l2_len
+                            && (keeps_geometry || clock.to_bits() == cfg.clock_hz.to_bits()) =>
+                    {
+                        perf.cache_rebuilds += 1;
+                        clock
+                    }
+                    _ => {
+                        perf.full_builds += 1;
+                        cfg.clock_hz
+                    }
+                };
+                chip_at = Some((row, chip_clock));
+                let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
+                let facts = RowFacts::of(&base);
+                // Where the facts do not hold across clocks, nothing is
+                // decided on the row base.
+                let on_base = facts.hold_across_clocks;
+                if on_base && base.die_area() > budgets.max_area {
+                    perf.rejected += 1;
+                    break 'retire;
                 }
-                _ => {
+                let candidate = RowCandidate {
+                    base: &base,
+                    facts,
+                    slowest_hz: cfg.clock_hz,
+                    fastest_hz: cfg.clock_hz,
+                };
+                if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
+                    perf.pruned += 1;
+                    break 'retire;
+                }
+                if (0..cursor).any(|earlier| unnamed(earlier) == unnamed(cursor)) {
+                    perf.deduped += 1;
+                }
+                if !on_base && chip_clock.to_bits() != cfg.clock_hz.to_bits() {
                     perf.full_builds += 1;
-                    cfg.clock_hz
+                } else {
+                    perf.probes += 1;
                 }
-            };
-            chip_at = Some((row, chip_clock));
-            let base = Processor::build(&grid.config_at(row * clocks).unwrap()).unwrap();
-            let facts = RowFacts::of(&base);
-            // Where the facts do not hold across clocks, nothing is
-            // decided on the row base.
-            let on_base = facts.hold_across_clocks;
-            if on_base && base.die_area() > budgets.max_area {
-                perf.rejected += 1;
-                continue;
+                chip_at = Some((row, cfg.clock_hz));
+                let chip = Processor::build(&cfg).unwrap();
+                let totals = ChipTotals {
+                    peak_power: chip.peak_power().total(),
+                    area: chip.die_area(),
+                };
+                if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
+                    perf.rejected += 1;
+                    break 'retire;
+                }
+                let metrics = evaluator.evaluate_probe(&chip, &totals);
+                frontier.offer(FrontierPoint {
+                    name: cfg.name,
+                    cursor,
+                    area: totals.area,
+                    peak_power: totals.peak_power,
+                    metrics,
+                });
             }
-            let candidate = RowCandidate {
-                base: &base,
-                facts,
-                clock_hz: cfg.clock_hz,
-            };
-            if opts.prune && on_base && evaluator.prunes_in_row(&candidate, &frontier) {
-                perf.pruned += 1;
-                continue;
+            let done = cursor + 1;
+            if opts.checkpoint_every > 0 && done % opts.checkpoint_every == 0 {
+                on_checkpoint(&DseCheckpoint::capture(grid, done, &frontier, perf));
             }
-            if (0..cursor).any(|earlier| unnamed(earlier) == unnamed(cursor)) {
-                perf.deduped += 1;
-            }
-            if !on_base && chip_clock.to_bits() != cfg.clock_hz.to_bits() {
-                perf.full_builds += 1;
-            } else {
-                perf.probes += 1;
-            }
-            chip_at = Some((row, cfg.clock_hz));
-            let chip = Processor::build(&cfg).unwrap();
-            let totals = ChipTotals {
-                peak_power: chip.peak_power().total(),
-                area: chip.die_area(),
-            };
-            if totals.area > budgets.max_area || totals.peak_power > budgets.max_peak_power {
-                perf.rejected += 1;
-                continue;
-            }
-            let metrics = evaluator.evaluate_probe(&chip, &totals);
-            frontier.offer(FrontierPoint {
-                name: cfg.name,
-                cursor,
-                area: totals.area,
-                peak_power: totals.peak_power,
-                metrics,
-            });
         }
         DseResult { frontier, perf }
     }
 
     /// Runs the engine and the naive reference with fresh evaluators
-    /// from `make` and requires the same frontier bits, winners and
-    /// counters. Returns the engine's counters.
+    /// from `make` and requires the same frontier bits, winners,
+    /// counters and checkpoint JSON. Returns the engine's counters.
     fn assert_engine_matches_reference<E: DseEvaluator>(
         grid: &AxisGrid,
         opts: &DseOptions,
         make: impl Fn() -> E,
     ) -> DsePerf {
-        let engine = dse(grid, opts, &mut make()).expect("streaming sweep");
-        let reference = reference_sweep(grid, opts, &mut make());
+        let json = |cp: &DseCheckpoint| cp.to_json().unwrap();
+        let mut engine_checkpoints = Vec::new();
+        let engine = dse_streaming(grid, opts, &mut make(), None, |cp| {
+            engine_checkpoints.push(json(cp));
+            Ok(())
+        })
+        .expect("streaming sweep");
+        let mut reference_checkpoints = Vec::new();
+        let reference = reference_sweep(grid, opts, &mut make(), |cp| {
+            reference_checkpoints.push(json(cp));
+        });
         assert_frontiers_bit_identical(&engine.frontier, &reference.frontier);
         assert_eq!(engine.perf, reference.perf);
+        assert_eq!(engine_checkpoints, reference_checkpoints);
         engine.perf
     }
 
@@ -1711,6 +1846,177 @@ mod tests {
         assert_eq!((perf.rejected, perf.pruned), (2, 0), "{perf:?}");
     }
 
+    /// `WorkloadModel`, counting the prune checks the engine asks for.
+    #[derive(Default)]
+    struct CountingChecks {
+        checks: std::cell::Cell<u64>,
+    }
+
+    impl DseEvaluator for CountingChecks {
+        fn evaluate_probe(&mut self, chip: &Processor, totals: &ChipTotals) -> MetricSet {
+            WorkloadModel::default().evaluate_probe(chip, totals)
+        }
+
+        fn prunes_in_row(&self, run: &RowCandidate<'_>, frontier: &ParetoFrontier) -> bool {
+            self.checks.set(self.checks.get() + 1);
+            WorkloadModel::default().prunes_in_row(run, frontier)
+        }
+    }
+
+    #[test]
+    fn pruned_runs_equal_per_candidate_decisions_and_checkpoints() {
+        let mut grid = AxisGrid::manycore(
+            vec![TechNode::N45, TechNode::N32],
+            vec![DeviceType::Hp],
+            vec![2, 4, 8],
+            vec![1 << 20, 2 << 20],
+            Vec::new(),
+        );
+        let ascending: Vec<f64> = (0..40).map(|i| 1.0e9 + 5.0e7 * f64::from(i)).collect();
+        let clock_axes = [
+            // Descending: the pruned candidates end each row.
+            ascending.iter().rev().copied().collect(),
+            // Unsorted with repeats: a run's slowest and fastest clocks
+            // lie inside it.
+            vec![
+                1.2e9, 0.6e9, 2.4e9, 0.6e9, 1.8e9, 0.9e9, 3.0e9, 1.2e9, 0.7e9,
+            ],
+            ascending,
+        ];
+        for clocks in clock_axes {
+            grid.clocks_hz = clocks;
+            // An area budget just under the largest row's area rejects
+            // that row, and only that row.
+            let mut areas: Vec<f64> = (0..grid.total() / grid.clocks_len())
+                .map(|row| {
+                    let cfg = grid.config_at(row * grid.clocks_len()).unwrap();
+                    Processor::build(&cfg).unwrap().die_area()
+                })
+                .collect();
+            areas.sort_by(f64::total_cmp);
+            let [.., second, largest] = areas[..] else {
+                panic!("at least two rows");
+            };
+            assert!(second < largest);
+            for checkpoint_every in [1, 7, 37, 1024] {
+                let opts = DseOptions {
+                    budgets: Budgets {
+                        max_area: (second + largest) / 2.0,
+                        ..Budgets::default()
+                    },
+                    checkpoint_every,
+                    ..DseOptions::default()
+                };
+                let perf = assert_engine_matches_reference(&grid, &opts, WorkloadModel::default);
+                let what = format!("{:?} every {checkpoint_every}: {perf:?}", grid.clocks_hz);
+                assert!(perf.pruned > 0, "{what}");
+                assert!(perf.rejected >= grid.clocks_len(), "{what}");
+                // On long monotone rows, runs take fewer checks than one
+                // per candidate decided, rejects aside.
+                let mut counting = CountingChecks::default();
+                assert_eq!(dse(&grid, &opts, &mut counting).unwrap().perf, perf);
+                if checkpoint_every >= 7 && grid.clocks_len() >= 40 {
+                    let checks = counting.checks.get();
+                    assert!(
+                        checks < perf.pruned + perf.probes,
+                        "{checks} checks, {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn power_gated_rows_retire_runs_as_per_candidate_decisions() {
+        // A grid has no power-gating axis, so a power-gated row chip is
+        // walked directly: clocks on both sides of the 1-kHz step, where
+        // a power-gated chip's leakage scale moves, taken at either.
+        let incumbent = |hz: f64| {
+            let cfg = Delta::Clock(hz).apply(&tiny_grid().config_at(0).unwrap());
+            let chip = Processor::build(&cfg).unwrap();
+            FrontierPoint {
+                name: String::from("incumbent"),
+                cursor: u64::MAX,
+                area: chip.die_area(),
+                peak_power: chip.peak_power_total(),
+                metrics: WorkloadModel::default().evaluate(&chip),
+            }
+        };
+        let clock_axes = [
+            vec![500.0, 2.0e9, 800.0, 1.0e9, 0.5e9, 600.0, 1.5e9],
+            vec![3.0e9, 2.0e9, 1.0e9, 900.0, 700.0, 500.0],
+            vec![400.0, 600.0, 800.0, 999.0, 1.0e3, 1.0e6, 1.0e9],
+        ];
+        let mut pruned_in_runs = 0;
+        for clocks in clock_axes {
+            let mut cfg = tiny_grid().config_at(0).unwrap();
+            cfg.power_gating = true;
+            let cfg = Delta::Clock(clocks[0]).apply(&cfg);
+            let chip = Processor::build(&cfg).unwrap();
+            let facts = RowFacts::of(&chip);
+            let seeded = || {
+                let mut frontier = ParetoFrontier::new();
+                frontier.offer(incumbent(3.0e9));
+                frontier
+            };
+            // One decision per candidate, each probe a full build.
+            let mut frontier = seeded();
+            let mut pruned = 0;
+            for (cursor, &hz) in clocks.iter().enumerate() {
+                let point = RowCandidate {
+                    base: &chip,
+                    facts,
+                    slowest_hz: hz,
+                    fastest_hz: hz,
+                };
+                if WorkloadModel::default().prunes_in_row(&point, &frontier) {
+                    pruned += 1;
+                    continue;
+                }
+                let probe = Processor::build(&ProcessorConfig {
+                    name: format!("dse-{cursor}"),
+                    ..Delta::Clock(hz).apply(&cfg)
+                })
+                .unwrap();
+                frontier.offer(FrontierPoint {
+                    name: probe.config.name.clone(),
+                    cursor: cursor as u64,
+                    area: probe.die_area(),
+                    peak_power: probe.peak_power_total(),
+                    metrics: WorkloadModel::default().evaluate(&probe),
+                });
+            }
+            // The engine's row walk.
+            let mut row = RowChip {
+                row: 0,
+                chip: chip.clone(),
+                facts,
+                repeats: false,
+            };
+            let mut engine = seeded();
+            let mut perf = DsePerf::default();
+            let (mut cursor, mut steps) = (0, 0);
+            while cursor < clocks.len() {
+                let (retired, _) = row
+                    .retire(
+                        &DseOptions::default(),
+                        &mut CountingChecks::default(),
+                        cursor as u64,
+                        &clocks[cursor..],
+                        &mut engine,
+                        &mut perf,
+                    )
+                    .unwrap();
+                cursor += retired as usize;
+                steps += 1;
+            }
+            assert_eq!(perf.pruned, pruned, "{clocks:?}");
+            assert_frontiers_bit_identical(&engine, &frontier);
+            pruned_in_runs += perf.pruned + perf.probes + perf.full_builds - steps;
+        }
+        assert!(pruned_in_runs > 0, "no run of more than one candidate");
+    }
+
     #[test]
     fn pruned_and_unpruned_perfbench_shaped_sweeps_agree() {
         // The axes of the perfbench `dse_sweep` grid. Delay ties across
@@ -1726,7 +2032,8 @@ mod tests {
                 .map(|i| 1.004e9 + 2.0e9 / f64::from(clocks - 1) * f64::from(i))
                 .collect(),
         );
-        let pruned = dse(&grid, &DseOptions::default(), &mut WorkloadModel::default()).unwrap();
+        let mut counting = CountingChecks::default();
+        let pruned = dse(&grid, &DseOptions::default(), &mut counting).unwrap();
         let unpruned = dse(
             &grid,
             &DseOptions {
@@ -1743,5 +2050,10 @@ mod tests {
             pruned.perf
         );
         assert_eq!(pruned.perf.rejected, unpruned.perf.rejected);
+        // Each row's pruned candidates lead it, so runs decide them in
+        // about a fifth of the checks one per candidate would take
+        // (4,597 of 20,000).
+        let checks = counting.checks.get();
+        assert!(checks * 4 < grid.total(), "{checks} checks");
     }
 }

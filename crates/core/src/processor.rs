@@ -619,18 +619,10 @@ impl Processor {
     ) -> DynamicWalk {
         let c = &self.config;
         let mut cores_dynamic = 0.0;
-        // With power gating, an idle core drops to a retention state
-        // that keeps ~10% of its leakage.
         let mut cores_leakage_scale = 0.0;
         for (cs, weight) in core_groups(c.num_cores, cores) {
             cores_dynamic += core_dynamic(&cs) * weight;
-            let duty = cs.duty();
-            cores_leakage_scale += weight
-                * if c.power_gating {
-                    duty + (1.0 - duty) * 0.10
-                } else {
-                    1.0
-                };
+            cores_leakage_scale += weight * self.leakage_share(&cs);
         }
         // Wakeup transitions recharge the gated rail.
         if c.power_gating && stats.core_wakeups > 0 {
@@ -671,6 +663,18 @@ impl Processor {
         DynamicWalk {
             items,
             cores_leakage_scale,
+        }
+    }
+
+    /// The share of its leakage a core under `cs` draws: all of it, or
+    /// with power gating, for the idle part of its duty, the ~10% its
+    /// retention state keeps.
+    fn leakage_share(&self, cs: &CoreStats) -> f64 {
+        if self.config.power_gating {
+            let duty = cs.duty();
+            duty + (1.0 - duty) * 0.10
+        } else {
+            1.0
         }
     }
 
@@ -773,6 +777,13 @@ impl Processor {
     /// is monotone, so the fold with one term zeroed cannot exceed the
     /// probe's.
     ///
+    /// The floor never falls as `hz` rises, so the floor at a run's
+    /// slowest clock is a floor under every clock of the run: each term
+    /// is a non-negative constant times activity counts that truncate
+    /// `hz × window` (or, for the clock network, times `hz` and a
+    /// gating factor that only grows once the window holds a cycle),
+    /// and every operation on the way is monotone under round-to-nearest.
+    ///
     /// `None` where the probe would not take that walk: where the
     /// solved geometry follows the clock (a full build) and where `hz`
     /// moves the cores' leakage scale.
@@ -784,6 +795,23 @@ impl Processor {
         let walk = self.dynamic_walk(hz, &stats, std::slice::from_ref(&core), |_| 0.0);
         walk.keeps(leakage)
             .then(|| walk.dynamic_total() + leakage.total)
+    }
+
+    /// True if `leakage` still holds on this chip retargeted to `hz`:
+    /// the peak statistics at `hz` leave the cores' leakage scale it was
+    /// taken at, so [`Processor::peak_power_floor_at`] `hz` is `Some`
+    /// wherever the geometry survives the move. Peak statistics keep
+    /// every core busy once the 1-ms window holds a cycle, so the scale
+    /// never falls as the clock rises: a power-gated chip's steps up
+    /// once, at 1 kHz. Where `leakage` holds at two clocks it therefore
+    /// holds at every clock between them.
+    pub(crate) fn peak_leakage_holds_at(&self, hz: f64, leakage: &PeakLeakage) -> bool {
+        let (_, core) = self.peak_stats_at(hz);
+        let scale = core_groups(self.config.num_cores, std::slice::from_ref(&core))
+            .fold(0.0, |scale, (cs, weight)| {
+                scale + weight * self.leakage_share(&cs)
+            });
+        scale.to_bits() == leakage.cores_scale.to_bits()
     }
 
     /// True if every clock retarget keeps this chip's peak leakage, so

@@ -95,6 +95,27 @@ fn bound_configs() -> Vec<ProcessorConfig> {
     configs
 }
 
+/// A row of the prune-bound tests: `preset`, or an 8-core manycore
+/// chip built from its core template, under `device`, with clock and
+/// power gating as given.
+fn bound_row(
+    preset: ProcessorConfig,
+    template: bool,
+    device: DeviceType,
+    clock_gating: bool,
+    power_gating: bool,
+) -> ProcessorConfig {
+    let mut cfg = if template {
+        ProcessorConfig::manycore("template", TechNode::N32, preset.core, 8, 2, 2 << 20)
+    } else {
+        preset
+    };
+    cfg.device_type = device;
+    cfg.core.clock_gating = clock_gating;
+    cfg.power_gating = power_gating;
+    cfg
+}
+
 /// Runs the pruned and the unpruned engine over `grid` and compares both
 /// with per-candidate full builds: the same frontier bits, winners,
 /// `candidates`, `rejected` and `deduped`. A pruned candidate is never
@@ -475,14 +496,7 @@ proptest! {
         power_gating in prop::bool::ANY,
         a in 0.3..3.0f64,
     ) {
-        let mut cfg = if template {
-            ProcessorConfig::manycore("template", TechNode::N32, preset.core, 8, 2, 2 << 20)
-        } else {
-            preset
-        };
-        cfg.device_type = device;
-        cfg.core.clock_gating = clock_gating;
-        cfg.power_gating = power_gating;
+        let cfg = bound_row(preset, template, device, clock_gating, power_gating);
         let base = Processor::build(&cfg).unwrap();
         let facts = RowFacts::of(&base);
         let model = WorkloadModel::default();
@@ -498,7 +512,7 @@ proptest! {
             prop_assert!(lb.area <= exact.area, "area: {}", step);
             let leakage_only = facts.leakage * lb.delay;
             prop_assert!(lb.energy > leakage_only, "no uncore floor: {}", step);
-            let row = RowCandidate { base: &base, facts, clock_hz: hz };
+            let row = RowCandidate { base: &base, facts, slowest_hz: hz, fastest_hz: hz };
             for energy in [leakage_only * 0.5, (leakage_only + lb.energy) / 2.0, lb.energy * 1.02] {
                 let mut frontier = ParetoFrontier::new();
                 frontier.offer(FrontierPoint {
@@ -515,6 +529,137 @@ proptest! {
                     energy,
                     step
                 );
+            }
+        }
+    }
+
+    /// The certificate behind pruning clock runs: a row's peak-power
+    /// floor never falls as the clock rises. Covered: the rows of
+    /// `workload_bound_never_exceeds_evaluate`, on a clock ladder from
+    /// below the 1-kHz step of the 1-ms peak window up to 15 GHz, with
+    /// the row taken at its own clock and at 500 Hz. Without power
+    /// gating the floor exists at every clock; with it, exactly where
+    /// the row's leakage holds (one side of the step).
+    #[test]
+    fn peak_power_floor_never_falls_as_the_clock_rises(
+        preset in prop::sample::select(bound_configs()),
+        template in prop::bool::ANY,
+        device in prop::sample::select(vec![DeviceType::Hp, DeviceType::Lop, DeviceType::Lstp]),
+        clock_gating in prop::bool::ANY,
+        power_gating in prop::bool::ANY,
+        a in 0.3..3.0f64,
+        b in 1.0e-3..1.0f64,
+    ) {
+        let cfg = bound_row(preset, template, device, clock_gating, power_gating);
+        let mut ladder = vec![
+            1.0, 250.0, 500.0, 999.0, 999.999_999, 1.0e3, 1.000_000_001e3, 2.0e3,
+            1.0e6, 1.0e8, cfg.clock_hz * a, cfg.clock_hz * b, cfg.clock_hz, 12.0e9, 15.0e9,
+        ];
+        // Each clock's neighbors one ulp away, where rounding would
+        // show first.
+        let ulps: Vec<f64> = ladder.iter().flat_map(|&hz| [hz.next_down(), hz.next_up()]).collect();
+        ladder.extend(ulps);
+        ladder.sort_by(f64::total_cmp);
+        for row_hz in [cfg.clock_hz, 500.0] {
+            let base = Processor::build(&Delta::Clock(row_hz).apply(&cfg)).unwrap();
+            let facts = RowFacts::of(&base);
+            let floors: Vec<(f64, Option<f64>)> = ladder
+                .iter()
+                .map(|&hz| {
+                    let point = RowCandidate { base: &base, facts, slowest_hz: hz, fastest_hz: hz };
+                    (hz, point.peak_power_floor())
+                })
+                .collect();
+            let step = format!("{} ({device:?}, gating {power_gating}) taken at {row_hz:e} Hz", cfg.name);
+            let below_step = |hz: f64| hz < 1.0e3;
+            for &(hz, floor) in &floors {
+                let holds = !power_gating || below_step(hz) == below_step(row_hz);
+                prop_assert_eq!(floor.is_some(), holds, "at {:e} Hz: {}", hz, step);
+            }
+            let present: Vec<(f64, f64)> =
+                floors.iter().filter_map(|&(hz, f)| f.map(|f| (hz, f))).collect();
+            for pair in present.windows(2) {
+                let [(lo_hz, lo), (hi_hz, hi)] = pair else { continue };
+                prop_assert!(lo <= hi, "{:e} W at {:e} Hz > {:e} W at {:e} Hz: {}", lo, lo_hz, hi, hi_hz, step);
+            }
+        }
+    }
+
+    /// A run's prune decision implies each of its candidates' own, so
+    /// the engine's runs decide exactly what one decision per candidate
+    /// would. Runs of unsorted, repeated clocks on both sides of the
+    /// 1-kHz step, on the rows above taken at their own clock or at
+    /// 500 Hz, against incumbents just under and over each candidate's
+    /// bound and far under the run's.
+    #[test]
+    fn a_pruned_run_prunes_each_of_its_candidates(
+        preset in prop::sample::select(bound_configs()),
+        template in prop::bool::ANY,
+        device in prop::sample::select(vec![DeviceType::Hp, DeviceType::Lop, DeviceType::Lstp]),
+        clock_gating in prop::bool::ANY,
+        power_gating in prop::bool::ANY,
+        slow_row in prop::bool::ANY,
+        run in prop::sample::select(vec![
+            vec![1.0e9],
+            vec![0.6e9, 1.5e9, 1.0e9],
+            vec![3.0e9, 2.0e9, 1.0e9, 0.6e9],
+            vec![1.0e9, 1.0e9, 2.0e9, 1.0e9],
+            vec![500.0, 900.0],
+            vec![900.0, 2.0e6, 1.0e9],
+            vec![500.0, 15.0e9, 1.5e9, 500.0],
+            vec![2.0e6, 15.0e9],
+        ]),
+        a in 0.3..3.0f64,
+    ) {
+        let cfg = bound_row(preset, template, device, clock_gating, power_gating);
+        let mut clocks = run;
+        clocks.push(cfg.clock_hz * a);
+        let row_hz = if slow_row { 500.0 } else { cfg.clock_hz };
+        let base = Processor::build(&Delta::Clock(row_hz).apply(&cfg)).unwrap();
+        let facts = RowFacts::of(&base);
+        let model = WorkloadModel::default();
+        let slowest = clocks.iter().copied().fold(f64::INFINITY, f64::min);
+        let fastest = clocks.iter().copied().fold(0.0, f64::max);
+        let run = RowCandidate { base: &base, facts, slowest_hz: slowest, fastest_hz: fastest };
+        let point = |hz: f64| RowCandidate { base: &base, facts, slowest_hz: hz, fastest_hz: hz };
+        let bounds: Vec<MetricSet> = clocks
+            .iter()
+            .filter_map(|&hz| model.lower_bound(&base, &Delta::Clock(hz).apply(&base.config)))
+            .collect();
+        // The run's floor lies under each candidate's.
+        if let Some(floor) = run.peak_power_floor() {
+            for &hz in &clocks {
+                let own = point(hz).peak_power_floor();
+                prop_assert!(own.is_some_and(|own| floor <= own), "{:e} Hz: {:?} vs {:?}", hz, floor, own);
+            }
+        }
+        let delay = model.work / (f64::from(cfg.num_cores) * fastest);
+        let mut energies: Vec<f64> = bounds.iter().flat_map(|b| [b.energy * 0.999, b.energy * 1.001]).collect();
+        energies.push(facts.leakage * delay * 0.5);
+        let far_under = run.peak_power_floor().map(|floor| floor * delay * 0.5);
+        energies.extend(far_under);
+        let step = format!("{} ({device:?}, gating {power_gating}) at {row_hz:e} Hz, run {clocks:?}", cfg.name);
+        for energy in energies {
+            let mut frontier = ParetoFrontier::new();
+            frontier.offer(FrontierPoint {
+                name: String::from("incumbent"),
+                cursor: 0,
+                area: facts.area,
+                peak_power: energy / delay,
+                metrics: MetricSet { delay: delay * 0.99, energy, area: facts.area },
+            });
+            if model.prunes_in_row(&run, &frontier) {
+                for &hz in &clocks {
+                    prop_assert!(
+                        model.prunes_in_row(&point(hz), &frontier),
+                        "{:e} Hz not pruned alone at incumbent energy {:e}: {}",
+                        hz,
+                        energy,
+                        step
+                    );
+                }
+            } else {
+                prop_assert!(Some(energy) != far_under, "run not pruned far under its bound: {}", step);
             }
         }
     }
