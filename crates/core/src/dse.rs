@@ -48,7 +48,7 @@ use crate::config::ProcessorConfig;
 use crate::error::McpatError;
 use crate::frontier::{FrontierPoint, ParetoFrontier};
 use crate::metrics::{Metric, MetricSet};
-use crate::processor::{checkpoint, Delta, PeakLeakage, Processor, Retarget};
+use crate::processor::{checkpoint, Delta, Processor, Retarget};
 use mcpat_diag::Diagnostics;
 use mcpat_mcore::config::CoreConfig;
 use mcpat_tech::{DeviceType, TechNode};
@@ -336,10 +336,11 @@ pub struct DsePerf {
     /// every candidate offered before them in cursor order. A pruned
     /// run of a row counts each of its candidates, exactly those one
     /// decision per candidate would prune. Never counted on rows whose
-    /// facts do not hold across clocks, where nothing is pruned. With [`WorkloadModel`] the count depends on
-    /// how tight its bound is, while the frontier and the `candidates`
-    /// and `rejected` counts do not: a tighter bound moves candidates
-    /// from `probes` to `pruned` only.
+    /// facts do not hold across clocks, where nothing is pruned. With
+    /// [`WorkloadModel`] the count depends on how tight its bound is,
+    /// while the frontier and the `candidates` and `rejected` counts do
+    /// not: a tighter bound moves candidates from `probes` to `pruned`
+    /// only.
     pub pruned: u64,
     /// Candidates outside [`DseOptions::budgets`] (rejected before the
     /// probe when the exact clock-invariant area already exceeds the
@@ -415,8 +416,6 @@ pub struct RowFacts {
     pub area: f64,
     /// Total leakage, W ([`Processor::total_leakage`]).
     pub leakage: f64,
-    /// The chip's peak leakage, which its retargeted probes share.
-    peak: PeakLeakage,
     /// True if the facts hold for every clock of the row
     /// ([`Processor::clock_keeps_geometry`] on the chip).
     hold_across_clocks: bool,
@@ -426,11 +425,9 @@ impl RowFacts {
     /// The facts of `base`: two walks over the chip, made once per row.
     #[must_use]
     pub fn of(base: &Processor) -> RowFacts {
-        let peak = base.peak_leakage();
         RowFacts {
             area: base.die_area(),
-            leakage: peak.total,
-            peak,
+            leakage: base.total_leakage().total(),
             hold_across_clocks: base.clock_keeps_geometry(),
         }
     }
@@ -477,15 +474,11 @@ impl RowCandidate<'_> {
     /// non-negative constant times activity that grows with the clock,
     /// folded with monotone rounding. `None` unless every candidate's
     /// probe would take that dynamic-only walk: the row's geometry must
-    /// survive clock moves, and the row's peak leakage must hold at both
-    /// ends of the run, and so at every clock between them (a
-    /// power-gated chip's cores' leakage scale steps up once, at 1 kHz).
+    /// survive clock moves.
     #[must_use]
     pub fn peak_power_floor(&self) -> Option<f64> {
-        let peak = &self.facts.peak;
-        let floor = self.base.peak_power_floor_at(self.slowest_hz, peak)?;
-        let one_clock = self.slowest_hz.to_bits() == self.fastest_hz.to_bits();
-        (one_clock || self.base.peak_leakage_holds_at(self.fastest_hz, peak)).then_some(floor)
+        self.base
+            .peak_power_floor_at(self.slowest_hz, self.facts.leakage)
     }
 }
 
@@ -623,7 +616,7 @@ impl DseEvaluator for WorkloadModel {
         let num_cores = base.config.num_cores;
         // Where the row's leakage alone lies under the floor, it is a
         // looser bound that needs no walk: try it first.
-        if base.peak_leakage_is_clock_invariant()
+        if facts.hold_across_clocks
             && frontier.would_prune(&self.metrics(facts.leakage, facts.area, num_cores, fastest_hz))
         {
             return true;
@@ -935,7 +928,7 @@ impl RowChip {
         // and leakage are not the candidate's.
         let totals = if facts.hold_across_clocks {
             ChipTotals {
-                peak_power: chip.peak_power_total_with(&facts.peak),
+                peak_power: chip.peak_power_total_with(facts.leakage),
                 area: facts.area,
             }
         } else {
@@ -1929,8 +1922,8 @@ mod tests {
     #[test]
     fn power_gated_rows_retire_runs_as_per_candidate_decisions() {
         // A grid has no power-gating axis, so a power-gated row chip is
-        // walked directly: clocks on both sides of the 1-kHz step, where
-        // a power-gated chip's leakage scale moves, taken at either.
+        // walked directly: clocks on both sides of 1 kHz (below it the
+        // 1-ms peak window holds a single cycle), taken at either.
         let incumbent = |hz: f64| {
             let cfg = Delta::Clock(hz).apply(&tiny_grid().config_at(0).unwrap());
             let chip = Processor::build(&cfg).unwrap();

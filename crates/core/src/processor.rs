@@ -2,7 +2,7 @@
 
 use crate::config::{ProcessorConfig, UNNAMED_FINDING_PATH};
 use crate::error::McpatError;
-use crate::power::{leakage_of, total_of, ChipPower, ChipPowerItem};
+use crate::power::{total_of, ChipPower, ChipPowerItem};
 use crate::stats::ChipStats;
 use mcpat_array::ArrayError;
 use mcpat_circuit::metrics::StaticPower;
@@ -735,36 +735,25 @@ impl Processor {
     }
 
     /// Total chip leakage, W: `peak_power().leakage()` without building
-    /// the breakdown. Does not allocate.
+    /// the breakdown or walking a dynamic term. Does not allocate. The
+    /// peak window holds at least one cycle at any clock, so every core
+    /// is busy and the total does not depend on the clock.
     #[must_use]
-    // lint: allow(L013, the bit-identity harnesses pin it against peak_power().leakage())
     pub fn total_leakage(&self) -> StaticPower {
-        leakage_of(self.peak_items().iter())
-    }
-
-    /// The clock-invariant half of [`Processor::peak_power_total`], for
-    /// [`Processor::peak_power_total_with`]: one leakage walk.
-    pub(crate) fn peak_leakage(&self) -> PeakLeakage {
-        let cores_scale = self.peak_dynamic_walk().cores_leakage_scale;
-        let leakage: StaticPower = self.leakage_items(cores_scale).into_iter().flatten().sum();
-        PeakLeakage {
-            total: leakage.total(),
-            cores_scale,
-        }
+        let (_, core) = self.peak_stats();
+        let cores_scale = core_groups(self.config.num_cores, std::slice::from_ref(&core))
+            .fold(0.0, |scale, (cs, weight)| {
+                scale + weight * self.leakage_share(&cs)
+            });
+        self.leakage_items(cores_scale).into_iter().flatten().sum()
     }
 
     /// [`Processor::peak_power_total`], bit for bit, given the
-    /// [`Processor::peak_leakage`] of this chip or of one it was
+    /// [`Processor::total_leakage`] total of this chip or of one it was
     /// retargeted from: only the dynamic terms are walked, and the
-    /// core's per-unit leakage is never summed. Falls back to the full
-    /// walk if the clock moved the cores' leakage scale (a power-gated
-    /// chip whose peak window holds no whole cycle).
-    pub(crate) fn peak_power_total_with(&self, leakage: &PeakLeakage) -> f64 {
-        let walk = self.peak_dynamic_walk();
-        if !walk.keeps(leakage) {
-            return self.peak_power_total();
-        }
-        walk.dynamic_total() + leakage.total
+    /// core's per-unit leakage is never summed.
+    pub(crate) fn peak_power_total_with(&self, leakage: f64) -> f64 {
+        self.peak_dynamic_walk().dynamic_total() + leakage
     }
 
     /// A floor under what [`Processor::peak_power_total_with`] returns,
@@ -780,48 +769,18 @@ impl Processor {
     /// The floor never falls as `hz` rises, so the floor at a run's
     /// slowest clock is a floor under every clock of the run: each term
     /// is a non-negative constant times activity counts that truncate
-    /// `hz × window` (or, for the clock network, times `hz` and a
-    /// gating factor that only grows once the window holds a cycle),
-    /// and every operation on the way is monotone under round-to-nearest.
+    /// `hz × window` (or, for the clock network, times `hz` and the
+    /// gating factor of cores busy throughout the window), and every
+    /// operation on the way is monotone under round-to-nearest.
     ///
     /// `None` where the probe would not take that walk: where the
-    /// solved geometry follows the clock (a full build) and where `hz`
-    /// moves the cores' leakage scale.
-    pub(crate) fn peak_power_floor_at(&self, hz: f64, leakage: &PeakLeakage) -> Option<f64> {
-        if !self.clock_keeps_geometry() {
-            return None;
-        }
-        let (stats, core) = self.peak_stats_at(hz);
-        let walk = self.dynamic_walk(hz, &stats, std::slice::from_ref(&core), |_| 0.0);
-        walk.keeps(leakage)
-            .then(|| walk.dynamic_total() + leakage.total)
-    }
-
-    /// True if `leakage` still holds on this chip retargeted to `hz`:
-    /// the peak statistics at `hz` leave the cores' leakage scale it was
-    /// taken at, so [`Processor::peak_power_floor_at`] `hz` is `Some`
-    /// wherever the geometry survives the move. Peak statistics keep
-    /// every core busy once the 1-ms window holds a cycle, so the scale
-    /// never falls as the clock rises: a power-gated chip's steps up
-    /// once, at 1 kHz. Where `leakage` holds at two clocks it therefore
-    /// holds at every clock between them.
-    pub(crate) fn peak_leakage_holds_at(&self, hz: f64, leakage: &PeakLeakage) -> bool {
-        let (_, core) = self.peak_stats_at(hz);
-        let scale = core_groups(self.config.num_cores, std::slice::from_ref(&core))
-            .fold(0.0, |scale, (cs, weight)| {
-                scale + weight * self.leakage_share(&cs)
-            });
-        scale.to_bits() == leakage.cores_scale.to_bits()
-    }
-
-    /// True if every clock retarget keeps this chip's peak leakage, so
-    /// that its total alone is a floor under the probe's peak power at
-    /// any clock: the geometry survives clock moves (where it does not,
-    /// a probe is a full build) and no power gating (without it,
-    /// [`Processor::dynamic_walk`] counts every core's leakage in full,
-    /// whatever the clock).
-    pub(crate) fn peak_leakage_is_clock_invariant(&self) -> bool {
-        !self.config.power_gating && self.clock_keeps_geometry()
+    /// solved geometry follows the clock (a full build).
+    pub(crate) fn peak_power_floor_at(&self, hz: f64, leakage: f64) -> Option<f64> {
+        self.clock_keeps_geometry().then(|| {
+            let (stats, core) = self.peak_stats_at(hz);
+            let walk = self.dynamic_walk(hz, &stats, std::slice::from_ref(&core), |_| 0.0);
+            walk.dynamic_total() + leakage
+        })
     }
 
     /// True if a clock move keeps this chip's solved geometry, so that
@@ -865,12 +824,6 @@ impl DynamicWalk {
     fn dynamic_total(&self) -> f64 {
         self.items.into_iter().flatten().sum()
     }
-
-    /// True if this walk leaves the cores' leakage scale of `leakage`
-    /// as it was, so its total still holds.
-    fn keeps(&self, leakage: &PeakLeakage) -> bool {
-        self.cores_leakage_scale.to_bits() == leakage.cores_scale.to_bits()
-    }
 }
 
 /// `(stats, weight)` per group of cores sharing one entry of `cores`
@@ -894,16 +847,6 @@ fn core_groups(num_cores: u32, cores: &[CoreStats]) -> impl Iterator<Item = (Cor
         };
         (cs, weight)
     })
-}
-
-/// The clock-invariant part of a chip's peak power, taken once per DSE
-/// row ([`Processor::peak_leakage`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PeakLeakage {
-    /// [`Processor::total_leakage`]'s total, W.
-    pub(crate) total: f64,
-    /// The cores' leakage scale it was taken at.
-    cores_scale: f64,
 }
 
 /// Appends every array the solver could only place by degrading to
@@ -1355,18 +1298,14 @@ pub(crate) mod tests {
                 let mut cfg = preset.clone();
                 cfg.power_gating = gating;
                 let base = Processor::build(&cfg).unwrap();
-                let leakage = base.peak_leakage();
-                assert_eq!(
-                    leakage.total.to_bits(),
-                    base.total_leakage().total().to_bits()
-                );
+                let leakage = base.total_leakage().total();
                 let mut chip = base.clone();
-                // At 500 Hz the 1 ms peak window holds no whole cycle,
-                // which moves a gated chip's leakage: the fallback.
+                // At 500 Hz the 1 ms peak window holds one cycle, as it
+                // does at 1 kHz: a gated chip's leakage holds there too.
                 for hz in [cfg.clock_hz, 0.7e9, 2.9e9, 500.0, 12.0e9, 1.1e9] {
                     chip.retarget(Delta::Clock(hz)).unwrap();
                     assert_eq!(
-                        chip.peak_power_total_with(&leakage).to_bits(),
+                        chip.peak_power_total_with(leakage).to_bits(),
                         chip.peak_power_total().to_bits(),
                         "{} (gating {gating}) at {hz:e} Hz",
                         cfg.name

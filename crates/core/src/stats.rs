@@ -45,7 +45,9 @@ fn split_rw(total: u64) -> (u64, u64) {
 
 impl ChipStats {
     /// A TDP-style worst-case interval of `duration_s` seconds for a chip
-    /// with `num_cores` cores at `clock_hz`, issue width `w`.
+    /// with `num_cores` cores at `clock_hz`, issue width `w`. The
+    /// interval holds the whole cycles that fit in it, and at least
+    /// one: every core is busy throughout, whatever the clock.
     #[must_use]
     pub fn peak(duration_s: f64, num_cores: u32, clock_hz: f64, w: u32, fp_w: u32) -> ChipStats {
         let (mut stats, core) = ChipStats::peak_parts(duration_s, num_cores, clock_hz, w, fp_w);
@@ -63,7 +65,7 @@ impl ChipStats {
         w: u32,
         fp_w: u32,
     ) -> (ChipStats, CoreStats) {
-        let cycles = (duration_s * clock_hz) as u64;
+        let cycles = ((duration_s * clock_hz) as u64).max(1);
         let core = CoreStats::peak(cycles, w, fp_w);
         // Miss traffic spills into the L2 and memory at peak rates; TDP
         // assumes a cache-hostile footprint (≈1 L2 access per 4 cycles

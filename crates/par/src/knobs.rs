@@ -16,7 +16,6 @@
 //! | `MCPAT_THREADS` | worker count for every fan-out | detected parallelism | once per process |
 //! | `MCPAT_SOLVE_CACHE` | `0` disables the array solve cache | enabled | once per process |
 //! | `MCPAT_SOLVE_CACHE_CAP` | solve-cache entry cap (`0` = unbounded) | 4096 | once per process |
-//! | `MCPAT_SERVE_MAX_INFLIGHT` | serve daemon admission cap (`0` = unbounded) | 64 | per `ServeOptions::default()` |
 //! | `MCPAT_SERVE_EVAL_HOLD_MS` | serve daemon sleeps this long before each uncoalesced build | 0 | per uncoalesced build |
 //!
 //! The first three sit on hot paths (every fan-out, every cache lookup
@@ -72,28 +71,6 @@ pub fn solve_cache_cap() -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(SOLVE_CACHE_CAP_DEFAULT)
-}
-
-/// Environment variable naming the serve daemon's default admission
-/// cap (concurrently admitted `evaluate` requests; `0` = unbounded).
-/// The `mcpat serve --max-inflight` flag overrides it per invocation.
-pub const SERVE_MAX_INFLIGHT_VAR: &str = "MCPAT_SERVE_MAX_INFLIGHT";
-
-/// Default serve admission cap when `MCPAT_SERVE_MAX_INFLIGHT` is
-/// unset: far above a workstation's parallelism so legitimate bursts
-/// pass, yet bounded, so a runaway client sees a typed `Overloaded`
-/// instead of piling unbounded work onto the pool.
-pub const SERVE_MAX_INFLIGHT_DEFAULT: usize = 64;
-
-/// The `MCPAT_SERVE_MAX_INFLIGHT` knob: the serve daemon's default
-/// admission cap. Unset or unparseable falls back to
-/// [`SERVE_MAX_INFLIGHT_DEFAULT`]; an explicit `0` disables the cap.
-#[must_use]
-pub fn serve_max_inflight() -> usize {
-    std::env::var(SERVE_MAX_INFLIGHT_VAR)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(SERVE_MAX_INFLIGHT_DEFAULT)
 }
 
 /// Environment variable making the serve daemon sleep this many

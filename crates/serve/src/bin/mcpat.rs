@@ -483,7 +483,7 @@ fn serve_usage() -> &'static str {
      \x20                     binds an ephemeral port, printed at startup)\n\
      \x20 --max-inflight <n>  concurrent evaluation cap; further requests get a\n\
      \x20                     typed `Overloaded` rejection (0 = unbounded;\n\
-     \x20                     default: the MCPAT_SERVE_MAX_INFLIGHT knob)\n\
+     \x20                     default: 64)\n\
      \n\
      Runs a long-lived evaluation daemon over a line-delimited JSON\n\
      protocol: one request per line, one response line each. The solve\n\

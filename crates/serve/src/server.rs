@@ -40,20 +40,25 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// budget check.
 const WAIT_POLL: Duration = Duration::from_millis(10);
 
+/// The default admission cap: far above a workstation's parallelism so
+/// legitimate bursts pass, yet bounded, so a runaway client sees a
+/// typed `Overloaded` instead of piling unbounded work onto the pool.
+const DEFAULT_MAX_INFLIGHT: usize = 64;
+
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Maximum concurrently admitted `evaluate` requests; further ones
     /// are answered with a typed `Overloaded` error immediately
-    /// (0 = unbounded). Defaults to the `MCPAT_SERVE_MAX_INFLIGHT`
-    /// knob.
+    /// (0 = unbounded). Defaults to 64; `mcpat serve --max-inflight`
+    /// sets it.
     pub max_inflight: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
-            max_inflight: mcpat::knobs::serve_max_inflight(),
+            max_inflight: DEFAULT_MAX_INFLIGHT,
         }
     }
 }

@@ -5,50 +5,16 @@
 //!
 //! Run with: `cargo run --example validate_chips`
 
-use mcpat::{Processor, ProcessorConfig};
-
-struct Published {
-    power_w: f64,
-    area_mm2: f64,
-}
+use mcpat::Processor;
+use mcpat_bench::published_chips;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let targets = [
-        (
-            ProcessorConfig::niagara(),
-            Published {
-                power_w: 63.0,
-                area_mm2: 378.0,
-            },
-        ),
-        (
-            ProcessorConfig::niagara2(),
-            Published {
-                power_w: 84.0,
-                area_mm2: 342.0,
-            },
-        ),
-        (
-            ProcessorConfig::alpha21364(),
-            Published {
-                power_w: 125.0,
-                area_mm2: 397.0,
-            },
-        ),
-        (
-            ProcessorConfig::tulsa(),
-            Published {
-                power_w: 150.0,
-                area_mm2: 435.0,
-            },
-        ),
-    ];
-
     println!(
         "{:<12} {:>10} {:>10} {:>7}   {:>10} {:>10} {:>7}",
         "chip", "pub W", "model W", "err%", "pub mm2", "model mm2", "err%"
     );
-    for (cfg, published) in targets {
+    for published in published_chips() {
+        let cfg = (published.config)();
         let chip = Processor::build(&cfg)?;
         let power = chip.peak_power().total();
         let area = chip.die_area_mm2();

@@ -8,6 +8,7 @@
 //! moves a chip away from its published numbers surfaces immediately.
 
 use mcpat::{Processor, ProcessorConfig};
+use mcpat_bench::published_chips;
 
 struct Target {
     cfg: ProcessorConfig,
@@ -19,39 +20,36 @@ struct Target {
     area_band: f64,
 }
 
-/// Measured |error| (EXPERIMENTS.md T-V1..4) plus three points, to the
-/// nearest point.
+/// Per published chip: the largest accepted |relative error| of peak
+/// power, then of die area. Measured |error| (EXPERIMENTS.md T-V1..4)
+/// plus three points, to the nearest point.
+const BANDS: [(&str, f64, f64); 4] = [
+    ("niagara", 0.14, 0.25),    // measured 11.1%, 22.1%
+    ("niagara2", 0.17, 0.18),   // measured 13.8%, 14.5%
+    ("alpha21364", 0.21, 0.12), // measured 18.4%, 9.1%
+    ("xeon-tulsa", 0.14, 0.07), // measured 10.8%, 3.9%
+];
+
+/// Each published chip (`mcpat_bench::published_chips`) with its bands.
 fn targets() -> Vec<Target> {
-    vec![
-        Target {
-            cfg: ProcessorConfig::niagara(),
-            published_power_w: 63.0,
-            published_area_mm2: 378.0,
-            power_band: 0.14, // measured 11.1%
-            area_band: 0.25,  // measured 22.1%
-        },
-        Target {
-            cfg: ProcessorConfig::niagara2(),
-            published_power_w: 84.0,
-            published_area_mm2: 342.0,
-            power_band: 0.17, // measured 13.8%
-            area_band: 0.18,  // measured 14.5%
-        },
-        Target {
-            cfg: ProcessorConfig::alpha21364(),
-            published_power_w: 125.0,
-            published_area_mm2: 397.0,
-            power_band: 0.21, // measured 18.4%
-            area_band: 0.12,  // measured 9.1%
-        },
-        Target {
-            cfg: ProcessorConfig::tulsa(),
-            published_power_w: 150.0,
-            published_area_mm2: 435.0,
-            power_band: 0.14, // measured 10.8%
-            area_band: 0.07,  // measured 3.9%
-        },
-    ]
+    let chips = published_chips();
+    assert_eq!(chips.len(), BANDS.len(), "one band pair per published chip");
+    chips
+        .into_iter()
+        .map(|chip| {
+            let &(_, power_band, area_band) = BANDS
+                .iter()
+                .find(|(name, ..)| *name == chip.name)
+                .unwrap_or_else(|| panic!("no bands for {}", chip.name));
+            Target {
+                cfg: (chip.config)(),
+                published_power_w: chip.power_w,
+                published_area_mm2: chip.area_mm2,
+                power_band,
+                area_band,
+            }
+        })
+        .collect()
 }
 
 #[test]
